@@ -11,6 +11,8 @@ by Monte Carlo and compares against a reference value within three
 standard errors.
 """
 
+import math
+
 from jointkern import (
     DetMap, Finite, Real, UNIT_VALUE, constant_weight, enumerate_traces,
     expected_value_by_enumeration, from_primitive, bernoulli,
@@ -59,11 +61,9 @@ print("base log-density:",
 print("log(density * weight):",
       round(unnormalized_log_density(both, UNIT_VALUE, trace), 6))
 
-# The composite weight at that trace is 3 * 5 = 15.
-w = 1.0
-for f in both.weight_factors:
-    w *= f(trace, UNIT_VALUE)
-print("total weight:", w)
+# The composite weight at that trace is 3 * 5 = 15. The second stage's
+# factor reads that stage's input, which is the first stage's output.
+print("total weight:", math.exp(both.log_weight(trace, UNIT_VALUE)))
 
 # constant_weight(1.0) attaches no factors at all.
 assert constant_weight(both.base, 1.0).weight_factors == ()

@@ -55,7 +55,9 @@ def cli(*args, expect=0):
     return proc.stdout
 
 
-tmp = Path(tempfile.mkdtemp())
+# removed when the script exits
+workdir = tempfile.TemporaryDirectory()
+tmp = Path(workdir.name)
 path = tmp / "rain.json"
 path.write_text(json.dumps(MODEL))
 

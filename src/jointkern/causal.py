@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 from .diagrams import Diagram
 from .errors import ShapeError
 from .interpret import Interpretation, evaluate
-from .kernels import DetMap, lift_det, replay_with_uniforms
+from .kernels import DetMap, lift_det, replay_with_uniforms, run_trace
 from .spaces import Value, check_member
 
 __all__ = ["intervene", "counterfactual", "abduct_trace"]
@@ -72,14 +72,17 @@ def abduct_trace(d: Diagram, interp: Interpretation, inputs: Value, t) -> dict:
     missing = [b for b in k.box_ids if b not in t]
     if missing:
         raise ShapeError(f"trace is missing boxes {missing}")
-    extra = [b for b in t if b not in set(k.box_ids)]
+    ids = set(k.box_ids)
+    extra = [b for b in t if b not in ids]
     if extra:
         raise ShapeError(f"trace has unknown boxes {extra}")
     u = {}
-    for box in k.boxes:
+
+    def visit(box, par, m):
         p = box.primitive
         if p.abduct is None:
             raise ShapeError(f"primitive {p.name!r} of box {box.box_id!r} has no abduct")
-        par = box.param(t, inputs)
-        u[box.box_id] = tuple(p.abduct(par, t[box.box_id]))
+        u[box.box_id] = tuple(p.abduct(par, m))
+
+    run_trace(k, inputs, t, visit)
     return u

@@ -170,7 +170,8 @@ def _run_logpdf(model: Model, interp: Interpretation, ns) -> int:
 
 
 def _run_cf(model: Model, interp: Interpretation, ns) -> int:
-    do = _parse_do(model, interp, ns.set)
+    # intervene once, so every record replays the same compiled kernel
+    interp = intervene(model.diagram, interp, _parse_do(model, interp, ns.set))
     z = _decode_input(model, ns.input)
     for uj in _read_jsonl(ns.u):
         if not isinstance(uj, dict):
@@ -180,7 +181,7 @@ def _run_cf(model: Model, interp: Interpretation, ns) -> int:
             if not isinstance(block, list):
                 raise ModelSyntaxError(f"u for {b!r} must be a list of floats")
             u[b] = [float(x) for x in block]
-        t, x = counterfactual(model.diagram, interp, do, u, z)
+        t, x = counterfactual(model.diagram, interp, {}, u, z)
         _out(render_json({
             "trace": {b: value_to_jsonable(v) for b, v in t.items()},
             "output": value_to_jsonable(x),

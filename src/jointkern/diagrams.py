@@ -170,7 +170,7 @@ def validate_cd(d: Diagram) -> list:
         if starts[w] > 1:
             out.append(f"wire {w!r} has {starts[w]} starting places")
 
-    cyclic = _kahn_leftover(g)
+    _, cyclic = _kahn(g)
     if cyclic:
         members = set(cyclic)
         wires = sorted({
@@ -200,13 +200,8 @@ def is_causal_model(d: Diagram) -> bool:
     return len(set(d.outputs)) == len(d.outputs)
 
 
-def _kahn_leftover(g: Hypergraph):
-    """Box ids left unordered by Kahn's algorithm (nonempty iff cyclic)."""
-    order, leftover = _kahn(g)
-    return leftover
-
-
 def _kahn(g: Hypergraph):
+    """Kahn's algorithm: (box order, boxes left unordered; nonempty iff cyclic)."""
     producer = {}
     for b in g.boxes:
         for w in g.cod[b]:
@@ -246,13 +241,18 @@ def topological_order(d: Diagram) -> list:
     return order
 
 
-def _fresh(base, taken):
-    if base not in taken:
-        return base
-    i = 2
-    while f"{base}_{i}" in taken:
-        i += 1
-    return f"{base}_{i}"
+def _fresh_ids(ids, taken) -> dict:
+    """A fresh name for each of ids: the id itself, else id_2, id_3, ...,
+    avoiding taken and the names already given."""
+    taken = set(taken)
+    out = {}
+    for base in ids:
+        name, i = base, 2
+        while name in taken:
+            name, i = f"{base}_{i}", i + 1
+        out[base] = name
+        taken.add(name)
+    return out
 
 
 def _require_valid(d: Diagram, mode: str, which: str):
@@ -289,16 +289,8 @@ def compose_diagrams(d1: Diagram, d2: Diagram, mode: str = "markov") -> Diagram:
     _require_valid(d2, mode, "right diagram")
 
     g1, g2 = d1.graph, d2.graph
-    wire_taken = set(g1.wires)
-    w2_new = {}
-    for w in g2.wires:
-        w2_new[w] = _fresh(w, wire_taken)
-        wire_taken.add(w2_new[w])
-    box_taken = set(g1.boxes)
-    b2_new = {}
-    for b in g2.boxes:
-        b2_new[b] = _fresh(b, box_taken)
-        box_taken.add(b2_new[b])
+    w2_new = _fresh_ids(g2.wires, g1.wires)
+    b2_new = _fresh_ids(g2.boxes, g1.boxes)
 
     # union-find over the combined wire ids; d1 wires win as representatives
     parent = {}
@@ -394,16 +386,8 @@ def tensor_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
     if d1.signature != d2.signature:
         raise DiagramError("diagrams are over different signatures", [])
     g1, g2 = d1.graph, d2.graph
-    wire_taken = set(g1.wires)
-    w2_new = {}
-    for w in g2.wires:
-        w2_new[w] = _fresh(w, wire_taken)
-        wire_taken.add(w2_new[w])
-    box_taken = set(g1.boxes)
-    b2_new = {}
-    for b in g2.boxes:
-        b2_new[b] = _fresh(b, box_taken)
-        box_taken.add(b2_new[b])
+    w2_new = _fresh_ids(g2.wires, g1.wires)
+    b2_new = _fresh_ids(g2.boxes, g1.boxes)
 
     wires = tuple(g1.wires) + tuple(w2_new[w] for w in g2.wires)
     boxes = tuple(g1.boxes) + tuple(b2_new[b] for b in g2.boxes)

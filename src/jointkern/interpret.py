@@ -1,26 +1,31 @@
 """Interpretation of diagrams as joint kernels.
 
 An Interpretation assigns a Space to every signature wire and a JointKernel
-(plus residual wire labels) to every signature box. evaluate folds a valid
-Markov diagram into one JointKernel by walking boxes in topological order,
-routing live wires with deterministic maps and tensoring in each box's
-kernel. Box ids in the result are the diagram's graph box ids, so traces of
-the evaluated kernel read off the diagram directly.
+(plus residual wire labels) to every signature box. evaluate lowers a valid
+Markov diagram into one slot program (see kernels): every wire gets one
+slot, and each box, taken in topological order, packs its input wires into
+one slot when it has several, runs its interpretation's steps inlined in
+place, and unpacks its output into its output wires' slots. Box ids in the
+result are the diagram's graph box ids (inner ids of a composite box
+kernel become "graph_id.inner"), so traces of the evaluated kernel read
+off the diagram directly, and the kernel's wires map names each wire's
+slot, so one replay yields every wire value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 from weakref import WeakKeyDictionary
 
 from .diagrams import Diagram, Hypergraph, topological_order, validate_cd, validate_markov
 from .errors import DiagramError, EvalError
 from .kernels import (
-    DetMap, JointKernel, compose, identity_kernel, joint_log_density,
-    lift_det, rename_boxes, sample_with_trace, tensor,
+    JointKernel, Pack, Unpack, _Program, joint_log_density, run_trace,
+    sample_with_trace,
 )
-from .spaces import Product, Space, Value, nest_product, nest_values, unnest_values
+from .spaces import Space, Value, nest_product
 
 __all__ = [
     "Interpretation", "check_interpretation", "evaluate",
@@ -28,20 +33,25 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Interpretation:
-    """Spaces for signature wires, kernels and residual labels for boxes."""
+    """Spaces for signature wires, kernels and residual labels for boxes.
 
-    wire_spaces: dict
-    box_kernels: dict
-    residual_labels: dict = field(default_factory=dict)
+    The three maps are read-only copies, so a compiled kernel cached for
+    this interpretation can never go stale; build a new Interpretation to
+    change one.
+    """
+
+    wire_spaces: Mapping
+    box_kernels: Mapping
+    residual_labels: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        self.wire_spaces = dict(self.wire_spaces)
-        self.box_kernels = dict(self.box_kernels)
-        self.residual_labels = {
+        object.__setattr__(self, "wire_spaces", MappingProxyType(dict(self.wire_spaces)))
+        object.__setattr__(self, "box_kernels", MappingProxyType(dict(self.box_kernels)))
+        object.__setattr__(self, "residual_labels", MappingProxyType({
             b: tuple(ws) for b, ws in dict(self.residual_labels).items()
-        }
+        }))
 
     def space_of(self, wires) -> Space:
         return nest_product([self.wire_spaces[w] for w in wires])
@@ -73,34 +83,18 @@ def check_interpretation(sig: Hypergraph, interp: Interpretation) -> list:
     return out
 
 
-# one structural routing plan per diagram, independent of the interpretation
+# the validated box order per diagram, independent of the interpretation
 _PLAN_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 # evaluated kernels per (diagram, interpretation) pair
 _KERNEL_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 
-@dataclass(frozen=True)
-class _Step:
-    box: str
-    dom_idx: tuple        # positions in the live list feeding the box, in order
-    keep_idx: tuple       # positions carried alongside the box
-    dom_wires: tuple
-    cod_wires: tuple
-    keep_wires: tuple
-
-
-@dataclass(frozen=True)
-class _Plan:
-    order: tuple
-    steps: tuple
-    out_idx: tuple        # positions of the outputs in the final live list
-    final_wires: tuple
-
-
-def _routing_plan(d: Diagram) -> _Plan:
-    plan = _PLAN_CACHE.get(d)
-    if plan is not None:
-        return plan
+def _routing_plan(d: Diagram) -> tuple:
+    """The boxes in topological order, after checking that the diagram is a
+    valid Markov diagram in which every consumed wire is produced first."""
+    order = _PLAN_CACHE.get(d)
+    if order is not None:
+        return order
 
     violations = validate_cd(d)
     if not violations:
@@ -110,47 +104,84 @@ def _routing_plan(d: Diagram) -> _Plan:
 
     g = d.graph
     order = tuple(topological_order(d))
-    needed_after = {}
-    needed = set(d.outputs)
-    for b in reversed(order):
-        needed_after[b] = frozenset(needed)
-        needed.update(g.dom[b])
-
-    live = list(d.inputs)
-    steps = []
+    produced = set(d.inputs)
     for b in order:
-        pos = {w: i for i, w in enumerate(live)}
         for w in g.dom[b]:
-            if w not in pos:
+            if w not in produced:
                 raise EvalError(
                     f"wire {w!r} consumed by box {b!r} is never produced")
-        keep = tuple(w for w in live if w in needed_after[b])
-        steps.append(_Step(
-            box=b,
-            dom_idx=tuple(pos[w] for w in g.dom[b]),
-            keep_idx=tuple(pos[w] for w in keep),
-            dom_wires=tuple(g.dom[b]),
-            cod_wires=tuple(g.cod[b]),
-            keep_wires=keep,
-        ))
-        live = list(g.cod[b]) + list(keep)
-
-    pos = {w: i for i, w in enumerate(live)}
+        produced.update(g.cod[b])
     for w in d.outputs:
-        if w not in pos:
+        if w not in produced:
             raise EvalError(f"output wire {w!r} is never produced")
-    plan = _Plan(order, tuple(steps), tuple(pos[w] for w in d.outputs), tuple(live))
-    _PLAN_CACHE[d] = plan
-    return plan
+    _PLAN_CACHE[d] = order
+    return order
 
 
-def _renamed_box_kernel(k: JointKernel, graph_id: str) -> JointKernel:
+def _inner_ids(k: JointKernel, graph_id: str) -> dict:
+    """A box kernel's ids inside the diagram: the graph id for a single box,
+    "graph_id.inner" for each box of a composite."""
     ids = k.box_ids
-    if not ids:
-        return k
     if len(ids) == 1:
-        return rename_boxes(k, {ids[0]: graph_id})
-    return rename_boxes(k, {i: f"{graph_id}.{i}" for i in ids})
+        return {ids[0]: graph_id}
+    return {i: f"{graph_id}.{i}" for i in ids}
+
+
+def _compile(d: Diagram, interp: Interpretation) -> JointKernel:
+    """Lower the diagram to one slot program, one slot per wire."""
+    order = _routing_plan(d)
+    g = d.graph
+
+    def wire_space(w) -> Space:
+        lab = d.wire_label[w]
+        if lab not in interp.wire_spaces:
+            raise EvalError(f"no space for signature wire {lab!r}")
+        return interp.wire_spaces[lab]
+
+    def packed(ws) -> Space:
+        return nest_product([wire_space(w) for w in ws])
+
+    prog = _Program()
+    dom = packed(d.inputs)
+    slot = {}
+    if len(d.inputs) == 1:
+        slot[d.inputs[0]] = 0
+    elif d.inputs:
+        slot.update((w, prog.fresh()) for w in d.inputs)
+        prog.add(Unpack(0, tuple(slot[w] for w in d.inputs)))
+
+    for b in order:
+        dom_wires, cod_wires = g.dom[b], g.cod[b]
+        dom_space, cod_space = packed(dom_wires), packed(cod_wires)
+        lab = d.box_label[b]
+        if lab not in interp.box_kernels:
+            raise EvalError(f"no kernel for signature box {lab!r}")
+        k = interp.box_kernels[lab]
+        if k.dom != dom_space:
+            raise EvalError(
+                f"box {b!r} kernel domain {k.dom!r} != wire spaces {dom_space!r}")
+        if k.cod != cod_space:
+            raise EvalError(
+                f"box {b!r} kernel codomain {k.cod!r} != wire spaces {cod_space!r}")
+
+        if len(dom_wires) == 1:
+            src = slot[dom_wires[0]]
+        else:
+            src = prog.fresh()
+            prog.add(Pack(tuple(slot[w] for w in dom_wires), src))
+        where = prog.inline(k, src, _inner_ids(k, b))
+        if len(cod_wires) == 1:
+            slot[cod_wires[0]] = where[k.out]
+        elif cod_wires:
+            slot.update((w, prog.fresh()) for w in cod_wires)
+            prog.add(Unpack(where[k.out], tuple(slot[w] for w in cod_wires)))
+
+    if len(d.outputs) == 1:
+        out = slot[d.outputs[0]]
+    else:
+        out = prog.fresh()
+        prog.add(Pack(tuple(slot[w] for w in d.outputs), out))
+    return prog.kernel(dom, packed(d.outputs), out, MappingProxyType(slot))
 
 
 def evaluate(d: Diagram, interp: Interpretation) -> JointKernel:
@@ -166,86 +197,16 @@ def evaluate(d: Diagram, interp: Interpretation) -> JointKernel:
         per_interp = WeakKeyDictionary()
         _KERNEL_CACHE[d] = per_interp
     cached = per_interp.get(interp)
-    if cached is not None:
-        return cached
-
-    plan = _routing_plan(d)
-    g = d.graph
-
-    def wire_space(w) -> Space:
-        lab = d.wire_label[w]
-        if lab not in interp.wire_spaces:
-            raise EvalError(f"no space for signature wire {lab!r}")
-        return interp.wire_spaces[lab]
-
-    def packed(ws) -> Space:
-        return nest_product([wire_space(w) for w in ws])
-
-    def box_kernel(b) -> JointKernel:
-        lab = d.box_label[b]
-        if lab not in interp.box_kernels:
-            raise EvalError(f"no kernel for signature box {lab!r}")
-        k = interp.box_kernels[lab]
-        if k.dom != packed(g.dom[b]):
-            raise EvalError(
-                f"box {b!r} kernel domain {k.dom!r} != wire spaces {packed(g.dom[b])!r}")
-        if k.cod != packed(g.cod[b]):
-            raise EvalError(
-                f"box {b!r} kernel codomain {k.cod!r} != wire spaces {packed(g.cod[b])!r}")
-        return _renamed_box_kernel(k, b)
-
-    live = tuple(d.inputs)
-    acc = identity_kernel(packed(live))
-    for step in plan.steps:
-        n_live = len(live)
-        live_space = packed(live)
-        dom_space = packed(step.dom_wires)
-        keep_space = packed(step.keep_wires)
-        cod_space = packed(step.cod_wires)
-
-        def route_fn(v, _n=n_live, _di=step.dom_idx, _ki=step.keep_idx):
-            vals = unnest_values(v, _n)
-            return (nest_values([vals[i] for i in _di]),
-                    nest_values([vals[i] for i in _ki]))
-
-        route = lift_det(DetMap(
-            live_space, Product(dom_space, keep_space), route_fn, "route"))
-
-        kb = box_kernel(step.box)
-        stage = compose(route, tensor(kb, identity_kernel(keep_space)))
-
-        n_cod, n_keep = len(step.cod_wires), len(step.keep_wires)
-
-        def repack_fn(v, _nc=n_cod, _nk=n_keep):
-            return nest_values(unnest_values(v[0], _nc) + unnest_values(v[1], _nk))
-
-        new_live = step.cod_wires + step.keep_wires
-        repack = lift_det(DetMap(
-            Product(cod_space, keep_space), packed(new_live), repack_fn, "repack"))
-        acc = compose(acc, compose(stage, repack))
-        live = new_live
-
-    def out_fn(v, _n=len(live), _oi=plan.out_idx):
-        vals = unnest_values(v, _n)
-        return nest_values([vals[i] for i in _oi])
-
-    acc = compose(acc, lift_det(DetMap(packed(live), packed(d.outputs), out_fn, "outputs")))
-    per_interp[interp] = acc
-    return acc
+    if cached is None:
+        cached = per_interp[interp] = _compile(d, interp)
+    return cached
 
 
 def wire_values(d: Diagram, interp: Interpretation, inputs: Value, t) -> dict:
-    """Replay every wire's value from a full trace and the diagram inputs."""
-    plan = _routing_plan(d)
-    g = d.graph
-    vals = dict(zip(d.inputs, unnest_values(inputs, len(d.inputs))))
-    for b in plan.order:
-        dom_v = nest_values([vals[w] for w in g.dom[b]])
-        kb = _renamed_box_kernel(interp.box_kernels[d.box_label[b]], b)
-        out = kb.mech(t, dom_v)
-        for w, v in zip(g.cod[b], unnest_values(out, len(g.cod[b]))):
-            vals[w] = v
-    return vals
+    """Every wire's value, from one replay of a full trace and the diagram inputs."""
+    k = evaluate(d, interp)
+    slots = run_trace(k, inputs, t)
+    return {w: slots[i] for w, i in k.wires.items()}
 
 
 def model_log_density(d: Diagram, interp: Interpretation, inputs: Value, t) -> float:

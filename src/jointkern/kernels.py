@@ -1,11 +1,19 @@
-"""Joint density kernels.
+"""Joint density kernels as flat slot programs.
 
-A JointKernel from Z to X carries an ordered list of traced boxes (each a
-primitive noise source plus a deterministic parameter map) and a deterministic
-mechanism from (trace, input) to the output. Composition keeps every box: the
-joint distribution over all residuals is retained rather than marginalized,
-which is what makes trace densities, interventions, and counterfactual replay
-possible downstream.
+A JointKernel from Z to X is a straight-line program over numbered value
+slots. Slot 0 holds the input. Each step reads earlier slots and writes its
+own: a TracedBox draws (or scores) one primitive noise source whose
+parameter sits in one slot, Apply runs one deterministic map, and
+Pack/Unpack build or split left-nested tuples. Every slot is written by
+exactly one step, in program order, and `out` names the slot holding the
+output. Composition keeps every box: the joint distribution over all
+residuals is retained rather than marginalized, which is what makes trace
+densities, interventions and counterfactual replay possible downstream.
+
+compose and tensor concatenate programs, moving the second program's slots
+past the first's; no step wraps another, so every query (sampling, replay,
+log-density, abduction, enumeration) is one linear pass over the steps and
+costs O(steps).
 
 Traces are keyed by box id instead of nested positional tuples, so category
 laws hold literally (associativity does not need re-tupling). The residual
@@ -15,8 +23,10 @@ Space is derived data: the left-nested product of the boxes' codomains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ShapeError
@@ -32,11 +42,14 @@ from .spaces import (
     is_finite_space,
     nest_product,
     nest_values,
+    unnest_values,
 )
 
 Trace = Mapping[str, Value]
 
 NEG_INF = float("-inf")
+
+_EMPTY: Mapping = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -72,33 +85,128 @@ class PrimitiveKernel:
     pmf: Callable[[Value, Value], Fraction] | None = None
 
 
+# ---------------------------------------------------------------------------
+# steps
+#
+# moved(where, ids) returns the step with each slot s read as where[s] and,
+# for boxes, the id renamed through ids (ids absent from it are kept).
+
+
 @dataclass(frozen=True)
 class TracedBox:
-    """One noise source inside a kernel.
-
-    param reconstructs the primitive's parameter from the trace built so far
-    and the kernel input; it only ever reads boxes earlier in the list.
-    """
+    """One noise source: its parameter is read from slot src and its value,
+    the box's trace entry, is written to slot dst."""
 
     box_id: str
     primitive: PrimitiveKernel
-    param: Callable[[Trace, Value], Value]
+    src: int
+    dst: int
+
+    def moved(self, where, ids: Mapping) -> TracedBox:
+        return TracedBox(ids.get(self.box_id, self.box_id), self.primitive,
+                         where[self.src], where[self.dst])
 
 
 @dataclass(frozen=True)
+class Apply:
+    """slots[dst] = fn(slots[src])."""
+
+    fn: Callable[[Value], Value]
+    src: int
+    dst: int
+
+    def run(self, slots: list):
+        slots[self.dst] = self.fn(slots[self.src])
+
+    def moved(self, where, ids: Mapping) -> Apply:
+        return Apply(self.fn, where[self.src], where[self.dst])
+
+
+@dataclass(frozen=True)
+class Pack:
+    """slots[dst] = the left-nested tuple of the srcs' values (UNIT_VALUE if none)."""
+
+    srcs: tuple
+    dst: int
+
+    def run(self, slots: list):
+        slots[self.dst] = nest_values([slots[i] for i in self.srcs])
+
+    def moved(self, where, ids: Mapping) -> Pack:
+        return Pack(tuple(where[i] for i in self.srcs), where[self.dst])
+
+
+@dataclass(frozen=True)
+class Unpack:
+    """Split the left-nested tuple in slot src over the dsts."""
+
+    src: int
+    dsts: tuple
+
+    def run(self, slots: list):
+        for i, v in zip(self.dsts, unnest_values(slots[self.src], len(self.dsts))):
+            slots[i] = v
+
+    def moved(self, where, ids: Mapping) -> Unpack:
+        return Unpack(where[self.src], tuple(where[i] for i in self.dsts))
+
+
+@dataclass(frozen=True, eq=False)
 class JointKernel:
+    """A kernel dom -> cod as a slot program; see the module docstring.
+
+    wires names the slot of each diagram wire when the kernel was lowered
+    from a diagram by evaluate; it is empty otherwise.
+    """
+
     dom: Space
     cod: Space
-    boxes: tuple[TracedBox, ...]
-    mech: Callable[[Trace, Value], Value]
+    steps: tuple = ()
+    out: int = 0
+    n_slots: int = 1
+    wires: Mapping = field(default_factory=dict)
+
+    @cached_property
+    def boxes(self) -> tuple[TracedBox, ...]:
+        return tuple(s for s in self.steps if type(s) is TracedBox)
 
     @property
     def residual(self) -> Space:
         return nest_product([b.primitive.cod for b in self.boxes])
 
-    @property
+    @cached_property
     def box_ids(self) -> tuple[str, ...]:
         return tuple(b.box_id for b in self.boxes)
+
+    def mech(self, t: Trace, z: Value) -> Value:
+        """The output at input z when every box takes its value from t."""
+        return run_trace(self, z, t)[self.out]
+
+
+class _Program:
+    """Steps and slot count of a kernel under construction."""
+
+    def __init__(self, start: JointKernel | None = None):
+        self.steps = list(start.steps) if start else []
+        self.n_slots = start.n_slots if start else 1
+
+    def fresh(self) -> int:
+        self.n_slots += 1
+        return self.n_slots - 1
+
+    def add(self, step):
+        self.steps.append(step)
+
+    def inline(self, k: JointKernel, src: int, ids: Mapping = _EMPTY) -> tuple:
+        """Append k's steps reading its input from slot src; returns where
+        each of k's slots landed."""
+        where = (src,) + tuple(range(self.n_slots, self.n_slots + k.n_slots - 1))
+        self.n_slots += k.n_slots - 1
+        self.steps.extend(s.moved(where, ids) for s in k.steps)
+        return where
+
+    def kernel(self, dom: Space, cod: Space, out: int, wires: Mapping = _EMPTY) -> JointKernel:
+        return JointKernel(dom, cod, tuple(self.steps), out, self.n_slots, wires)
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +215,11 @@ class JointKernel:
 
 def lift_det(m: DetMap) -> JointKernel:
     """Wrap a deterministic map as a noiseless kernel (empty residual)."""
-    return JointKernel(m.dom, m.cod, (), lambda t, z: m.fn(z))
+    return JointKernel(m.dom, m.cod, (Apply(m.fn, 0, 1),), 1, 2)
 
 
 def identity_kernel(a: Space) -> JointKernel:
-    return lift_det(DetMap(a, a, lambda v: v, "id"))
+    return JointKernel(a, a)
 
 
 def structure_kernel(kind: str, a: Space, b: Space | None = None) -> JointKernel:
@@ -133,12 +241,7 @@ def structure_kernel(kind: str, a: Space, b: Space | None = None) -> JointKernel
 
 def from_primitive(p: PrimitiveKernel, box_id: str) -> JointKernel:
     """A single-box kernel whose output is the primitive's sample."""
-    return JointKernel(
-        p.dom,
-        p.cod,
-        (TracedBox(box_id, p, lambda t, z: z),),
-        lambda t, z: t[box_id],
-    )
+    return JointKernel(p.dom, p.cod, (TracedBox(box_id, p, 0, 1),), 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -151,63 +254,39 @@ def _check_disjoint(a: JointKernel, b: JointKernel):
         raise ShapeError(f"box id collision: {sorted(clash)}")
 
 
-def compose(first: JointKernel, second: JointKernel) -> JointKernel:
-    """Sequential composition; second's boxes see first's output as parameter."""
+def _compose(first: JointKernel, second: JointKernel) -> tuple[JointKernel, tuple]:
+    """compose, plus where each of second's slots landed (first's keep theirs)."""
     if first.cod != second.dom:
         raise ShapeError(
             f"cannot compose: first codomain {first.cod!r} != second domain {second.dom!r}"
         )
     _check_disjoint(first, second)
+    prog = _Program(first)
+    where = prog.inline(second, first.out)
+    return prog.kernel(first.dom, second.cod, where[second.out]), where
 
-    def shift(box: TracedBox) -> TracedBox:
-        def param(t, z, _p=box.param):
-            return _p(t, first.mech(t, z))
 
-        return TracedBox(box.box_id, box.primitive, param)
+def compose(first: JointKernel, second: JointKernel) -> JointKernel:
+    """Sequential composition; second's boxes see first's output as parameter."""
+    return _compose(first, second)[0]
 
-    boxes = first.boxes + tuple(shift(b) for b in second.boxes)
 
-    def mech(t, z):
-        return second.mech(t, first.mech(t, z))
-
-    return JointKernel(first.dom, second.cod, boxes, mech)
+def _tensor(a: JointKernel, b: JointKernel) -> tuple[JointKernel, tuple, tuple]:
+    """tensor, plus where each of a's and of b's slots landed."""
+    _check_disjoint(a, b)
+    prog = _Program()
+    za, zb = prog.fresh(), prog.fresh()
+    prog.add(Unpack(0, (za, zb)))
+    where_a = prog.inline(a, za)
+    where_b = prog.inline(b, zb)
+    out = prog.fresh()
+    prog.add(Pack((where_a[a.out], where_b[b.out]), out))
+    return prog.kernel(Product(a.dom, b.dom), Product(a.cod, b.cod), out), where_a, where_b
 
 
 def tensor(a: JointKernel, b: JointKernel) -> JointKernel:
     """Parallel composition on the product of domains and codomains."""
-    _check_disjoint(a, b)
-
-    def left(box: TracedBox) -> TracedBox:
-        return TracedBox(box.box_id, box.primitive, lambda t, z, _p=box.param: _p(t, z[0]))
-
-    def right(box: TracedBox) -> TracedBox:
-        return TracedBox(box.box_id, box.primitive, lambda t, z, _p=box.param: _p(t, z[1]))
-
-    return JointKernel(
-        Product(a.dom, b.dom),
-        Product(a.cod, b.cod),
-        tuple(left(x) for x in a.boxes) + tuple(right(x) for x in b.boxes),
-        lambda t, z: (a.mech(t, z[0]), b.mech(t, z[1])),
-    )
-
-
-class _RenamedTrace(Mapping):
-    """Read-only view of a trace under a box-id renaming."""
-
-    __slots__ = ("_trace", "_map")
-
-    def __init__(self, trace: Trace, mapping: Mapping[str, str]):
-        self._trace = trace
-        self._map = mapping
-
-    def __getitem__(self, key):
-        return self._trace[self._map[key]]
-
-    def __iter__(self):
-        return iter(self._map)
-
-    def __len__(self):
-        return len(self._map)
+    return _tensor(a, b)[0]
 
 
 def rename_boxes(k: JointKernel, mapping: Mapping[str, str]) -> JointKernel:
@@ -217,29 +296,47 @@ def rename_boxes(k: JointKernel, mapping: Mapping[str, str]) -> JointKernel:
         raise ShapeError("renaming must cover exactly the kernel's box ids")
     if len(set(mapping.values())) != len(mapping):
         raise ShapeError("renaming must be injective")
+    where = range(k.n_slots)
+    steps = tuple(s.moved(where, mapping) for s in k.steps)
+    return JointKernel(k.dom, k.cod, steps, k.out, k.n_slots, k.wires)
 
-    def view(t):
-        return _RenamedTrace(t, mapping)
 
-    boxes = tuple(
-        TracedBox(
-            mapping[b.box_id],
-            b.primitive,
-            lambda t, z, _p=b.param: _p(view(t), z),
-        )
-        for b in k.boxes
-    )
-    return JointKernel(k.dom, k.cod, boxes, lambda t, z, _m=k.mech: _m(view(t), z))
+def expose_residuals(k: JointKernel) -> JointKernel:
+    """Forget the output and expose the full residual tuple instead."""
+    prog = _Program(k)
+    out = prog.fresh()
+    prog.add(Pack(tuple(b.dst for b in k.boxes), out))
+    return prog.kernel(k.dom, k.residual, out, k.wires)
 
 
 # ---------------------------------------------------------------------------
-# densities, sampling, enumeration
+# running the program: one pass over the steps
+
+
+def run_trace(k: JointKernel, z: Value, t: Trace, visit=None) -> list:
+    """Every slot's value when the program runs at input z with each box's
+    value read from the trace t.
+
+    visit(box, parameter, value), when given, is called for each box in
+    program order. No membership checks: callers check what they need.
+    """
+    slots = [None] * k.n_slots
+    slots[0] = z
+    for s in k.steps:
+        if type(s) is TracedBox:
+            m = t[s.box_id]
+            if visit is not None:
+                visit(s, slots[s.src], m)
+            slots[s.dst] = m
+        else:
+            s.run(slots)
+    return slots
 
 
 def _check_trace_keys(k: JointKernel, t: Trace):
-    ids = k.box_ids
-    missing = [b for b in ids if b not in t]
-    extra = [b for b in t if b not in set(ids)]
+    ids = set(k.box_ids)
+    missing = [b for b in k.box_ids if b not in t]
+    extra = [b for b in t if b not in ids]
     if missing or extra:
         raise ShapeError(f"trace key mismatch: missing {missing}, extra {extra}")
 
@@ -247,21 +344,27 @@ def _check_trace_keys(k: JointKernel, t: Trace):
 def joint_log_density(k: JointKernel, z: Value, t: Trace) -> float:
     """Log density of a full trace: the sum of per-box factors in list order.
 
-    Each box's parameter is reconstructed by replaying the deterministic
-    mechanisms against the trace, so the factors multiply to the joint
-    density of the conditional product.
+    Each box's parameter is its slot's value with every earlier box taking
+    its trace value, so the factors multiply to the joint density of the
+    conditional product.
     """
     check_member(k.dom, z, "kernel input")
     _check_trace_keys(k, t)
     for box in k.boxes:
         check_member(box.primitive.cod, t[box.box_id], f"trace value for {box.box_id}")
+    slots = [None] * k.n_slots
+    slots[0] = z
     total = 0.0
-    for box in k.boxes:
-        par = box.param(t, z)
-        ld = box.primitive.log_density(par, t[box.box_id])
-        if ld == NEG_INF:
-            return NEG_INF
-        total += ld
+    for s in k.steps:
+        if type(s) is TracedBox:
+            m = t[s.box_id]
+            ld = s.primitive.log_density(slots[s.src], m)
+            if ld == NEG_INF:
+                return NEG_INF
+            total += ld
+            slots[s.dst] = m
+        else:
+            s.run(slots)
     return total
 
 
@@ -277,19 +380,24 @@ def replay_with_uniforms(
     extra = [b for b in u if b not in ids]
     if extra:
         raise ShapeError(f"uniform blocks for unknown boxes {extra}")
+    slots = [None] * k.n_slots
+    slots[0] = z
     t: dict = {}
-    for box in k.boxes:
-        block = tuple(float(x) for x in u[box.box_id])
-        if len(block) != box.primitive.pushback_dim:
+    for s in k.steps:
+        if type(s) is not TracedBox:
+            s.run(slots)
+            continue
+        p = s.primitive
+        block = tuple(float(x) for x in u[s.box_id])
+        if len(block) != p.pushback_dim:
             raise ShapeError(
-                f"box {box.box_id} needs {box.primitive.pushback_dim} uniforms, got {len(block)}"
+                f"box {s.box_id} needs {p.pushback_dim} uniforms, got {len(block)}"
             )
         for x in block:
             if not 0.0 <= x <= 1.0:
-                raise ShapeError(f"uniform {x} outside [0, 1] for box {box.box_id}")
-        par = box.param(t, z)
-        t[box.box_id] = box.primitive.pushforward(block, par)
-    out = k.mech(t, z)
+                raise ShapeError(f"uniform {x} outside [0, 1] for box {s.box_id}")
+        t[s.box_id] = slots[s.dst] = p.pushforward(block, slots[s.src])
+    out = slots[k.out]
     check_member(k.cod, out, "kernel output")
     return t, out
 
@@ -314,7 +422,9 @@ def enumerate_traces(k: JointKernel, z: Value) -> Iterator[tuple[dict, Fraction]
     """All positive-probability traces with exact rational probabilities.
 
     Requires every box codomain to be finite. Probabilities are exact when
-    the primitives expose exact pmfs (all finite built-ins do).
+    the primitives expose exact pmfs (all finite built-ins do). Traces come
+    in depth-first order over the boxes, each box's points in order; the
+    search keeps an explicit stack, so depth is not bounded by recursion.
     """
     check_member(k.dom, z, "kernel input")
     for box in k.boxes:
@@ -322,23 +432,44 @@ def enumerate_traces(k: JointKernel, z: Value) -> Iterator[tuple[dict, Fraction]
             raise ShapeError(
                 f"box {box.box_id} has non-finite codomain {box.primitive.cod!r}"
             )
-    boxes = k.boxes
+    steps = k.steps
+    slots = [None] * k.n_slots
+    slots[0] = z
+    t: dict = {}
 
-    def rec(i: int, t: dict, prob: Fraction):
-        if i == len(boxes):
-            yield dict(t), prob
-            return
-        box = boxes[i]
-        par = box.param(t, z)
+    def branches(j: int, before: Fraction):
+        """Set box j to each of its positive points in turn; yield the
+        path probability so far."""
+        box = steps[j]
+        par = slots[box.src]
         for m in finite_points(box.primitive.cod):
             f = _exact_factor(box.primitive, par, m)
-            if f == 0:
-                continue
-            t[box.box_id] = m
-            yield from rec(i + 1, t, prob * f)
-            del t[box.box_id]
+            if f != 0:
+                t[box.box_id] = slots[box.dst] = m
+                yield before * f
 
-    yield from rec(0, {}, Fraction(1))
+    # (next step index, branches of the box before it) per box on the path.
+    # Every slot is written by one step, so rerunning the steps after a box
+    # refreshes everything downstream of it; a full path sets every box, so
+    # stale trace entries from other paths are always overwritten.
+    stack = []
+    i, prob = 0, Fraction(1)
+    while True:
+        while i < len(steps) and type(steps[i]) is not TracedBox:
+            steps[i].run(slots)
+            i += 1
+        if i == len(steps):
+            yield dict(t), prob
+        else:
+            stack.append((i + 1, branches(i, prob)))
+        while stack:
+            i, frame = stack[-1]
+            prob = next(frame, None)
+            if prob is not None:
+                break
+            stack.pop()
+        else:
+            return
 
 
 def marginal_pmf_finite(k: JointKernel, z: Value) -> dict:
@@ -348,14 +479,3 @@ def marginal_pmf_finite(k: JointKernel, z: Value) -> dict:
         x = k.mech(t, z)
         acc[x] = acc.get(x, Fraction(0)) + prob
     return {x: float(p) for x, p in acc.items()}
-
-
-def expose_residuals(k: JointKernel) -> JointKernel:
-    """Forget the output and expose the full residual tuple instead."""
-    ids = k.box_ids
-    return JointKernel(
-        k.dom,
-        k.residual,
-        k.boxes,
-        lambda t, z: nest_values([t[b] for b in ids]),
-    )

@@ -48,7 +48,7 @@ from .errors import DiagramError, ModelSyntaxError, ShapeError
 from .expr import (
     check_expression, compile_det_map, evaluate_expression, parse_expression,
 )
-from .interpret import Interpretation, check_interpretation, evaluate, wire_values
+from .interpret import Interpretation, check_interpretation, evaluate
 from .kernels import JointKernel, from_primitive, lift_det
 from .primitives import BUILTIN_NAMES, instantiate
 from .spaces import (
@@ -56,7 +56,7 @@ from .spaces import (
     IntervalBox, Product, ProductSet, Real, Space, Value, nest_product,
     unnest_values,
 )
-from .weighted import WeightedJointKernel
+from .weighted import WeightFactor, WeightedJointKernel
 
 __all__ = [
     "Model", "parse_model", "model_from_dict", "print_model", "render_json",
@@ -260,20 +260,19 @@ class Model:
             [self.interpretation.wire_spaces[l] for l in self.diagram.output_types()])
 
     def weight_factors(self, interp: Interpretation | None = None) -> tuple:
-        """One factor per weighted graph box, reading its wire values."""
+        """One factor per weighted graph box, reading its wire values' slots
+        in the kernel evaluated under interp."""
         interp = interp or self.interpretation
-        d = self.diagram
-        g = d.graph
+        g = self.diagram.graph
+        slot = evaluate(self.diagram, interp).wires
         factors = []
         for b, text in sorted(self.weight_exprs.items()):
             ast = parse_expression(text)
-            wires = tuple(g.dom[b]) + tuple(g.cod[b])
 
-            def factor(t, z, _ast=ast, _wires=wires, _interp=interp):
-                wv = wire_values(d, _interp, z, t)
-                return float(evaluate_expression(_ast, [wv[w] for w in _wires]))
+            def factor(t, *values, _ast=ast):
+                return float(evaluate_expression(_ast, values))
 
-            factors.append(factor)
+            factors.append(WeightFactor(factor, tuple(slot[w] for w in g.dom[b] + g.cod[b])))
         return tuple(factors)
 
     def weighted_kernel(self, interp: Interpretation | None = None) -> WeightedJointKernel:

@@ -1,9 +1,12 @@
 """Weighted kernels: a writer monad over joint kernels.
 
 A WeightedJointKernel pairs a base kernel with a bag of nonnegative weight
-factors of the full trace and input. Kleisli composition composes the bases
-and multiplies the weights; the unnormalized density multiplies the weight
-into the base density. spw_check audits strict proper weighting: for test
+factors. A factor reads the full trace and the values of some slots of the
+base program (by default slot 0, the kernel input), so one replay of the
+base feeds every factor. Kleisli composition composes the bases and
+multiplies the weights, moving each factor's slots along with its kernel's
+steps; the unnormalized density multiplies the weight into the base
+density. spw_check audits strict proper weighting: for test
 functions h, the seeded Monte Carlo mean of w*h must match a reference
 integral within three standard errors.
 
@@ -22,33 +25,53 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .kernels import (
-    NEG_INF, DetMap, JointKernel, Trace, compose, enumerate_traces,
-    joint_log_density, sample_with_trace, tensor,
+    NEG_INF, DetMap, JointKernel, Trace, _compose, _tensor, enumerate_traces,
+    joint_log_density, run_trace, sample_with_trace,
 )
 from .rng import derive_seed
 from .spaces import UNIT, UNIT_VALUE, Product, Real, Value, nest_values, unnest_values
 
 __all__ = [
-    "WeightedJointKernel", "weighted", "with_weight_map", "constant_weight",
-    "kleisli_compose", "kleisli_tensor", "unnormalized_log_density",
-    "expected_value_by_enumeration", "spw_check",
+    "WeightFactor", "WeightedJointKernel", "weighted", "with_weight_map",
+    "constant_weight", "kleisli_compose", "kleisli_tensor",
+    "unnormalized_log_density", "expected_value_by_enumeration", "spw_check",
 ]
 
-WeightFactor = Callable[[Trace, Value], float]
+
+@dataclass(frozen=True)
+class WeightFactor:
+    """One nonnegative factor fn(t, *values), values read from the base
+    kernel's slots (slot 0 is the kernel input, so fn(t, z) by default)."""
+
+    fn: Callable[..., float]
+    slots: tuple = (0,)
 
 
 @dataclass(frozen=True)
 class WeightedJointKernel:
-    """A joint kernel carrying multiplicative nonnegative weight factors."""
+    """A joint kernel carrying multiplicative nonnegative weight factors.
+
+    Plain callables f(t, z) among the factors become WeightFactor(f).
+    """
 
     base: JointKernel
     weight_factors: tuple = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "weight_factors", tuple(
+            f if isinstance(f, WeightFactor) else WeightFactor(f)
+            for f in self.weight_factors))
+
     def log_weight(self, t: Trace, z: Value) -> float:
         """Sum of log factors; -inf when any factor is zero."""
+        factors = self.weight_factors
+        if all(f.slots == (0,) for f in factors):
+            slots = [z]
+        else:
+            slots = run_trace(self.base, z, t)
         total = 0.0
-        for f in self.weight_factors:
-            w = float(f(t, z))
+        for f in factors:
+            w = float(f.fn(t, *[slots[i] for i in f.slots]))
             if not math.isfinite(w):
                 raise ShapeError(f"non-finite weight factor {w!r}")
             if w < 0.0:
@@ -72,7 +95,7 @@ class WeightedJointKernel:
         return DetMap(Product(self.base.residual, self.base.dom), Real(1), fn, "weight")
 
 
-def weighted(base: JointKernel, factors: Sequence[WeightFactor] = ()) -> WeightedJointKernel:
+def weighted(base: JointKernel, factors: Sequence = ()) -> WeightedJointKernel:
     return WeightedJointKernel(base, tuple(factors))
 
 
@@ -96,21 +119,20 @@ def with_weight_map(base: JointKernel, det: DetMap) -> WeightedJointKernel:
     return WeightedJointKernel(base, (factor,))
 
 
+def _moved(factors: tuple, where: tuple) -> tuple:
+    return tuple(WeightFactor(f.fn, tuple(where[i] for i in f.slots)) for f in factors)
+
+
 def kleisli_compose(a: WeightedJointKernel, b: WeightedJointKernel) -> WeightedJointKernel:
     """Compose bases; weights multiply, b's factors reading a's output."""
-    base = compose(a.base, b.base)
-
-    def shift(f):
-        return lambda t, z, _f=f: _f(t, a.base.mech(t, z))
-
-    return WeightedJointKernel(base, a.weight_factors + tuple(shift(f) for f in b.weight_factors))
+    base, where = _compose(a.base, b.base)
+    return WeightedJointKernel(base, a.weight_factors + _moved(b.weight_factors, where))
 
 
 def kleisli_tensor(a: WeightedJointKernel, b: WeightedJointKernel) -> WeightedJointKernel:
-    base = tensor(a.base, b.base)
-    left = tuple((lambda t, z, _f=f: _f(t, z[0])) for f in a.weight_factors)
-    right = tuple((lambda t, z, _f=f: _f(t, z[1])) for f in b.weight_factors)
-    return WeightedJointKernel(base, left + right)
+    base, where_a, where_b = _tensor(a.base, b.base)
+    return WeightedJointKernel(
+        base, _moved(a.weight_factors, where_a) + _moved(b.weight_factors, where_b))
 
 
 def unnormalized_log_density(wk: WeightedJointKernel, z: Value, t: Trace) -> float:

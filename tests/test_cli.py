@@ -193,6 +193,25 @@ def test_cf_under_do_prefix(capsys, tmp_path):
     assert via_do == via_set
 
 
+def test_cf_compiles_the_intervened_kernel_once(capsys, tmp_path, monkeypatch):
+    import jointkern.interpret as interpret
+
+    compiled = []
+    compile_ = interpret._compile
+
+    def counting(d, interp):
+        compiled.append(interp)
+        return compile_(d, interp)
+
+    monkeypatch.setattr(interpret, "_compile", counting)
+    u = tmp_path / "u.jsonl"
+    u.write_text('{"b1": [0.6], "b2": [0.6]}\n' * 3)
+    code, out, _ = run(capsys, "cf", CHAIN, "--u", str(u), "--set", "flip=1")
+    assert code == 0 and len(out.strip().split("\n")) == 3
+    # the parsed model's kernel, then the surgered one: not one per record
+    assert len(compiled) == 2
+
+
 def test_abduct_cf_roundtrip(capsys, tmp_path):
     recs = tmp_path / "records.jsonl"
     run(capsys, "sample", CHAIN, "--n", "4", "--seed", "2", "--out", str(recs))

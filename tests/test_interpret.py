@@ -88,6 +88,30 @@ def test_evaluate_caches():
     assert evaluate(d, interp) is not evaluate(d, chain_parts()[1])
 
 
+def test_interpretation_maps_are_frozen():
+    # a mutated map would leave evaluate's cached kernel stale
+    d, interp = chain_parts()
+    k = evaluate(d, interp)
+    with pytest.raises(TypeError):
+        interp.box_kernels["step"] = interp.box_kernels["flip"]
+    with pytest.raises(TypeError):
+        interp.wire_spaces["B"] = Finite(3)
+    with pytest.raises(TypeError):
+        interp.residual_labels["flip"] = ()
+    with pytest.raises(AttributeError):
+        interp.box_kernels = {}
+    assert evaluate(d, interp) is k
+
+    # a caller's dict is copied, so changing it later changes nothing
+    kernels = dict(interp.box_kernels)
+    copy = Interpretation(interp.wire_spaces, kernels, interp.residual_labels)
+    kernels["flip"] = from_primitive(bernoulli(1.0), "flip")
+    assert marginal_pmf_finite(evaluate(d, copy), UNIT_VALUE) == {0: 0.55, 1: 0.45}
+
+    changed = Interpretation(interp.wire_spaces, kernels, interp.residual_labels)
+    assert marginal_pmf_finite(evaluate(d, changed), UNIT_VALUE) == {0: 0.3, 1: 0.7}
+
+
 def test_composite_box_ids_get_prefixed():
     # one signature box whose kernel is itself a two-box composite
     inner = compose(

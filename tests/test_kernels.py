@@ -254,3 +254,14 @@ def test_enumerate_traces_contract():
     assert total == 1
     with pytest.raises(ShapeError):
         list(enumerate_traces(from_primitive(normal(0.0, 1.0), "n"), UNIT_VALUE))
+
+
+def test_enumerate_traces_deep_chain():
+    # 1500 sure coins: one trace, far deeper than the recursion limit
+    k = from_primitive(bernoulli(1.0), "b0")
+    for i in range(1, 1500):
+        k = compose(k, from_primitive(bernoulli(1.0, dom=TWO), f"b{i}"))
+    traces = list(enumerate_traces(k, UNIT_VALUE))
+    assert traces == [({f"b{i}": 1 for i in range(1500)}, 1)]
+    assert list(traces[0][0]) == list(k.box_ids)
+    assert marginal_pmf_finite(k, UNIT_VALUE) == {1: 1.0}
