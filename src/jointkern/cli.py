@@ -258,73 +258,45 @@ def _run_export_dot(model: Model, interp: Interpretation, ns) -> int:
 # argument plumbing
 
 
-def _model_arg(parser: argparse.ArgumentParser, with_model: bool):
-    if with_model:
-        parser.add_argument("model", help="model file (JSON)")
-
-
-def _conf_validate(p, with_model=True):
-    _model_arg(p, with_model)
-
-
-def _conf_sample(p, with_model=True):
-    _model_arg(p, with_model)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--input", default=None)
-    p.add_argument("--out", default=None, help="append records to this file")
-
-
-def _conf_logpdf(p, with_model=True):
-    _model_arg(p, with_model)
-    p.add_argument("--trace", required=True)
-    p.add_argument("--input", default=None)
-
-
-def _conf_cf(p, with_model=True):
-    _model_arg(p, with_model)
-    p.add_argument("--u", required=True)
-    p.add_argument("--set", action="append", default=[])
-    p.add_argument("--input", default=None)
-
-
-def _conf_abduct(p, with_model=True):
-    _model_arg(p, with_model)
-    p.add_argument("--trace", required=True)
-    p.add_argument("--input", default=None)
-    p.add_argument("--out", default=None)
-
-
-def _conf_spw(p, with_model=True):
-    _model_arg(p, with_model)
-    p.add_argument("--n", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--h", action="append", default=[],
-                   help="test function over the output wires (default $0)")
-    p.add_argument("--ref", action="append", default=[],
-                   help="reference value per --h (default: exact enumeration)")
-
-
-def _conf_cover(p, with_model=True):
-    _model_arg(p, with_model)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--point", default=None)
-
-
-def _conf_export_dot(p, with_model=True):
-    _model_arg(p, with_model)
-    p.add_argument("--out", default=None)
-
-
+# each command's runner and its flags, as (flag, add_argument kwargs);
+# the positional model path comes first, except under `do`
 _COMMANDS = {
-    "validate": (_conf_validate, _run_validate),
-    "sample": (_conf_sample, _run_sample),
-    "logpdf": (_conf_logpdf, _run_logpdf),
-    "cf": (_conf_cf, _run_cf),
-    "abduct": (_conf_abduct, _run_abduct),
-    "spw": (_conf_spw, _run_spw),
-    "cover": (_conf_cover, _run_cover),
-    "export-dot": (_conf_export_dot, _run_export_dot),
+    "validate": (_run_validate, []),
+    "sample": (_run_sample, [
+        ("--n", dict(type=int, default=1)),
+        ("--seed", dict(type=int, default=None)),
+        ("--input", dict(default=None)),
+        ("--out", dict(default=None, help="append records to this file")),
+    ]),
+    "logpdf": (_run_logpdf, [
+        ("--trace", dict(required=True)),
+        ("--input", dict(default=None)),
+    ]),
+    "cf": (_run_cf, [
+        ("--u", dict(required=True)),
+        ("--set", dict(action="append", default=[])),
+        ("--input", dict(default=None)),
+    ]),
+    "abduct": (_run_abduct, [
+        ("--trace", dict(required=True)),
+        ("--input", dict(default=None)),
+        ("--out", dict(default=None)),
+    ]),
+    "spw": (_run_spw, [
+        ("--n", dict(type=int, default=100000)),
+        ("--seed", dict(type=int, default=None)),
+        ("--h", dict(action="append", default=[],
+                     help="test function over the output wires (default $0)")),
+        ("--ref", dict(action="append", default=[],
+                       help="reference value per --h (default: exact enumeration)")),
+    ]),
+    "cover": (_run_cover, [
+        ("--count", dict(type=int, default=5)),
+        ("--point", dict(default=None)),
+    ]),
+    "export-dot": (_run_export_dot, [
+        ("--out", dict(default=None)),
+    ]),
 }
 
 _USAGE = """usage: jointkern COMMAND MODEL [flags]
@@ -390,9 +362,12 @@ def _run_tokens(tokens: list, model: Model | None, interp: Interpretation | None
         return _run_tokens(sub, model, surgered)
     if cmd not in _COMMANDS:
         raise _UsageError(f"unknown command {cmd!r}")
-    configure, run = _COMMANDS[cmd]
+    run, flags = _COMMANDS[cmd]
     parser = argparse.ArgumentParser(prog=f"jointkern {cmd}")
-    configure(parser, with_model=model is None)
+    if model is None:
+        parser.add_argument("model", help="model file (JSON)")
+    for flag, kwargs in flags:
+        parser.add_argument(flag, **kwargs)
     ns = parser.parse_args(rest)
     if model is None:
         model = parse_model(ns.model)

@@ -8,16 +8,23 @@ validate_markov (every box output consumed onward). Composition glues
 outputs to inputs by union-find and, in Markov mode, garbage-collects boxes
 whose outputs are all discarded until a fixed point.
 
-Diagrams are immutable values; all operations return fresh diagrams.
+Diagrams are immutable values: the dataclasses are frozen and their wire
+and box tables are read-only maps, and all operations return fresh
+diagrams. So a diagram is checked once: Diagram.plan validates it and
+orders its boxes on first use and keeps the result, and the kernels that
+evaluate compiles from it are cached on it too.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
+from weakref import WeakKeyDictionary
 
-from .errors import DiagramError
+from .errors import DiagramError, EvalError
 
 __all__ = [
     "Hypergraph", "Signature", "HypMorphism", "Diagram",
@@ -30,7 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Wires, boxes, and per-box dom/cod wire lists. Do not mutate the dicts."""
+    """Wires, boxes, and per-box dom/cod wire lists (read-only maps)."""
 
     wires: tuple
     boxes: tuple
@@ -40,8 +47,8 @@ class Hypergraph:
     def __init__(self, wires, boxes, dom, cod):
         object.__setattr__(self, "wires", tuple(wires))
         object.__setattr__(self, "boxes", tuple(boxes))
-        object.__setattr__(self, "dom", {b: tuple(ws) for b, ws in dom.items()})
-        object.__setattr__(self, "cod", {b: tuple(ws) for b, ws in cod.items()})
+        object.__setattr__(self, "dom", MappingProxyType({b: tuple(ws) for b, ws in dom.items()}))
+        object.__setattr__(self, "cod", MappingProxyType({b: tuple(ws) for b, ws in cod.items()}))
         wire_set = set(self.wires)
         box_set = set(self.boxes)
         if len(wire_set) != len(self.wires):
@@ -56,36 +63,20 @@ class Hypergraph:
                     if w not in wire_set:
                         raise DiagramError(f"box {b!r} {name} uses unknown wire {w!r}", [])
 
-    def producers(self):
-        """wire -> list of boxes having it as an output."""
-        out = {w: [] for w in self.wires}
-        for b in self.boxes:
-            for w in self.cod[b]:
-                out[w].append(b)
-        return out
-
-    def consumers(self):
-        """wire -> list of boxes having it as an input (with multiplicity)."""
-        out = {w: [] for w in self.wires}
-        for b in self.boxes:
-            for w in self.dom[b]:
-                out[w].append(b)
-        return out
-
 
 Signature = Hypergraph
 
 
 @dataclass(frozen=True)
 class HypMorphism:
-    """Wire map and box map between hypergraphs."""
+    """Wire map and box map between hypergraphs (read-only maps)."""
 
     wire_map: Mapping
     box_map: Mapping
 
     def __init__(self, wire_map, box_map):
-        object.__setattr__(self, "wire_map", dict(wire_map))
-        object.__setattr__(self, "box_map", dict(box_map))
+        object.__setattr__(self, "wire_map", MappingProxyType(dict(wire_map)))
+        object.__setattr__(self, "box_map", MappingProxyType(dict(box_map)))
 
 
 def check_morphism(src: Hypergraph, dst: Hypergraph, m: HypMorphism) -> list:
@@ -115,9 +106,14 @@ def check_morphism(src: Hypergraph, dst: Hypergraph, m: HypMorphism) -> list:
     return out
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Diagram:
-    """Labeled cospan: inputs -> graph <- outputs over a signature."""
+    """Labeled cospan: inputs -> graph <- outputs over a signature.
+
+    Frozen and hashed by identity. The validation results and compiled
+    kernels cached on a diagram live in its instance dict, so
+    dataclasses.replace(d) gives an equal diagram with cold caches.
+    """
 
     graph: Hypergraph
     signature: Hypergraph
@@ -126,8 +122,42 @@ class Diagram:
     outputs: tuple
 
     def __post_init__(self):
-        self.inputs = tuple(self.inputs)
-        self.outputs = tuple(self.outputs)
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+        object.__setattr__(self, "outputs", tuple(self.outputs))
+
+    @cached_property
+    def _checked(self) -> tuple:
+        """(copy/delete violations, Markov violations, box order) from one
+        Kahn pass; the Markov rule is only checked on a valid cd diagram."""
+        order, cyclic = _kahn(self.graph)
+        cd = _cd_violations(self, cyclic)
+        return cd, [] if cd else validate_markov(self), tuple(order)
+
+    @cached_property
+    def plan(self) -> tuple:
+        """The boxes in topological order (ties by id), after checking that
+        this is a valid Markov diagram whose every consumed wire and output
+        is produced first. Raises DiagramError or EvalError otherwise."""
+        cd, markov, order = self._checked
+        if cd:
+            raise DiagramError("diagram is not a valid copy/delete diagram", cd)
+        if markov:
+            raise DiagramError("diagram is not a valid Markov diagram", markov)
+        produced = set(self.inputs)
+        for b in order:
+            for w in self.graph.dom[b]:
+                if w not in produced:
+                    raise EvalError(f"wire {w!r} consumed by box {b!r} is never produced")
+            produced.update(self.graph.cod[b])
+        for w in self.outputs:
+            if w not in produced:
+                raise EvalError(f"output wire {w!r} is never produced")
+        return order
+
+    @cached_property
+    def kernels(self) -> WeakKeyDictionary:
+        """Compiled kernels of this diagram per interpretation (see evaluate)."""
+        return WeakKeyDictionary()
 
     @property
     def wire_label(self) -> Mapping:
@@ -149,7 +179,13 @@ def validate_cd(d: Diagram) -> list:
 
     Checks leg wires exist, the labeling is a morphism into the signature,
     every wire has at most one starting place, and the box graph is acyclic.
+    Computed afresh on every call; Diagram.plan keeps its own result.
     """
+    return _cd_violations(d, _kahn(d.graph)[1])
+
+
+def _cd_violations(d: Diagram, cyclic: list) -> list:
+    """validate_cd, given the boxes Kahn's algorithm left unordered."""
     out = []
     g = d.graph
     wire_set = set(g.wires)
@@ -170,7 +206,6 @@ def validate_cd(d: Diagram) -> list:
         if starts[w] > 1:
             out.append(f"wire {w!r} has {starts[w]} starting places")
 
-    _, cyclic = _kahn(g)
     if cyclic:
         members = set(cyclic)
         wires = sorted({
@@ -256,9 +291,8 @@ def _fresh_ids(ids, taken) -> dict:
 
 
 def _require_valid(d: Diagram, mode: str, which: str):
-    v = validate_cd(d)
-    if not v and mode == "markov":
-        v = validate_markov(d)
+    cd, markov, _ = d._checked
+    v = cd or (markov if mode == "markov" else [])
     if v:
         raise DiagramError(f"{which} fails {mode} validation", v)
 

@@ -10,6 +10,11 @@ result are the diagram's graph box ids (inner ids of a composite box
 kernel become "graph_id.inner"), so traces of the evaluated kernel read
 off the diagram directly, and the kernel's wires map names each wire's
 slot, so one replay yields every wire value.
+
+Nothing is cached here: the validated box order is the diagram's
+Diagram.plan, and each compiled kernel is kept in the diagram's kernels
+map under its interpretation. Both the diagram and the interpretation are
+immutable, so a cached kernel cannot go stale.
 """
 
 from __future__ import annotations
@@ -17,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
-from weakref import WeakKeyDictionary
 
-from .diagrams import Diagram, Hypergraph, topological_order, validate_cd, validate_markov
-from .errors import DiagramError, EvalError
+from .diagrams import Diagram, Hypergraph
+from .errors import EvalError
 from .kernels import (
     JointKernel, Pack, Unpack, _Program, joint_log_density, run_trace,
     sample_with_trace,
@@ -83,41 +87,6 @@ def check_interpretation(sig: Hypergraph, interp: Interpretation) -> list:
     return out
 
 
-# the validated box order per diagram, independent of the interpretation
-_PLAN_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-# evaluated kernels per (diagram, interpretation) pair
-_KERNEL_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _routing_plan(d: Diagram) -> tuple:
-    """The boxes in topological order, after checking that the diagram is a
-    valid Markov diagram in which every consumed wire is produced first."""
-    order = _PLAN_CACHE.get(d)
-    if order is not None:
-        return order
-
-    violations = validate_cd(d)
-    if not violations:
-        violations = validate_markov(d)
-    if violations:
-        raise DiagramError("diagram is not a valid Markov diagram", violations)
-
-    g = d.graph
-    order = tuple(topological_order(d))
-    produced = set(d.inputs)
-    for b in order:
-        for w in g.dom[b]:
-            if w not in produced:
-                raise EvalError(
-                    f"wire {w!r} consumed by box {b!r} is never produced")
-        produced.update(g.cod[b])
-    for w in d.outputs:
-        if w not in produced:
-            raise EvalError(f"output wire {w!r} is never produced")
-    _PLAN_CACHE[d] = order
-    return order
-
-
 def _inner_ids(k: JointKernel, graph_id: str) -> dict:
     """A box kernel's ids inside the diagram: the graph id for a single box,
     "graph_id.inner" for each box of a composite."""
@@ -128,8 +97,12 @@ def _inner_ids(k: JointKernel, graph_id: str) -> dict:
 
 
 def _compile(d: Diagram, interp: Interpretation) -> JointKernel:
-    """Lower the diagram to one slot program, one slot per wire."""
-    order = _routing_plan(d)
+    """Lower the diagram to one slot program, one slot per wire.
+
+    Once d.plan and check_interpretation have passed, none of the checks
+    below can fail; they stay for callers of evaluate that skip the latter.
+    """
+    order = d.plan
     g = d.graph
 
     def wire_space(w) -> Space:
@@ -189,17 +162,13 @@ def evaluate(d: Diagram, interp: Interpretation) -> JointKernel:
 
     The result's domain/codomain are the products of the input/output wire
     spaces; its trace is keyed by graph box ids (inner ids of composite box
-    kernels are prefixed with the graph id). Results are cached per
-    (diagram, interpretation).
+    kernels are prefixed with the graph id). Results are cached on the
+    diagram, per interpretation.
     """
-    per_interp = _KERNEL_CACHE.get(d)
-    if per_interp is None:
-        per_interp = WeakKeyDictionary()
-        _KERNEL_CACHE[d] = per_interp
-    cached = per_interp.get(interp)
-    if cached is None:
-        cached = per_interp[interp] = _compile(d, interp)
-    return cached
+    k = d.kernels.get(interp)
+    if k is None:
+        k = d.kernels[interp] = _compile(d, interp)
+    return k
 
 
 def wire_values(d: Diagram, interp: Interpretation, inputs: Value, t) -> dict:

@@ -41,9 +41,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .diagrams import (
-    Diagram, Hypergraph, HypMorphism, is_causal_model, validate_cd, validate_markov,
-)
+from .diagrams import Diagram, Hypergraph, HypMorphism, is_causal_model
 from .errors import DiagramError, ModelSyntaxError, ShapeError
 from .expr import (
     check_expression, compile_det_map, evaluate_expression, parse_expression,
@@ -344,12 +342,7 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
         inputs=_need(dia_j, "inputs", "diagram"),
         outputs=_need(dia_j, "outputs", "diagram"),
     )
-    violations = validate_cd(diagram)
-    if violations:
-        raise DiagramError("diagram is not a valid copy/delete diagram", violations)
-    violations = validate_markov(diagram)
-    if violations:
-        raise DiagramError("diagram is not a valid Markov diagram", violations)
+    diagram.plan  # validate once; evaluate reuses the order
     if not is_causal_model(diagram):
         raise DiagramError("diagram is not a causal model", ["outputs repeat a wire"])
 
@@ -438,9 +431,9 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
         check_expression(ast, slots, Real(1))
         weight_exprs[b] = text
 
-    model = Model(raw, signature, diagram, interp, weight_exprs, path)
-    model.kernel  # force evaluation so space mismatches surface at parse time
-    return model
+    # with the plan and the interpretation checked, compiling cannot fail,
+    # so the kernel is left to the first query that runs it
+    return Model(raw, signature, diagram, interp, weight_exprs, path)
 
 
 def print_model(model: Model) -> str:

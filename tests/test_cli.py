@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -35,15 +36,20 @@ def test_validate(capsys):
     assert (code, out) == (0, "OK\n")
 
 
-def test_exit_codes():
+def test_exit_codes(capsys):
     cases = [
         (str(MODELS / "syntax_error.json"), 3),
         (str(MODELS / "cyclic_bad.json"), 5),
         (str(MODELS / "type_error.json"), 4),
         (str(MODELS / "no_such_file.json"), 2),
+        (str(MODELS / "unproduced_input.json"), 4),
+        (str(MODELS / "unproduced_output.json"), 4),
     ]
     for path, want in cases:
-        assert main(["validate", path]) == want, path
+        code, _, err = run(capsys, "validate", path)
+        assert code == want, path
+        if "unproduced" in path:
+            assert "is never produced" in err, err
 
 
 def test_cycle_violations_are_listed(capsys):
@@ -194,22 +200,34 @@ def test_cf_under_do_prefix(capsys, tmp_path):
 
 
 def test_cf_compiles_the_intervened_kernel_once(capsys, tmp_path, monkeypatch):
+    import jointkern.diagrams as diagrams
     import jointkern.interpret as interpret
 
-    compiled = []
-    compile_ = interpret._compile
+    compiled, ordered = [], []
+    compile_, kahn = interpret._compile, diagrams._kahn
 
     def counting(d, interp):
         compiled.append(interp)
         return compile_(d, interp)
 
+    def counting_kahn(g):
+        ordered.append(g)
+        return kahn(g)
+
     monkeypatch.setattr(interpret, "_compile", counting)
+    monkeypatch.setattr(diagrams, "_kahn", counting_kahn)
     u = tmp_path / "u.jsonl"
     u.write_text('{"b1": [0.6], "b2": [0.6]}\n' * 3)
-    code, out, _ = run(capsys, "cf", CHAIN, "--u", str(u), "--set", "flip=1")
-    assert code == 0 and len(out.strip().split("\n")) == 3
-    # the parsed model's kernel, then the surgered one: not one per record
-    assert len(compiled) == 2
+    for argv in (["cf", CHAIN, "--u", str(u), "--set", "flip=1"],
+                 ["do", CHAIN, "--set", "flip=1", "sample", "--n", "3"]):
+        compiled.clear()
+        ordered.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(out.strip().split("\n")) == 3
+        # only the surgered kernel is lowered, once, and the diagram is
+        # checked and ordered once: not at parse time, not per record
+        assert len(compiled) == 1, argv
+        assert len(ordered) == 1, argv
 
 
 def test_abduct_cf_roundtrip(capsys, tmp_path):
@@ -334,8 +352,11 @@ def test_logpdf_with_input(capsys, tmp_path):
 def test_subprocess_byte_identical(capsys):
     cmd = [sys.executable, "-m", "jointkern", "sample", CHAIN,
            "--n", "3", "--seed", "5"]
-    a = subprocess.run(cmd, capture_output=True)
-    b = subprocess.run(cmd, capture_output=True)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    a = subprocess.run(cmd, capture_output=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, env=env)
     assert a.returncode == 0 and a.stdout == b.stdout
     code, out, _ = run(capsys, "sample", CHAIN, "--n", "3", "--seed", "5")
     assert out.encode() == a.stdout

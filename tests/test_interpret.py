@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -110,6 +111,28 @@ def test_interpretation_maps_are_frozen():
 
     changed = Interpretation(interp.wire_spaces, kernels, interp.residual_labels)
     assert marginal_pmf_finite(evaluate(d, changed), UNIT_VALUE) == {0: 0.3, 1: 0.7}
+
+
+def test_diagram_is_frozen():
+    # a mutated diagram would leave its cached plan and kernel stale
+    d, interp = chain_parts()
+    k = evaluate(d, interp)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.outputs = ("x",)
+    with pytest.raises(TypeError):
+        d.graph.dom["b2"] = ("y",)
+    with pytest.raises(TypeError):
+        d.labeling.box_map["b2"] = "flip"
+    with pytest.raises(TypeError):
+        d.labeling.wire_map["y"] = "B"
+    assert evaluate(d, interp) is k
+
+    # replace gives an equal diagram with cold caches
+    fresh = dataclasses.replace(d)
+    k2 = evaluate(fresh, interp)
+    assert k2 is not k
+    assert marginal_pmf_finite(k2, UNIT_VALUE) == marginal_pmf_finite(k, UNIT_VALUE) \
+        == {0: 0.55, 1: 0.45}
 
 
 def test_composite_box_ids_get_prefixed():
