@@ -12,19 +12,24 @@ Diagrams are immutable values: the dataclasses are frozen and their wire
 and box tables are read-only maps, and all operations return fresh
 diagrams. So a diagram is checked once: Diagram.plan validates it and
 orders its boxes on first use and keeps the result, and the kernels that
-evaluate compiles from it are cached on it too.
+evaluate compiles from it are cached on it too. The plan walks the boxes
+a fixed few times: one Kahn pass, whose order topological_order reuses,
+the morphism check, and one index of the wires that the starting-place,
+Markov and produced checks read.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 from weakref import WeakKeyDictionary
 
-from .errors import DiagramError, EvalError
+from .errors import DiagramError
 
 __all__ = [
     "Hypergraph", "Signature", "HypMorphism", "Diagram",
@@ -82,27 +87,28 @@ class HypMorphism:
 def check_morphism(src: Hypergraph, dst: Hypergraph, m: HypMorphism) -> list:
     """Violations of m being a hypergraph morphism src -> dst; empty if valid."""
     out = []
+    wire_map, box_map = m.wire_map, m.box_map
     dst_wires = set(dst.wires)
-    dst_boxes = set(dst.boxes)
     for w in src.wires:
-        if w not in m.wire_map:
+        if w not in wire_map:
             out.append(f"wire {w!r} is unmapped")
-        elif m.wire_map[w] not in dst_wires:
-            out.append(f"wire {w!r} maps to unknown wire {m.wire_map[w]!r}")
+        elif wire_map[w] not in dst_wires:
+            out.append(f"wire {w!r} maps to unknown wire {wire_map[w]!r}")
+    label = wire_map.get
     for b in src.boxes:
-        if b not in m.box_map:
+        if b not in box_map:
             out.append(f"box {b!r} is unmapped")
             continue
-        tb = m.box_map[b]
-        if tb not in dst_boxes:
+        tb = box_map[b]
+        if tb not in dst.dom:
             out.append(f"box {b!r} maps to unknown box {tb!r}")
             continue
-        for side, table in (("dom", "dom"), ("cod", "cod")):
-            want = getattr(dst, table)[tb]
-            have = tuple(m.wire_map.get(w) for w in getattr(src, table)[b])
-            if have != want:
-                out.append(
-                    f"box {b!r} {side} maps to {have!r} but {tb!r} has {want!r}")
+        have = tuple(map(label, src.dom[b]))
+        if have != dst.dom[tb]:
+            out.append(f"box {b!r} dom maps to {have!r} but {tb!r} has {dst.dom[tb]!r}")
+        have = tuple(map(label, src.cod[b]))
+        if have != dst.cod[tb]:
+            out.append(f"box {b!r} cod maps to {have!r} but {tb!r} has {dst.cod[tb]!r}")
     return out
 
 
@@ -126,33 +132,34 @@ class Diagram:
         object.__setattr__(self, "outputs", tuple(self.outputs))
 
     @cached_property
+    def _sorted(self) -> tuple:
+        """(box order, boxes left unordered) from the diagram's one Kahn pass."""
+        order, leftover = _kahn(self.graph)
+        return tuple(order), leftover
+
+    @cached_property
     def _checked(self) -> tuple:
-        """(copy/delete violations, Markov violations, box order) from one
-        Kahn pass; the Markov rule is only checked on a valid cd diagram."""
-        order, cyclic = _kahn(self.graph)
-        cd = _cd_violations(self, cyclic)
-        return cd, [] if cd else validate_markov(self), tuple(order)
+        """(copy/delete, Markov, never-produced violations) from one wire
+        index; each check runs only when the ones before it pass."""
+        index = _wire_index(self)
+        cd = _cd_violations(self, index, self._sorted[1])
+        markov = [] if cd else _markov_violations(self, index)
+        unproduced = [] if cd or markov else _unproduced(self, index)
+        return cd, markov, unproduced
 
     @cached_property
     def plan(self) -> tuple:
         """The boxes in topological order (ties by id), after checking that
         this is a valid Markov diagram whose every consumed wire and output
-        is produced first. Raises DiagramError or EvalError otherwise."""
-        cd, markov, order = self._checked
+        is produced first. Raises DiagramError otherwise."""
+        cd, markov, unproduced = self._checked
         if cd:
             raise DiagramError("diagram is not a valid copy/delete diagram", cd)
         if markov:
             raise DiagramError("diagram is not a valid Markov diagram", markov)
-        produced = set(self.inputs)
-        for b in order:
-            for w in self.graph.dom[b]:
-                if w not in produced:
-                    raise EvalError(f"wire {w!r} consumed by box {b!r} is never produced")
-            produced.update(self.graph.cod[b])
-        for w in self.outputs:
-            if w not in produced:
-                raise EvalError(f"output wire {w!r} is never produced")
-        return order
+        if unproduced:
+            raise DiagramError("diagram has wires that are never produced", unproduced)
+        return self._sorted[0]
 
     @cached_property
     def kernels(self) -> WeakKeyDictionary:
@@ -181,30 +188,43 @@ def validate_cd(d: Diagram) -> list:
     every wire has at most one starting place, and the box graph is acyclic.
     Computed afresh on every call; Diagram.plan keeps its own result.
     """
-    return _cd_violations(d, _kahn(d.graph)[1])
+    return _cd_violations(d, _wire_index(d), _kahn(d.graph)[1])
 
 
-def _cd_violations(d: Diagram, cyclic: list) -> list:
-    """validate_cd, given the boxes Kahn's algorithm left unordered."""
+class _WireIndex(NamedTuple):
+    """The wire sets the checks read, from one pass over legs and boxes."""
+
+    wires: set      # the graph's wires
+    starts: list    # starting places: input-leg graph wires, box outputs
+    started: set    # the wires in starts
+    consumed: set   # the output leg and every box input
+
+
+def _wire_index(d: Diagram) -> _WireIndex:
+    g = d.graph
+    wires = set(g.wires)
+    starts = [w for w in d.inputs if w in wires]
+    starts.extend(chain.from_iterable(g.cod.values()))
+    consumed = set(d.outputs)
+    consumed.update(chain.from_iterable(g.dom.values()))
+    return _WireIndex(wires, starts, set(starts), consumed)
+
+
+def _cd_violations(d: Diagram, index: _WireIndex, cyclic: list) -> list:
+    """validate_cd, given the wire index and the boxes Kahn's algorithm left
+    unordered."""
     out = []
     g = d.graph
-    wire_set = set(g.wires)
     for leg, ws in (("input", d.inputs), ("output", d.outputs)):
         for w in ws:
-            if w not in wire_set:
+            if w not in index.wires:
                 out.append(f"{leg} leg references unknown wire {w!r}")
     out.extend(check_morphism(g, d.signature, d.labeling))
 
-    starts = {w: 0 for w in g.wires}
-    for w in d.inputs:
-        if w in starts:
-            starts[w] += 1
-    for b in g.boxes:
-        for w in g.cod[b]:
-            starts[w] += 1
-    for w in g.wires:
-        if starts[w] > 1:
-            out.append(f"wire {w!r} has {starts[w]} starting places")
+    if len(index.started) < len(index.starts):
+        count = Counter(index.starts)
+        out.extend(f"wire {w!r} has {count[w]} starting places"
+                   for w in g.wires if count[w] > 1)
 
     if cyclic:
         members = set(cyclic)
@@ -218,15 +238,31 @@ def _cd_violations(d: Diagram, cyclic: list) -> list:
 
 def validate_markov(d: Diagram) -> list:
     """Violations of the Markov rule: every box output is consumed onward."""
+    return _markov_violations(d, _wire_index(d))
+
+
+def _markov_violations(d: Diagram, index: _WireIndex) -> list:
     g = d.graph
-    consumed = set(d.outputs)
-    for b in g.boxes:
-        consumed.update(g.dom[b])
-    out = []
-    for b in g.boxes:
-        for w in g.cod[b]:
-            if w not in consumed:
-                out.append(f"output wire {w!r} of box {b!r} is discarded")
+    consumed = index.consumed
+    if consumed.issuperset(chain.from_iterable(g.cod.values())):
+        return []
+    return [f"output wire {w!r} of box {b!r} is discarded"
+            for b in g.boxes for w in g.cod[b] if w not in consumed]
+
+
+def _unproduced(d: Diagram, index: _WireIndex) -> list:
+    """Consumed wires and outputs that nothing produces, on a valid
+    copy/delete diagram. There each wire starts at most once and the box
+    graph is acyclic, so a wire that starts anywhere starts before its
+    consumers in the plan order: produced first means produced at all."""
+    started = index.started
+    if started.issuperset(index.consumed):
+        return []
+    g = d.graph
+    out = [f"wire {w!r} consumed by box {b!r} is never produced"
+           for b in d._sorted[0] for w in g.dom[b] if w not in started]
+    out.extend(f"output wire {w!r} is never produced"
+               for w in d.outputs if w not in started)
     return out
 
 
@@ -236,24 +272,23 @@ def is_causal_model(d: Diagram) -> bool:
 
 
 def _kahn(g: Hypergraph):
-    """Kahn's algorithm: (box order, boxes left unordered; nonempty iff cyclic)."""
+    """Kahn's algorithm: (box order, boxes left unordered; nonempty iff cyclic).
+
+    A box's predecessors are the first producers of its input wires (itself
+    included, which leaves it unordered); ready boxes leave a min-heap, so
+    ties go by id.
+    """
     producer = {}
     for b in g.boxes:
         for w in g.cod[b]:
             producer.setdefault(w, b)
-    edges = set()
-    for b in g.boxes:
-        for w in g.dom[b]:
-            c = producer.get(w)
-            if c is not None and c != b:
-                edges.add((c, b))
-            elif c == b:
-                edges.add((b, b))
-    indeg = {b: 0 for b in g.boxes}
+    indeg = {}
     succ = {b: [] for b in g.boxes}
-    for c, b in edges:
-        indeg[b] += 1
-        succ[c].append(b)
+    for b in g.boxes:
+        preds = {producer[w] for w in g.dom[b] if w in producer}
+        indeg[b] = len(preds)
+        for c in preds:
+            succ[c].append(b)
     ready = [b for b in g.boxes if indeg[b] == 0]
     heapq.heapify(ready)
     order = []
@@ -270,10 +305,10 @@ def _kahn(g: Hypergraph):
 
 def topological_order(d: Diagram) -> list:
     """Box ids, producers before consumers, ties broken by id order."""
-    order, leftover = _kahn(d.graph)
+    order, leftover = d._sorted
     if leftover:
         raise DiagramError("diagram has a cycle", [f"cycle among boxes {sorted(leftover)}"])
-    return order
+    return list(order)
 
 
 def _fresh_ids(ids, taken) -> dict:

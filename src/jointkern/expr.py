@@ -289,15 +289,18 @@ def parse_expression(text: str):
 # shape checking
 
 
+_REAL = Real(1)  # the real line, built once for the shape comparisons
+
+
 def _is_numeric(sp: Space) -> bool:
-    return isinstance(sp, (Finite, Countable)) or sp == Real(1)
+    return isinstance(sp, (Finite, Countable)) or sp == _REAL
 
 
 def _subsumes(expected: Space, actual: Space) -> bool:
     """actual embeds into expected: Finite(j<=k) <= Finite(k) <= Countable <= Real(1)."""
     if expected == actual:
         return True
-    if expected == Real(1):
+    if expected == _REAL:
         return isinstance(actual, (Finite, Countable))
     if isinstance(expected, Countable):
         return isinstance(actual, Finite)
@@ -327,15 +330,15 @@ def _synth(ast, inputs, vars) -> Space:
     if tag == "int":
         return Countable()
     if tag == "real":
-        return Real(1)
+        return _REAL
     if tag == "bin":
         _, op, l, r, pos = ast
         ls, rs = _synth(l, inputs, vars), _synth(r, inputs, vars)
         for s, e in ((ls, l), (rs, r)):
             if not _is_numeric(s):
                 raise ExprTypeError(f"arithmetic needs a numeric operand, got {s!r}", _pos(e))
-        if op == "/" or ls == Real(1) or rs == Real(1):
-            return Real(1)
+        if op == "/" or ls == _REAL or rs == _REAL:
+            return _REAL
         return Countable()
     if tag == "call":
         _, name, args, pos = ast
@@ -344,9 +347,9 @@ def _synth(ast, inputs, vars) -> Space:
             if not _is_numeric(s):
                 raise ExprTypeError(f"{name} needs a numeric operand, got {s!r}", _pos(a))
         if name in ("exp", "ln"):
-            return Real(1)
-        if any(s == Real(1) for s in spaces):
-            return Real(1)
+            return _REAL
+        if any(s == _REAL for s in spaces):
+            return _REAL
         return Countable()
     if tag == "lt":
         _, l, r, pos = ast
@@ -400,7 +403,7 @@ def _join(a: Space, b: Space):
     if isinstance(a, (Finite, Countable)) and isinstance(b, (Finite, Countable)):
         return Countable()
     if _is_numeric(a) and _is_numeric(b):
-        return Real(1)
+        return _REAL
     return None
 
 
@@ -413,7 +416,7 @@ def _check(ast, expected: Space, inputs, vars):
                 raise ExprTypeError(
                     f"literal {v} outside Finite({expected.size})", _pos(ast))
             return
-        if isinstance(expected, Countable) or expected == Real(1):
+        if isinstance(expected, Countable) or expected == _REAL:
             return
         raise ExprTypeError(f"integer literal cannot have shape {expected!r}", _pos(ast))
     if tag == "inl" or tag == "inr":

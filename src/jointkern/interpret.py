@@ -5,11 +5,12 @@ An Interpretation assigns a Space to every signature wire and a JointKernel
 Markov diagram into one slot program (see kernels): every wire gets one
 slot, and each box, taken in topological order, packs its input wires into
 one slot when it has several, runs its interpretation's steps inlined in
-place, and unpacks its output into its output wires' slots. Box ids in the
-result are the diagram's graph box ids (inner ids of a composite box
-kernel become "graph_id.inner"), so traces of the evaluated kernel read
-off the diagram directly, and the kernel's wires map names each wire's
-slot, so one replay yields every wire value.
+place, and unpacks its output into its output wires' slots. Each signature
+box's kernel is checked against the wire spaces once, on its first graph
+box. Box ids in the result are the diagram's graph box ids (inner ids of a
+composite box kernel become "graph_id.inner"), so traces of the evaluated
+kernel read off the diagram directly, and the kernel's wires map names
+each wire's slot, so one replay yields every wire value.
 
 Nothing is cached here: the validated box order is the diagram's
 Diagram.plan, and each compiled kernel is kept in the diagram's kernels
@@ -99,8 +100,12 @@ def _inner_ids(k: JointKernel, graph_id: str) -> dict:
 def _compile(d: Diagram, interp: Interpretation) -> JointKernel:
     """Lower the diagram to one slot program, one slot per wire.
 
-    Once d.plan and check_interpretation have passed, none of the checks
-    below can fail; they stay for callers of evaluate that skip the latter.
+    Each signature box is checked once, on its first graph box in plan
+    order: its kernel must exist and fit that box's wire spaces. d.plan's
+    morphism check gives every later box with the same label the same wire
+    labels, so the check holds for them too. Once d.plan and
+    check_interpretation have passed, none of these checks can fail; they
+    stay for callers of evaluate that skip the latter.
     """
     order = d.plan
     g = d.graph
@@ -114,19 +119,9 @@ def _compile(d: Diagram, interp: Interpretation) -> JointKernel:
     def packed(ws) -> Space:
         return nest_product([wire_space(w) for w in ws])
 
-    prog = _Program()
-    dom = packed(d.inputs)
-    slot = {}
-    if len(d.inputs) == 1:
-        slot[d.inputs[0]] = 0
-    elif d.inputs:
-        slot.update((w, prog.fresh()) for w in d.inputs)
-        prog.add(Unpack(0, tuple(slot[w] for w in d.inputs)))
-
-    for b in order:
-        dom_wires, cod_wires = g.dom[b], g.cod[b]
-        dom_space, cod_space = packed(dom_wires), packed(cod_wires)
-        lab = d.box_label[b]
+    def checked(b, lab) -> JointKernel:
+        """The label's kernel, checked against box b's wire spaces."""
+        dom_space, cod_space = packed(g.dom[b]), packed(g.cod[b])
         if lab not in interp.box_kernels:
             raise EvalError(f"no kernel for signature box {lab!r}")
         k = interp.box_kernels[lab]
@@ -136,7 +131,24 @@ def _compile(d: Diagram, interp: Interpretation) -> JointKernel:
         if k.cod != cod_space:
             raise EvalError(
                 f"box {b!r} kernel codomain {k.cod!r} != wire spaces {cod_space!r}")
+        return k
 
+    prog = _Program()
+    dom = packed(d.inputs)
+    slot = {}
+    if len(d.inputs) == 1:
+        slot[d.inputs[0]] = 0
+    elif d.inputs:
+        slot.update((w, prog.fresh()) for w in d.inputs)
+        prog.add(Unpack(0, tuple(slot[w] for w in d.inputs)))
+
+    kernels = {}
+    for b in order:
+        lab = d.box_label[b]
+        k = kernels.get(lab)
+        if k is None:
+            k = kernels[lab] = checked(b, lab)
+        dom_wires, cod_wires = g.dom[b], g.cod[b]
         if len(dom_wires) == 1:
             src = slot[dom_wires[0]]
         else:

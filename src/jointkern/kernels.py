@@ -13,7 +13,8 @@ densities, interventions and counterfactual replay possible downstream.
 compose and tensor concatenate programs, moving the second program's slots
 past the first's; no step wraps another, so every query (sampling, replay,
 log-density, abduction, enumeration) is one linear pass over the steps and
-costs O(steps).
+costs O(steps). Steps are immutable tuples, so moving a step is one tuple
+build and a kernel, once built, never changes.
 
 Traces are keyed by box id instead of nested positional tuples, so category
 laws hold literally (associativity does not need re-tupling). The residual
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ShapeError
 from .rng import uniform_block
@@ -88,12 +89,13 @@ class PrimitiveKernel:
 # ---------------------------------------------------------------------------
 # steps
 #
+# Each step is a NamedTuple. Loops that use every field of a step unpack it:
+# on CPython 3.11 reading NamedTuple fields by name is slower than one unpack.
 # moved(where, ids) returns the step with each slot s read as where[s] and,
 # for boxes, the id renamed through ids (ids absent from it are kept).
 
 
-@dataclass(frozen=True)
-class TracedBox:
+class TracedBox(NamedTuple):
     """One noise source: its parameter is read from slot src and its value,
     the box's trace entry, is written to slot dst."""
 
@@ -103,12 +105,11 @@ class TracedBox:
     dst: int
 
     def moved(self, where, ids: Mapping) -> TracedBox:
-        return TracedBox(ids.get(self.box_id, self.box_id), self.primitive,
-                         where[self.src], where[self.dst])
+        box_id, p, src, dst = self
+        return TracedBox(ids.get(box_id, box_id), p, where[src], where[dst])
 
 
-@dataclass(frozen=True)
-class Apply:
+class Apply(NamedTuple):
     """slots[dst] = fn(slots[src])."""
 
     fn: Callable[[Value], Value]
@@ -116,35 +117,37 @@ class Apply:
     dst: int
 
     def run(self, slots: list):
-        slots[self.dst] = self.fn(slots[self.src])
+        fn, src, dst = self
+        slots[dst] = fn(slots[src])
 
     def moved(self, where, ids: Mapping) -> Apply:
-        return Apply(self.fn, where[self.src], where[self.dst])
+        fn, src, dst = self
+        return Apply(fn, where[src], where[dst])
 
 
-@dataclass(frozen=True)
-class Pack:
+class Pack(NamedTuple):
     """slots[dst] = the left-nested tuple of the srcs' values (UNIT_VALUE if none)."""
 
     srcs: tuple
     dst: int
 
     def run(self, slots: list):
-        slots[self.dst] = nest_values([slots[i] for i in self.srcs])
+        srcs, dst = self
+        slots[dst] = nest_values([slots[i] for i in srcs])
 
     def moved(self, where, ids: Mapping) -> Pack:
         return Pack(tuple(where[i] for i in self.srcs), where[self.dst])
 
 
-@dataclass(frozen=True)
-class Unpack:
+class Unpack(NamedTuple):
     """Split the left-nested tuple in slot src over the dsts."""
 
     src: int
     dsts: tuple
 
     def run(self, slots: list):
-        for i, v in zip(self.dsts, unnest_values(slots[self.src], len(self.dsts))):
+        src, dsts = self
+        for i, v in zip(dsts, unnest_values(slots[src], len(dsts))):
             slots[i] = v
 
     def moved(self, where, ids: Mapping) -> Unpack:
@@ -357,12 +360,13 @@ def joint_log_density(k: JointKernel, z: Value, t: Trace) -> float:
     total = 0.0
     for s in k.steps:
         if type(s) is TracedBox:
-            m = t[s.box_id]
-            ld = s.primitive.log_density(slots[s.src], m)
+            box_id, p, src, dst = s
+            m = t[box_id]
+            ld = p.log_density(slots[src], m)
             if ld == NEG_INF:
                 return NEG_INF
             total += ld
-            slots[s.dst] = m
+            slots[dst] = m
         else:
             s.run(slots)
     return total
@@ -387,16 +391,16 @@ def replay_with_uniforms(
         if type(s) is not TracedBox:
             s.run(slots)
             continue
-        p = s.primitive
-        block = tuple(float(x) for x in u[s.box_id])
+        box_id, p, src, dst = s
+        block = tuple(float(x) for x in u[box_id])
         if len(block) != p.pushback_dim:
             raise ShapeError(
-                f"box {s.box_id} needs {p.pushback_dim} uniforms, got {len(block)}"
+                f"box {box_id} needs {p.pushback_dim} uniforms, got {len(block)}"
             )
         for x in block:
             if not 0.0 <= x <= 1.0:
-                raise ShapeError(f"uniform {x} outside [0, 1] for box {s.box_id}")
-        t[s.box_id] = slots[s.dst] = p.pushforward(block, slots[s.src])
+                raise ShapeError(f"uniform {x} outside [0, 1] for box {box_id}")
+        t[box_id] = slots[dst] = p.pushforward(block, slots[src])
     out = slots[k.out]
     check_member(k.cod, out, "kernel output")
     return t, out
@@ -440,12 +444,12 @@ def enumerate_traces(k: JointKernel, z: Value) -> Iterator[tuple[dict, Fraction]
     def branches(j: int, before: Fraction):
         """Set box j to each of its positive points in turn; yield the
         path probability so far."""
-        box = steps[j]
-        par = slots[box.src]
-        for m in finite_points(box.primitive.cod):
-            f = _exact_factor(box.primitive, par, m)
+        box_id, p, src, dst = steps[j]
+        par = slots[src]
+        for m in finite_points(p.cod):
+            f = _exact_factor(p, par, m)
             if f != 0:
-                t[box.box_id] = slots[box.dst] = m
+                t[box_id] = slots[dst] = m
                 yield before * f
 
     # (next step index, branches of the box before it) per box on the path.

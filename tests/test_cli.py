@@ -42,8 +42,8 @@ def test_exit_codes(capsys):
         (str(MODELS / "cyclic_bad.json"), 5),
         (str(MODELS / "type_error.json"), 4),
         (str(MODELS / "no_such_file.json"), 2),
-        (str(MODELS / "unproduced_input.json"), 4),
-        (str(MODELS / "unproduced_output.json"), 4),
+        (str(MODELS / "unproduced_input.json"), 5),
+        (str(MODELS / "unproduced_output.json"), 5),
     ]
     for path, want in cases:
         code, _, err = run(capsys, "validate", path)
@@ -219,7 +219,8 @@ def test_cf_compiles_the_intervened_kernel_once(capsys, tmp_path, monkeypatch):
     u = tmp_path / "u.jsonl"
     u.write_text('{"b1": [0.6], "b2": [0.6]}\n' * 3)
     for argv in (["cf", CHAIN, "--u", str(u), "--set", "flip=1"],
-                 ["do", CHAIN, "--set", "flip=1", "sample", "--n", "3"]):
+                 ["do", CHAIN, "--set", "flip=1", "sample", "--n", "3"],
+                 ["sample", CHAIN, "--n", "3"]):
         compiled.clear()
         ordered.clear()
         code, out, _ = run(capsys, *argv)
@@ -228,6 +229,12 @@ def test_cf_compiles_the_intervened_kernel_once(capsys, tmp_path, monkeypatch):
         # checked and ordered once: not at parse time, not per record
         assert len(compiled) == 1, argv
         assert len(ordered) == 1, argv
+    # export-dot reads the order the plan kept, and lowers nothing
+    compiled.clear()
+    ordered.clear()
+    code, out, _ = run(capsys, "export-dot", CHAIN)
+    assert code == 0 and out.startswith("digraph")
+    assert (len(compiled), len(ordered)) == (0, 1)
 
 
 def test_abduct_cf_roundtrip(capsys, tmp_path):

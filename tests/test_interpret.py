@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from jointkern import (
+    DetMap,
     Diagram,
     DiagramError,
     EvalError,
@@ -22,6 +23,7 @@ from jointkern import (
     evaluate,
     from_primitive,
     joint_log_density,
+    lift_det,
     marginal_pmf_finite,
     model_log_density,
     nest_values,
@@ -167,6 +169,52 @@ def test_evaluate_missing_entries():
         evaluate(d, Interpretation(interp.wire_spaces, {}, {}))
     with pytest.raises(EvalError, match="no space"):
         evaluate(d, Interpretation({}, interp.box_kernels, interp.residual_labels))
+
+
+def test_compile_checks_a_shared_label_on_its_first_box():
+    # two graph boxes share the label "step", whose kernel has the wrong
+    # domain; check_interpretation is skipped, so _compile's own check must
+    # reject the first of them in plan order (not in graph or id order)
+    sig = Hypergraph(("B",), ("flip", "step"),
+                     {"flip": (), "step": ("B",)}, {"flip": ("B",), "step": ("B",)})
+    graph = Hypergraph(("a", "b", "c"), ("a2", "z1", "r"),
+                       {"r": (), "z1": ("a",), "a2": ("b",)},
+                       {"r": ("a",), "z1": ("b",), "a2": ("c",)})
+    d = Diagram(graph=graph, signature=sig,
+                labeling=HypMorphism({"a": "B", "b": "B", "c": "B"},
+                                     {"r": "flip", "z1": "step", "a2": "step"}),
+                inputs=(), outputs=("c",))
+    assert d.plan == ("r", "z1", "a2")
+    wrong = from_primitive(bernoulli(lambda x: 0.5, dom=Finite(3)), "step")
+    interp = Interpretation({"B": TWO},
+                            {"flip": from_primitive(bernoulli(0.5), "flip"), "step": wrong})
+    with pytest.raises(EvalError, match="box 'z1' kernel domain"):
+        evaluate(d, interp)
+
+
+def test_compiled_steps_are_immutable():
+    # kernels are cached on their diagram, so no step may change afterwards;
+    # two inputs, a det box, a noise box and two outputs give every step type
+    sig = Hypergraph(("B",), ("flip", "neg"),
+                     {"flip": ("B",), "neg": ("B",)}, {"flip": ("B",), "neg": ("B",)})
+    graph = Hypergraph(("u", "v", "x", "y"), ("f", "n"),
+                       {"f": ("u",), "n": ("v",)}, {"f": ("x",), "n": ("y",)})
+    d = Diagram(graph=graph, signature=sig,
+                labeling=HypMorphism(dict.fromkeys(graph.wires, "B"),
+                                     {"f": "flip", "n": "neg"}),
+                inputs=("u", "v"), outputs=("x", "y"))
+    interp = Interpretation(
+        {"B": TWO},
+        {"flip": from_primitive(bernoulli(lambda z: 0.2 if z < 1 else 0.7, dom=TWO), "flip"),
+         "neg": lift_det(DetMap(TWO, TWO, lambda z: 1 - z, "neg"))},
+        {"flip": ("B",)})
+    k = evaluate(d, interp)
+    assert {type(s).__name__ for s in k.steps} == {"Unpack", "TracedBox", "Apply", "Pack"}
+    for step in k.steps:
+        for name in step._fields:
+            with pytest.raises(AttributeError):
+                setattr(step, name, getattr(step, name))
+    assert marginal_pmf_finite(k, (1, 1)) == {(0, 0): 0.3, (1, 0): 0.7}
 
 
 def test_boxless_wirings():
