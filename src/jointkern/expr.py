@@ -531,7 +531,7 @@ def _eval(ast, inputs, vars):
 def adapt_value(space: Space, v):
     """Coerce integer-shaped results to the boundary space (ints to floats
     for Real(1), recursively through pairs and coproduct tags)."""
-    if space == Real(1):
+    if space == _REAL:
         return float(v)
     if isinstance(space, Product):
         return (adapt_value(space.left, v[0]), adapt_value(space.right, v[1]))

@@ -376,6 +376,12 @@ def replay_with_uniforms(
     k: JointKernel, z: Value, u: Mapping[str, Sequence[float]]
 ) -> tuple[dict, Value]:
     """Deterministically run the kernel at fixed uniform blocks per box."""
+    t, slots = _replay(k, z, u)
+    return t, slots[k.out]
+
+
+def _replay(k: JointKernel, z: Value, u: Mapping[str, Sequence[float]]) -> tuple[dict, list]:
+    """replay_with_uniforms, returning every slot's value in place of the output."""
     check_member(k.dom, z, "kernel input")
     ids = set(k.box_ids)
     missing = [b for b in k.box_ids if b not in u]
@@ -401,18 +407,21 @@ def replay_with_uniforms(
             if not 0.0 <= x <= 1.0:
                 raise ShapeError(f"uniform {x} outside [0, 1] for box {box_id}")
         t[box_id] = slots[dst] = p.pushforward(block, slots[src])
-    out = slots[k.out]
-    check_member(k.cod, out, "kernel output")
-    return t, out
+    check_member(k.cod, slots[k.out], "kernel output")
+    return t, slots
 
 
 def sample_with_trace(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value]:
     """Draw one (trace, output) pair; bit-reproducible per (kernel, z, seed)."""
-    u = {
+    return replay_with_uniforms(k, z, _uniforms(k, seed))
+
+
+def _uniforms(k: JointKernel, seed: int) -> dict:
+    """Each box's seeded block of uniforms."""
+    return {
         b.box_id: uniform_block(seed, b.box_id, b.primitive.pushback_dim)
         for b in k.boxes
     }
-    return replay_with_uniforms(k, z, u)
 
 
 def _exact_factor(p: PrimitiveKernel, par: Value, m: Value) -> Fraction:

@@ -24,10 +24,14 @@ Schema (version 1):
     }
 
 Spaces: {"finite": n} | "countable" | {"real": d} | {"product": [a, b]} |
-{"coproduct": [a, b]}. Primitive parameters are numbers or expression
-strings over the box's input slots; weight expressions see the box's input
-wire values followed by its output wire values and must be nonnegative
-reals. Values serialize as numbers, pair arrays, and {"inl": v}/{"inr": v}.
+{"coproduct": [a, b]}. A primitive takes the parameters of its family in
+primitives.FAMILIES (tabled in README.md); a parameter left out takes its
+default, and only categorical's probs list is required. Each is a constant
+or an expression string over the box's input slots that checks against the
+parameter's shape; a real parameter's constant must be a JSON number.
+Weight expressions see the box's input wire values followed by its output
+wire values and must be nonnegative reals. Values serialize as numbers,
+pair arrays, and {"inl": v}/{"inr": v}.
 
 Error classes map to CLI exit codes: ModelSyntaxError for malformed or
 unresolved structure, ShapeError family for type and parameter problems,
@@ -48,7 +52,7 @@ from .expr import (
 )
 from .interpret import Interpretation, check_interpretation, evaluate
 from .kernels import JointKernel, from_primitive, lift_det
-from .primitives import BUILTIN_NAMES, instantiate
+from .primitives import FAMILIES, instantiate
 from .spaces import (
     Coproduct, CoproductSet, Countable, Finite, FinitePoints, Inl, Inr,
     IntervalBox, Product, ProductSet, Real, Space, Value, nest_product,
@@ -201,35 +205,19 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _param_callable(text: str, dom_spaces: list, expected: Space):
-    ast = parse_expression(text)
-    check_expression(ast, dom_spaces, expected)
-    n = len(dom_spaces)
-
-    def fn(z):
-        return evaluate_expression(ast, unnest_values(z, n))
-
-    return fn
-
-
-def _build_param(value, dom_spaces: list, expected: Space):
+def _build_param(value, dom_spaces: list, shape: Space):
+    """An expression string becomes a callable of the box input; a real
+    parameter's constant must be a JSON number, as true would pass for 1.0.
+    Other constants are left to the family's rule."""
     if isinstance(value, str):
-        return _param_callable(value, dom_spaces, expected)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        ast = parse_expression(value)
+        check_expression(ast, dom_spaces, shape)
+        n = len(dom_spaces)
+        return lambda z: evaluate_expression(ast, unnest_values(z, n))
+    if isinstance(shape, Real) and (
+            isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ModelSyntaxError(f"parameter must be a number or expression, got {value!r}")
     return value
-
-
-_ALLOWED_PARAMS = {
-    "bernoulli": {"p"},
-    "categorical": {"probs"},
-    "uniform01": set(),
-    "uniform": {"a", "b"},
-    "normal": {"mu", "sigma"},
-    "exponential": {"rate"},
-    "poisson": {"rate"},
-    "dirac_countable": {"value"},
-}
 
 
 @dataclass(eq=False)
@@ -368,27 +356,25 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
                 raise ShapeError(
                     f"primitive box {b!r} must have exactly one output wire")
             name = entry["primitive"]
-            if name not in BUILTIN_NAMES:
+            family = FAMILIES.get(name)
+            if family is None:
                 raise ShapeError(f"unknown primitive {name!r} for box {b!r}")
             params_j = entry.get("params", {})
             if not isinstance(params_j, dict):
                 raise ModelSyntaxError(f"params for {b!r} must be an object")
-            bad_keys = set(params_j) - _ALLOWED_PARAMS[name]
+            bad_keys = set(params_j) - family.params.keys()
             if bad_keys:
                 raise ModelSyntaxError(
                     f"{name!r} does not take parameters {sorted(bad_keys)}")
             params = {}
             for key, value in params_j.items():
-                if name == "categorical" and key == "probs":
-                    if not isinstance(value, list):
-                        raise ModelSyntaxError(f"probs for {b!r} must be a list")
-                    params[key] = [_build_param(q, dom_spaces, Real(1)) for q in value]
-                elif name == "dirac_countable" and key == "value":
-                    params[key] = (
-                        _param_callable(value, dom_spaces, Countable())
-                        if isinstance(value, str) else value)
+                param = family.params[key]
+                if not param.many:
+                    params[key] = _build_param(value, dom_spaces, param.shape)
+                elif isinstance(value, list):
+                    params[key] = [_build_param(q, dom_spaces, param.shape) for q in value]
                 else:
-                    params[key] = _build_param(value, dom_spaces, Real(1))
+                    raise ModelSyntaxError(f"{key} for {b!r} must be a list")
             prim = instantiate(name, params, dom=nest_product(dom_spaces))
             if prim.cod != cod_spaces[0]:
                 raise ShapeError(

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .kernels import (
     NEG_INF, DetMap, JointKernel, Trace, _compose, _tensor, enumerate_traces,
-    joint_log_density, run_trace, sample_with_trace,
+    _replay, _uniforms, joint_log_density, run_trace,
 )
 from .rng import derive_seed
 from .spaces import UNIT, UNIT_VALUE, Product, Real, Value, nest_values, unnest_values
@@ -62,15 +62,16 @@ class WeightedJointKernel:
             f if isinstance(f, WeightFactor) else WeightFactor(f)
             for f in self.weight_factors))
 
-    def log_weight(self, t: Trace, z: Value) -> float:
-        """Sum of log factors; -inf when any factor is zero."""
-        factors = self.weight_factors
-        if all(f.slots == (0,) for f in factors):
-            slots = [z]
-        else:
+    def log_weight(self, t: Trace, z: Value, slots: list | None = None) -> float:
+        """Sum of log factors; -inf when any factor is zero.
+
+        slots, when given, are the base program's slot values at t and z,
+        as a replay that drew t returns them; otherwise they are recomputed.
+        """
+        if slots is None:
             slots = run_trace(self.base, z, t)
         total = 0.0
-        for f in factors:
+        for f in self.weight_factors:
             w = float(f.fn(t, *[slots[i] for i in f.slots]))
             if not math.isfinite(w):
                 raise ShapeError(f"non-finite weight factor {w!r}")
@@ -183,8 +184,9 @@ def spw_check(
 
     rows = np.empty((n, len(test_functions)))
     for i in range(n):
-        t, x = sample_with_trace(wk.base, UNIT_VALUE, derive_seed(seed, i))
-        lw = wk.log_weight(t, UNIT_VALUE)
+        t, slots = _replay(wk.base, UNIT_VALUE, _uniforms(wk.base, derive_seed(seed, i)))
+        x = slots[wk.base.out]
+        lw = wk.log_weight(t, UNIT_VALUE, slots)
         w = 0.0 if lw == NEG_INF else math.exp(lw)
         if not math.isfinite(w):
             raise ShapeError(f"non-finite weight {w!r} at sample {i}")

@@ -17,6 +17,7 @@ from jointkern import (
     Inr,
     IntervalBox,
     ModelSyntaxError,
+    ParameterError,
     Product,
     ProductSet,
     Real,
@@ -265,6 +266,13 @@ def test_structural_rejections():
            ModelSyntaxError)
     reject(lambda r: r["interpretation"]["flip"]["params"].update(q=1),
            ModelSyntaxError)
+    # a real parameter is a JSON number or an expression string
+    reject(lambda r: r["interpretation"]["flip"]["params"].update(p=True),
+           ModelSyntaxError)
+    reject(lambda r: r["interpretation"]["flip"]["params"].update(p=[0.5]),
+           ModelSyntaxError)
+    reject(lambda r: r["interpretation"]["flip"].update(
+        primitive="categorical", params={"probs": 0.5}), ModelSyntaxError)
     reject(lambda r: r.update(weights={"nope": "1.0"}), ModelSyntaxError)
     reject(lambda r: r.update(weights={"b2": 3}), ModelSyntaxError)
 
@@ -274,6 +282,10 @@ def test_shape_rejections():
            ShapeError)
     reject(lambda r: r["interpretation"]["flip"]["params"].update(p=2.0),
            ShapeError)
+    # an integer parameter's constant is checked by its family's rule
+    for value in (0.5, True):
+        reject(lambda r: r["interpretation"]["flip"].update(
+            primitive="dirac_countable", params={"value": value}), ParameterError)
     # a primitive whose output lands in the wrong space for the wire
     reject(lambda r: r["interpretation"]["flip"].update(
         primitive="normal", params={"mu": 0.0, "sigma": 1.0}), ShapeError)

@@ -12,6 +12,7 @@ from jointkern import (
     ShapeError,
     UNIT,
     UNIT_VALUE,
+    WeightFactor,
     WeightedJointKernel,
     bernoulli,
     compose,
@@ -22,6 +23,7 @@ from jointkern import (
     joint_log_density,
     kleisli_compose,
     kleisli_tensor,
+    lift_det,
     spw_check,
     uniform,
     unnormalized_log_density,
@@ -193,6 +195,22 @@ def test_spw_check_continuous_with_reference():
     wk = weighted(base, [lambda t, z: 2.0 * t["u"]])
     h = DetMap(Real(1), Real(1), float, "id")
     (rep,) = spw_check(wk, [h], [8.0 / 3.0], n=20000, seed=3)
+    assert rep["pass"]
+
+
+def test_spw_check_runs_the_program_once_per_sample():
+    calls = [0]
+
+    def shift(b):
+        calls[0] += 1
+        return 1.0 + b
+
+    base = compose(from_primitive(bernoulli(0.5), "b"), lift_det(DetMap(TWO, Real(1), shift)))
+    # the factor reads the det step's slot, so scoring it needs that slot's value
+    wk = weighted(base, [WeightFactor(lambda t, x: x, (base.out,))])
+    h = DetMap(Real(1), Real(1), float, "id")
+    (rep,) = spw_check(wk, [h], [2.5], n=1000, seed=4)
+    assert calls[0] == 1000
     assert rep["pass"]
 
 
