@@ -20,6 +20,7 @@ and logpdf round-trips exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,8 +34,8 @@ from .expr import compile_det_map
 from .interpret import Interpretation, evaluate
 from .kernels import joint_log_density, sample_with_trace
 from .model import (
-    Model, descriptor_to_json, parse_model, render_json, value_from_jsonable,
-    value_to_jsonable,
+    Model, _is_number, descriptor_to_json, parse_model, render_json,
+    value_from_jsonable, value_to_jsonable,
 )
 from .rng import derive_seed
 from .spaces import (
@@ -178,7 +179,7 @@ def _run_cf(model: Model, interp: Interpretation, ns) -> int:
             raise ModelSyntaxError("u records must be objects box -> [floats]")
         u = {}
         for b, block in uj.items():
-            if not isinstance(block, list):
+            if not isinstance(block, list) or not all(map(_is_number, block)):
                 raise ModelSyntaxError(f"u for {b!r} must be a list of floats")
             u[b] = [float(x) for x in block]
         t, x = counterfactual(model.diagram, interp, {}, u, z)
@@ -345,6 +346,18 @@ def _split_do(tokens: list, need_model: bool):
     return model, sets, []
 
 
+@functools.cache
+def _parser(cmd: str, nested: bool) -> argparse.ArgumentParser:
+    """The flags of cmd; under `do` the model path is already given. Built
+    once per process: a parser is cyclic garbage once dropped."""
+    parser = argparse.ArgumentParser(prog=f"jointkern {cmd}")
+    if not nested:
+        parser.add_argument("model", help="model file (JSON)")
+    for flag, kwargs in _COMMANDS[cmd][1]:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
 def _run_tokens(tokens: list, model: Model | None, interp: Interpretation | None) -> int:
     if not tokens:
         raise _UsageError("a command is required")
@@ -362,17 +375,11 @@ def _run_tokens(tokens: list, model: Model | None, interp: Interpretation | None
         return _run_tokens(sub, model, surgered)
     if cmd not in _COMMANDS:
         raise _UsageError(f"unknown command {cmd!r}")
-    run, flags = _COMMANDS[cmd]
-    parser = argparse.ArgumentParser(prog=f"jointkern {cmd}")
-    if model is None:
-        parser.add_argument("model", help="model file (JSON)")
-    for flag, kwargs in flags:
-        parser.add_argument(flag, **kwargs)
-    ns = parser.parse_args(rest)
+    ns = _parser(cmd, model is not None).parse_args(rest)
     if model is None:
         model = parse_model(ns.model)
         interp = model.interpretation
-    return run(model, interp, ns)
+    return _COMMANDS[cmd][0](model, interp, ns)
 
 
 def main(argv=None) -> int:

@@ -23,17 +23,27 @@ of Finite(2); if-conditions must have that shape.
 Checking is bidirectional with numeric subsumption Finite(k) <= Countable
 <= Real(1); integer values are adapted to floats only at the typed boundary
 (adapt_value). inl/inr need an expected coproduct shape from context.
+
+A text goes through four steps, each once: one regex splits it into tokens
+(_lex), the parser makes an AST of nested tuples (parse_expression), the
+checker gives it a shape (check_expression), and _build turns the checked
+AST into nested functions of the input slots, so evaluating a record walks
+no AST. _compile runs the four steps for every expression a model holds:
+parameters, det maps, weights and spw test functions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import re
 
 from .errors import EvalError, ExprSyntaxError, ExprTypeError
 from .kernels import DetMap
 from .spaces import (
     Coproduct, Countable, Finite, Inl, Inr, Product, Real, Space,
-    nest_product, nest_values, unnest_values,
+    nest_product, nest_values,
 )
 
 __all__ = [
@@ -49,112 +59,54 @@ _BINARY = {"min", "max"}
 # tokens after which a dot means projection rather than a number
 _ATOMIC = {"ref", "int", "real", "rparen", "name", "proj"}
 
+# a token is its leading whitespace and one of: a ref, a dot with an optional
+# projection digit, a number, a word, an arrow or any other single character;
+# \d is a decimal digit, so '²' (isdigit, not decimal) can only start a word
+_TOKEN = re.compile(r"(\s*)(\$\d*|\.[01]?|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\w+|=>|\S)")
+_PUNCT = {"(": "lparen", ")": "rparen", ",": "comma", "|": "bar", "=>": "arrow",
+          "+": "op", "-": "op", "*": "op", "/": "op", "<": "op"}
+
 
 def _lex(text: str) -> list:
     """Tokens as (kind, value, pos); kinds: ref int real name kw op lparen
     rparen comma proj arrow bar."""
-    out = []
-    i, n = 0, len(text)
-    prev_kind = None
-
-    def push(kind, value, pos):
-        nonlocal prev_kind
-        out.append((kind, value, pos))
-        prev_kind = kind
-
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "$":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ExprSyntaxError("expected digits after $", i)
-            push("ref", int(text[i + 1:j]), i)
-            i = j
-            continue
-        if c == "." and prev_kind in _ATOMIC:
-            if i + 1 < n and text[i + 1] in "01":
-                push("proj", int(text[i + 1]), i)
-                i += 2
-                continue
-            raise ExprSyntaxError("projection must be .0 or .1", i)
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_real = False
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                is_real = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_real = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lit = text[i:j]
-            if is_real:
-                push("real", float(lit), i)
+    out, pos, prev = [], 0, None
+    for space, v in _TOKEN.findall(text):
+        i = pos + len(space)
+        pos = i + len(v)
+        kind = _PUNCT.get(v)
+        if kind is None:
+            c = v[0]
+            if c.isdecimal():
+                kind, v = ("int", int(v)) if v.isdecimal() else ("real", float(v))
+            elif c.isalpha() or c == "_":
+                kind = "kw" if v in _KEYWORDS else "name"
+            elif c == "$":
+                if v == "$":
+                    if text[i + 1:i + 2].isdigit():
+                        raise ExprSyntaxError(f"unexpected character {text[i + 1]!r}", i + 1)
+                    raise ExprSyntaxError("expected digits after $", i)
+                kind, v = "ref", int(v[1:])
+            elif c == "." and prev in _ATOMIC:
+                if v == ".":
+                    raise ExprSyntaxError("projection must be .0 or .1", i)
+                kind, v = "proj", int(v[1])
             else:
-                push("int", int(lit), i)
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            push("kw" if word in _KEYWORDS else "name", word, i)
-            i = j
-            continue
-        if c == "=" and i + 1 < n and text[i + 1] == ">":
-            push("arrow", "=>", i)
-            i += 2
-            continue
-        if c in "+-*/<":
-            push("op", c, i)
-            i += 1
-            continue
-        if c == "(":
-            push("lparen", c, i)
-            i += 1
-            continue
-        if c == ")":
-            push("rparen", c, i)
-            i += 1
-            continue
-        if c == ",":
-            push("comma", c, i)
-            i += 1
-            continue
-        if c == "|":
-            push("bar", c, i)
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
+                raise ExprSyntaxError(f"unexpected character {c!r}", i)
+        out.append((kind, v, i))
+        prev = kind
     return out
 
 
 class _Parser:
     def __init__(self, tokens, text_len):
-        self.toks = tokens
+        # the parser raises as soon as it takes the end token, so it never
+        # reads past it
+        self.toks = tokens + [("eof", None, text_len)]
         self.i = 0
-        self.end = text_len
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else ("eof", None, self.end)
 
     def next(self):
-        t = self.peek()
+        t = self.toks[self.i]
         self.i += 1
         return t
 
@@ -167,13 +119,13 @@ class _Parser:
 
     def parse(self):
         e = self.expr()
-        k, v, pos = self.peek()
+        k, v, pos = self.toks[self.i]
         if k != "eof":
             raise ExprSyntaxError(f"trailing input starting with {v!r}", pos)
         return e
 
     def expr(self):
-        k, v, pos = self.peek()
+        k, v, pos = self.toks[self.i]
         if k == "kw" and v == "if":
             self.next()
             c = self.expr()
@@ -200,11 +152,11 @@ class _Parser:
 
     def cmp(self):
         left = self.add()
-        k, v, pos = self.peek()
+        k, v, pos = self.toks[self.i]
         if k == "op" and v == "<":
             self.next()
             right = self.add()
-            k2, v2, pos2 = self.peek()
+            k2, v2, pos2 = self.toks[self.i]
             if k2 == "op" and v2 == "<":
                 raise ExprSyntaxError("comparison does not associate", pos2)
             return ("lt", left, right, pos)
@@ -213,7 +165,7 @@ class _Parser:
     def add(self):
         e = self.mul()
         while True:
-            k, v, pos = self.peek()
+            k, v, pos = self.toks[self.i]
             if k == "op" and v in "+-":
                 self.next()
                 e = ("bin", v, e, self.mul(), pos)
@@ -223,7 +175,7 @@ class _Parser:
     def mul(self):
         e = self.post()
         while True:
-            k, v, pos = self.peek()
+            k, v, pos = self.toks[self.i]
             if k == "op" and v in "*/":
                 self.next()
                 e = ("bin", v, e, self.post(), pos)
@@ -233,7 +185,7 @@ class _Parser:
     def post(self):
         e = self.atom()
         while True:
-            k, v, pos = self.peek()
+            k, v, pos = self.toks[self.i]
             if k == "proj":
                 self.next()
                 e = ("proj", v, e, pos)
@@ -459,73 +411,100 @@ def check_expression(ast, inputs, expected: Space | None = None, vars=None) -> S
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# building: a checked AST becomes nested functions of the input slots
+
+
+def _div(a, b):
+    try:
+        return a / b
+    except ZeroDivisionError:
+        raise EvalError("division by zero") from None
+
+
+def _exp(a):
+    try:
+        return math.exp(a)
+    except OverflowError:
+        raise EvalError("overflow in exp") from None
+
+
+def _ln(a):
+    if a <= 0:
+        raise EvalError(f"ln of non-positive value {a}")
+    return math.log(a)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div,
+        "neg": operator.neg, "exp": _exp, "ln": _ln, "min": min, "max": max}
+
+
+@functools.cache
+def _slot(j: int, n: int):
+    """The reader of slot j from the left-nested tuple of n slots."""
+    path = [0] * (n - 1 - j) + [1] * (j > 0)
+    if not path:
+        return lambda s: s
+    get = operator.itemgetter(path[0])
+    for i in path[1:]:
+        get = lambda s, get=get, i=i: get(s)[i]
+    return get
+
+
+def _build(ast, n: int, scope: dict):
+    """The function of the left-nested tuple of n slots (nest_values) that
+    computes a checked ast; scope maps each bound name to its slot. Each
+    function binds its children as defaults, not closure cells."""
+    tag = ast[0]
+    if tag == "ref":
+        return _slot(ast[1], n)
+    if tag == "var":
+        return _slot(scope[ast[1]], n)
+    if tag in ("int", "real"):
+        return lambda s, v=ast[1]: v
+    if tag in ("bin", "call"):
+        op, args = _OPS[ast[1]], ast[2:4] if tag == "bin" else ast[2]
+        a = _build(args[0], n, scope)
+        if len(args) == 1:
+            return lambda s, op=op, a=a: op(a(s))
+        b = _build(args[1], n, scope)
+        return lambda s, op=op, a=a, b=b: op(a(s), b(s))
+    if tag in ("lt", "tuple"):
+        a, b = _build(ast[1], n, scope), _build(ast[2], n, scope)
+        if tag == "lt":
+            return lambda s, a=a, b=b: 1 if a(s) < b(s) else 0
+        return lambda s, a=a, b=b: (a(s), b(s))
+    if tag == "proj":
+        return lambda s, e=_build(ast[2], n, scope), k=ast[1]: e(s)[k]
+    if tag in ("inl", "inr"):
+        wrap = Inl if tag == "inl" else Inr
+        return lambda s, e=_build(ast[1], n, scope), wrap=wrap: wrap(e(s))
+    if tag == "if":
+        c, a, b = _build(ast[1], n, scope), _build(ast[2], n, scope), _build(ast[3], n, scope)
+        return lambda s, c=c, a=a, b=b: a(s) if c(s) == 1 else b(s)
+    if tag == "case":
+        _, scrut, x, e1, y, e2, pos = ast
+        # the bound value becomes slot n: the new tuple is (s, value); n > 0,
+        # as the scrutinee's coproduct shape can only come from a slot
+        c = _build(scrut, n, scope)
+        a = _build(e1, n + 1, {**scope, x: n})
+        b = _build(e2, n + 1, {**scope, y: n})
+
+        def case(s, c=c, a=a, b=b):
+            v = c(s)
+            return (a if isinstance(v, Inl) else b)((s, v.value))
+
+        return case
+    raise EvalError(f"unknown expression form {tag!r}")
 
 
 def evaluate_expression(ast, inputs, vars=None):
-    """Evaluate a checked expression; raises EvalError on runtime failures."""
-    return _eval(ast, list(inputs), dict(vars or {}))
+    """Evaluate a checked expression; raises EvalError on runtime failures.
 
-
-def _eval(ast, inputs, vars):
-    tag = ast[0]
-    if tag == "ref":
-        return inputs[ast[1]]
-    if tag == "var":
-        return vars[ast[1]]
-    if tag in ("int", "real"):
-        return ast[1]
-    if tag == "bin":
-        _, op, l, r, pos = ast
-        a, b = _eval(l, inputs, vars), _eval(r, inputs, vars)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        try:
-            return a / b
-        except ZeroDivisionError:
-            raise EvalError("division by zero") from None
-    if tag == "call":
-        _, name, args, pos = ast
-        vals = [_eval(a, inputs, vars) for a in args]
-        if name == "neg":
-            return -vals[0]
-        if name == "exp":
-            try:
-                return math.exp(vals[0])
-            except OverflowError:
-                raise EvalError("overflow in exp") from None
-        if name == "ln":
-            if vals[0] <= 0:
-                raise EvalError(f"ln of non-positive value {vals[0]}")
-            return math.log(vals[0])
-        if name == "min":
-            return min(vals)
-        return max(vals)
-    if tag == "lt":
-        return 1 if _eval(ast[1], inputs, vars) < _eval(ast[2], inputs, vars) else 0
-    if tag == "tuple":
-        return (_eval(ast[1], inputs, vars), _eval(ast[2], inputs, vars))
-    if tag == "proj":
-        v = _eval(ast[2], inputs, vars)
-        return v[ast[1]]
-    if tag == "inl":
-        return Inl(_eval(ast[1], inputs, vars))
-    if tag == "inr":
-        return Inr(_eval(ast[1], inputs, vars))
-    if tag == "if":
-        c = _eval(ast[1], inputs, vars)
-        return _eval(ast[2] if c == 1 else ast[3], inputs, vars)
-    if tag == "case":
-        _, scrut, x, e1, y, e2, pos = ast
-        v = _eval(scrut, inputs, vars)
-        if isinstance(v, Inl):
-            return _eval(e1, inputs, {**vars, x: v.value})
-        return _eval(e2, inputs, {**vars, y: v.value})
-    raise EvalError(f"unknown expression form {tag!r}")
+    This builds the expression on every call; _compile builds it once."""
+    inputs, vars = list(inputs), vars or {}
+    scope = {x: len(inputs) + i for i, x in enumerate(vars)}
+    slots = inputs + list(vars.values())
+    return _build(ast, len(slots), scope)(nest_values(slots))
 
 
 def adapt_value(space: Space, v):
@@ -542,28 +521,37 @@ def adapt_value(space: Space, v):
     return v
 
 
+def _compile(text: str, inputs, expected: Space):
+    """Parse, check against expected and build text, once: the function of
+    the packed input (the left-nested tuple of the input slots, as kernels
+    pass it). Its value is not adapted to expected (see compile_det_map)."""
+    ast = parse_expression(text)
+    check_expression(ast, inputs, expected)
+    return _build(ast, len(inputs), {})
+
+
 def compile_det_map(texts, dom_spaces, cod_spaces, name: str = "det") -> DetMap:
     """Compile one expression per output slot into a packed DetMap.
 
     Inputs $0..$k-1 are the unpacked domain slots; output i must check
-    against cod_spaces[i]. The map's dom/cod are the packed products.
+    against cod_spaces[i], and its value is adapted to it. The map's
+    dom/cod are the packed products.
     """
     dom_spaces = list(dom_spaces)
     cod_spaces = list(cod_spaces)
     if len(texts) != len(cod_spaces):
         raise ExprTypeError(
             f"{len(cod_spaces)} output expressions needed, got {len(texts)}")
-    asts = []
+    fs = []
     for text, sp in zip(texts, cod_spaces):
-        ast = parse_expression(text)
-        check_expression(ast, dom_spaces, sp)
-        asts.append(ast)
-    n = len(dom_spaces)
-
-    def fn(v):
-        vals = unnest_values(v, n)
-        outs = [adapt_value(sp, _eval(ast, vals, {}))
-                for ast, sp in zip(asts, cod_spaces)]
-        return nest_values(outs)
-
+        f = _compile(text, dom_spaces, sp)
+        if sp == _REAL:
+            f = lambda v, f=f: float(f(v))
+        elif isinstance(sp, (Product, Coproduct)):
+            f = lambda v, f=f, sp=sp: adapt_value(sp, f(v))
+        fs.append(f)
+    if len(fs) == 1:
+        fn = fs[0]
+    else:
+        fn = lambda v, fs=fs: nest_values([f(v) for f in fs])
     return DetMap(nest_product(dom_spaces), nest_product(cod_spaces), fn, name)

@@ -47,16 +47,14 @@ from functools import cached_property
 
 from .diagrams import Diagram, Hypergraph, HypMorphism, is_causal_model
 from .errors import DiagramError, ModelSyntaxError, ShapeError
-from .expr import (
-    check_expression, compile_det_map, evaluate_expression, parse_expression,
-)
+from .expr import _compile, compile_det_map
 from .interpret import Interpretation, check_interpretation, evaluate
 from .kernels import JointKernel, from_primitive, lift_det
 from .primitives import FAMILIES, instantiate
 from .spaces import (
     Coproduct, CoproductSet, Countable, Finite, FinitePoints, Inl, Inr,
     IntervalBox, Product, ProductSet, Real, Space, Value, nest_product,
-    unnest_values,
+    nest_values,
 )
 from .weighted import WeightFactor, WeightedJointKernel
 
@@ -116,6 +114,11 @@ def value_to_jsonable(v: Value):
     return v
 
 
+def _is_number(j) -> bool:
+    """A JSON number: an int or a float, and not a bool."""
+    return isinstance(j, (int, float)) and not isinstance(j, bool)
+
+
 def value_from_jsonable(space: Space, j) -> Value:
     """Space-guided decoding, so 1 and 1.0 land in the right space."""
     if isinstance(space, (Finite, Countable)):
@@ -124,10 +127,10 @@ def value_from_jsonable(space: Space, j) -> Value:
         raise ShapeError(f"expected an integer for {space!r}, got {j!r}")
     if isinstance(space, Real):
         if space.dim == 1:
-            if isinstance(j, (int, float)) and not isinstance(j, bool):
+            if _is_number(j):
                 return float(j)
             raise ShapeError(f"expected a number for {space!r}, got {j!r}")
-        if isinstance(j, list) and len(j) == space.dim:
+        if isinstance(j, list) and len(j) == space.dim and all(map(_is_number, j)):
             return tuple(float(x) for x in j)
         raise ShapeError(f"expected {space.dim} numbers for {space!r}, got {j!r}")
     if isinstance(space, Product):
@@ -210,12 +213,8 @@ def _build_param(value, dom_spaces: list, shape: Space):
     parameter's constant must be a JSON number, as true would pass for 1.0.
     Other constants are left to the family's rule."""
     if isinstance(value, str):
-        ast = parse_expression(value)
-        check_expression(ast, dom_spaces, shape)
-        n = len(dom_spaces)
-        return lambda z: evaluate_expression(ast, unnest_values(z, n))
-    if isinstance(shape, Real) and (
-            isinstance(value, bool) or not isinstance(value, (int, float))):
+        return _compile(value, dom_spaces, shape)
+    if isinstance(shape, Real) and not _is_number(value):
         raise ModelSyntaxError(f"parameter must be a number or expression, got {value!r}")
     return value
 
@@ -230,6 +229,8 @@ class Model:
     interpretation: Interpretation
     weight_exprs: dict = field(default_factory=dict)  # graph box -> source text
     path: str | None = None
+    # graph box -> its weight expression, compiled over the packed wire values
+    _weights: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def kernel(self) -> JointKernel:
@@ -252,12 +253,8 @@ class Model:
         g = self.diagram.graph
         slot = evaluate(self.diagram, interp).wires
         factors = []
-        for b, text in sorted(self.weight_exprs.items()):
-            ast = parse_expression(text)
-
-            def factor(t, *values, _ast=ast):
-                return float(evaluate_expression(_ast, values))
-
+        for b, weight in sorted(self._weights.items()):
+            factor = lambda t, *values, weight=weight: float(weight(nest_values(values)))
             factors.append(WeightFactor(factor, tuple(slot[w] for w in g.dom[b] + g.cod[b])))
         return tuple(factors)
 
@@ -402,7 +399,7 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
         raise ShapeError("interpretation does not fit the signature: " + "; ".join(problems))
 
     # weights
-    weight_exprs = {}
+    weight_exprs, weights = {}, {}
     weights_j = raw.get("weights", {})
     if not isinstance(weights_j, dict):
         raise ModelSyntaxError("weights must be an object")
@@ -411,15 +408,14 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
             raise ModelSyntaxError(f"weight references unknown diagram box {b!r}")
         if not isinstance(text, str):
             raise ModelSyntaxError(f"weight for {b!r} must be an expression string")
-        ast = parse_expression(text)
         slots = [wire_spaces[gw[w]] for w in graph.dom[b]] + \
                 [wire_spaces[gw[w]] for w in graph.cod[b]]
-        check_expression(ast, slots, Real(1))
+        weights[b] = _compile(text, slots, Real(1))
         weight_exprs[b] = text
 
     # with the plan and the interpretation checked, compiling cannot fail,
     # so the kernel is left to the first query that runs it
-    return Model(raw, signature, diagram, interp, weight_exprs, path)
+    return Model(raw, signature, diagram, interp, weight_exprs, path, weights)
 
 
 def print_model(model: Model) -> str:

@@ -39,6 +39,8 @@ def test_validate(capsys):
 def test_exit_codes(capsys):
     cases = [
         (str(MODELS / "syntax_error.json"), 3),
+        # '²' passes isdigit() but is no decimal digit
+        (str(MODELS / "digit_error.json"), 3),
         (str(MODELS / "cyclic_bad.json"), 5),
         (str(MODELS / "type_error.json"), 4),
         (str(MODELS / "no_such_file.json"), 2),
@@ -186,6 +188,11 @@ def test_cf_command(capsys, tmp_path):
     assert json.loads(out) == {"trace": {"b1": 0, "b2": 0}, "output": 0}
     code, out, _ = run(capsys, "cf", CHAIN, "--u", str(u), "--set", "flip=1")
     assert json.loads(out) == {"trace": {"b2": 1}, "output": 1}
+    # each u entry must be a JSON number
+    for block in ('["a"]', "[null]", '["0.5"]', "[true]", '{"x": 1}'):
+        u.write_text('{"b1": %s, "b2": [0.6]}\n' % block)
+        code, _, err = run(capsys, "cf", CHAIN, "--u", str(u))
+        assert code == 3 and "must be a list of floats" in err, block
 
 
 def test_cf_under_do_prefix(capsys, tmp_path):
@@ -342,6 +349,12 @@ def test_input_flag(capsys):
     assert 0.6 < ones / 200 < 0.8
     assert main(["sample", INPUTS, "--n", "1", "--input", "{bad"]) == 3
     assert main(["sample", INPUTS, "--n", "1", "--input", "0.5"]) == 4
+    # each coordinate of a real vector must be a JSON number, as for Real(1)
+    real2 = str(MODELS / "real2_input.json")
+    code, out, _ = run(capsys, "sample", real2, "--input", "[0.5, 1]")
+    assert code == 0 and json.loads(out)["output"] == [0.5, 1.0]
+    for bad in ('["a", 1]', "[true, 1]", "[null, 1]"):
+        assert main(["sample", real2, "--input", bad]) == 4, bad
 
 
 def test_logpdf_with_input(capsys, tmp_path):
@@ -367,3 +380,16 @@ def test_subprocess_byte_identical(capsys):
     assert a.returncode == 0 and a.stdout == b.stdout
     code, out, _ = run(capsys, "sample", CHAIN, "--n", "3", "--seed", "5")
     assert out.encode() == a.stdout
+
+
+def test_repeated_main_calls_do_not_leak_flags(capsys, tmp_path):
+    # parsers are built once per process; append defaults must not carry over
+    u = tmp_path / "u.jsonl"
+    u.write_text('{"b1": [0.6], "b2": [0.6]}\n')
+    plain = run(capsys, "cf", CHAIN, "--u", str(u))
+    assert run(capsys, "cf", CHAIN, "--u", str(u), "--set", "flip=1") != plain
+    assert run(capsys, "cf", CHAIN, "--u", str(u)) == plain
+    spw = ("spw", WEIGHTED, "--n", "1000", "--h", "$0")
+    first = run(capsys, *spw)
+    assert len(json.loads(first[1])) == 1
+    assert run(capsys, *spw) == first

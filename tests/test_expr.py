@@ -1,6 +1,8 @@
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jointkern import (
     Coproduct,
@@ -17,6 +19,7 @@ from jointkern import (
     check_expression,
     compile_det_map,
     evaluate_expression,
+    nest_values,
     parse_expression,
 )
 
@@ -140,6 +143,13 @@ def test_syntax_errors_carry_offsets():
     except ExprSyntaxError as e:
         err = e
     assert err is not None and err.pos == 2
+    # '²' passes str.isdigit but is no decimal digit
+    for text, pos in (("0.7²", 3), ("$²", 1), ("1²", 1)):
+        with pytest.raises(ExprSyntaxError, match="unexpected character '²'") as e:
+            parse_expression(text)
+        assert e.value.pos == pos, text
+    # other Unicode decimal digits are digits
+    assert parse_expression("٣") == ("int", 3, 0)
 
 
 def test_shape_errors():
@@ -192,3 +202,159 @@ def test_compile_det_map_adapts_outputs():
     det = compile_det_map(["$0 + 1"], [Finite(2)], [Real(1)])
     out = det(1)
     assert out == 2.0 and isinstance(out, float)
+
+
+# ---------------------------------------------------------------------------
+# differential properties: generated expressions against plain Python
+
+# every generated expression reads these inputs: $0 and $1 reals, $2 an
+# integer, $3 a (real, integer) pair and $4 a tagged real or integer
+INPUT_SPACES = [Real(1), Real(1), Countable(), Product(Real(1), Countable()),
+                Coproduct(Real(1), Countable())]
+REAL_LITERALS = ["0.5", "2.5", "1e-3", "3.0e2", "0.1", "7E1"]
+# the reference fails exactly where the language raises EvalError
+REFERENCE_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
+
+reals = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 710.0, 1e308]),
+                  st.floats(-1e3, 1e3))
+inputs = st.tuples(reals, reals, st.integers(-5, 20), st.tuples(reals, st.integers(-5, 20)),
+                   st.one_of(reals.map(Inl), st.integers(-5, 20).map(Inr)))
+
+
+@st.composite
+def numeric(draw, depth: int, names: tuple = ()):
+    """(text, reference): reference(s, b) computes the text's value from the
+    inputs s and the bound names b, with the same operations in the same
+    order."""
+    leaves = [
+        ("$0", lambda s, b: s[0]), ("$1", lambda s, b: s[1]), ("$2", lambda s, b: s[2]),
+        ("$3.0", lambda s, b: s[3][0]), ("$3.1", lambda s, b: s[3][1]),
+        *((x, lambda s, b, x=x: b[x]) for x in names),
+    ]
+    form = draw(st.sampled_from(["leaf", "int", "real"] + [
+        "+", "-", "*", "/", "neg", "exp", "ln", "min", "max", "<", "if", "case",
+        "pair"] * (depth > 0)))
+    if form == "leaf":
+        return draw(st.sampled_from(leaves))
+    if form == "int":
+        k = draw(st.integers(0, 20))
+        return str(k), lambda s, b: k
+    if form == "real":
+        text = draw(st.sampled_from(REAL_LITERALS))
+        return text, lambda s, b, v=float(text): v
+    sub = numeric(depth - 1, names)
+    (ta, a), (tc, c) = draw(sub), draw(sub)
+    if form == "+":
+        return f"({ta} + {tc})", lambda s, b: a(s, b) + c(s, b)
+    if form == "-":
+        return f"({ta} - {tc})", lambda s, b: a(s, b) - c(s, b)
+    if form == "*":
+        return f"({ta} * {tc})", lambda s, b: a(s, b) * c(s, b)
+    if form == "/":
+        return f"({ta} / {tc})", lambda s, b: a(s, b) / c(s, b)
+    if form == "neg":
+        return f"neg({ta})", lambda s, b: -a(s, b)
+    if form == "exp":
+        return f"exp({ta})", lambda s, b: math.exp(a(s, b))
+    if form == "ln":
+        return f"ln({ta})", lambda s, b: math.log(a(s, b))
+    if form == "min":
+        return f"min({ta}, {tc})", lambda s, b: min(a(s, b), c(s, b))
+    if form == "max":
+        return f"max({ta}, {tc})", lambda s, b: max(a(s, b), c(s, b))
+    if form == "<":
+        return f"({ta} < {tc})", lambda s, b: 1 if a(s, b) < c(s, b) else 0
+    if form == "if":
+        tl, l = draw(sub)
+        return (f"(if {ta} < {tc} then {tl} else {tc})",
+                lambda s, b: l(s, b) if a(s, b) < c(s, b) else c(s, b))
+    if form == "case":
+        x, y = draw(st.sampled_from("xy")), draw(st.sampled_from("xy"))
+        (tl, l), (tr, r) = draw(numeric(depth - 1, names + (x,))), \
+            draw(numeric(depth - 1, names + (y,)))
+
+        def case(s, b):
+            v = s[4]
+            if isinstance(v, Inl):
+                return l(s, {**b, x: v.value})
+            return r(s, {**b, y: v.value})
+
+        return f"(case $4 of inl {x} => {tl} | inr {y} => {tr})", case
+    k = draw(st.sampled_from([0, 1]))
+    return f"({ta}, {tc}).{k}", lambda s, b: (a(s, b), c(s, b))[k]
+
+
+@st.composite
+def shaped(draw):
+    """(text, expected shape, reference of the value adapted to the shape)."""
+    sub = numeric(3)
+    (ta, a), (tc, c) = draw(sub), draw(sub)
+    form = draw(st.sampled_from(["real", "pair", "inl", "inr", "if", "case"]))
+    if form == "real":
+        return ta, Real(1), lambda s: float(a(s, {}))
+    if form == "pair":
+        return f"({ta}, {tc})", Product(Real(1), Real(1)), \
+            lambda s: (float(a(s, {})), float(c(s, {})))
+    tagged = Coproduct(Real(1), Real(1))
+    if form == "inl":
+        return f"inl({ta})", tagged, lambda s: Inl(float(a(s, {})))
+    if form == "inr":
+        return f"inr({ta})", tagged, lambda s: Inr(float(a(s, {})))
+    if form == "if":
+        return (f"if {ta} < {tc} then inl({ta}) else inr({tc})", tagged,
+                lambda s: Inl(float(a(s, {}))) if a(s, {}) < c(s, {}) else Inr(float(c(s, {}))))
+    x = draw(st.sampled_from("xy"))
+    tl, l = draw(numeric(2, (x,)))
+    return (f"case $4 of inl {x} => inl({tl}) | inr y => inr($2)", tagged,
+            lambda s: Inl(float(l(s, {x: s[4].value}))) if isinstance(s[4], Inl)
+            else Inr(float(s[2])))
+
+
+def _bits(v):
+    """v with each float as its bytes, so == compares bit for bit."""
+    if isinstance(v, (Inl, Inr)):
+        return type(v).__name__, _bits(v.value)
+    if isinstance(v, tuple):
+        return tuple(_bits(x) for x in v)
+    if isinstance(v, float):
+        return "float", struct.pack("<d", v)
+    return type(v).__name__, v
+
+
+def _outcome(f, args, errors):
+    """f(*args) bit for bit, or "error" where it raises one of errors."""
+    try:
+        return _bits(f(*args))
+    except errors:
+        return "error"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(shaped(), numeric(3), inputs)
+def test_compiled_expressions_match_reference(top, inner, s):
+    text, shape, ref = top
+    det = compile_det_map([text], INPUT_SPACES, [shape])
+    got = _outcome(det, (nest_values(list(s)),), EvalError)
+    assert got == _outcome(ref, (s,), REFERENCE_ERRORS), text
+    # evaluate_expression keeps integer results: no adaptation
+    text, ref = inner
+    ast = parse_expression(text)
+    check_expression(ast, INPUT_SPACES)
+    got = _outcome(evaluate_expression, (ast, s), EvalError)
+    assert got == _outcome(ref, (s, {}), REFERENCE_ERRORS), text
+
+
+GRAMMAR_PIECES = ["if ", "then ", "else ", "case ", "of ", "inl", "inr", "neg", "exp",
+                  "ln", "min", "max", "$", "$0", "$12", ".", ".0", ".1", "0", "17", "0.5",
+                  "1e3", "2E-2", "e", "x", "y_1", " ", "\t", "(", ")", ",", "=>", "=",
+                  ">", "|", "+", "-", "*", "/", "<", "²", "٣", "½", "é", "一", "\u00a0"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=12).map("".join),
+                 st.text(st.sampled_from("".join(GRAMMAR_PIECES)), max_size=16)))
+def test_parse_raises_only_syntax_errors(text):
+    try:
+        parse_expression(text)
+    except ExprSyntaxError as e:
+        assert 0 <= e.pos <= len(text)

@@ -95,8 +95,9 @@ def test_value_codec():
     v = value_from_jsonable(Real(1), 1)
     assert v == 1.0 and isinstance(v, float)
     assert value_from_jsonable(Real(3), [1, 2, 3]) == (1.0, 2.0, 3.0)
-    with pytest.raises(ShapeError):
-        value_from_jsonable(Real(3), [1, 2])
+    for bad in ([1, 2], ["a", 1, 2], [True, 1, 2], [1, None, 2]):
+        with pytest.raises(ShapeError):
+            value_from_jsonable(Real(3), bad)
 
     sp = Product(Finite(2), Real(1))
     assert value_from_jsonable(sp, [1, 0.5]) == (1, 0.5)
@@ -184,6 +185,25 @@ def test_weighted_model():
     wk2 = m.weighted_kernel(surgered)
     assert expected_value_by_enumeration(wk2, UNIT_VALUE, h) == pytest.approx(
         2.0 * 0.7, abs=1e-12)
+
+
+def test_weight_expressions_are_parsed_once(monkeypatch):
+    import jointkern.expr as expr
+
+    lexed = []
+    lex = expr._lex
+
+    def counting(text):
+        lexed.append(text)
+        return lex(text)
+
+    monkeypatch.setattr(expr, "_lex", counting)
+    m = parse_model(str(MODELS / "weighted.json"))
+    m.weighted_kernel()
+    m.weighted_kernel()
+    assert m.weight_exprs
+    for text in m.weight_exprs.values():
+        assert lexed.count(text) == 1, text
 
 
 def test_weight_reads_dom_then_cod():
