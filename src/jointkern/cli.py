@@ -32,10 +32,10 @@ from .errors import (
 )
 from .expr import compile_det_map
 from .interpret import Interpretation, evaluate
-from .kernels import joint_log_density, sample_with_trace
+from .kernels import joint_log_density, sample_scored
 from .model import (
-    Model, _is_number, descriptor_to_json, parse_model, render_json,
-    value_from_jsonable, value_to_jsonable,
+    Model, _float_text, _is_number, descriptor_to_json, parse_model, render_json,
+    value_encoder, value_from_jsonable, value_to_jsonable,
 )
 from .rng import derive_seed
 from .spaces import (
@@ -127,12 +127,20 @@ def _decode_trace(kernel, j) -> dict:
     return {b: value_from_jsonable(spaces[b], raw[b]) for b in raw}
 
 
-def _record(kernel, z, t, x) -> dict:
-    return {
-        "trace": {b: value_to_jsonable(v) for b, v in t.items()},
-        "output": value_to_jsonable(x),
-        "logpdf": joint_log_density(kernel, z, t),
-    }
+def _record_encoder(trace_spaces: dict, cod):
+    """(trace, output, logpdf) -> the record's render_json text, with the
+    box ids sorted and every value encoder chosen once, from its space."""
+    boxes = [(b, json.dumps(b) + ": ", value_encoder(trace_spaces[b]))
+             for b in sorted(trace_spaces)]
+    output = value_encoder(cod)
+
+    def encode(t, x, logpdf) -> str:
+        return "".join([
+            '{"logpdf": ', _float_text(logpdf), ', "output": ', output(x), ', "trace": {',
+            ", ".join([key + enc(t[b]) for b, key, enc in boxes]), "}}",
+        ])
+
+    return encode
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +156,8 @@ def _run_sample(model: Model, interp: Interpretation, ns) -> int:
     k = evaluate(model.diagram, interp)
     z = _decode_input(model, ns.input)
     seed = ns.seed if ns.seed is not None else _default_seed()
-    lines = []
-    for i in range(ns.n):
-        t, x = sample_with_trace(k, z, derive_seed(seed, i))
-        lines.append(render_json(_record(k, z, t, x)))
+    encode = _record_encoder(_trace_spaces(k), k.cod)
+    lines = [encode(*sample_scored(k, z, derive_seed(seed, i))) for i in range(ns.n)]
     text = "".join(line + "\n" for line in lines)
     if ns.out:
         with open(ns.out, "a", encoding="utf-8") as fh:

@@ -67,6 +67,13 @@ _PUNCT = {"(": "lparen", ")": "rparen", ",": "comma", "|": "bar", "=>": "arrow",
           "+": "op", "-": "op", "*": "op", "/": "op", "<": "op"}
 
 
+def _int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on int digits
+        raise ExprSyntaxError(f"integer of {len(digits)} digits is too long", pos) from None
+
+
 def _lex(text: str) -> list:
     """Tokens as (kind, value, pos); kinds: ref int real name kw op lparen
     rparen comma proj arrow bar."""
@@ -78,7 +85,7 @@ def _lex(text: str) -> list:
         if kind is None:
             c = v[0]
             if c.isdecimal():
-                kind, v = ("int", int(v)) if v.isdecimal() else ("real", float(v))
+                kind, v = ("int", _int(v, i)) if v.isdecimal() else ("real", float(v))
             elif c.isalpha() or c == "_":
                 kind = "kw" if v in _KEYWORDS else "name"
             elif c == "$":
@@ -86,7 +93,7 @@ def _lex(text: str) -> list:
                     if text[i + 1:i + 2].isdigit():
                         raise ExprSyntaxError(f"unexpected character {text[i + 1]!r}", i + 1)
                     raise ExprSyntaxError("expected digits after $", i)
-                kind, v = "ref", int(v[1:])
+                kind, v = "ref", _int(v[1:], i)
             elif c == "." and prev in _ATOMIC:
                 if v == ".":
                     raise ExprSyntaxError("projection must be .0 or .1", i)

@@ -16,6 +16,14 @@ log-density, abduction, enumeration) is one linear pass over the steps and
 costs O(steps). Steps are immutable tuples, so moving a step is one tuple
 build and a kernel, once built, never changes.
 
+A sampled record is a trace and its density, and sample_scored makes both
+in one pass: each box draws from its seeded uniforms and adds its
+log-density at the same parameter point, which it reads once. It keeps the
+checks that can fail on a draw (the input, the output, then every trace
+value must be a point of its space) and drops only the re-checks of
+uniforms it made itself. sample_with_trace is the same pass; uniforms a
+caller supplies go through replay_with_uniforms, which checks each one.
+
 Traces are keyed by box id instead of nested positional tuples, so category
 laws hold literally (associativity does not need re-tupling). The residual
 Space is derived data: the left-nested product of the boxes' codomains.
@@ -66,14 +74,17 @@ class DetMap:
         return self.fn(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PrimitiveKernel:
     """A noise source: density against the base measure plus a uniform pushforward.
 
     log_density(z, m) is the log density of m given parameter z. pushforward
     maps a block of pushback_dim uniforms (and z) to a point of cod; abduct,
     where defined, is its right-inverse. pmf, where defined, is an exact
-    rational pmf used by finite enumeration.
+    rational pmf used by finite enumeration. draw(u, z) is the pair
+    (m, log_density(z, m)) with m = pushforward(u, z), leaving the check
+    that m is a point of cod to the caller; left out, it is derived from
+    those two.
     """
 
     name: str
@@ -84,6 +95,24 @@ class PrimitiveKernel:
     pushforward: Callable[[Sequence[float], Value], Value]
     abduct: Callable[[Value, Value], tuple] | None = None
     pmf: Callable[[Value, Value], Fraction] | None = None
+    draw: Callable[[Sequence[float], Value], tuple] | None = None
+
+    def __init__(self, name, dom, cod, pushback_dim, log_density, pushforward,
+                 abduct=None, pmf=None, draw=None):
+        # one dict update, where the frozen dataclass __init__ makes an
+        # object.__setattr__ call per field; every box build pays this
+        self.__dict__.update(
+            name=name, dom=dom, cod=cod, pushback_dim=pushback_dim,
+            log_density=log_density, pushforward=pushforward, abduct=abduct, pmf=pmf,
+            draw=draw or _derived_draw(pushforward, log_density))
+
+
+def _derived_draw(pushforward, log_density):
+    def draw(u, z):
+        m = pushforward(u, z)
+        return m, log_density(z, m)
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +440,46 @@ def _replay(k: JointKernel, z: Value, u: Mapping[str, Sequence[float]]) -> tuple
     return t, slots
 
 
+def sample_scored(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value, float]:
+    """Draw one record and score it in the same pass: (trace, output, logpdf).
+
+    Bit-reproducible per (kernel, z, seed). The log-densities are added in
+    box order from 0.0, so logpdf has the bits of joint_log_density(k, z,
+    trace), -inf included. The input, the output, then each trace value are
+    checked, in that order; the seeded uniforms are in [0, 1) and of the
+    right length by construction, so they are not.
+    """
+    check_member(k.dom, z, "kernel input")
+    slots = [None] * k.n_slots
+    slots[0] = z
+    t: dict = {}
+    total, vanished = 0.0, False
+    for s in k.steps:
+        if type(s) is TracedBox:
+            box_id, p, src, dst = s
+            m, ld = p.draw(uniform_block(seed, box_id, p.pushback_dim), slots[src])
+            t[box_id] = slots[dst] = m
+            # joint_log_density stops at the first -inf factor
+            if ld == NEG_INF:
+                vanished = True
+            total += ld
+        else:
+            s.run(slots)
+    x = slots[k.out]
+    check_member(k.cod, x, "kernel output")
+    for box in k.boxes:
+        check_member(box.primitive.cod, t[box.box_id], f"trace value for {box.box_id}")
+    return t, x, NEG_INF if vanished else total
+
+
 def sample_with_trace(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value]:
-    """Draw one (trace, output) pair; bit-reproducible per (kernel, z, seed)."""
-    return replay_with_uniforms(k, z, _uniforms(k, seed))
+    """Draw one (trace, output) pair; sample_scored without the logpdf."""
+    t, x, _ = sample_scored(k, z, seed)
+    return t, x
 
 
 def _uniforms(k: JointKernel, seed: int) -> dict:
-    """Each box's seeded block of uniforms."""
+    """Each box's seeded block of uniforms, as sample_scored draws them."""
     return {
         b.box_id: uniform_block(seed, b.box_id, b.primitive.pushback_dim)
         for b in k.boxes

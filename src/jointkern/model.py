@@ -196,6 +196,25 @@ def render_json(obj) -> str:
     raise ShapeError(f"cannot serialize {obj!r}")
 
 
+def value_encoder(space: Space):
+    """v -> render_json(value_to_jsonable(v)) for every point v of space,
+    with the space's shape read once, here, rather than per value."""
+    if isinstance(space, (Finite, Countable)):
+        return str
+    if isinstance(space, Real):
+        if space.dim == 1:
+            return _float_text
+        return lambda v: "[" + ", ".join(map(_float_text, v)) + "]"
+    if isinstance(space, Product):
+        left, right = value_encoder(space.left), value_encoder(space.right)
+        return lambda v: "[" + left(v[0]) + ", " + right(v[1]) + "]"
+    if isinstance(space, Coproduct):
+        left, right = value_encoder(space.left), value_encoder(space.right)
+        return lambda v: ('{"inl": ' + left(v.value) + "}" if isinstance(v, Inl)
+                          else '{"inr": ' + right(v.value) + "}")
+    raise ShapeError(f"not a Space: {space!r}")
+
+
 # ---------------------------------------------------------------------------
 # model parsing
 

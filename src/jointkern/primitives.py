@@ -60,15 +60,18 @@ class Param:
 class Family:
     """A builtin family. params maps each parameter's name to its Param, in
     the order point takes them; point maps the checked values to the point;
-    cod is the codomain, or a function of the raw values giving it;
-    laws(point, observed) returns (log_density, pushforward, abduct, pmf or
-    None), where point(z) is the point at z, and observed(z, m) is too,
-    once m is checked to be a point of the codomain."""
+    cod is the codomain, or a function of the raw values giving it. The
+    laws are functions of the point pt: density(pt, m), push(u, pt),
+    abduct(pt, m) and, for discrete families, pmf(pt, m); instantiate makes
+    the kernel's functions of z from them, so each formula is written once."""
 
     params: dict
     point: Callable
     cod: object
-    laws: Callable
+    density: Callable
+    push: Callable
+    abduct: Callable
+    pmf: Callable | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -120,27 +123,25 @@ def _interval_midpoint(lo: float, hi: float) -> float:
     return mid
 
 
-def _bernoulli(point, observed):
-    def log_density(z, m):
-        p = observed(z, m)
+def _bernoulli():
+    def density(p, m):
         if m == 1:
             return math.log(p) if p > 0.0 else NEG_INF
         return math.log1p(-p) if p < 1.0 else NEG_INF
 
-    def pushforward(u, z):
-        return 1 if u[0] < point(z) else 0
+    def push(u, p):
+        return 1 if u[0] < p else 0
 
-    def abduct(z, m):
-        p = observed(z, m)
+    def abduct(p, m):
         if m == 1:
             return (_interval_midpoint(0.0, p),)
         return (_interval_midpoint(p, 1.0),)
 
-    def pmf(z, m):
-        pe = _decimal_fraction(observed(z, m))
+    def pmf(p, m):
+        pe = _decimal_fraction(p)
         return pe if m == 1 else 1 - pe
 
-    return log_density, pushforward, abduct, pmf
+    return density, push, abduct, pmf
 
 
 class _Probs:
@@ -167,13 +168,12 @@ def _categorical_cod(probs) -> Finite:
     return Finite(len(probs))
 
 
-def _categorical(point, observed):
-    def log_density(z, m):
-        q = observed(z, m).qs[m]
+def _categorical():
+    def density(pt, m):
+        q = pt.qs[m]
         return math.log(float(q)) if q > 0 else NEG_INF
 
-    def pushforward(u, z):
-        pt = point(z)
+    def push(u, pt):
         for i, c in enumerate(pt.cum):
             if u[0] < c:
                 return i
@@ -184,15 +184,15 @@ def _categorical(point, observed):
                 return i
         raise ShapeError("categorical has no positive-probability index")
 
-    def abduct(z, m):
-        cum = observed(z, m).cum
+    def abduct(pt, m):
+        cum = pt.cum
         lo = cum[m - 1] if m > 0 else 0.0
         return (_interval_midpoint(lo, cum[m]),)
 
-    def pmf(z, m):
-        return observed(z, m).qs[m]
+    def pmf(pt, m):
+        return pt.qs[m]
 
-    return log_density, pushforward, abduct, pmf
+    return density, push, abduct, pmf
 
 
 def _ordered(a, b):
@@ -201,61 +201,58 @@ def _ordered(a, b):
     return a, b
 
 
-def _uniform(point, observed):
-    def log_density(z, m):
-        a, b = observed(z, m)
+def _uniform():
+    def density(pt, m):
+        a, b = pt
         return -math.log(b - a) if a <= m <= b else NEG_INF
 
-    def pushforward(u, z):
-        a, b = point(z)
+    def push(u, pt):
+        a, b = pt
         return a + u[0] * (b - a)
 
-    def abduct(z, m):
-        a, b = observed(z, m)
+    def abduct(pt, m):
+        a, b = pt
         if not a <= m <= b:
             raise ShapeError(f"{m} outside the support [{a}, {b}]")
         return (min(max((m - a) / (b - a), 0.0), 1.0),)
 
-    return log_density, pushforward, abduct, None
+    return density, push, abduct, None
 
 
-def _normal(point, observed):
-    def log_density(z, m):
-        mu, sigma = observed(z, m)
+def _normal():
+    def density(pt, m):
+        mu, sigma = pt
         r = (m - mu) / sigma
         return -0.5 * r * r - math.log(sigma) - _HALF_LOG_TWO_PI
 
-    def pushforward(u, z):
-        mu, sigma = point(z)
+    def push(u, pt):
+        mu, sigma = pt
         if not 0.0 < u[0] < 1.0:
             raise ShapeError(f"normal pushforward has no finite value at u={u[0]}")
         return mu + sigma * float(ndtri(u[0]))
 
-    def abduct(z, m):
-        mu, sigma = observed(z, m)
+    def abduct(pt, m):
+        mu, sigma = pt
         return (float(ndtr((m - mu) / sigma)),)
 
-    return log_density, pushforward, abduct, None
+    return density, push, abduct, None
 
 
-def _exponential(point, observed):
-    def log_density(z, m):
-        rate = observed(z, m)
+def _exponential():
+    def density(rate, m):
         return math.log(rate) - rate * m if m >= 0.0 else NEG_INF
 
-    def pushforward(u, z):
-        rate = point(z)
+    def push(u, rate):
         if u[0] >= 1.0:
             raise ShapeError("exponential pushforward has no finite value at u=1")
         return -math.log1p(-u[0]) / rate
 
-    def abduct(z, m):
-        rate = observed(z, m)
+    def abduct(rate, m):
         if m < 0.0:
             raise ShapeError(f"{m} outside the support [0, inf)")
         return (-math.expm1(-rate * m),)
 
-    return log_density, pushforward, abduct, None
+    return density, push, abduct, None
 
 
 def _poisson_terms(rate):
@@ -267,20 +264,18 @@ def _poisson_terms(rate):
         term *= rate / j
 
 
-def _poisson(point, observed):
+def _poisson():
     """rate 0 is the point mass at 0. The sampler walks the CDF with the
     same partial sums abduction uses, so discrete round-trips are exact."""
 
-    def log_density(z, m):
-        rate = observed(z, m)
+    def density(rate, m):
         if m < 0:
             return NEG_INF
         if rate == 0.0:
             return 0.0 if m == 0 else NEG_INF
         return m * math.log(rate) - rate - math.lgamma(m + 1)
 
-    def pushforward(u, z):
-        rate = point(z)
+    def push(u, rate):
         if rate == 0.0:
             return 0
         if u[0] >= 1.0:
@@ -292,8 +287,7 @@ def _poisson(point, observed):
             if u[0] < acc or j >= cap:
                 return j
 
-    def abduct(z, m):
-        rate = observed(z, m)
+    def abduct(rate, m):
         if m < 0:
             raise ShapeError(f"{m} outside the support of poisson")
         if rate == 0.0:
@@ -308,54 +302,54 @@ def _poisson(point, observed):
             if j == m:
                 return (_interval_midpoint(lo, acc),)
 
-    return log_density, pushforward, abduct, None
+    return density, push, abduct, None
 
 
-def _dirac(point, observed):
-    def log_density(z, m):
-        return 0.0 if m == observed(z, m) else NEG_INF
+def _dirac():
+    def density(v, m):
+        return 0.0 if m == v else NEG_INF
 
-    def abduct(z, m):
-        if m != observed(z, m):
+    def abduct(v, m):
+        if m != v:
             raise ShapeError(f"{m} outside the support of dirac_countable")
         return (0.5,)
 
-    def pmf(z, m):
-        return Fraction(1) if m == observed(z, m) else Fraction(0)
+    def pmf(v, m):
+        return Fraction(1) if m == v else Fraction(0)
 
-    return log_density, lambda u, z: point(z), abduct, pmf
+    return density, lambda u, v: v, abduct, pmf
 
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 _UNIFORM = Family(
     {"a": Param(0.0, _REAL, _real("uniform a")), "b": Param(1.0, _REAL, _real("uniform b"))},
-    _ordered, _REAL, _uniform)
+    _ordered, _REAL, *_uniform())
 
 FAMILIES = {
     "bernoulli": Family(
         {"p": Param(0.5, _REAL,
                     _real("bernoulli p", lambda v: 0.0 <= v <= 1.0, "must lie in [0,1]"))},
-        _same, _TWO, _bernoulli),
+        _same, _TWO, *_bernoulli()),
     "categorical": Family(
         {"probs": Param(None, _REAL, _real("categorical probability", *_NONNEGATIVE),
                         many=True)},
-        _Probs, _categorical_cod, _categorical),
+        _Probs, _categorical_cod, *_categorical()),
     "uniform01": replace(_UNIFORM, params={}, point=lambda: (0.0, 1.0)),
     "uniform": _UNIFORM,
     "normal": Family(
         {"mu": Param(0.0, _REAL, _real("normal mu")),
          "sigma": Param(1.0, _REAL, _real("normal sigma", *_POSITIVE))},
-        lambda mu, sigma: (mu, sigma), _REAL, _normal),
+        lambda mu, sigma: (mu, sigma), _REAL, *_normal()),
     "exponential": Family(
         {"rate": Param(1.0, _REAL, _real("exponential rate", *_POSITIVE))},
-        _same, _REAL, _exponential),
+        _same, _REAL, *_exponential()),
     "poisson": Family(
         {"rate": Param(1.0, _REAL, _real("poisson rate", *_NONNEGATIVE))},
-        _same, _COUNTABLE, _poisson),
+        _same, _COUNTABLE, *_poisson()),
     "dirac_countable": Family(
         {"value": Param(0, _COUNTABLE, _integer("dirac_countable point"))},
-        _same, _COUNTABLE, _dirac),
+        _same, _COUNTABLE, *_dirac()),
 }
 
 BUILTIN_NAMES = tuple(FAMILIES)
@@ -476,10 +470,29 @@ def instantiate(name: str, params: dict, dom: Space = UNIT) -> PrimitiveKernel:
     if not callable(point):
         point = lambda z, _pt=point: _pt
 
+    density, push = fam.density, fam.push
+
     # bound as defaults, not closure cells, as in _point
-    def observed(z, m, name=name, cod=cod, point=point):
+    def pushforward(u, z, push=push, point=point):
+        return push(u, point(z))
+
+    def draw(u, z, push=push, density=density, point=point):
+        pt = point(z)
+        m = push(u, pt)
+        return m, density(pt, m)
+
+    return PrimitiveKernel(
+        name, dom, cod, 1, _observed(density, name, cod, point), pushforward,
+        _observed(fam.abduct, name, cod, point),
+        fam.pmf and _observed(fam.pmf, name, cod, point), draw)
+
+
+def _observed(law, name, cod, point):
+    """z, m -> law at the point at z, once m is checked to be a point of cod."""
+
+    def at(z, m, law=law, name=name, cod=cod, point=point):
         if not membership(cod, m):
             raise ShapeError(f"{name}: value {m!r} is not a point of {cod!r}")
-        return point(z)
+        return law(point(z), m)
 
-    return PrimitiveKernel(name, dom, cod, 1, *fam.laws(point, observed))
+    return at

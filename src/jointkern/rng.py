@@ -23,6 +23,8 @@ def unit_uniform(seed: int, box_id: str, slot: int) -> float:
 
 def uniform_block(seed: int, box_id: str, dim: int) -> tuple[float, ...]:
     """A block of `dim` uniforms for one box."""
+    if dim == 1:  # every builtin's block; no generator to set up
+        return (unit_uniform(seed, box_id, 0),)
     return tuple(unit_uniform(seed, box_id, j) for j in range(dim))
 
 

@@ -1,15 +1,23 @@
+import dataclasses
+import importlib.util
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from jointkern.cli import main
+import jointkern.model as model_module
+import jointkern.primitives as primitives
+from jointkern.cli import _decode_input, _decode_trace, main
+from jointkern.kernels import joint_log_density
+from jointkern.model import parse_model
 
 MODELS = Path(__file__).parent / "models"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 CHAIN = str(MODELS / "chain.json")
 WEIGHTED = str(MODELS / "weighted.json")
 INPUTS = str(MODELS / "inputs.json")
@@ -36,11 +44,22 @@ def test_validate(capsys):
     assert (code, out) == (0, "OK\n")
 
 
-def test_exit_codes(capsys):
+def _with_param(tmp_path, name: str, p: str) -> str:
+    """chain.json with step's p set to the expression p."""
+    raw = json.loads(Path(CHAIN).read_text())
+    raw["interpretation"]["step"]["params"]["p"] = p
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_exit_codes(capsys, tmp_path):
     cases = [
         (str(MODELS / "syntax_error.json"), 3),
         # '²' passes isdigit() but is no decimal digit
         (str(MODELS / "digit_error.json"), 3),
+        # past the interpreter's limit on the digits of an int
+        (_with_param(tmp_path, "long_int", "0.5 + 0 * " + "1" * 5000), 3),
         (str(MODELS / "cyclic_bad.json"), 5),
         (str(MODELS / "type_error.json"), 4),
         (str(MODELS / "no_such_file.json"), 2),
@@ -75,6 +94,104 @@ def test_sample_deterministic(capsys):
     # different seeds give different records eventually
     code, out3, _ = run(capsys, "sample", CHAIN, "--n", "5", "--seed", "8")
     assert out3 != out1
+
+
+def _genmodels():
+    spec = importlib.util.spec_from_file_location("genmodels", BENCH / "genmodels.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def test_sample_logpdf_is_joint_log_density_bit_for_bit(capsys, tmp_path):
+    gen = _genmodels()
+    models = [(str(MODELS / f"{name}.json"), extra) for name, extra in (
+        ("chain", ()), ("inputs", ("--input", "1")), ("normal", ()), ("sure", ()),
+        ("uniform2x", ()), ("weighted", ()), ("real2_input", ("--input", "[0.5, 1.5]")))]
+    models += [(gen.write_model(gen.chain_model(160, s)[0], str(tmp_path), f"chain{s}"), ())
+               for s in (1, 2)]
+    models += [(gen.write_model(gen.layered_dag(s, i)[0], str(tmp_path), f"dag{s}_{i}"), ())
+               for s in (1, 2, 3) for i in range(8)]
+    for path, extra in models:
+        model = parse_model(path)
+        k = model.kernel
+        z = _decode_input(model, extra[1] if extra else None)
+        for seed in ("1", "7", "123"):
+            code, out, _ = run(capsys, "sample", path, "--n", "4", "--seed", seed, *extra)
+            assert code == 0, path
+            for line in out.splitlines():
+                rec = json.loads(line)
+                want = joint_log_density(k, z, _decode_trace(k, rec))
+                assert _bits(rec["logpdf"]) == _bits(want), (path, seed, line)
+
+
+def test_sample_evaluates_each_wired_parameter_once(capsys, tmp_path, monkeypatch):
+    calls = [0]
+    compile_ = model_module._compile
+
+    def counting(*args):
+        param = compile_(*args)
+
+        def counted(z):
+            calls[0] += 1
+            return param(z)
+
+        return counted
+
+    monkeypatch.setattr(model_module, "_compile", counting)
+    gen = _genmodels()
+    path = gen.write_model(gen.chain_model(40, 1)[0], str(tmp_path), "chain40")
+    code, out, _ = run(capsys, "sample", path, "--n", "5", "--seed", "2")
+    # the root's parameters are constants; each of the 39 steps reads its
+    # predecessor once per record, to draw and score both
+    assert code == 0 and len(out.splitlines()) == 5
+    assert calls[0] == 5 * 39
+
+
+def _overflow_model(tmp_path, hidden: bool) -> str:
+    """A normal(mu=1.7e308, sigma=1e308) box g, whose draws overflow to inf
+    for most seeds; hidden=True feeds g to a coin that ignores it, so only
+    the coin is output."""
+    boxes = {"gen": {"dom": [], "cod": ["R"]}}
+    raw = {
+        "version": 1,
+        "signature": {"wires": {"R": {"space": {"real": 1}}, "B": {"space": {"finite": 2}}},
+                      "boxes": boxes},
+        "diagram": {"wires": {"r": "R"}, "boxes": {"g": "gen"}, "dom": {"g": []},
+                    "cod": {"g": ["r"]}, "inputs": [], "outputs": ["r"]},
+        "interpretation": {
+            "gen": {"primitive": "normal", "params": {"mu": 1.7e308, "sigma": 1e308}}},
+    }
+    if hidden:
+        boxes["flip"] = {"dom": ["R"], "cod": ["B"]}
+        d = raw["diagram"]
+        d["wires"]["b"] = "B"
+        d["boxes"]["h"] = "flip"
+        d["dom"]["h"] = ["r"]
+        d["cod"]["h"] = ["b"]
+        d["outputs"] = ["b"]
+        raw["interpretation"]["flip"] = {"primitive": "bernoulli", "params": {"p": 0.5}}
+    path = tmp_path / f"overflow_{hidden}.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_sample_checks_every_drawn_value(capsys, tmp_path, monkeypatch):
+    code, out, err = run(capsys, "sample", _overflow_model(tmp_path, True), "--n", "3")
+    assert (code, out) == (4, "")
+    assert err == "error: trace value for g inf is not a point of Real(dim=1)\n"
+    code, out, err = run(capsys, "sample", _overflow_model(tmp_path, False), "--n", "3")
+    assert (code, out) == (4, "")
+    assert err == "error: kernel output inf is not a point of Real(dim=1)\n"
+    # a nan log-density is not printed
+    nan_normal = dataclasses.replace(primitives.FAMILIES["normal"], density=lambda pt, m: math.nan)
+    monkeypatch.setitem(primitives.FAMILIES, "normal", nan_normal)
+    code, out, err = run(capsys, "sample", NORMAL, "--n", "2")
+    assert (code, out, err) == (4, "", "error: cannot serialize NaN\n")
 
 
 def test_sample_env_seed(capsys, monkeypatch):

@@ -150,6 +150,11 @@ def test_syntax_errors_carry_offsets():
         assert e.value.pos == pos, text
     # other Unicode decimal digits are digits
     assert parse_expression("٣") == ("int", 3, 0)
+    # an integer past the interpreter's limit on int digits
+    for text, pos in (("0.5 + " + "1" * 5000, 6), ("$" + "1" * 5000, 0)):
+        with pytest.raises(ExprSyntaxError, match="integer of 5000 digits") as e:
+            parse_expression(text)
+        assert e.value.pos == pos, text
 
 
 def test_shape_errors():

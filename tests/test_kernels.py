@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 
@@ -7,6 +8,7 @@ from jointkern import (
     DetMap,
     Finite,
     NEG_INF,
+    PrimitiveKernel,
     Product,
     Real,
     ShapeError,
@@ -15,6 +17,7 @@ from jointkern import (
     bernoulli,
     compose,
     enumerate_traces,
+    exponential,
     expose_residuals,
     from_primitive,
     identity_kernel,
@@ -22,11 +25,14 @@ from jointkern import (
     lift_det,
     marginal_pmf_finite,
     normal,
+    poisson,
     rename_boxes,
     replay_with_uniforms,
+    sample_scored,
     sample_with_trace,
     structure_kernel,
     tensor,
+    uniform,
 )
 
 from support import ck_composite, kernel_matrix, random_finite_kernel
@@ -223,6 +229,78 @@ def test_sampling_determinism_and_mean():
     n = 20000
     mean = sum(sample_with_trace(b, UNIT_VALUE, s)[1] for s in range(n)) / n
     assert abs(mean - 0.7) < 0.01
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _mixed_chain():
+    """normal -> exponential -> uniform -> poisson, each box's parameter
+    wired to the box before it."""
+    k = from_primitive(normal(0.3, 2.0), "n")
+    k = compose(k, from_primitive(exponential(lambda x: 1.0 + x * x, dom=Real(1)), "e"))
+    k = compose(k, from_primitive(uniform(lambda x: -x, lambda x: x + 1.0, dom=Real(1)), "u"))
+    return compose(k, from_primitive(poisson(lambda x: abs(x) * 3.0, dom=Real(1)), "p"))
+
+
+def test_sample_scored_logpdf_is_joint_log_density_bit_for_bit():
+    rng = random.Random(3)
+    kernels = [chain_kernel(), _mixed_chain()]
+    for i in range(4):
+        kernels.append(compose(random_finite_kernel(rng, 1, 3, f"a{i}"),
+                               random_finite_kernel(rng, 3, 2, f"b{i}")))
+    for k in kernels:
+        for seed in range(40):
+            t, x, logpdf = sample_scored(k, UNIT_VALUE, seed)
+            assert (t, x) == sample_with_trace(k, UNIT_VALUE, seed)
+            assert x == k.mech(t, UNIT_VALUE)
+            assert _bits(logpdf) == _bits(joint_log_density(k, UNIT_VALUE, t))
+
+
+def _hand_built(name, density, push=lambda u, z: 0, dom=UNIT):
+    """A primitive on Finite(2) given only its pushforward and log-density."""
+    return PrimitiveKernel(name, dom, TWO, 1, density, push)
+
+
+def test_hand_built_primitive_draws_through_its_two_laws():
+    calls = []
+
+    def log_density(z, m):
+        calls.append(m)
+        return math.log(0.25 if m == 1 else 0.75)
+
+    p = _hand_built("coin", log_density, lambda u, z: 1 if u[0] < 0.25 else 0)
+    assert p.draw((0.1,), UNIT_VALUE) == (1, math.log(0.25))
+    k = from_primitive(p, "c")
+    for seed in range(20):
+        t, x, logpdf = sample_scored(k, UNIT_VALUE, seed)
+        assert calls[-1] == x == t["c"]
+        assert logpdf == joint_log_density(k, UNIT_VALUE, t)
+
+
+def test_sample_scored_stops_adding_at_the_first_zero_density():
+    # joint_log_density returns -inf at the first -inf factor, so a later
+    # nan (or +inf) factor must not turn the sum into nan
+    for later in (math.nan, math.inf, -1.0):
+        k = compose(from_primitive(_hand_built("zero", lambda z, m: NEG_INF), "a"),
+                    from_primitive(_hand_built("odd", lambda z, m: later, dom=TWO), "b"))
+        assert joint_log_density(k, UNIT_VALUE, {"a": 0, "b": 0}) == NEG_INF
+        assert sample_scored(k, UNIT_VALUE, 0)[2] == NEG_INF
+
+
+def test_sample_scored_checks_the_output_before_the_trace():
+    huge = dict(mu=1.7e308, sigma=1e308)
+    # seed 2 draws inf from both boxes
+    hidden = compose(from_primitive(normal(**huge), "g"),
+                     lift_det(DetMap(Real(1), UNIT, lambda v: UNIT_VALUE, "drop")))
+    with pytest.raises(ShapeError, match=r"^trace value for g inf is not a point"):
+        sample_scored(hidden, UNIT_VALUE, 2)
+    both = tensor(from_primitive(normal(**huge), "g"), from_primitive(normal(**huge), "h"))
+    with pytest.raises(ShapeError, match=r"^kernel output \(inf, inf\) is not a point"):
+        sample_scored(both, (UNIT_VALUE, UNIT_VALUE), 2)
+    with pytest.raises(ShapeError, match="kernel input"):
+        sample_scored(hidden, 1, 2)
 
 
 def test_rename_boxes():

@@ -4,6 +4,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jointkern import (
     Coproduct,
@@ -35,10 +36,13 @@ from jointkern import (
     render_json,
     space_from_json,
     space_to_json,
+    membership,
     value_from_jsonable,
     value_to_jsonable,
     descriptor_to_json,
 )
+from jointkern.cli import _record_encoder
+from jointkern.model import value_encoder
 
 MODELS = Path(__file__).parent / "models"
 
@@ -144,6 +148,58 @@ def test_render_json():
     # 17 significant digits reproduce the double exactly
     for x in (1 / 3, 2.0 ** -40, 1e300, -0.0007):
         assert json.loads(render_json(x)) == x
+
+
+_REALS = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = st.one_of(
+    _REALS.map(lambda x: (Real(1), x)),
+    st.lists(_REALS, min_size=2, max_size=4).map(lambda xs: (Real(len(xs)), tuple(xs))),
+    st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(Finite(n)), st.integers(0, n - 1))),
+    st.integers(-10 ** 20, 10 ** 20).map(lambda m: (Countable(), m)),
+)
+
+
+def _pairs(inner):
+    """A product or coproduct of two (space, point) pairs, and a point of it."""
+    return st.one_of(
+        st.tuples(inner, inner).map(
+            lambda ab: (Product(ab[0][0], ab[1][0]), (ab[0][1], ab[1][1]))),
+        st.tuples(inner, inner, st.booleans()).map(
+            lambda abl: (Coproduct(abl[0][0], abl[1][0]),
+                         Inl(abl[0][1]) if abl[2] else Inr(abl[1][1]))),
+    )
+
+
+# every codomain a model file can give, with one of its points
+POINTS = st.recursive(_LEAVES, _pairs, max_leaves=6)
+LOGPDFS = st.one_of(st.just(float("-inf")), st.floats(allow_nan=False))
+
+
+@settings(derandomize=True, max_examples=400)
+@given(POINTS)
+def test_value_encoder_matches_render_json(point):
+    space, v = point
+    assert membership(space, v)
+    assert value_encoder(space)(v) == render_json(value_to_jsonable(v))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.dictionaries(st.text(min_size=1, max_size=4), POINTS, max_size=4), POINTS, LOGPDFS)
+def test_record_encoder_matches_render_json(boxes, output, logpdf):
+    t = {b: v for b, (_, v) in boxes.items()}
+    encode = _record_encoder({b: sp for b, (sp, _) in boxes.items()}, output[0])
+    assert encode(t, output[1], logpdf) == render_json({
+        "trace": {b: value_to_jsonable(v) for b, v in t.items()},
+        "output": value_to_jsonable(output[1]),
+        "logpdf": logpdf,
+    })
+
+
+def test_record_encoder_renders_zero_density_and_rejects_nan():
+    encode = _record_encoder({"g": Finite(2)}, Finite(2))
+    assert encode({"g": 0}, 0, float("-inf")) == '{"logpdf": -1e9999, "output": 0, "trace": {"g": 0}}'
+    with pytest.raises(ShapeError, match="NaN"):
+        encode({"g": 0}, 0, float("nan"))
 
 
 def test_parse_model_file():
