@@ -15,7 +15,9 @@ from typing import Mapping, Sequence
 from .diagrams import Diagram
 from .errors import ShapeError
 from .interpret import Interpretation, evaluate
-from .kernels import DetMap, lift_det, replay_with_uniforms, run_trace
+from .kernels import (
+    DetMap, JointKernel, abduct_uniforms, lift_det, replay_with_uniforms,
+)
 from .spaces import Value, check_member
 
 __all__ = ["intervene", "counterfactual", "abduct_trace"]
@@ -54,11 +56,32 @@ def counterfactual(
 
     u is keyed by graph box ids; entries for boxes removed by the
     intervention are ignored, so a full abducted assignment can be replayed
-    under any do. Returns the counterfactual trace and output.
+    under any do, and an entry naming no box of d is an error. Returns the
+    counterfactual trace and output.
     """
-    k = evaluate(d, intervene(d, interp, do))
-    ids = set(k.box_ids)
-    return replay_with_uniforms(k, inputs, {b: v for b, v in u.items() if b in ids})
+    return _replayer(d, evaluate(d, intervene(d, interp, do)))(u, inputs)
+
+
+def _replayer(d: Diagram, k: JointKernel):
+    """(u, inputs) -> replay_with_uniforms(k, inputs, u), for k evaluated
+    from d under some intervention, built once per kernel.
+
+    Entries of u for boxes of d that k no longer runs are dropped first;
+    an entry naming no box of d (nor one inside a composite box,
+    "graph_id.inner") stays, for replay_with_uniforms to reject.
+    """
+    ids = k.box_id_set
+    boxes = d.box_label
+
+    def of_d(b) -> bool:
+        return b in boxes or any(b[:i] in boxes for i, c in enumerate(b) if c == ".")
+
+    def replay(u, inputs):
+        if not ids.issuperset(u):
+            u = {b: v for b, v in u.items() if b in ids or not of_d(b)}
+        return replay_with_uniforms(k, inputs, u)
+
+    return replay
 
 
 def abduct_trace(d: Diagram, interp: Interpretation, inputs: Value, t) -> dict:
@@ -66,23 +89,6 @@ def abduct_trace(d: Diagram, interp: Interpretation, inputs: Value, t) -> dict:
 
     Every box's primitive must define abduct and the trace must be in the
     support; the result satisfies counterfactual(d, interp, {}, u, inputs)
-    == (t, output at t).
+    == (t, output at t). See kernels.abduct_uniforms for the checks.
     """
-    k = evaluate(d, interp)
-    missing = [b for b in k.box_ids if b not in t]
-    if missing:
-        raise ShapeError(f"trace is missing boxes {missing}")
-    ids = set(k.box_ids)
-    extra = [b for b in t if b not in ids]
-    if extra:
-        raise ShapeError(f"trace has unknown boxes {extra}")
-    u = {}
-
-    def visit(box, par, m):
-        p = box.primitive
-        if p.abduct is None:
-            raise ShapeError(f"primitive {p.name!r} of box {box.box_id!r} has no abduct")
-        u[box.box_id] = tuple(p.abduct(par, m))
-
-    run_trace(k, inputs, t, visit)
-    return u
+    return abduct_uniforms(evaluate(d, interp), inputs, t)

@@ -25,17 +25,17 @@ import json
 import os
 import sys
 
-from .causal import abduct_trace, counterfactual, intervene
+from .causal import _replayer, intervene
 from .diagrams import export_dot
 from .errors import (
     DiagramError, ExprSyntaxError, ModelSyntaxError, ShapeError,
 )
 from .expr import compile_det_map
 from .interpret import Interpretation, evaluate
-from .kernels import joint_log_density, sample_scored
+from .kernels import abduct_uniforms, joint_log_density, sample_scored
 from .model import (
-    Model, _float_text, _is_number, descriptor_to_json, parse_model, render_json,
-    value_encoder, value_from_jsonable, value_to_jsonable,
+    Model, _float_text, _floats_text, _is_number, descriptor_to_json, parse_model,
+    render_json, value_encoder, value_from_jsonable, value_to_jsonable,
 )
 from .rng import derive_seed
 from .spaces import (
@@ -114,33 +114,57 @@ def _trace_spaces(kernel) -> dict:
     return {b.box_id: b.primitive.cod for b in kernel.boxes}
 
 
-def _decode_trace(kernel, j) -> dict:
-    if not isinstance(j, dict) or "trace" not in j:
-        raise ModelSyntaxError('trace records need a "trace" field')
+def _trace_decoder(kernel):
+    """A trace record -> its trace, each value decoded in its box's space;
+    the spaces are read from the kernel once, here."""
     spaces = _trace_spaces(kernel)
-    raw = j["trace"]
-    if not isinstance(raw, dict):
-        raise ModelSyntaxError("trace must be an object")
-    unknown = [b for b in raw if b not in spaces]
-    if unknown:
-        raise ShapeError(f"trace has unknown boxes {unknown}")
-    return {b: value_from_jsonable(spaces[b], raw[b]) for b in raw}
+
+    def decode(j) -> dict:
+        if not isinstance(j, dict) or "trace" not in j:
+            raise ModelSyntaxError('trace records need a "trace" field')
+        raw = j["trace"]
+        if not isinstance(raw, dict):
+            raise ModelSyntaxError("trace must be an object")
+        unknown = [b for b in raw if b not in spaces]
+        if unknown:
+            raise ShapeError(f"trace has unknown boxes {unknown}")
+        return {b: value_from_jsonable(spaces[b], raw[b]) for b in raw}
+
+    return decode
 
 
-def _record_encoder(trace_spaces: dict, cod):
-    """(trace, output, logpdf) -> the record's render_json text, with the
-    box ids sorted and every value encoder chosen once, from its space."""
-    boxes = [(b, json.dumps(b) + ": ", value_encoder(trace_spaces[b]))
-             for b in sorted(trace_spaces)]
+def _fields(encoders: dict) -> list:
+    """(key, its rendered '"key": ' prefix, its encoder) per key, in the
+    order render_json sorts the keys of an object."""
+    return [(b, json.dumps(b) + ": ", enc) for b, enc in sorted(encoders.items())]
+
+
+def _record_encoder(trace_spaces: dict, cod, scored: bool = True):
+    """(trace, output, logpdf) -> a sampled record's render_json text; not
+    scored, (trace, output) -> a cf record's, which has no logpdf. Every
+    value encoder is chosen once, from its space."""
+    boxes = _fields({b: value_encoder(sp) for b, sp in trace_spaces.items()})
     output = value_encoder(cod)
 
-    def encode(t, x, logpdf) -> str:
+    def scored_record(t, x, logpdf) -> str:
         return "".join([
             '{"logpdf": ', _float_text(logpdf), ', "output": ', output(x), ', "trace": {',
             ", ".join([key + enc(t[b]) for b, key, enc in boxes]), "}}",
         ])
 
-    return encode
+    def record(t, x) -> str:
+        return "".join([
+            '{"output": ', output(x), ', "trace": {',
+            ", ".join([key + enc(t[b]) for b, key, enc in boxes]), "}}",
+        ])
+
+    return scored_record if scored else record
+
+
+def _uniforms_encoder(box_ids):
+    """An abducted u record (box id -> block of floats) -> its render_json text."""
+    boxes = _fields({b: _floats_text for b in box_ids})
+    return lambda u: "{" + ", ".join([key + enc(u[b]) for b, key, enc in boxes]) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -169,41 +193,37 @@ def _run_sample(model: Model, interp: Interpretation, ns) -> int:
 
 def _run_logpdf(model: Model, interp: Interpretation, ns) -> int:
     k = evaluate(model.diagram, interp)
+    decode = _trace_decoder(k)
     z = _decode_input(model, ns.input)
     for rec in _read_jsonl(ns.trace):
-        t = _decode_trace(k, rec)
-        _out("%.17g\n" % joint_log_density(k, z, t))
+        _out("%.17g\n" % joint_log_density(k, z, decode(rec)))
     return 0
 
 
 def _run_cf(model: Model, interp: Interpretation, ns) -> int:
-    # intervene once, so every record replays the same compiled kernel
+    # intervene and compile once, so every record replays the same kernel
     interp = intervene(model.diagram, interp, _parse_do(model, interp, ns.set))
+    k = evaluate(model.diagram, interp)
+    replay = _replayer(model.diagram, k)
+    encode = _record_encoder(_trace_spaces(k), k.cod, scored=False)
     z = _decode_input(model, ns.input)
-    for uj in _read_jsonl(ns.u):
-        if not isinstance(uj, dict):
+    for u in _read_jsonl(ns.u):
+        if not isinstance(u, dict):
             raise ModelSyntaxError("u records must be objects box -> [floats]")
-        u = {}
-        for b, block in uj.items():
+        for b, block in u.items():
             if not isinstance(block, list) or not all(map(_is_number, block)):
                 raise ModelSyntaxError(f"u for {b!r} must be a list of floats")
-            u[b] = [float(x) for x in block]
-        t, x = counterfactual(model.diagram, interp, {}, u, z)
-        _out(render_json({
-            "trace": {b: value_to_jsonable(v) for b, v in t.items()},
-            "output": value_to_jsonable(x),
-        }) + "\n")
+        # replay converts each uniform to float as it checks it
+        _out(encode(*replay(u, z)) + "\n")
     return 0
 
 
 def _run_abduct(model: Model, interp: Interpretation, ns) -> int:
     k = evaluate(model.diagram, interp)
+    decode = _trace_decoder(k)
+    encode = _uniforms_encoder(k.box_ids)
     z = _decode_input(model, ns.input)
-    lines = []
-    for rec in _read_jsonl(ns.trace):
-        t = _decode_trace(k, rec)
-        u = abduct_trace(model.diagram, interp, z, t)
-        lines.append(render_json({b: list(block) for b, block in u.items()}))
+    lines = [encode(abduct_uniforms(k, z, decode(rec))) for rec in _read_jsonl(ns.trace)]
     text = "".join(line + "\n" for line in lines)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:

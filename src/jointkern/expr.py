@@ -29,7 +29,10 @@ A text goes through four steps, each once: one regex splits it into tokens
 checker gives it a shape (check_expression), and _build turns the checked
 AST into nested functions of the input slots, so evaluating a record walks
 no AST. _compile runs the four steps for every expression a model holds:
-parameters, det maps, weights and spw test functions.
+parameters, det maps, weights and spw test functions. The parser bounds
+nesting at MAX_DEPTH levels, so no later step can exhaust the stack; a real
+literal past the float range is a syntax error, and an integer too large
+for a float that meets real arithmetic an EvalError.
 """
 
 from __future__ import annotations
@@ -86,6 +89,8 @@ def _lex(text: str) -> list:
             c = v[0]
             if c.isdecimal():
                 kind, v = ("int", _int(v, i)) if v.isdecimal() else ("real", float(v))
+                if v == math.inf:  # a literal has no sign, so only +inf
+                    raise ExprSyntaxError("real literal is past the float range", i)
             elif c.isalpha() or c == "_":
                 kind = "kw" if v in _KEYWORDS else "name"
             elif c == "$":
@@ -105,12 +110,24 @@ def _lex(text: str) -> list:
     return out
 
 
+# The most levels an expression may nest, in the AST and in the parser's
+# open expressions (parentheses included). Parsing takes about six frames
+# per open expression, and checking, building and running one or two per AST
+# level, so each stays well inside the default recursion limit.
+MAX_DEPTH = 100
+
+
+def _too_deep(pos: int) -> ExprSyntaxError:
+    return ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+
+
 class _Parser:
     def __init__(self, tokens, text_len):
         # the parser raises as soon as it takes the end token, so it never
         # reads past it
         self.toks = tokens + [("eof", None, text_len)]
         self.i = 0
+        self.open = 0  # expressions begun and not yet finished
 
     def next(self):
         t = self.toks[self.i]
@@ -133,6 +150,10 @@ class _Parser:
 
     def expr(self):
         k, v, pos = self.toks[self.i]
+        # bounded here, before the recursion it would deepen
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise _too_deep(pos)
         if k == "kw" and v == "if":
             self.next()
             c = self.expr()
@@ -140,8 +161,8 @@ class _Parser:
             a = self.expr()
             self.expect("kw", "else")
             b = self.expr()
-            return ("if", c, a, b, pos)
-        if k == "kw" and v == "case":
+            e = ("if", c, a, b, pos)
+        elif k == "kw" and v == "case":
             self.next()
             scrut = self.expr()
             self.expect("kw", "of")
@@ -154,8 +175,11 @@ class _Parser:
             y, _ = self.expect("name")
             self.expect("arrow")
             e2 = self.expr()
-            return ("case", scrut, x, e1, y, e2, pos)
-        return self.cmp()
+            e = ("case", scrut, x, e1, y, e2, pos)
+        else:
+            e = self.cmp()
+        self.open -= 1
+        return e
 
     def cmp(self):
         left = self.add()
@@ -241,7 +265,40 @@ class _Parser:
 
 def parse_expression(text: str):
     """Parse to an AST of nested tuples; raises ExprSyntaxError with offset."""
-    return _Parser(_lex(text), len(text)).parse()
+    tokens = _lex(text)
+    ast = _Parser(tokens, len(text)).parse()
+    # every AST node has a token of its own, so only a text of more tokens
+    # than MAX_DEPTH can build a tree that high
+    if len(tokens) > MAX_DEPTH:
+        _check_height(ast)
+    return ast
+
+
+def _children(ast) -> list:
+    """The subexpressions of an AST node (a call's arguments sit in a tuple)."""
+    out = []
+    for x in ast[1:-1]:
+        if type(x) is tuple:
+            out.extend(x if x and type(x[0]) is tuple else (x,))
+    return out
+
+
+def _check_height(ast):
+    """Raise at the first node, in parse order, that stands more than
+    MAX_DEPTH levels high; an explicit stack, as the tree may be deep."""
+    height = {}
+    stack = [(ast, False)]
+    while stack:
+        node, seen = stack.pop()
+        kids = _children(node)
+        if not seen:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(kids))
+            continue
+        h = 1 + max((height[id(kid)] for kid in kids), default=0)
+        if h > MAX_DEPTH:
+            raise _too_deep(node[-1])
+        height[id(node)] = h
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +525,18 @@ def _build(ast, n: int, scope: dict):
         return _slot(scope[ast[1]], n)
     if tag in ("int", "real"):
         return lambda s, v=ast[1]: v
-    if tag in ("bin", "call"):
-        op, args = _OPS[ast[1]], ast[2:4] if tag == "bin" else ast[2]
+    if tag == "bin":
+        _, sym, l, r, pos = ast
+
+        def binop(s, op=_OPS[sym], a=_build(l, n, scope), b=_build(r, n, scope), sym=sym):
+            try:
+                return op(a(s), b(s))
+            except OverflowError:  # an integer meeting a float, or int / int
+                raise EvalError(f"integer too large for a float in {sym!r}") from None
+
+        return binop
+    if tag == "call":
+        op, args = _OPS[ast[1]], ast[2]
         a = _build(args[0], n, scope)
         if len(args) == 1:
             return lambda s, op=op, a=a: op(a(s))
@@ -514,11 +581,18 @@ def evaluate_expression(ast, inputs, vars=None):
     return _build(ast, len(slots), scope)(nest_values(slots))
 
 
+def _to_float(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        raise EvalError("integer too large for a float") from None
+
+
 def adapt_value(space: Space, v):
     """Coerce integer-shaped results to the boundary space (ints to floats
     for Real(1), recursively through pairs and coproduct tags)."""
     if space == _REAL:
-        return float(v)
+        return _to_float(v)
     if isinstance(space, Product):
         return (adapt_value(space.left, v[0]), adapt_value(space.right, v[1]))
     if isinstance(space, Coproduct):
@@ -553,7 +627,7 @@ def compile_det_map(texts, dom_spaces, cod_spaces, name: str = "det") -> DetMap:
     for text, sp in zip(texts, cod_spaces):
         f = _compile(text, dom_spaces, sp)
         if sp == _REAL:
-            f = lambda v, f=f: float(f(v))
+            f = lambda v, f=f: _to_float(f(v))
         elif isinstance(sp, (Product, Coproduct)):
             f = lambda v, f=f, sp=sp: adapt_value(sp, f(v))
         fs.append(f)

@@ -16,13 +16,29 @@ log-density, abduction, enumeration) is one linear pass over the steps and
 costs O(steps). Steps are immutable tuples, so moving a step is one tuple
 build and a kernel, once built, never changes.
 
-A sampled record is a trace and its density, and sample_scored makes both
-in one pass: each box draws from its seeded uniforms and adds its
-log-density at the same parameter point, which it reads once. It keeps the
-checks that can fail on a draw (the input, the output, then every trace
-value must be a point of its space) and drops only the re-checks of
-uniforms it made itself. sample_with_trace is the same pass; uniforms a
-caller supplies go through replay_with_uniforms, which checks each one.
+Each query is one pass, and each pass keeps, in this order, the checks
+that can fail on what it is given or draws:
+
+    sample_scored         seeded draw and log-density, each box reading its
+                          parameter point once (sample, sample_with_trace):
+                          the input, the output, then each trace value
+    sample_slots          seeded draw, unscored, returning every slot (spw):
+                          the input, then the output
+    replay_with_uniforms  uniforms a caller supplies (cf): the input, every
+                          box has a block and every block a box, then each
+                          block's floats, length and range, then the output
+    joint_log_density     a given trace (logpdf): the input, the trace's box
+                          set, then each trace value
+    abduct_uniforms       the uniforms that replay a given trace (abduct):
+                          the trace's box set, then each primitive's abduct
+                          checks its value
+    enumerate_traces      every trace of a finite kernel with its exact
+                          probability: the input and the box codomains
+    run_trace             every slot at a given trace, unchecked
+
+The seeded passes make their own uniforms, in [0, 1) and of the right
+length, and do not check them; sample_slots also leaves the trace values
+unchecked, as spw reads only the output and the weights.
 
 Traces are keyed by box id instead of nested positional tuples, so category
 laws hold literally (associativity does not need re-tupling). The residual
@@ -210,6 +226,10 @@ class JointKernel:
     def box_ids(self) -> tuple[str, ...]:
         return tuple(b.box_id for b in self.boxes)
 
+    @cached_property
+    def box_id_set(self) -> frozenset:
+        return frozenset(self.box_ids)
+
     def mech(self, t: Trace, z: Value) -> Value:
         """The output at input z when every box takes its value from t."""
         return run_trace(self, z, t)[self.out]
@@ -345,30 +365,32 @@ def expose_residuals(k: JointKernel) -> JointKernel:
 # running the program: one pass over the steps
 
 
-def run_trace(k: JointKernel, z: Value, t: Trace, visit=None) -> list:
+def run_trace(k: JointKernel, z: Value, t: Trace) -> list:
     """Every slot's value when the program runs at input z with each box's
     value read from the trace t.
 
-    visit(box, parameter, value), when given, is called for each box in
-    program order. No membership checks: callers check what they need.
+    No membership checks: callers check what they need.
     """
     slots = [None] * k.n_slots
     slots[0] = z
     for s in k.steps:
         if type(s) is TracedBox:
-            m = t[s.box_id]
-            if visit is not None:
-                visit(s, slots[s.src], m)
-            slots[s.dst] = m
+            slots[s.dst] = t[s.box_id]
         else:
             s.run(slots)
     return slots
 
 
+def _mismatch(k: JointKernel, m: Mapping) -> tuple[list, list]:
+    """The box ids m lacks and the keys of m that name no box, in order;
+    one set comparison when m's keys are exactly the box ids."""
+    if m.keys() == k.box_id_set:
+        return [], []
+    return [b for b in k.box_ids if b not in m], [b for b in m if b not in k.box_id_set]
+
+
 def _check_trace_keys(k: JointKernel, t: Trace):
-    ids = set(k.box_ids)
-    missing = [b for b in k.box_ids if b not in t]
-    extra = [b for b in t if b not in ids]
+    missing, extra = _mismatch(k, t)
     if missing or extra:
         raise ShapeError(f"trace key mismatch: missing {missing}, extra {extra}")
 
@@ -404,19 +426,17 @@ def joint_log_density(k: JointKernel, z: Value, t: Trace) -> float:
 def replay_with_uniforms(
     k: JointKernel, z: Value, u: Mapping[str, Sequence[float]]
 ) -> tuple[dict, Value]:
-    """Deterministically run the kernel at fixed uniform blocks per box."""
-    t, slots = _replay(k, z, u)
-    return t, slots[k.out]
+    """Deterministically run the kernel at fixed uniform blocks per box.
 
-
-def _replay(k: JointKernel, z: Value, u: Mapping[str, Sequence[float]]) -> tuple[dict, list]:
-    """replay_with_uniforms, returning every slot's value in place of the output."""
+    The one pass for uniforms a caller supplies, so it checks all of them,
+    in this order: the input; every box has a block and every block names a
+    box; then, box by box, each block's numbers (converted with float), its
+    length and its range [0, 1]; last the output.
+    """
     check_member(k.dom, z, "kernel input")
-    ids = set(k.box_ids)
-    missing = [b for b in k.box_ids if b not in u]
+    missing, extra = _mismatch(k, u)
     if missing:
         raise ShapeError(f"missing uniform blocks for boxes {missing}")
-    extra = [b for b in u if b not in ids]
     if extra:
         raise ShapeError(f"uniform blocks for unknown boxes {extra}")
     slots = [None] * k.n_slots
@@ -427,7 +447,10 @@ def _replay(k: JointKernel, z: Value, u: Mapping[str, Sequence[float]]) -> tuple
             s.run(slots)
             continue
         box_id, p, src, dst = s
-        block = tuple(float(x) for x in u[box_id])
+        try:
+            block = tuple(map(float, u[box_id]))
+        except OverflowError:  # an integer past the float range
+            raise ShapeError(f"uniform outside [0, 1] for box {box_id}") from None
         if len(block) != p.pushback_dim:
             raise ShapeError(
                 f"box {box_id} needs {p.pushback_dim} uniforms, got {len(block)}"
@@ -436,6 +459,29 @@ def _replay(k: JointKernel, z: Value, u: Mapping[str, Sequence[float]]) -> tuple
             if not 0.0 <= x <= 1.0:
                 raise ShapeError(f"uniform {x} outside [0, 1] for box {box_id}")
         t[box_id] = slots[dst] = p.pushforward(block, slots[src])
+    x = slots[k.out]
+    check_member(k.cod, x, "kernel output")
+    return t, x
+
+
+def sample_slots(k: JointKernel, z: Value, seed: int) -> tuple[dict, list]:
+    """Draw one trace unscored: (trace, every slot's value).
+
+    replay_with_uniforms at the seeded uniforms sample_scored draws, less
+    the checks on those uniforms, which are in [0, 1) and of the right
+    length by construction: it checks the input, then the output.
+    """
+    check_member(k.dom, z, "kernel input")
+    slots = [None] * k.n_slots
+    slots[0] = z
+    t: dict = {}
+    for s in k.steps:
+        if type(s) is TracedBox:
+            box_id, p, src, dst = s
+            t[box_id] = slots[dst] = p.pushforward(
+                uniform_block(seed, box_id, p.pushback_dim), slots[src])
+        else:
+            s.run(slots)
     check_member(k.cod, slots[k.out], "kernel output")
     return t, slots
 
@@ -478,12 +524,32 @@ def sample_with_trace(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value]
     return t, x
 
 
-def _uniforms(k: JointKernel, seed: int) -> dict:
-    """Each box's seeded block of uniforms, as sample_scored draws them."""
-    return {
-        b.box_id: uniform_block(seed, b.box_id, b.primitive.pushback_dim)
-        for b in k.boxes
-    }
+def abduct_uniforms(k: JointKernel, z: Value, t: Trace) -> dict:
+    """Uniform blocks that replay to the trace t exactly: box id -> tuple.
+
+    Checks that t has every box and no other, then, box by box, that the
+    box's primitive has an abduct; the primitive's abduct checks that the
+    value is a point of its space and in the support.
+    """
+    missing, extra = _mismatch(k, t)
+    if missing:
+        raise ShapeError(f"trace is missing boxes {missing}")
+    if extra:
+        raise ShapeError(f"trace has unknown boxes {extra}")
+    slots = [None] * k.n_slots
+    slots[0] = z
+    u: dict = {}
+    for s in k.steps:
+        if type(s) is TracedBox:
+            box_id, p, src, dst = s
+            if p.abduct is None:
+                raise ShapeError(f"primitive {p.name!r} of box {box_id!r} has no abduct")
+            m = t[box_id]
+            u[box_id] = tuple(p.abduct(slots[src], m))
+            slots[dst] = m
+        else:
+            s.run(slots)
+    return u
 
 
 def _exact_factor(p: PrimitiveKernel, par: Value, m: Value) -> Fraction:

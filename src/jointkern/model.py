@@ -196,15 +196,18 @@ def render_json(obj) -> str:
     raise ShapeError(f"cannot serialize {obj!r}")
 
 
+def _floats_text(v) -> str:
+    """A sequence of floats as render_json renders the list of them."""
+    return "[" + ", ".join(map(_float_text, v)) + "]"
+
+
 def value_encoder(space: Space):
     """v -> render_json(value_to_jsonable(v)) for every point v of space,
     with the space's shape read once, here, rather than per value."""
     if isinstance(space, (Finite, Countable)):
         return str
     if isinstance(space, Real):
-        if space.dim == 1:
-            return _float_text
-        return lambda v: "[" + ", ".join(map(_float_text, v)) + "]"
+        return _float_text if space.dim == 1 else _floats_text
     if isinstance(space, Product):
         left, right = value_encoder(space.left), value_encoder(space.right)
         return lambda v: "[" + left(v[0]) + ", " + right(v[1]) + "]"

@@ -82,7 +82,11 @@ def _real(what: str, ok=None, needs: str = ""):
     """The rule for a finite real that also satisfies ok, when given."""
 
     def rule(v) -> float:
-        v = float(v)
+        try:
+            v = float(v)
+        except OverflowError:  # an integer past the float range
+            raise ParameterError(
+                f"{what} must be finite, got an integer too large for a float") from None
         if not math.isfinite(v):
             raise ParameterError(f"{what} must be finite, got {v!r}")
         if ok is not None and not ok(v):

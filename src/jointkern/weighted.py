@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .kernels import (
     NEG_INF, DetMap, JointKernel, Trace, _compose, _tensor, enumerate_traces,
-    _replay, _uniforms, joint_log_density, run_trace,
+    joint_log_density, run_trace, sample_slots,
 )
 from .rng import derive_seed
 from .spaces import UNIT, UNIT_VALUE, Product, Real, Value, nest_values, unnest_values
@@ -182,16 +182,17 @@ def spw_check(
         if len(refs) != len(test_functions):
             raise ShapeError("one reference value per test function is required")
 
-    rows = np.empty((n, len(test_functions)))
+    base, log_weight = wk.base, wk.log_weight
+    rows = []
     for i in range(n):
-        t, slots = _replay(wk.base, UNIT_VALUE, _uniforms(wk.base, derive_seed(seed, i)))
-        x = slots[wk.base.out]
-        lw = wk.log_weight(t, UNIT_VALUE, slots)
+        t, slots = sample_slots(base, UNIT_VALUE, derive_seed(seed, i))
+        x = slots[base.out]
+        lw = log_weight(t, UNIT_VALUE, slots)
         w = 0.0 if lw == NEG_INF else math.exp(lw)
         if not math.isfinite(w):
             raise ShapeError(f"non-finite weight {w!r} at sample {i}")
-        for j, h in enumerate(test_functions):
-            rows[i, j] = w * float(h(x))
+        rows.append([w * float(h(x)) for h in test_functions])
+    rows = np.array(rows)
 
     out = []
     for j in range(len(test_functions)):

@@ -10,6 +10,7 @@ from jointkern import (
     UNIT_VALUE,
     abduct_trace,
     bernoulli,
+    compose,
     counterfactual,
     derive_seed,
     enumerate_traces,
@@ -112,6 +113,27 @@ def test_counterfactual_ignores_removed_boxes():
     u = abduct_trace(d, interp, UNIT_VALUE, {"b1": 0, "b2": 1})
     t, x = counterfactual(d, interp, {"flip": 1}, u, UNIT_VALUE)
     assert "b1" not in t and x == t["b2"]
+    # an entry naming no box of the diagram is an error, intervened or not
+    for do in ({}, {"flip": 1}):
+        with pytest.raises(ShapeError, match=r"unknown boxes \['zz'\]"):
+            counterfactual(d, interp, do, {**u, "zz": (0.5,)}, UNIT_VALUE)
+
+
+def test_counterfactual_ignores_removed_composite_boxes():
+    # flip's kernel is a composite of two coins: its boxes are b1.a and b1.b
+    d, interp = chain_parts()
+    second = bernoulli(p=lambda z: 0.9 if z == 1 else 0.1, dom=TWO)
+    kernels = dict(interp.box_kernels)
+    kernels["flip"] = compose(from_primitive(bernoulli(0.5), "a"), from_primitive(second, "b"))
+    interp = Interpretation(interp.wire_spaces, kernels, {"flip": ("B", "B"), "step": ("B",)})
+    t, x = sample_model(d, interp, UNIT_VALUE, seed=3)
+    assert set(t) == {"b1.a", "b1.b", "b2"}
+    u = abduct_trace(d, interp, UNIT_VALUE, t)
+    assert counterfactual(d, interp, {}, u, UNIT_VALUE) == (t, x)
+    t2, x2 = counterfactual(d, interp, {"flip": 1}, u, UNIT_VALUE)
+    assert set(t2) == {"b2"} and x2 == t2["b2"]
+    with pytest.raises(ShapeError, match=r"unknown boxes \['b9.a'\]"):
+        counterfactual(d, interp, {"flip": 1}, {**u, "b9.a": (0.5,)}, UNIT_VALUE)
 
 
 def test_abduct_guards():

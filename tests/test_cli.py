@@ -12,7 +12,7 @@ import pytest
 
 import jointkern.model as model_module
 import jointkern.primitives as primitives
-from jointkern.cli import _decode_input, _decode_trace, main
+from jointkern.cli import _decode_input, _trace_decoder, main
 from jointkern.kernels import joint_log_density
 from jointkern.model import parse_model
 
@@ -60,6 +60,11 @@ def test_exit_codes(capsys, tmp_path):
         (str(MODELS / "digit_error.json"), 3),
         # past the interpreter's limit on the digits of an int
         (_with_param(tmp_path, "long_int", "0.5 + 0 * " + "1" * 5000), 3),
+        # a real literal past the float range
+        (_with_param(tmp_path, "big_real", "if 1e400 < 0 then 0.2 else 0.7"), 3),
+        # nesting past the parser's bound, long or deep
+        (_with_param(tmp_path, "long_sum", "0.1" + " + 0" * 1200), 3),
+        (_with_param(tmp_path, "deep_parens", "(" * 200 + "0.5" + ")" * 200), 3),
         (str(MODELS / "cyclic_bad.json"), 5),
         (str(MODELS / "type_error.json"), 4),
         (str(MODELS / "no_such_file.json"), 2),
@@ -71,6 +76,14 @@ def test_exit_codes(capsys, tmp_path):
         assert code == want, path
         if "unproduced" in path:
             assert "is never produced" in err, err
+    # an integer too large for a float checks, then fails on the first record
+    big_int = _with_param(tmp_path, "big_int", "0.5 * " + "1" * 400)
+    assert run(capsys, "validate", big_int)[0] == 0
+    code, out, err = run(capsys, "sample", big_int, "--n", "1")
+    assert (code, out, err) == (4, "", "error: integer too large for a float in '*'\n")
+    code, out, err = run(capsys, "sample", _with_param(tmp_path, "big_p", "1" * 400), "--n", "1")
+    assert (code, out) == (4, "")
+    assert err == "error: bernoulli p must be finite, got an integer too large for a float\n"
 
 
 def test_cycle_violations_are_listed(capsys):
@@ -119,13 +132,14 @@ def test_sample_logpdf_is_joint_log_density_bit_for_bit(capsys, tmp_path):
     for path, extra in models:
         model = parse_model(path)
         k = model.kernel
+        decode = _trace_decoder(k)
         z = _decode_input(model, extra[1] if extra else None)
         for seed in ("1", "7", "123"):
             code, out, _ = run(capsys, "sample", path, "--n", "4", "--seed", seed, *extra)
             assert code == 0, path
             for line in out.splitlines():
                 rec = json.loads(line)
-                want = joint_log_density(k, z, _decode_trace(k, rec))
+                want = joint_log_density(k, z, decode(rec))
                 assert _bits(rec["logpdf"]) == _bits(want), (path, seed, line)
 
 
@@ -310,6 +324,21 @@ def test_cf_command(capsys, tmp_path):
         u.write_text('{"b1": %s, "b2": [0.6]}\n' % block)
         code, _, err = run(capsys, "cf", CHAIN, "--u", str(u))
         assert code == 3 and "must be a list of floats" in err, block
+
+
+def test_cf_rejects_unknown_boxes(capsys, tmp_path):
+    u = tmp_path / "u.jsonl"
+    u.write_text('{"b1": [0.25], "zz": [0.85], "b2": [0.3]}\n')
+    for argv in (["cf", CHAIN, "--u", str(u)],
+                 ["cf", CHAIN, "--u", str(u), "--set", "flip=1"],
+                 ["do", CHAIN, "--set", "flip=1", "cf", "--u", str(u)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, ""), argv
+        assert err == "error: uniform blocks for unknown boxes ['zz']\n", argv
+    # an entry for a box the intervention removed is still ignored
+    u.write_text('{"b1": [0.25], "b2": [0.3]}\n')
+    code, out, _ = run(capsys, "cf", CHAIN, "--u", str(u), "--set", "flip=1")
+    assert code == 0 and json.loads(out) == {"trace": {"b2": 1}, "output": 1}
 
 
 def test_cf_under_do_prefix(capsys, tmp_path):

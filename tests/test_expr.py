@@ -120,6 +120,14 @@ def test_runtime_errors():
     with pytest.raises(EvalError, match="overflow"):
         run("exp(1000000)")
     assert run("ln(exp(2))") == pytest.approx(2.0)
+    # an integer that does not fit a float, meeting real arithmetic
+    big = "1" * 400
+    for text in ("0.5 * " + big, big + " - 0.5", big + " / 1"):
+        with pytest.raises(EvalError, match="integer too large for a float"):
+            run(text)
+    with pytest.raises(EvalError, match="integer too large for a float"):
+        compile_det_map([big], [], [Real(1)])(())
+    assert run(big + " * " + big) == int(big) ** 2  # integers stay exact
 
 
 def test_syntax_errors_carry_offsets():
@@ -155,6 +163,27 @@ def test_syntax_errors_carry_offsets():
         with pytest.raises(ExprSyntaxError, match="integer of 5000 digits") as e:
             parse_expression(text)
         assert e.value.pos == pos, text
+    # a real literal past the float range
+    for text, pos in (("if 1e400 < 0 then 0.2 else 0.7", 3), ("0 * 1e400 + 0.5", 4),
+                      ("1" * 400 + ".0", 0)):
+        with pytest.raises(ExprSyntaxError, match="past the float range") as e:
+            parse_expression(text)
+        assert e.value.pos == pos, text
+    assert parse_expression("1e308") == ("real", 1e308, 0)
+
+
+def test_nesting_is_bounded():
+    # the bound is crossed at the 100th '+', and inside the 100th parenthesis
+    for text, pos in (("0.1" + " + 0" * 1200, 400), ("(" * 200 + "0.5" + ")" * 200, 100),
+                      ("neg(" * 150 + "0.5" + ")" * 150, 400)):
+        with pytest.raises(ExprSyntaxError, match="nests deeper than 100 levels") as e:
+            parse_expression(text)
+        assert e.value.pos == pos, text
+    # just inside the bound, parse, check, build and run all work
+    assert run("0.1" + " + 0" * 99) == pytest.approx(0.1)
+    assert run("(" * 99 + "0.5" + ")" * 99) == 0.5
+    assert run("neg(" * 98 + "0.5" + ")" * 98) == 0.5
+    assert run("if 1 < 2 then " * 98 + "0.5" + " else 0.5" * 98) == 0.5
 
 
 def test_shape_errors():

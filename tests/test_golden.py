@@ -3,7 +3,9 @@
 The files under tests/golden were written by the commands in CASES, run in
 order, before the joint kernel became a flat slot program; later commands
 read earlier outputs (logpdf and abduct read the sampled records, cf reads
-the abducted uniforms). Regenerate only for a deliberate output change:
+the abducted uniforms). The spw audits in SPW, one per weighted fixture,
+were written before spw drew its samples in an unscored seeded pass.
+Regenerate only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -39,6 +41,16 @@ CASES = {
     "do_cf": ("do", "--set", "{set}", "cf", "--u", "{abduct}"),
 }
 
+# fixture -> extra spw flags; the golden file is FIXTURE.spw.txt
+SPW = {
+    "weighted": (),
+    "uniform2x": ("--ref", "2.6666666666666665"),
+}
+
+
+def spw_argv(fixture: str) -> list:
+    return ["spw", str(MODELS / f"{fixture}.json"), "--n", "2000", "--seed", "7", *SPW[fixture]]
+
 
 def argv(fixture: str, case: str) -> list:
     extra, setting = FIXTURES[fixture]
@@ -59,19 +71,27 @@ def test_cli_stdout_matches_golden(capsys, fixture, case):
     assert out == want
 
 
+@pytest.mark.parametrize("fixture", list(SPW))
+def test_spw_stdout_matches_golden(capsys, fixture):
+    assert main(spw_argv(fixture)) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{fixture}.spw.txt").read_text(encoding="utf-8")
+
+
 def _regenerate():
     import contextlib
     import io
 
     GOLDEN.mkdir(exist_ok=True)
-    for fixture in FIXTURES:
-        for case in CASES:
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = main(argv(fixture, case))
-            if code != 0:
-                raise SystemExit(f"{fixture} {case}: exit {code}")
-            (GOLDEN / f"{fixture}.{case}.txt").write_text(buf.getvalue(), encoding="utf-8")
+    runs = [(f"{fixture}.{case}", argv(fixture, case)) for fixture in FIXTURES for case in CASES]
+    runs += [(f"{fixture}.spw", spw_argv(fixture)) for fixture in SPW]
+    for name, args in runs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(args)
+        if code != 0:
+            raise SystemExit(f"{name}: exit {code}")
+        (GOLDEN / f"{name}.txt").write_text(buf.getvalue(), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from jointkern import (
     value_to_jsonable,
     descriptor_to_json,
 )
-from jointkern.cli import _record_encoder
+from jointkern.cli import _record_encoder, _uniforms_encoder
 from jointkern.model import value_encoder
 
 MODELS = Path(__file__).parent / "models"
@@ -193,6 +193,42 @@ def test_record_encoder_matches_render_json(boxes, output, logpdf):
         "output": value_to_jsonable(output[1]),
         "logpdf": logpdf,
     })
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.dictionaries(st.text(min_size=1, max_size=4), POINTS, max_size=4), POINTS)
+def test_cf_record_encoder_matches_render_json(boxes, output):
+    t = {b: v for b, (_, v) in boxes.items()}
+    encode = _record_encoder({b: sp for b, (sp, _) in boxes.items()}, output[0], scored=False)
+    assert encode(t, output[1]) == render_json({
+        "trace": {b: value_to_jsonable(v) for b, v in t.items()},
+        "output": value_to_jsonable(output[1]),
+    })
+
+
+# abducted blocks are uniforms, but the encoder must render any float as
+# render_json does, infinities included
+_BLOCKS = st.lists(st.floats(allow_nan=False), max_size=3).map(tuple)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.dictionaries(st.text(min_size=1, max_size=4), _BLOCKS, max_size=4))
+def test_uniforms_encoder_matches_render_json(u):
+    encode = _uniforms_encoder(list(u))
+    assert encode(u) == render_json({b: list(block) for b, block in u.items()})
+
+
+def test_encoders_render_infinities_and_reject_nan():
+    encode = _uniforms_encoder(["g", "a"])
+    inf = float("inf")
+    assert encode({"g": (-inf, inf), "a": ()}) == '{"a": [], "g": [-1e9999, 1e9999]}'
+    with pytest.raises(ShapeError, match="NaN"):
+        encode({"g": (0.5, float("nan")), "a": ()})
+    encode = _record_encoder({"x": Real(1)}, Real(2), scored=False)
+    assert encode({"x": -inf}, (inf, 0.0)) == (
+        '{"output": [1e9999, 0.0], "trace": {"x": -1e9999}}')
+    with pytest.raises(ShapeError, match="NaN"):
+        encode({"x": float("nan")}, (0.0, 0.0))
 
 
 def test_record_encoder_renders_zero_density_and_rejects_nan():
