@@ -16,8 +16,10 @@ log-density, abduction, enumeration) is one linear pass over the steps and
 costs O(steps). Steps are immutable tuples, so moving a step is one tuple
 build and a kernel, once built, never changes.
 
-Each query is one pass, and each pass keeps, in this order, the checks
-that can fail on what it is given or draws:
+Each query is one pass. A pass reads each box's parameter point once, with
+PrimitiveKernel.point, and calls the primitive's laws at that point; each
+pass keeps, in this order, the checks that can fail on what it is given or
+draws:
 
     sample_scored         seeded draw and log-density, each box reading its
                           parameter point once (sample, sample_with_trace):
@@ -30,8 +32,9 @@ that can fail on what it is given or draws:
     joint_log_density     a given trace (logpdf): the input, the trace's box
                           set, then each trace value
     abduct_uniforms       the uniforms that replay a given trace (abduct):
-                          the trace's box set, then each primitive's abduct
-                          checks its value
+                          the trace's box set, then, box by box, that the
+                          primitive has an abduct law, the value's
+                          membership, then its support
     enumerate_traces      every trace of a finite kernel with its exact
                           probability: the input and the box codomains
     run_trace             every slot at a given trace, unchecked
@@ -65,6 +68,7 @@ from .spaces import (
     check_member,
     finite_points,
     is_finite_space,
+    membership,
     nest_product,
     nest_values,
     unnest_values,
@@ -92,43 +96,55 @@ class DetMap:
 
 @dataclass(frozen=True, init=False)
 class PrimitiveKernel:
-    """A noise source: density against the base measure plus a uniform pushforward.
+    """A noise source: a parameter point and the laws of that point.
 
-    log_density(z, m) is the log density of m given parameter z. pushforward
-    maps a block of pushback_dim uniforms (and z) to a point of cod; abduct,
-    where defined, is its right-inverse. pmf, where defined, is an exact
-    rational pmf used by finite enumeration. draw(u, z) is the pair
-    (m, log_density(z, m)) with m = pushforward(u, z), leaving the check
-    that m is a point of cod to the caller; left out, it is derived from
-    those two.
+    point maps the kernel input z to the parameter point pt; left out, it is
+    the identity, so the laws read z itself. The laws are functions of pt:
+    density(pt, m), the log density of m against cod's base measure;
+    push(u, pt), the point of cod that a block of one uniform pushes
+    forward to; and, where defined, abduct_law(pt, m), a right-inverse of
+    push, and pmf_law(pt, m), an exact rational pmf used by finite
+    enumeration. The methods are the laws as functions of z; those given an
+    observed m first check that it is a point of cod.
     """
 
     name: str
     dom: Space
     cod: Space
-    pushback_dim: int
-    log_density: Callable[[Value, Value], float]
-    pushforward: Callable[[Sequence[float], Value], Value]
-    abduct: Callable[[Value, Value], tuple] | None = None
-    pmf: Callable[[Value, Value], Fraction] | None = None
-    draw: Callable[[Sequence[float], Value], tuple] | None = None
+    density: Callable[[object, Value], float]
+    push: Callable[[Sequence[float], object], Value]
+    # the defaults live in __init__: a function on the class as point's
+    # default would keep CPython 3.11 from specializing the passes' p.point
+    abduct_law: Callable[[object, Value], tuple] | None
+    pmf_law: Callable[[object, Value], Fraction] | None
+    point: Callable[[Value], object]
 
-    def __init__(self, name, dom, cod, pushback_dim, log_density, pushforward,
-                 abduct=None, pmf=None, draw=None):
+    def __init__(self, name, dom, cod, density, push, abduct_law=None, pmf_law=None,
+                 point=lambda z: z):
         # one dict update, where the frozen dataclass __init__ makes an
         # object.__setattr__ call per field; every box build pays this
         self.__dict__.update(
-            name=name, dom=dom, cod=cod, pushback_dim=pushback_dim,
-            log_density=log_density, pushforward=pushforward, abduct=abduct, pmf=pmf,
-            draw=draw or _derived_draw(pushforward, log_density))
+            name=name, dom=dom, cod=cod, density=density, push=push,
+            abduct_law=abduct_law, pmf_law=pmf_law, point=point)
 
+    def check_value(self, m: Value):
+        if not membership(self.cod, m):
+            raise ShapeError(f"{self.name}: value {m!r} is not a point of {self.cod!r}")
 
-def _derived_draw(pushforward, log_density):
-    def draw(u, z):
-        m = pushforward(u, z)
-        return m, log_density(z, m)
+    def log_density(self, z: Value, m: Value) -> float:
+        self.check_value(m)
+        return self.density(self.point(z), m)
 
-    return draw
+    def pushforward(self, u: Sequence[float], z: Value) -> Value:
+        return self.push(u, self.point(z))
+
+    def abduct(self, z: Value, m: Value) -> tuple:
+        self.check_value(m)
+        return self.abduct_law(self.point(z), m)
+
+    def pmf(self, z: Value, m: Value) -> Fraction:
+        self.check_value(m)
+        return self.pmf_law(self.point(z), m)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +429,7 @@ def joint_log_density(k: JointKernel, z: Value, t: Trace) -> float:
         if type(s) is TracedBox:
             box_id, p, src, dst = s
             m = t[box_id]
-            ld = p.log_density(slots[src], m)
+            ld = p.density(p.point(slots[src]), m)
             if ld == NEG_INF:
                 return NEG_INF
             total += ld
@@ -431,7 +447,7 @@ def replay_with_uniforms(
     The one pass for uniforms a caller supplies, so it checks all of them,
     in this order: the input; every box has a block and every block names a
     box; then, box by box, each block's numbers (converted with float), its
-    length and its range [0, 1]; last the output.
+    length, which is one uniform, and its range [0, 1]; last the output.
     """
     check_member(k.dom, z, "kernel input")
     missing, extra = _mismatch(k, u)
@@ -451,14 +467,11 @@ def replay_with_uniforms(
             block = tuple(map(float, u[box_id]))
         except OverflowError:  # an integer past the float range
             raise ShapeError(f"uniform outside [0, 1] for box {box_id}") from None
-        if len(block) != p.pushback_dim:
-            raise ShapeError(
-                f"box {box_id} needs {p.pushback_dim} uniforms, got {len(block)}"
-            )
-        for x in block:
-            if not 0.0 <= x <= 1.0:
-                raise ShapeError(f"uniform {x} outside [0, 1] for box {box_id}")
-        t[box_id] = slots[dst] = p.pushforward(block, slots[src])
+        if len(block) != 1:
+            raise ShapeError(f"box {box_id} needs 1 uniforms, got {len(block)}")
+        if not 0.0 <= block[0] <= 1.0:
+            raise ShapeError(f"uniform {block[0]} outside [0, 1] for box {box_id}")
+        t[box_id] = slots[dst] = p.push(block, p.point(slots[src]))
     x = slots[k.out]
     check_member(k.cod, x, "kernel output")
     return t, x
@@ -478,8 +491,7 @@ def sample_slots(k: JointKernel, z: Value, seed: int) -> tuple[dict, list]:
     for s in k.steps:
         if type(s) is TracedBox:
             box_id, p, src, dst = s
-            t[box_id] = slots[dst] = p.pushforward(
-                uniform_block(seed, box_id, p.pushback_dim), slots[src])
+            t[box_id] = slots[dst] = p.push(uniform_block(seed, box_id), p.point(slots[src]))
         else:
             s.run(slots)
     check_member(k.cod, slots[k.out], "kernel output")
@@ -503,8 +515,9 @@ def sample_scored(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value, flo
     for s in k.steps:
         if type(s) is TracedBox:
             box_id, p, src, dst = s
-            m, ld = p.draw(uniform_block(seed, box_id, p.pushback_dim), slots[src])
-            t[box_id] = slots[dst] = m
+            pt = p.point(slots[src])
+            t[box_id] = slots[dst] = m = p.push(uniform_block(seed, box_id), pt)
+            ld = p.density(pt, m)
             # joint_log_density stops at the first -inf factor
             if ld == NEG_INF:
                 vanished = True
@@ -528,8 +541,8 @@ def abduct_uniforms(k: JointKernel, z: Value, t: Trace) -> dict:
     """Uniform blocks that replay to the trace t exactly: box id -> tuple.
 
     Checks that t has every box and no other, then, box by box, that the
-    box's primitive has an abduct; the primitive's abduct checks that the
-    value is a point of its space and in the support.
+    box's primitive has an abduct law, that the value is a point of its
+    space, and, in the law, that it is in the support.
     """
     missing, extra = _mismatch(k, t)
     if missing:
@@ -542,20 +555,23 @@ def abduct_uniforms(k: JointKernel, z: Value, t: Trace) -> dict:
     for s in k.steps:
         if type(s) is TracedBox:
             box_id, p, src, dst = s
-            if p.abduct is None:
+            law = p.abduct_law
+            if law is None:
                 raise ShapeError(f"primitive {p.name!r} of box {box_id!r} has no abduct")
             m = t[box_id]
-            u[box_id] = tuple(p.abduct(slots[src], m))
+            if not membership(p.cod, m):
+                p.check_value(m)  # raises; membership inline saves a call per box
+            u[box_id] = tuple(law(p.point(slots[src]), m))
             slots[dst] = m
         else:
             s.run(slots)
     return u
 
 
-def _exact_factor(p: PrimitiveKernel, par: Value, m: Value) -> Fraction:
-    if p.pmf is not None:
-        return p.pmf(par, m)
-    ld = p.log_density(par, m)
+def _exact_factor(p: PrimitiveKernel, pt, m: Value) -> Fraction:
+    if p.pmf_law is not None:
+        return p.pmf_law(pt, m)
+    ld = p.density(pt, m)
     return Fraction(0) if ld == NEG_INF else Fraction(math.exp(ld))
 
 
@@ -582,9 +598,9 @@ def enumerate_traces(k: JointKernel, z: Value) -> Iterator[tuple[dict, Fraction]
         """Set box j to each of its positive points in turn; yield the
         path probability so far."""
         box_id, p, src, dst = steps[j]
-        par = slots[src]
+        pt = p.point(slots[src])
         for m in finite_points(p.cod):
-            f = _exact_factor(p, par, m)
+            f = _exact_factor(p, pt, m)
             if f != 0:
                 t[box_id] = slots[dst] = m
                 yield before * f

@@ -119,6 +119,14 @@ def _is_number(j) -> bool:
     return isinstance(j, (int, float)) and not isinstance(j, bool)
 
 
+def _real_from_json(space: Real, j) -> float:
+    try:
+        return float(j)
+    except OverflowError:  # an integer past the float range
+        raise ShapeError(
+            f"expected a number for {space!r}, got an integer too large for a float") from None
+
+
 def value_from_jsonable(space: Space, j) -> Value:
     """Space-guided decoding, so 1 and 1.0 land in the right space."""
     if isinstance(space, (Finite, Countable)):
@@ -128,10 +136,10 @@ def value_from_jsonable(space: Space, j) -> Value:
     if isinstance(space, Real):
         if space.dim == 1:
             if _is_number(j):
-                return float(j)
+                return _real_from_json(space, j)
             raise ShapeError(f"expected a number for {space!r}, got {j!r}")
         if isinstance(j, list) and len(j) == space.dim and all(map(_is_number, j)):
-            return tuple(float(x) for x in j)
+            return tuple(_real_from_json(space, x) for x in j)
         raise ShapeError(f"expected {space.dim} numbers for {space!r}, got {j!r}")
     if isinstance(space, Product):
         if isinstance(j, list) and len(j) == 2:
@@ -295,7 +303,7 @@ def parse_model(path: str) -> Model:
         text = fh.read()
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ModelSyntaxError(f"not valid JSON: {e}") from None
     return model_from_dict(raw, path)
 

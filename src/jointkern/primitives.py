@@ -11,11 +11,12 @@ decimal literal so finite enumeration is exact (see marginal_pmf_finite).
 Discrete abduction returns the midpoint of the CDF interval of the observed
 point, so round-trips do not sit on floating-point boundaries.
 
-instantiate builds every kernel from its family's entry. A parameter value
-is a constant, checked once there, or a callable of the kernel input whose
-result goes through the same rule on every call: an out-of-range parameter
-produced upstream is a bug, not a zero-density event, so it raises
-ParameterError.
+instantiate builds every kernel from its family's entry: one function of
+the kernel input, the point, plus the family's laws as they are. A
+parameter value is a constant, checked once there, or a callable of the
+kernel input whose result goes through the same rule each time the point
+is read: an out-of-range parameter produced upstream is a bug, not a
+zero-density event, so it raises ParameterError.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import ParameterError, ShapeError
 from .kernels import NEG_INF, PrimitiveKernel
-from .spaces import UNIT, Countable, Finite, Real, Space, membership
+from .spaces import UNIT, Countable, Finite, Real, Space
 
 __all__ = [
     "bernoulli", "categorical", "uniform01", "uniform", "normal",
@@ -62,8 +63,8 @@ class Family:
     the order point takes them; point maps the checked values to the point;
     cod is the codomain, or a function of the raw values giving it. The
     laws are functions of the point pt: density(pt, m), push(u, pt),
-    abduct(pt, m) and, for discrete families, pmf(pt, m); instantiate makes
-    the kernel's functions of z from them, so each formula is written once."""
+    abduct(pt, m) and, for discrete families, pmf(pt, m); every kernel of
+    the family carries them unchanged, so each formula is written once."""
 
     params: dict
     point: Callable
@@ -473,30 +474,4 @@ def instantiate(name: str, params: dict, dom: Space = UNIT) -> PrimitiveKernel:
     point = _point(fam.point, pairs)
     if not callable(point):
         point = lambda z, _pt=point: _pt
-
-    density, push = fam.density, fam.push
-
-    # bound as defaults, not closure cells, as in _point
-    def pushforward(u, z, push=push, point=point):
-        return push(u, point(z))
-
-    def draw(u, z, push=push, density=density, point=point):
-        pt = point(z)
-        m = push(u, pt)
-        return m, density(pt, m)
-
-    return PrimitiveKernel(
-        name, dom, cod, 1, _observed(density, name, cod, point), pushforward,
-        _observed(fam.abduct, name, cod, point),
-        fam.pmf and _observed(fam.pmf, name, cod, point), draw)
-
-
-def _observed(law, name, cod, point):
-    """z, m -> law at the point at z, once m is checked to be a point of cod."""
-
-    def at(z, m, law=law, name=name, cod=cod, point=point):
-        if not membership(cod, m):
-            raise ShapeError(f"{name}: value {m!r} is not a point of {cod!r}")
-        return law(point(z), m)
-
-    return at
+    return PrimitiveKernel(name, dom, cod, fam.density, fam.push, fam.abduct, fam.pmf, point)

@@ -21,11 +21,9 @@ def unit_uniform(seed: int, box_id: str, slot: int) -> float:
     return (int.from_bytes(digest[:8], "big") >> 11) * 2.0 ** -53
 
 
-def uniform_block(seed: int, box_id: str, dim: int) -> tuple[float, ...]:
-    """A block of `dim` uniforms for one box."""
-    if dim == 1:  # every builtin's block; no generator to set up
-        return (unit_uniform(seed, box_id, 0),)
-    return tuple(unit_uniform(seed, box_id, j) for j in range(dim))
+def uniform_block(seed: int, box_id: str) -> tuple[float]:
+    """The block of one uniform that a box pushes forward."""
+    return (unit_uniform(seed, box_id, 0),)
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -352,7 +352,7 @@ def test_criterion_04_primitives():
     # abduct / pushforward round-trips on sampler-generated points
     rng = random.Random(405)
     for name, p in prims.items():
-        if p.abduct is None:
+        if p.abduct_law is None:
             continue
         for _ in range(n_round):
             u0 = rng.uniform(0.0, 0.999999)

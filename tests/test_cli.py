@@ -12,9 +12,12 @@ import pytest
 
 import jointkern.model as model_module
 import jointkern.primitives as primitives
+import jointkern.rng as rng
+import jointkern.spaces as spaces
 from jointkern.cli import _decode_input, _trace_decoder, main
-from jointkern.kernels import joint_log_density
-from jointkern.model import parse_model
+from jointkern.kernels import joint_log_density, sample_with_trace
+from jointkern.model import model_from_dict, parse_model
+from jointkern.spaces import UNIT_VALUE
 
 MODELS = Path(__file__).parent / "models"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -84,6 +87,50 @@ def test_exit_codes(capsys, tmp_path):
     code, out, err = run(capsys, "sample", _with_param(tmp_path, "big_p", "1" * 400), "--n", "1")
     assert (code, out) == (4, "")
     assert err == "error: bernoulli p must be finite, got an integer too large for a float\n"
+
+
+def _trace_file(tmp_path, g: str) -> str:
+    """A trace file of one record whose box g holds the JSON text g."""
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"trace": {"g": %s}}\n' % g)
+    return str(path)
+
+
+def test_json_integer_past_the_float_range(capsys, tmp_path):
+    # at every site that decodes a real, an integer no float holds is a
+    # value outside its space
+    big = "1" * 400
+    trace = _trace_file(tmp_path, big)
+    too_big = "error: expected a number for Real(dim=%d), got an integer too large for a float\n"
+    for args, err in [
+        (("logpdf", NORMAL, "--trace", trace), too_big % 1),
+        (("abduct", NORMAL, "--trace", trace), too_big % 1),
+        (("sample", str(MODELS / "real2_input.json"), "--input", f"[0.5, {big}]"), too_big % 2),
+        (("do", NORMAL, "--set", f"g={big}", "sample"), too_big % 1),
+        (("cover", NORMAL, "--point", big), too_big % 1),
+    ]:
+        assert run(capsys, *args) == (4, "", err), args[0]
+
+
+def test_json_nested_past_the_decoder_depth(capsys, tmp_path):
+    # at every site that reads JSON, nesting past the json decoder's
+    # recursion limit exits as that site's malformed input does
+    deep = "[" * 5000 + "]" * 5000
+    trace = _trace_file(tmp_path, deep)
+    deep_model = tmp_path / "deep.json"
+    deep_model.write_text(deep)
+    real2 = str(MODELS / "real2_input.json")
+    for args, want in [
+        (("logpdf", NORMAL, "--trace", trace), 3),
+        (("abduct", NORMAL, "--trace", trace), 3),
+        (("sample", real2, "--input", deep), 3),
+        (("validate", str(deep_model)), 3),
+        (("do", NORMAL, "--set", f"g={deep}", "sample"), 4),
+        (("cover", NORMAL, "--point", deep), 4),
+    ]:
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (want, ""), args[0]
+        assert err.startswith("error: ") and "recursion depth" in err, args[0]
 
 
 def test_cycle_violations_are_listed(capsys):
@@ -164,6 +211,47 @@ def test_sample_evaluates_each_wired_parameter_once(capsys, tmp_path, monkeypatc
     # predecessor once per record, to draw and score both
     assert code == 0 and len(out.splitlines()) == 5
     assert calls[0] == 5 * 39
+
+
+def test_logpdf_checks_each_trace_value_once(capsys, tmp_path, monkeypatch):
+    checked = []
+    membership = spaces.membership
+
+    def counted(space, v):
+        checked.append(space)
+        return membership(space, v)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("jointkern") and getattr(mod, "membership", None) is membership:
+            monkeypatch.setattr(mod, "membership", counted)
+    for path in (CHAIN, NORMAL, WEIGHTED):
+        code, out, _ = run(capsys, "sample", path, "--n", "1", "--seed", "3")
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(out)
+        cods = {b.primitive.cod for b in parse_model(path).kernel.boxes}
+        checked.clear()
+        code, out, _ = run(capsys, "logpdf", path, "--trace", str(trace))
+        assert code == 0 and len(out.splitlines()) == 1
+        n_boxes = len(json.loads(trace.read_text())["trace"])
+        assert sum(space in cods for space in checked) == n_boxes, path
+
+
+def test_sample_draws_one_uniform_per_box(monkeypatch):
+    # what the benchmark's rng.draws_per_record counts: calls of the rng
+    # module's unit_uniform while sample_with_trace draws one record
+    drawn = [0]
+    unit_uniform = rng.unit_uniform
+
+    def counted(*args):
+        drawn[0] += 1
+        return unit_uniform(*args)
+
+    monkeypatch.setattr(rng, "unit_uniform", counted)
+    gen = _genmodels()
+    for raw, want in ((json.loads(Path(CHAIN).read_text()), 2), (gen.chain_model(160, 1)[0], 160)):
+        drawn[0] = 0
+        sample_with_trace(model_from_dict(raw).kernel, UNIT_VALUE, 5)
+        assert drawn[0] == want
 
 
 def _overflow_model(tmp_path, hidden: bool) -> str:

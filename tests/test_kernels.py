@@ -259,8 +259,9 @@ def test_sample_scored_logpdf_is_joint_log_density_bit_for_bit():
 
 
 def _hand_built(name, density, push=lambda u, z: 0, dom=UNIT):
-    """A primitive on Finite(2) given only its pushforward and log-density."""
-    return PrimitiveKernel(name, dom, TWO, 1, density, push)
+    """A primitive on Finite(2) given only its two laws, which read z as
+    their parameter point."""
+    return PrimitiveKernel(name, dom, TWO, density, push)
 
 
 def test_hand_built_primitive_draws_through_its_two_laws():
@@ -271,7 +272,8 @@ def test_hand_built_primitive_draws_through_its_two_laws():
         return math.log(0.25 if m == 1 else 0.75)
 
     p = _hand_built("coin", log_density, lambda u, z: 1 if u[0] < 0.25 else 0)
-    assert p.draw((0.1,), UNIT_VALUE) == (1, math.log(0.25))
+    assert p.pushforward((0.1,), UNIT_VALUE) == 1
+    assert p.log_density(UNIT_VALUE, 1) == math.log(0.25)
     k = from_primitive(p, "c")
     for seed in range(20):
         t, x, logpdf = sample_scored(k, UNIT_VALUE, seed)

@@ -98,8 +98,10 @@ def test_value_codec():
 
     v = value_from_jsonable(Real(1), 1)
     assert v == 1.0 and isinstance(v, float)
+    with pytest.raises(ShapeError, match="integer too large for a float"):
+        value_from_jsonable(Real(1), -10 ** 400)
     assert value_from_jsonable(Real(3), [1, 2, 3]) == (1.0, 2.0, 3.0)
-    for bad in ([1, 2], ["a", 1, 2], [True, 1, 2], [1, None, 2]):
+    for bad in ([1, 2], ["a", 1, 2], [True, 1, 2], [1, None, 2], [1, 10 ** 400, 2]):
         with pytest.raises(ShapeError):
             value_from_jsonable(Real(3), bad)
 
