@@ -4,260 +4,29 @@ Joint density kernels carry a trace of every internal random choice, so one
 object supports sampling, exact log-densities, interventions, counterfactual
 replay, and properly-weighted estimation. Diagrams wire kernels together; an
 interpretation names which kernel sits in each box.
+
+The package namespace is each library module's `__all__`, joined in the
+import order below; the CLI stays in `jointkern.cli`.
 """
 
-from .errors import (
-    DiagramError,
-    EvalError,
-    ExprSyntaxError,
-    ExprTypeError,
-    ModelSyntaxError,
-    ParameterError,
-    ShapeError,
-)
-from .spaces import (
-    UNIT,
-    UNIT_VALUE,
-    Coproduct,
-    CoproductSet,
-    Countable,
-    Finite,
-    FinitePoints,
-    Inl,
-    Inr,
-    IntervalBox,
-    Product,
-    ProductSet,
-    Real,
-    base_measure_mass,
-    cantor_pair,
-    cantor_unpair,
-    check_member,
-    cover_index_bound,
-    descriptor_contains,
-    finite_points,
-    is_finite_space,
-    membership,
-    nest_product,
-    nest_values,
-    sigma_finite_cover,
-    unnest_values,
-    zigzag,
-    zigzag_index,
-)
-from .kernels import (
-    NEG_INF,
-    DetMap,
-    JointKernel,
-    PrimitiveKernel,
-    TracedBox,
-    abduct_uniforms,
-    compose,
-    enumerate_traces,
-    expose_residuals,
-    from_primitive,
-    identity_kernel,
-    joint_log_density,
-    lift_det,
-    marginal_pmf_finite,
-    rename_boxes,
-    replay_with_uniforms,
-    sample_scored,
-    sample_slots,
-    sample_with_trace,
-    structure_kernel,
-    tensor,
-)
-from .primitives import (
-    BUILTIN_NAMES,
-    bernoulli,
-    categorical,
-    dirac_countable,
-    exponential,
-    instantiate,
-    normal,
-    poisson,
-    uniform,
-    uniform01,
-)
-from .diagrams import (
-    Diagram,
-    Hypergraph,
-    HypMorphism,
-    Signature,
-    canonical_relabel,
-    check_morphism,
-    compose_diagrams,
-    diagram_structure,
-    diagrams_isomorphic,
-    export_dot,
-    gc_fixpoint,
-    is_causal_model,
-    tensor_diagrams,
-    topological_order,
-    validate_cd,
-    validate_markov,
-)
-from .interpret import (
-    Interpretation,
-    check_interpretation,
-    evaluate,
-    model_log_density,
-    sample_model,
-    wire_values,
-)
-from .causal import abduct_trace, counterfactual, intervene
-from .weighted import (
-    WeightFactor,
-    WeightedJointKernel,
-    constant_weight,
-    expected_value_by_enumeration,
-    kleisli_compose,
-    kleisli_tensor,
-    spw_check,
-    unnormalized_log_density,
-    weighted,
-    with_weight_map,
-)
-from .expr import (
-    adapt_value,
-    check_expression,
-    compile_det_map,
-    evaluate_expression,
-    parse_expression,
-)
-from .model import (
-    Model,
-    descriptor_to_json,
-    model_from_dict,
-    parse_model,
-    print_model,
-    render_json,
-    space_from_json,
-    space_to_json,
-    value_from_jsonable,
-    value_to_jsonable,
-)
-from .rng import derive_seed, uniform_block, unit_uniform
+import sys
+
+from .errors import *
+from .rng import *
+from .spaces import *
+from .kernels import *
+from .primitives import *
+from .expr import *
+from .diagrams import *
+from .interpret import *
+from .causal import *
+from .weighted import *
+from .model import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_NAMES",
-    "Coproduct",
-    "CoproductSet",
-    "Countable",
-    "DetMap",
-    "Diagram",
-    "DiagramError",
-    "EvalError",
-    "ExprSyntaxError",
-    "ExprTypeError",
-    "Finite",
-    "FinitePoints",
-    "HypMorphism",
-    "Hypergraph",
-    "Inl",
-    "Inr",
-    "Interpretation",
-    "IntervalBox",
-    "JointKernel",
-    "Model",
-    "ModelSyntaxError",
-    "NEG_INF",
-    "ParameterError",
-    "PrimitiveKernel",
-    "Product",
-    "ProductSet",
-    "Real",
-    "ShapeError",
-    "Signature",
-    "TracedBox",
-    "UNIT",
-    "UNIT_VALUE",
-    "WeightFactor",
-    "WeightedJointKernel",
-    "abduct_trace",
-    "abduct_uniforms",
-    "adapt_value",
-    "base_measure_mass",
-    "bernoulli",
-    "canonical_relabel",
-    "cantor_pair",
-    "cantor_unpair",
-    "categorical",
-    "check_expression",
-    "check_interpretation",
-    "check_member",
-    "check_morphism",
-    "compile_det_map",
-    "compose",
-    "compose_diagrams",
-    "constant_weight",
-    "counterfactual",
-    "cover_index_bound",
-    "derive_seed",
-    "descriptor_contains",
-    "descriptor_to_json",
-    "diagram_structure",
-    "diagrams_isomorphic",
-    "dirac_countable",
-    "enumerate_traces",
-    "evaluate",
-    "evaluate_expression",
-    "expected_value_by_enumeration",
-    "exponential",
-    "export_dot",
-    "expose_residuals",
-    "finite_points",
-    "from_primitive",
-    "gc_fixpoint",
-    "identity_kernel",
-    "instantiate",
-    "intervene",
-    "is_causal_model",
-    "is_finite_space",
-    "joint_log_density",
-    "kleisli_compose",
-    "kleisli_tensor",
-    "lift_det",
-    "marginal_pmf_finite",
-    "membership",
-    "model_from_dict",
-    "model_log_density",
-    "nest_product",
-    "nest_values",
-    "normal",
-    "parse_expression",
-    "parse_model",
-    "poisson",
-    "print_model",
-    "rename_boxes",
-    "render_json",
-    "replay_with_uniforms",
-    "sample_model",
-    "sample_scored",
-    "sample_slots",
-    "sample_with_trace",
-    "sigma_finite_cover",
-    "space_from_json",
-    "space_to_json",
-    "spw_check",
-    "structure_kernel",
-    "tensor",
-    "tensor_diagrams",
-    "topological_order",
-    "uniform",
-    "uniform01",
-    "uniform_block",
-    "unit_uniform",
-    "unnest_values",
-    "unnormalized_log_density",
-    "validate_cd",
-    "validate_markov",
-    "value_from_jsonable",
-    "value_to_jsonable",
-    "weighted",
-    "wire_values",
-    "with_weight_map",
-]
+# read from sys.modules: the package attribute `weighted` is the function
+__all__ = [name
+           for module in ("errors", "rng", "spaces", "kernels", "primitives", "expr",
+                          "diagrams", "interpret", "causal", "weighted", "model")
+           for name in sys.modules[f"{__name__}.{module}"].__all__]

@@ -64,7 +64,7 @@ def _decode_input(model: Model, text: str | None):
         raise ShapeError("this model has global inputs; pass --input")
     try:
         j = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
         raise ModelSyntaxError(f"--input is not valid JSON: {e}") from None
     return value_from_jsonable(model.input_space, j)
 
@@ -92,7 +92,7 @@ def _parse_do(model: Model, interp: Interpretation, settings) -> dict:
         space = interp.space_of(sig.cod[sig_box])
         try:
             j = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as e:
+        except (ValueError, RecursionError) as e:
             raise ShapeError(f"bad value in --set {item!r}: {e}") from None
         do[sig_box] = value_from_jsonable(space, j)
     return do
@@ -104,9 +104,11 @@ def _read_jsonl(path: str):
             line = line.strip()
             if not line:
                 continue
-            try:  # RecursionError: nested deeper than the decoder goes
+            # ValueError includes an integer of more digits than int() reads,
+            # RecursionError nesting deeper than the decoder goes
+            try:
                 yield json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as e:
+            except (ValueError, RecursionError) as e:
                 raise ModelSyntaxError(f"{path}:{line_no}: not valid JSON: {e}") from None
 
 
@@ -253,7 +255,7 @@ def _run_cover(model: Model, interp: Interpretation, ns) -> int:
     if ns.point is not None:
         try:
             j = json.loads(ns.point)
-        except (json.JSONDecodeError, RecursionError) as e:
+        except (ValueError, RecursionError) as e:
             raise ShapeError(f"bad --point: {e}") from None
         v = value_from_jsonable(space, j)
         _out(render_json({

@@ -357,11 +357,11 @@ def compose_diagrams(d1: Diagram, d2: Diagram, mode: str = "markov") -> Diagram:
     _require_valid(d1, mode, "left diagram")
     _require_valid(d2, mode, "right diagram")
 
-    g1, g2 = d1.graph, d2.graph
-    w2_new = _fresh_ids(g2.wires, g1.wires)
-    b2_new = _fresh_ids(g2.boxes, g1.boxes)
-
-    # union-find over the combined wire ids; d1 wires win as representatives
+    # the tensor freshens d2's ids; gluing then identifies d1's outputs with
+    # d2's inputs by union-find over its wires, d1 wires winning as
+    # representatives
+    t = tensor_diagrams(d1, d2)
+    g, g1 = t.graph, d1.graph
     parent = {}
 
     def find(w):
@@ -373,40 +373,26 @@ def compose_diagrams(d1: Diagram, d2: Diagram, mode: str = "markov") -> Diagram:
         return root
 
     g1_wires = set(g1.wires)
-    for a, b in zip(d1.outputs, d2.inputs):
-        ra, rb = find(a), find(w2_new[b])
+    for a, b in zip(d1.outputs, t.inputs[len(d1.inputs):]):
+        ra, rb = find(a), find(b)
         if ra != rb:
-            # keep the d1-side id as the class representative
             if rb in g1_wires:
                 ra, rb = rb, ra
             parent[rb] = ra
 
-    wires = list(g1.wires)
-    for w in g2.wires:
-        if find(w2_new[w]) == w2_new[w]:
-            wires.append(w2_new[w])
-
-    boxes = list(g1.boxes) + [b2_new[b] for b in g2.boxes]
-    dom = {b: g1.dom[b] for b in g1.boxes}
-    cod = {b: g1.cod[b] for b in g1.boxes}
-    for b in g2.boxes:
-        dom[b2_new[b]] = tuple(find(w2_new[w]) for w in g2.dom[b])
-        cod[b2_new[b]] = tuple(find(w2_new[w]) for w in g2.cod[b])
-
-    wire_map = {w: d1.wire_label[w] for w in g1.wires}
-    box_map = {b: d1.box_label[b] for b in g1.boxes}
-    for w in g2.wires:
-        wire_map[find(w2_new[w])] = d2.wire_label[w]
-    for b in g2.boxes:
-        box_map[b2_new[b]] = d2.box_label[b]
-    wire_map = {w: wire_map[w] for w in wires}
-
+    # every d1 wire and box stays as it is; a d2 wire stays only as its
+    # class's representative, and d2's boxes and outputs read representatives
+    wires = [w for w in g.wires if w in g1_wires or find(w) == w]
+    dom, cod = dict(g.dom), dict(g.cod)
+    for b in g.boxes[len(g1.boxes):]:
+        dom[b] = tuple(map(find, g.dom[b]))
+        cod[b] = tuple(map(find, g.cod[b]))
     composite = Diagram(
-        graph=Hypergraph(wires, boxes, dom, cod),
+        graph=Hypergraph(wires, g.boxes, dom, cod),
         signature=d1.signature,
-        labeling=HypMorphism(wire_map, box_map),
+        labeling=HypMorphism({w: t.wire_label[w] for w in wires}, t.box_label),
         inputs=d1.inputs,
-        outputs=tuple(find(w2_new[w]) for w in d2.outputs),
+        outputs=tuple(map(find, t.outputs[len(d1.outputs):])),
     )
     if mode == "markov":
         composite = gc_fixpoint(composite)

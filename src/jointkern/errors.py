@@ -7,6 +7,11 @@ DiagramError-family problems are "the wiring itself is ill-formed".
 
 from __future__ import annotations
 
+__all__ = [
+    "ShapeError", "ParameterError", "EvalError", "ExprSyntaxError",
+    "ExprTypeError", "ModelSyntaxError", "DiagramError",
+]
+
 
 class ShapeError(ValueError):
     """A value, descriptor, or map does not fit the Space it was used with."""

@@ -508,10 +508,9 @@ def _slot(j: int, n: int):
     path = [0] * (n - 1 - j) + [1] * (j > 0)
     if not path:
         return lambda s: s
-    get = operator.itemgetter(path[0])
-    for i in path[1:]:
-        get = lambda s, get=get, i=i: get(s)[i]
-    return get
+    if len(path) == 1:
+        return operator.itemgetter(path[0])
+    return lambda s, path=tuple(path): functools.reduce(operator.getitem, path, s)
 
 
 def _build(ast, n: int, scope: dict):

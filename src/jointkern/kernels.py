@@ -74,6 +74,15 @@ from .spaces import (
     unnest_values,
 )
 
+__all__ = [
+    "NEG_INF", "DetMap", "PrimitiveKernel", "TracedBox", "JointKernel",
+    "lift_det", "identity_kernel", "structure_kernel", "from_primitive",
+    "compose", "tensor", "rename_boxes", "expose_residuals", "run_trace",
+    "joint_log_density", "replay_with_uniforms", "sample_slots",
+    "sample_scored", "sample_with_trace", "abduct_uniforms",
+    "enumerate_traces", "marginal_pmf_finite",
+]
+
 Trace = Mapping[str, Value]
 
 NEG_INF = float("-inf")

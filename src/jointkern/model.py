@@ -61,7 +61,7 @@ from .weighted import WeightFactor, WeightedJointKernel
 __all__ = [
     "Model", "parse_model", "model_from_dict", "print_model", "render_json",
     "space_to_json", "space_from_json", "value_to_jsonable",
-    "value_from_jsonable", "descriptor_to_json",
+    "value_from_jsonable", "value_encoder", "descriptor_to_json",
 ]
 
 
@@ -217,6 +217,8 @@ def value_encoder(space: Space):
     if isinstance(space, Real):
         return _float_text if space.dim == 1 else _floats_text
     if isinstance(space, Product):
+        if isinstance(space.left, Product):
+            return _spine_encoder(space)
         left, right = value_encoder(space.left), value_encoder(space.right)
         return lambda v: "[" + left(v[0]) + ", " + right(v[1]) + "]"
     if isinstance(space, Coproduct):
@@ -224,6 +226,25 @@ def value_encoder(space: Space):
         return lambda v: ('{"inl": ' + left(v.value) + "}" if isinstance(v, Inl)
                           else '{"inr": ' + right(v.value) + "}")
     raise ShapeError(f"not a Space: {space!r}")
+
+
+def _spine_encoder(space: Product):
+    """value_encoder of a product nested along its left side, which walks
+    the spine in a loop rather than one call per factor."""
+    rights = []
+    while isinstance(space, Product):
+        rights.append(value_encoder(space.right))
+        space = space.left
+    first, opening = value_encoder(space), "[" * len(rights)
+
+    def encode(v):
+        closing = []
+        for right in rights:
+            closing.append(", " + right(v[1]) + "]")
+            v = v[0]
+        return opening + first(v) + "".join(reversed(closing))
+
+    return encode
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +324,7 @@ def parse_model(path: str) -> Model:
         text = fh.read()
     try:
         raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
         raise ModelSyntaxError(f"not valid JSON: {e}") from None
     return model_from_dict(raw, path)
 

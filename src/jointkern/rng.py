@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 
+__all__ = ["unit_uniform", "uniform_block", "derive_seed"]
+
 _SEP = "\x1f"
 
 

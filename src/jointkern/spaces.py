@@ -29,8 +29,8 @@ __all__ = [
     "Finite", "Countable", "Real", "Product", "Coproduct", "Space",
     "UNIT", "UNIT_VALUE", "Inl", "Inr", "Value",
     "FinitePoints", "IntervalBox", "ProductSet", "CoproductSet", "SetDescriptor",
-    "membership", "base_measure_mass", "sigma_finite_cover",
-    "descriptor_contains", "is_finite_space", "finite_points",
+    "membership", "check_member", "base_measure_mass", "sigma_finite_cover",
+    "cover_index_bound", "descriptor_contains", "is_finite_space", "finite_points",
     "nest_product", "nest_values", "unnest_values",
     "zigzag", "zigzag_index", "cantor_pair", "cantor_unpair",
 ]
@@ -67,6 +67,28 @@ class Real:
 class Product:
     left: "Space"
     right: "Space"
+
+    # a product of n factors nests n - 1 deep along its left side, so
+    # equality and hash walk that spine in a loop, not one frame per factor
+    def __eq__(self, other):
+        if other.__class__ is not Product:
+            return NotImplemented
+        a, b = self, other
+        while a is not b and a.left.__class__ is Product and b.left.__class__ is Product:
+            if a.right != b.right:
+                return False
+            a, b = a.left, b.left
+        return (a.left, a.right) == (b.left, b.right)
+
+    def __hash__(self):
+        rights, p = [], self
+        while p.left.__class__ is Product:
+            rights.append(p.right)
+            p = p.left
+        h = hash((p.left, p.right))
+        for right in reversed(rights):
+            h = hash((h, right))
+        return h
 
 
 @dataclass(frozen=True)
@@ -121,6 +143,10 @@ def membership(space: Space, v: Value) -> bool:
             and all(_is_real_scalar(x) for x in v)
         )
     if isinstance(space, Product):
+        while isinstance(space.left, Product):  # the left spine, in a loop
+            if not (isinstance(v, tuple) and len(v) == 2 and membership(space.right, v[1])):
+                return False
+            space, v = space.left, v[0]
         return (
             isinstance(v, tuple)
             and len(v) == 2

@@ -133,6 +133,26 @@ def test_json_nested_past_the_decoder_depth(capsys, tmp_path):
         assert err.startswith("error: ") and "recursion depth" in err, args[0]
 
 
+def test_json_integer_past_the_digit_limit(capsys, tmp_path):
+    # json.loads raises ValueError, not JSONDecodeError, on an integer of
+    # more than 4300 digits; every site exits as its malformed input does
+    huge = "1" * 5000
+    raw = json.loads(Path(NORMAL).read_text())
+    raw["interpretation"]["noise"]["params"]["mu"] = 0
+    huge_model = tmp_path / "huge.json"
+    huge_model.write_text(json.dumps(raw).replace('"mu": 0', f'"mu": {huge}'))
+    for args, want in [
+        (("logpdf", NORMAL, "--trace", _trace_file(tmp_path, huge)), 3),
+        (("sample", INPUTS, "--input", huge), 3),
+        (("validate", str(huge_model)), 3),
+        (("do", NORMAL, "--set", f"g={huge}", "sample"), 4),
+        (("cover", NORMAL, "--point", huge), 4),
+    ]:
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (want, ""), args[0]
+        assert err.startswith("error: ") and "4300 digits" in err, args[0]
+
+
 def test_cycle_violations_are_listed(capsys):
     code, _, err = run(capsys, "validate", str(MODELS / "cyclic_bad.json"))
     assert code == 5

@@ -187,6 +187,23 @@ def test_compose_freshens_colliding_ids():
     assert validate_markov(comp) == []
 
 
+def test_compose_glues_repeated_boundary_wires():
+    # a wire on the left's output leg twice feeds both glued inputs; a
+    # repeated input on the right has two starting places and is refused
+    twice = make(("x",), ("s0",), {"s0": ()}, {"s0": ("x",)}, {"s0": "src"},
+                 outputs=("x", "x"))
+    split = make(("a", "b", "o"), ("g",), {"g": ("a", "b")}, {"g": ("o",)}, {"g": "f2"},
+                 inputs=("a", "b"), outputs=("o",))
+    for mode in ("cd", "markov"):
+        comp = compose_diagrams(twice, split, mode)
+        assert comp.graph.wires == ("x", "o") and comp.graph.boxes == ("s0", "g")
+        assert comp.graph.dom["g"] == ("x", "x") and comp.outputs == ("o",)
+    join = make(("i", "o"), ("g",), {"g": ("i", "i")}, {"g": ("o",)}, {"g": "f2"},
+                inputs=("i", "i"), outputs=("o",))
+    with pytest.raises(DiagramError, match="right diagram fails cd validation"):
+        compose_diagrams(tensor_diagrams(source_chain(), source_chain()), join, "cd")
+
+
 def test_gc_two_stage_cascade():
     comp = compose_diagrams(source_chain(), discard_one())
     assert comp.graph.boxes == ()

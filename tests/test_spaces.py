@@ -221,3 +221,26 @@ def test_nesting_helpers():
     assert unnest_values(((1, 2.0), 3), 3) == [1, 2.0, 3]
     assert unnest_values(5, 1) == [5]
     assert unnest_values(UNIT_VALUE, 0) == []
+
+
+def test_wide_product_equality_hash_and_membership():
+    # a 5000-factor product nests 4999 deep on its left side; equality, hash
+    # and membership walk that spine without recursing per factor
+    factors = [Finite(2), Real(1), Countable(), Finite(3)] * 1250
+    wide, same = nest_product(factors), nest_product(list(factors))
+    assert wide is not same and wide == same and hash(wide) == hash(same)
+    assert wide != nest_product(factors[:-1] + [Finite(4)])
+    assert wide != nest_product(factors[1:] + [Finite(2)])
+    assert wide != nest_product(factors[:-1])
+    assert len({wide, same}) == 1
+    values = [1, 0.5, -7, 2] * 1250
+    assert membership(wide, nest_values(values))
+    assert not membership(wide, nest_values(values[:-1] + [3]))
+    assert not membership(wide, nest_values(values[:-1]))
+    # a product is unequal to any other value, and keeps the dataclass
+    # equality of a one-level spine
+    for other in [Finite(2), (Finite(2), Real(1)), None, "Product"]:
+        assert Product(Finite(2), Real(1)) != other
+    assert Product(Finite(2), Real(1)) == Product(Finite(2), Real(1))
+    assert hash(Product(Finite(2), Real(1))) == hash((Finite(2), Real(1)))
+    assert Product(Product(Finite(2), Real(1)), Real(1)) != Product(Real(1), Real(1))
