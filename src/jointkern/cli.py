@@ -24,6 +24,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .causal import _replayer, intervene
 from .diagrams import export_dot
@@ -35,7 +36,7 @@ from .interpret import Interpretation, evaluate
 from .kernels import abduct_uniforms, joint_log_density, sample_scored
 from .model import (
     Model, _float_text, _floats_text, _is_number, descriptor_to_json, parse_model,
-    render_json, value_encoder, value_from_jsonable, value_to_jsonable,
+    render_json, value_decoder, value_encoder, value_from_jsonable, value_to_jsonable,
 )
 from .rng import derive_seed
 from .spaces import (
@@ -118,8 +119,8 @@ def _trace_spaces(kernel) -> dict:
 
 def _trace_decoder(kernel):
     """A trace record -> its trace, each value decoded in its box's space;
-    the spaces are read from the kernel once, here."""
-    spaces = _trace_spaces(kernel)
+    each box's value decoder is chosen once, here."""
+    decoders = {b: value_decoder(sp) for b, sp in _trace_spaces(kernel).items()}
 
     def decode(j) -> dict:
         if not isinstance(j, dict) or "trace" not in j:
@@ -127,18 +128,19 @@ def _trace_decoder(kernel):
         raw = j["trace"]
         if not isinstance(raw, dict):
             raise ModelSyntaxError("trace must be an object")
-        unknown = [b for b in raw if b not in spaces]
+        unknown = [b for b in raw if b not in decoders]
         if unknown:
             raise ShapeError(f"trace has unknown boxes {unknown}")
-        return {b: value_from_jsonable(spaces[b], raw[b]) for b in raw}
+        return {b: decoders[b](raw[b]) for b in raw}
 
     return decode
 
 
 def _fields(encoders: dict) -> list:
     """(key, its rendered '"key": ' prefix, its encoder) per key, in the
-    order render_json sorts the keys of an object."""
-    return [(b, json.dumps(b) + ": ", enc) for b, enc in sorted(encoders.items())]
+    order render_json sorts the keys of an object. A key renders as
+    json.dumps renders a str, by the function it calls for one."""
+    return [(b, encode_basestring_ascii(b) + ": ", enc) for b, enc in sorted(encoders.items())]
 
 
 def _record_encoder(trace_spaces: dict, cod, scored: bool = True):

@@ -276,31 +276,43 @@ def _kahn(g: Hypergraph):
 
     A box's predecessors are the first producers of its input wires (itself
     included, which leaves it unordered); ready boxes leave a min-heap, so
-    ties go by id.
+    ties go by id. One pass over the boxes finds the producers, and one more
+    gives each box its in-degree, each producer its successors and the heap
+    its first boxes.
     """
-    producer = {}
-    for b in g.boxes:
-        for w in g.cod[b]:
-            producer.setdefault(w, b)
-    indeg = {}
-    succ = {b: [] for b in g.boxes}
-    for b in g.boxes:
-        preds = {producer[w] for w in g.dom[b] if w in producer}
+    boxes, dom, cod = g.boxes, g.dom, g.cod
+    # later entries win in a dict display, so walking the boxes backwards
+    # leaves each wire's first producer
+    producer = {w: b for b in reversed(boxes) for w in cod[b]}
+    indeg, succ, ready = {}, {}, []
+    for b in boxes:
+        ws = dom[b]
+        if len(ws) == 1:
+            c = producer.get(ws[0])
+            preds = () if c is None else (c,)
+        else:
+            preds = {producer[w] for w in ws if w in producer}
+        if not preds:
+            ready.append(b)
+            continue
         indeg[b] = len(preds)
         for c in preds:
-            succ[c].append(b)
-    ready = [b for b in g.boxes if indeg[b] == 0]
+            if c in succ:
+                succ[c].append(b)
+            else:
+                succ[c] = [b]
     heapq.heapify(ready)
     order = []
     while ready:
         b = heapq.heappop(ready)
         order.append(b)
-        for nxt in succ[b]:
+        for nxt in succ.get(b, ()):
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
                 heapq.heappush(ready, nxt)
-    leftover = [b for b in g.boxes if indeg[b] > 0]
-    return order, leftover
+    if len(order) == len(boxes):
+        return order, []
+    return order, [b for b in boxes if indeg.get(b)]
 
 
 def topological_order(d: Diagram) -> list:

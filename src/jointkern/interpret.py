@@ -4,8 +4,10 @@ An Interpretation assigns a Space to every signature wire and a JointKernel
 (plus residual wire labels) to every signature box. evaluate lowers a valid
 Markov diagram into one slot program (see kernels): every wire gets one
 slot, and each box, taken in topological order, packs its input wires into
-one slot when it has several, runs its interpretation's steps inlined in
-place, and unpacks its output into its output wires' slots. Each signature
+one slot when it has several, runs its interpretation's steps in place, and
+unpacks its output into its output wires' slots. A box whose kernel is one
+step, as every model-file box and intervention is, gets that one step
+built for it; a composite kernel is inlined step by step. Each signature
 box's kernel is checked against the wire spaces once, on its first graph
 box. Box ids in the result are the diagram's graph box ids (inner ids of a
 composite box kernel become "graph_id.inner"), so traces of the evaluated
@@ -27,7 +29,7 @@ from typing import Mapping
 from .diagrams import Diagram, Hypergraph
 from .errors import EvalError
 from .kernels import (
-    JointKernel, Pack, Unpack, _Program, joint_log_density, run_trace,
+    JointKernel, Pack, Unpack, _one_step, _Program, joint_log_density, run_trace,
     sample_with_trace,
 )
 from .spaces import Space, Value, nest_product
@@ -109,6 +111,7 @@ def _compile(d: Diagram, interp: Interpretation) -> JointKernel:
     """
     order = d.plan
     g = d.graph
+    box_label, g_dom, g_cod = d.box_label, g.dom, g.cod
 
     def wire_space(w) -> Space:
         lab = d.wire_label[w]
@@ -142,24 +145,29 @@ def _compile(d: Diagram, interp: Interpretation) -> JointKernel:
         slot.update((w, prog.fresh()) for w in d.inputs)
         prog.add(Unpack(0, tuple(slot[w] for w in d.inputs)))
 
-    kernels = {}
+    kernels = {}  # label -> (its checked kernel, the kernel's one step or None)
     for b in order:
-        lab = d.box_label[b]
-        k = kernels.get(lab)
-        if k is None:
-            k = kernels[lab] = checked(b, lab)
-        dom_wires, cod_wires = g.dom[b], g.cod[b]
+        lab = box_label[b]
+        entry = kernels.get(lab)
+        if entry is None:
+            k = checked(b, lab)
+            entry = kernels[lab] = (k, _one_step(k))
+        k, step = entry
+        dom_wires, cod_wires = g_dom[b], g_cod[b]
         if len(dom_wires) == 1:
             src = slot[dom_wires[0]]
         else:
             src = prog.fresh()
             prog.add(Pack(tuple(slot[w] for w in dom_wires), src))
-        where = prog.inline(k, src, _inner_ids(k, b))
+        if step is not None:
+            out = prog.place(step, src, b)
+        else:
+            out = prog.inline(k, src, _inner_ids(k, b))[k.out]
         if len(cod_wires) == 1:
-            slot[cod_wires[0]] = where[k.out]
+            slot[cod_wires[0]] = out
         elif cod_wires:
             slot.update((w, prog.fresh()) for w in cod_wires)
-            prog.add(Unpack(where[k.out], tuple(slot[w] for w in cod_wires)))
+            prog.add(Unpack(out, tuple(slot[w] for w in cod_wires)))
 
     if len(d.outputs) == 1:
         out = slot[d.outputs[0]]

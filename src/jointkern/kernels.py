@@ -17,7 +17,11 @@ costs O(steps). Steps are immutable tuples, so moving a step is one tuple
 build and a kernel, once built, never changes.
 
 Each query is one pass. A pass reads each box's parameter point once, with
-PrimitiveKernel.point, and calls the primitive's laws at that point; each
+PrimitiveKernel.point, and calls the primitive's laws at that point. A
+TracedBox also carries its rng key, rng.box_key(box_id), built wherever the
+box gets its id (from_primitive, and moving a step under a new id, as
+rename_boxes and lowering a diagram do), so a seeded pass encodes only the
+seed, once per record, and draws each box's uniform from the two. Each
 pass keeps, in this order, the checks that can fail on what it is given or
 draws:
 
@@ -57,8 +61,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
+from . import rng
 from .errors import ShapeError
-from .rng import uniform_block
 from .spaces import (
     UNIT,
     UNIT_VALUE,
@@ -167,16 +171,21 @@ class PrimitiveKernel:
 
 class TracedBox(NamedTuple):
     """One noise source: its parameter is read from slot src and its value,
-    the box's trace entry, is written to slot dst."""
+    the box's trace entry, is written to slot dst. key is rng.box_key(box_id),
+    the box's part of the key of each of its seeded draws."""
 
     box_id: str
     primitive: PrimitiveKernel
     src: int
     dst: int
+    key: bytes
 
     def moved(self, where, ids: Mapping) -> TracedBox:
-        box_id, p, src, dst = self
-        return TracedBox(ids.get(box_id, box_id), p, where[src], where[dst])
+        box_id, p, src, dst, key = self
+        new = ids.get(box_id, box_id)
+        if new is not box_id:
+            key = rng.box_key(new)
+        return TracedBox(new, p, where[src], where[dst], key)
 
 
 class Apply(NamedTuple):
@@ -282,8 +291,30 @@ class _Program:
         self.steps.extend(s.moved(where, ids) for s in k.steps)
         return where
 
+    def place(self, step, src: int, box_id: str) -> int:
+        """Append the one step of a kernel that _one_step accepts, reading
+        slot src and, for a box, under box_id; returns the slot it writes.
+        The same step inline would make, built directly."""
+        dst = self.fresh()
+        if type(step) is TracedBox:
+            self.steps.append(TracedBox(box_id, step.primitive, src, dst, rng.box_key(box_id)))
+        else:
+            self.steps.append(Apply(step.fn, src, dst))
+        return dst
+
     def kernel(self, dom: Space, cod: Space, out: int, wires: Mapping = _EMPTY) -> JointKernel:
         return JointKernel(dom, cod, tuple(self.steps), out, self.n_slots, wires)
+
+
+def _one_step(k: JointKernel):
+    """k's step if k is one box or one map from its input slot to its output
+    slot, as from_primitive and lift_det build; None otherwise. Slot 1 is
+    the step's own, so it reads slot 0."""
+    if k.n_slots == 2 and k.out == 1 and len(k.steps) == 1:
+        step = k.steps[0]
+        if type(step) is TracedBox or type(step) is Apply:
+            return step
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +349,7 @@ def structure_kernel(kind: str, a: Space, b: Space | None = None) -> JointKernel
 
 def from_primitive(p: PrimitiveKernel, box_id: str) -> JointKernel:
     """A single-box kernel whose output is the primitive's sample."""
-    return JointKernel(p.dom, p.cod, (TracedBox(box_id, p, 0, 1),), 1, 2)
+    return JointKernel(p.dom, p.cod, (TracedBox(box_id, p, 0, 1, rng.box_key(box_id)),), 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +467,7 @@ def joint_log_density(k: JointKernel, z: Value, t: Trace) -> float:
     total = 0.0
     for s in k.steps:
         if type(s) is TracedBox:
-            box_id, p, src, dst = s
+            box_id, p, src, dst, _ = s
             m = t[box_id]
             ld = p.density(p.point(slots[src]), m)
             if ld == NEG_INF:
@@ -471,7 +502,7 @@ def replay_with_uniforms(
         if type(s) is not TracedBox:
             s.run(slots)
             continue
-        box_id, p, src, dst = s
+        box_id, p, src, dst, _ = s
         try:
             block = tuple(map(float, u[box_id]))
         except OverflowError:  # an integer past the float range
@@ -497,10 +528,11 @@ def sample_slots(k: JointKernel, z: Value, seed: int) -> tuple[dict, list]:
     slots = [None] * k.n_slots
     slots[0] = z
     t: dict = {}
+    draw, seed = rng.unit_uniform, rng.seed_key(seed)
     for s in k.steps:
         if type(s) is TracedBox:
-            box_id, p, src, dst = s
-            t[box_id] = slots[dst] = p.push(uniform_block(seed, box_id), p.point(slots[src]))
+            box_id, p, src, dst, key = s
+            t[box_id] = slots[dst] = p.push((draw(seed, key),), p.point(slots[src]))
         else:
             s.run(slots)
     check_member(k.cod, slots[k.out], "kernel output")
@@ -521,11 +553,14 @@ def sample_scored(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value, flo
     slots[0] = z
     t: dict = {}
     total, vanished = 0.0, False
+    # the seed's key once per record; rng.unit_uniform is looked up per pass,
+    # so a counter set on it sees every draw
+    draw, seed = rng.unit_uniform, rng.seed_key(seed)
     for s in k.steps:
         if type(s) is TracedBox:
-            box_id, p, src, dst = s
+            box_id, p, src, dst, key = s
             pt = p.point(slots[src])
-            t[box_id] = slots[dst] = m = p.push(uniform_block(seed, box_id), pt)
+            t[box_id] = slots[dst] = m = p.push((draw(seed, key),), pt)
             ld = p.density(pt, m)
             # joint_log_density stops at the first -inf factor
             if ld == NEG_INF:
@@ -563,7 +598,7 @@ def abduct_uniforms(k: JointKernel, z: Value, t: Trace) -> dict:
     u: dict = {}
     for s in k.steps:
         if type(s) is TracedBox:
-            box_id, p, src, dst = s
+            box_id, p, src, dst, _ = s
             law = p.abduct_law
             if law is None:
                 raise ShapeError(f"primitive {p.name!r} of box {box_id!r} has no abduct")
@@ -606,7 +641,7 @@ def enumerate_traces(k: JointKernel, z: Value) -> Iterator[tuple[dict, Fraction]
     def branches(j: int, before: Fraction):
         """Set box j to each of its positive points in turn; yield the
         path probability so far."""
-        box_id, p, src, dst = steps[j]
+        box_id, p, src, dst, _ = steps[j]
         pt = p.point(slots[src])
         for m in finite_points(p.cod):
             f = _exact_factor(p, pt, m)

@@ -61,7 +61,7 @@ from .weighted import WeightFactor, WeightedJointKernel
 __all__ = [
     "Model", "parse_model", "model_from_dict", "print_model", "render_json",
     "space_to_json", "space_from_json", "value_to_jsonable",
-    "value_from_jsonable", "value_encoder", "descriptor_to_json",
+    "value_from_jsonable", "value_decoder", "value_encoder", "descriptor_to_json",
 ]
 
 
@@ -129,32 +129,70 @@ def _real_from_json(space: Real, j) -> float:
 
 def value_from_jsonable(space: Space, j) -> Value:
     """Space-guided decoding, so 1 and 1.0 land in the right space."""
+    return value_decoder(space)(j)
+
+
+def value_decoder(space: Space):
+    """j -> value_from_jsonable(space, j) for every JSON value j, with the
+    space's shape read once, here, rather than per value."""
     if isinstance(space, (Finite, Countable)):
-        if isinstance(j, int) and not isinstance(j, bool):
-            return j
-        raise ShapeError(f"expected an integer for {space!r}, got {j!r}")
-    if isinstance(space, Real):
-        if space.dim == 1:
+        def decode(j):
+            if isinstance(j, int) and not isinstance(j, bool):
+                return j
+            raise ShapeError(f"expected an integer for {space!r}, got {j!r}")
+    elif isinstance(space, Real) and space.dim == 1:
+        def decode(j):
             if _is_number(j):
                 return _real_from_json(space, j)
             raise ShapeError(f"expected a number for {space!r}, got {j!r}")
-        if isinstance(j, list) and len(j) == space.dim and all(map(_is_number, j)):
-            return tuple(_real_from_json(space, x) for x in j)
-        raise ShapeError(f"expected {space.dim} numbers for {space!r}, got {j!r}")
-    if isinstance(space, Product):
-        if isinstance(j, list) and len(j) == 2:
-            return (value_from_jsonable(space.left, j[0]),
-                    value_from_jsonable(space.right, j[1]))
-        raise ShapeError(f"expected a two-element array for {space!r}, got {j!r}")
-    if isinstance(space, Coproduct):
-        if isinstance(j, dict) and len(j) == 1:
-            (tag, inner), = j.items()
-            if tag == "inl":
-                return Inl(value_from_jsonable(space.left, inner))
-            if tag == "inr":
-                return Inr(value_from_jsonable(space.right, inner))
-        raise ShapeError(f"expected an inl/inr object for {space!r}, got {j!r}")
-    raise ShapeError(f"not a Space: {space!r}")
+    elif isinstance(space, Real):
+        def decode(j):
+            if isinstance(j, list) and len(j) == space.dim and all(map(_is_number, j)):
+                return tuple(_real_from_json(space, x) for x in j)
+            raise ShapeError(f"expected {space.dim} numbers for {space!r}, got {j!r}")
+    elif isinstance(space, Product):
+        return _spine_decoder(space)
+    elif isinstance(space, Coproduct):
+        left, right = value_decoder(space.left), value_decoder(space.right)
+
+        def decode(j):
+            if isinstance(j, dict) and len(j) == 1:
+                (tag, inner), = j.items()
+                if tag == "inl":
+                    return Inl(left(inner))
+                if tag == "inr":
+                    return Inr(right(inner))
+            raise ShapeError(f"expected an inl/inr object for {space!r}, got {j!r}")
+    else:
+        raise ShapeError(f"not a Space: {space!r}")
+    return decode
+
+
+def _spine_decoder(space: Product):
+    """value_decoder of a product, which walks its left spine in a loop
+    rather than one call per factor. Its errors come in the order of a
+    decoder that recursed into the left factor first: each level's pair
+    shape top down, then the innermost left value, then the right values
+    bottom up."""
+    levels = []  # (product, its right factor's decoder), outermost first
+    while isinstance(space, Product):
+        levels.append((space, value_decoder(space.right)))
+        space = space.left
+    first = value_decoder(space)
+
+    def decode(j):
+        rights = []
+        for product, _ in levels:
+            if not (isinstance(j, list) and len(j) == 2):
+                raise ShapeError(f"expected a two-element array for {product!r}, got {j!r}")
+            rights.append(j[1])
+            j = j[0]
+        v = first(j)
+        for (_, right), r in zip(reversed(levels), reversed(rights)):
+            v = (v, right(r))
+        return v
+
+    return decode
 
 
 def descriptor_to_json(desc):
@@ -329,6 +367,16 @@ def parse_model(path: str) -> Model:
     return model_from_dict(raw, path)
 
 
+def _check_ids(ids, where: str):
+    """Every id must encode as UTF-8: a lone surrogate such as "\\ud800" is
+    legal JSON but no text, and ids reach rng keys and the CLI's output."""
+    for i in ids:
+        try:
+            i.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ModelSyntaxError(f"{where} id {i!r} has a lone surrogate") from None
+
+
 def _hypergraph(wires, boxes, dom, cod, where: str) -> Hypergraph:
     try:
         return Hypergraph(wires, boxes, dom, cod)
@@ -347,6 +395,8 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
     boxes_j = _need(sig_j, "boxes", "signature")
     if not isinstance(wires_j, dict) or not isinstance(boxes_j, dict):
         raise ModelSyntaxError("signature wires/boxes must be objects")
+    _check_ids(wires_j, "signature wire")
+    _check_ids(boxes_j, "signature box")
     wire_spaces = {}
     for w, entry in wires_j.items():
         wire_spaces[w] = space_from_json(_need(entry, "space", f"signature wire {w!r}"))
@@ -362,6 +412,8 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
     gb = _need(dia_j, "boxes", "diagram")
     if not isinstance(gw, dict) or not isinstance(gb, dict):
         raise ModelSyntaxError("diagram wires/boxes must be objects")
+    _check_ids(gw, "diagram wire")
+    _check_ids(gb, "diagram box")
     for w, lab in gw.items():
         if lab not in wire_spaces:
             raise ModelSyntaxError(f"diagram wire {w!r} references unknown type {lab!r}")

@@ -69,7 +69,7 @@ class Product:
     right: "Space"
 
     # a product of n factors nests n - 1 deep along its left side, so
-    # equality and hash walk that spine in a loop, not one frame per factor
+    # equality, hash and repr walk that spine in a loop, not one frame per factor
     def __eq__(self, other):
         if other.__class__ is not Product:
             return NotImplemented
@@ -89,6 +89,17 @@ class Product:
         for right in reversed(rights):
             h = hash((h, right))
         return h
+
+    def __repr__(self):
+        # the dataclass text, Product(left=..., right=...), built along the spine
+        rights, p = [], self
+        while p.left.__class__ is Product:
+            rights.append(p.right)
+            p = p.left
+        return "".join([
+            "Product(left=" * len(rights), f"Product(left={p.left!r}, right={p.right!r})",
+            *[f", right={right!r})" for right in reversed(rights)],
+        ])
 
 
 @dataclass(frozen=True)

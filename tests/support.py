@@ -2,8 +2,10 @@
 random diagrams, and a brute-force Chapman-Kolmogorov compositor used as an
 independent oracle."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from jointkern import (
     Diagram,
@@ -213,3 +215,16 @@ def random_dag_with_inputs(rng: random.Random, n_in: int, n_boxes: int,
     return Diagram(graph=graph, signature=sig, labeling=lab,
                    inputs=tuple(f"{prefix}i{j}" for j in range(n_in)),
                    outputs=outputs)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's seeded model generators
+
+
+def genmodels():
+    """bench/genmodels.py, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "genmodels.py"
+    spec = importlib.util.spec_from_file_location("genmodels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import json
 import math
 import os
@@ -19,8 +18,9 @@ from jointkern.kernels import joint_log_density, sample_with_trace
 from jointkern.model import model_from_dict, parse_model
 from jointkern.spaces import UNIT_VALUE
 
+from support import genmodels
+
 MODELS = Path(__file__).parent / "models"
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 CHAIN = str(MODELS / "chain.json")
 WEIGHTED = str(MODELS / "weighted.json")
 INPUTS = str(MODELS / "inputs.json")
@@ -176,19 +176,12 @@ def test_sample_deterministic(capsys):
     assert out3 != out1
 
 
-def _genmodels():
-    spec = importlib.util.spec_from_file_location("genmodels", BENCH / "genmodels.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
 def test_sample_logpdf_is_joint_log_density_bit_for_bit(capsys, tmp_path):
-    gen = _genmodels()
+    gen = genmodels()
     models = [(str(MODELS / f"{name}.json"), extra) for name, extra in (
         ("chain", ()), ("inputs", ("--input", "1")), ("normal", ()), ("sure", ()),
         ("uniform2x", ()), ("weighted", ()), ("real2_input", ("--input", "[0.5, 1.5]")))]
@@ -224,7 +217,7 @@ def test_sample_evaluates_each_wired_parameter_once(capsys, tmp_path, monkeypatc
         return counted
 
     monkeypatch.setattr(model_module, "_compile", counting)
-    gen = _genmodels()
+    gen = genmodels()
     path = gen.write_model(gen.chain_model(40, 1)[0], str(tmp_path), "chain40")
     code, out, _ = run(capsys, "sample", path, "--n", "5", "--seed", "2")
     # the root's parameters are constants; each of the 39 steps reads its
@@ -267,7 +260,7 @@ def test_sample_draws_one_uniform_per_box(monkeypatch):
         return unit_uniform(*args)
 
     monkeypatch.setattr(rng, "unit_uniform", counted)
-    gen = _genmodels()
+    gen = genmodels()
     for raw, want in ((json.loads(Path(CHAIN).read_text()), 2), (gen.chain_model(160, 1)[0], 160)):
         drawn[0] = 0
         sample_with_trace(model_from_dict(raw).kernel, UNIT_VALUE, 5)
@@ -647,3 +640,20 @@ def test_repeated_main_calls_do_not_leak_flags(capsys, tmp_path):
     first = run(capsys, *spw)
     assert len(json.loads(first[1])) == 1
     assert run(capsys, *spw) == first
+
+
+@pytest.mark.parametrize("name", ['"B"', '"step"', '"x"', '"b2"'])
+def test_lone_surrogate_ids_are_syntax_errors(capsys, tmp_path, name):
+    # "\ud800" is legal JSON but no Unicode text; a signature wire, signature
+    # box, diagram wire or diagram box named with one is rejected at parse
+    text = Path(CHAIN).read_text()
+    assert name in text
+    path = tmp_path / "surrogate.json"
+    path.write_text(text.replace(name, name[:-1] + '\\ud800"'))
+    for argv in (["validate"], ["sample", "--n", "1"], ["export-dot"]):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: ") and "lone surrogate" in err and err.count("\n") == 1
+    # a surrogate pair is one character, and a valid id
+    path.write_text(text.replace(name, name[:-1] + '\\ud83d\\ude00"'))
+    assert run(capsys, "validate", str(path))[:2] == (0, "OK\n")

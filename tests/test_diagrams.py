@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jointkern import (
     Diagram,
@@ -20,6 +21,7 @@ from jointkern import (
     validate_cd,
     validate_markov,
 )
+from jointkern.diagrams import _kahn
 
 from support import (
     chain_diagram, dag_signature, random_dag_diagram, random_dag_with_inputs,
@@ -312,3 +314,49 @@ def test_export_dot_deterministic():
     assert '"b1" [shape=box, label="b1:flip"];' in text
     assert '"b1" -> "b2" [label="x:B"];' in text
     assert '"b2" -> "out0" [label="y:B"];' in text
+
+
+def _reference_kahn(g: Hypergraph) -> tuple:
+    """Kahn's algorithm as stated: a box's predecessors are the first
+    producers of its input wires; repeatedly take the least box whose
+    predecessors are all taken; what is never taken is left over, in box
+    order."""
+    producer = {}
+    for b in g.boxes:
+        for w in g.cod[b]:
+            producer.setdefault(w, b)
+    preds = {b: {producer[w] for w in g.dom[b] if w in producer} for b in g.boxes}
+    order, taken = [], set()
+    while True:
+        ready = [b for b in g.boxes if b not in taken and preds[b] <= taken]
+        if not ready:
+            break
+        order.append(min(ready))
+        taken.add(order[-1])
+    return order, [b for b in g.boxes if b not in taken]
+
+
+@st.composite
+def _graphs(draw) -> Hypergraph:
+    """Random box graphs: wires read repeatedly, produced by two boxes (the
+    first producer counts) or by none, self-loops and cycles."""
+    wires = [f"w{i}" for i in range(draw(st.integers(0, 8)))]
+    boxes = draw(st.lists(st.sampled_from("abcdefghij"), unique=True, max_size=8))
+    wire_lists = st.lists(st.sampled_from(wires), max_size=4) if wires else st.just([])
+    dom = {b: draw(wire_lists) for b in boxes}
+    cod = {b: draw(wire_lists) for b in boxes}
+    return Hypergraph(wires, boxes, dom, cod)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(_graphs())
+# a self-loop; a cycle fed by a root; w made by c and then by a, read twice
+@example(Hypergraph(["w"], ["a"], {"a": ["w"]}, {"a": ["w"]}))
+@example(Hypergraph(["u", "v", "x"], ["c", "b", "a"],
+                    {"a": [], "b": ["x", "v"], "c": ["u"]},
+                    {"a": ["x"], "b": ["u"], "c": ["v"]}))
+@example(Hypergraph(["w", "y"], ["c", "a", "b"],
+                    {"a": [], "b": ["w", "w"], "c": ["y"]},
+                    {"a": ["w", "y"], "b": [], "c": ["w"]}))
+def test_kahn_matches_reference(g):
+    assert _kahn(g) == _reference_kahn(g)

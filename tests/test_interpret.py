@@ -1,10 +1,13 @@
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import jointkern.interpret as interpret
 from jointkern import (
     DetMap,
     Diagram,
@@ -15,6 +18,7 @@ from jointkern import (
     HypMorphism,
     Interpretation,
     Product,
+    UNIT,
     UNIT_VALUE,
     bernoulli,
     categorical,
@@ -22,9 +26,11 @@ from jointkern import (
     compose,
     evaluate,
     from_primitive,
+    intervene,
     joint_log_density,
     lift_det,
     marginal_pmf_finite,
+    model_from_dict,
     model_log_density,
     nest_values,
     sample_model,
@@ -36,11 +42,13 @@ from support import (
     chain_parts,
     dag_signature,
     fourbox_parts,
+    genmodels,
     random_dag_diagram,
     random_probs,
 )
 
 TWO = Finite(2)
+MODELS = Path(__file__).parent / "models"
 
 
 def test_check_interpretation_ok():
@@ -152,6 +160,43 @@ def test_composite_box_ids_get_prefixed():
     k = evaluate(d, interp)
     assert k.box_ids == ("g.n1", "g.n2")
     assert marginal_pmf_finite(k, UNIT_VALUE) == {0: 0.55, 1: 0.45}
+
+
+def _lowered_both_ways(d, interp, monkeypatch) -> tuple:
+    """(the kernel _compile builds, the kernel it builds when every box is
+    inlined step by step, as composites are)."""
+    placed = interpret._compile(d, interp)
+    with monkeypatch.context() as m:
+        m.setattr(interpret, "_one_step", lambda k: None)
+        inlined = interpret._compile(d, interp)
+    return placed, inlined
+
+
+def test_one_step_placement_matches_inline(monkeypatch):
+    gen = genmodels()
+    models = []
+    for path in sorted(MODELS.glob("*.json")):
+        try:
+            models.append(model_from_dict(json.loads(path.read_text())))
+        except ValueError:  # the fixtures that must not parse
+            continue
+    assert len(models) >= 8
+    models.append(model_from_dict(gen.chain_model(160, 1)[0]))
+    models += [model_from_dict(gen.layered_dag(s, i)[0]) for s in (1, 2, 3) for i in range(8)]
+    for model in models:
+        d, interp = model.diagram, model.interpretation
+        interps = [interp]
+        # an intervention on the first drawn box, held at its sampled value
+        if model.kernel.dom == UNIT and model.kernel.boxes:
+            t, _ = sample_with_trace(model.kernel, UNIT_VALUE, 3)
+            b = model.kernel.box_ids[0]
+            interps.append(intervene(d, interp, {d.box_label[b]: t[b]}))
+        for one in interps:
+            placed, inlined = _lowered_both_ways(d, one, monkeypatch)
+            assert placed.steps == inlined.steps
+            assert (placed.n_slots, placed.out) == (inlined.n_slots, inlined.out)
+            assert dict(placed.wires) == dict(inlined.wires)
+            assert (placed.dom, placed.cod) == (inlined.dom, inlined.cod)
 
 
 def test_evaluate_rejects_invalid_diagram():

@@ -175,6 +175,11 @@ def _pairs(inner):
 # every codomain a model file can give, with one of its points
 POINTS = st.recursive(_LEAVES, _pairs, max_leaves=6)
 LOGPDFS = st.one_of(st.just(float("-inf")), st.floats(allow_nan=False))
+# box ids: any text, and text made of what a JSON string escapes or keeps
+# as is past ASCII: quote, backslash, control characters, non-ASCII
+BOX_IDS = st.one_of(
+    st.text(min_size=1, max_size=4),
+    st.text(st.sampled_from('"\\\x00\x1f\n\t\x7fé日\u2028\U0001f600a'), min_size=1, max_size=4))
 
 
 @settings(derandomize=True, max_examples=400)
@@ -186,7 +191,7 @@ def test_value_encoder_matches_render_json(point):
 
 
 @settings(derandomize=True, max_examples=200)
-@given(st.dictionaries(st.text(min_size=1, max_size=4), POINTS, max_size=4), POINTS, LOGPDFS)
+@given(st.dictionaries(BOX_IDS, POINTS, max_size=4), POINTS, LOGPDFS)
 def test_record_encoder_matches_render_json(boxes, output, logpdf):
     t = {b: v for b, (_, v) in boxes.items()}
     encode = _record_encoder({b: sp for b, (sp, _) in boxes.items()}, output[0])
@@ -198,7 +203,7 @@ def test_record_encoder_matches_render_json(boxes, output, logpdf):
 
 
 @settings(derandomize=True, max_examples=200)
-@given(st.dictionaries(st.text(min_size=1, max_size=4), POINTS, max_size=4), POINTS)
+@given(st.dictionaries(BOX_IDS, POINTS, max_size=4), POINTS)
 def test_cf_record_encoder_matches_render_json(boxes, output):
     t = {b: v for b, (_, v) in boxes.items()}
     encode = _record_encoder({b: sp for b, (sp, _) in boxes.items()}, output[0], scored=False)
@@ -214,7 +219,7 @@ _BLOCKS = st.lists(st.floats(allow_nan=False), max_size=3).map(tuple)
 
 
 @settings(derandomize=True, max_examples=200)
-@given(st.dictionaries(st.text(min_size=1, max_size=4), _BLOCKS, max_size=4))
+@given(st.dictionaries(BOX_IDS, _BLOCKS, max_size=4))
 def test_uniforms_encoder_matches_render_json(u):
     encode = _uniforms_encoder(list(u))
     assert encode(u) == render_json({b: list(block) for b, block in u.items()})

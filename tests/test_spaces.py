@@ -20,6 +20,7 @@ from jointkern import (
     UNIT_VALUE,
     base_measure_mass,
     cantor_pair,
+    check_member,
     cantor_unpair,
     cover_index_bound,
     descriptor_contains,
@@ -224,8 +225,8 @@ def test_nesting_helpers():
 
 
 def test_wide_product_equality_hash_and_membership():
-    # a 5000-factor product nests 4999 deep on its left side; equality, hash
-    # and membership walk that spine without recursing per factor
+    # a 5000-factor product nests 4999 deep on its left side; equality, hash,
+    # membership and repr walk that spine without recursing per factor
     factors = [Finite(2), Real(1), Countable(), Finite(3)] * 1250
     wide, same = nest_product(factors), nest_product(list(factors))
     assert wide is not same and wide == same and hash(wide) == hash(same)
@@ -237,6 +238,11 @@ def test_wide_product_equality_hash_and_membership():
     assert membership(wide, nest_values(values))
     assert not membership(wide, nest_values(values[:-1] + [3]))
     assert not membership(wide, nest_values(values[:-1]))
+    # so an error that names the wide space is a ShapeError
+    assert repr(wide) == "".join(["Product(left=" * 4999, "Finite(size=2)", *[
+        f", right={f!r})" for f in factors[1:]]])
+    with pytest.raises(ShapeError, match="is not a point of Product"):
+        check_member(wide, 5)
     # a product is unequal to any other value, and keeps the dataclass
     # equality of a one-level spine
     for other in [Finite(2), (Finite(2), Real(1)), None, "Product"]:
@@ -244,3 +250,10 @@ def test_wide_product_equality_hash_and_membership():
     assert Product(Finite(2), Real(1)) == Product(Finite(2), Real(1))
     assert hash(Product(Finite(2), Real(1))) == hash((Finite(2), Real(1)))
     assert Product(Product(Finite(2), Real(1)), Real(1)) != Product(Real(1), Real(1))
+    # and its repr keeps the dataclass text
+    assert repr(Product(Product(Finite(2), Real(1)), Coproduct(Countable(), Real(2)))) == (
+        "Product(left=Product(left=Finite(size=2), right=Real(dim=1)), "
+        "right=Coproduct(left=Countable(), right=Real(dim=2)))")
+    assert repr(Product(Finite(2), Product(Real(1), Finite(3)))) == (
+        "Product(left=Finite(size=2), right=Product(left=Real(dim=1), right=Finite(size=3)))")
+

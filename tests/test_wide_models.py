@@ -42,13 +42,27 @@ def wide_output_raw(n: int) -> dict:
     )
 
 
-def _raw(wires, boxes, dom, cod, sig, interp, outputs) -> dict:
+def wide_input_raw(n: int) -> dict:
+    """One det box reading n global inputs."""
+    return _raw(
+        wires={**{f"w{i}": "R" for i in range(n)}, "y": "R"},
+        boxes={"s": "sum"},
+        dom={"s": [f"w{i}" for i in range(n)]},
+        cod={"s": ["y"]},
+        sig={"sum": {"dom": ["R"] * n, "cod": ["R"]}},
+        interp={"sum": {"det": f"$0 + ${n - 1}"}},
+        outputs=["y"],
+        inputs=[f"w{i}" for i in range(n)],
+    )
+
+
+def _raw(wires, boxes, dom, cod, sig, interp, outputs, inputs=()) -> dict:
     return {
         "version": 1,
         "signature": {"wires": {"R": {"space": {"real": 1}}, "B": {"space": {"finite": 2}}},
                       "boxes": sig},
         "diagram": {"wires": wires, "boxes": boxes, "dom": dom, "cod": cod,
-                    "inputs": [], "outputs": outputs},
+                    "inputs": list(inputs), "outputs": outputs},
         "interpretation": interp,
     }
 
@@ -121,3 +135,14 @@ def test_wide_output_leg(capsys, tmp_path):
     assert main(["logpdf", str(model), "--trace", str(records)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "recursion depth" in err
+
+
+def test_wide_input_rejected_cleanly(capsys, tmp_path):
+    # the error names the 3000-factor input space
+    model = tmp_path / "wide_input.json"
+    model.write_text(json.dumps(wide_input_raw(N)))
+    assert main(["sample", str(model), "--input", "5"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: expected a two-element array for Product(left=Product(")
+    assert err.count("\n") == 1 and err.endswith("got 5\n")
