@@ -243,7 +243,7 @@ def _run_spw(model: Model, interp: Interpretation, ns) -> int:
     slot_spaces = [interp.wire_spaces[model.diagram.wire_label[w]] for w in out_wires]
     exprs = ns.h or ["$0"]
     tests = [compile_det_map([e], slot_spaces, [Real(1)], name=e) for e in exprs]
-    refs = [float(r) for r in ns.ref] if ns.ref else None
+    refs = ns.ref or None
     seed = ns.seed if ns.seed is not None else _default_seed()
     report = spw_check(wk, tests, refs, ns.n, seed)
     for e, row in zip(exprs, report):
@@ -289,12 +289,23 @@ def _run_export_dot(model: Model, interp: Interpretation, ns) -> int:
 # argument plumbing
 
 
+def _count(text: str) -> int:
+    """A count flag's value: an integer, 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
+    return n
+
+
 # each command's runner and its flags, as (flag, add_argument kwargs);
 # the positional model path comes first, except under `do`
 _COMMANDS = {
     "validate": (_run_validate, []),
     "sample": (_run_sample, [
-        ("--n", dict(type=int, default=1)),
+        ("--n", dict(type=_count, default=1)),
         ("--seed", dict(type=int, default=None)),
         ("--input", dict(default=None)),
         ("--out", dict(default=None, help="append records to this file")),
@@ -314,15 +325,15 @@ _COMMANDS = {
         ("--out", dict(default=None)),
     ]),
     "spw": (_run_spw, [
-        ("--n", dict(type=int, default=100000)),
+        ("--n", dict(type=_count, default=100000)),
         ("--seed", dict(type=int, default=None)),
         ("--h", dict(action="append", default=[],
                      help="test function over the output wires (default $0)")),
-        ("--ref", dict(action="append", default=[],
+        ("--ref", dict(type=float, action="append", default=[],
                        help="reference value per --h (default: exact enumeration)")),
     ]),
     "cover": (_run_cover, [
-        ("--count", dict(type=int, default=5)),
+        ("--count", dict(type=_count, default=5)),
         ("--point", dict(default=None)),
     ]),
     "export-dot": (_run_export_dot, [

@@ -28,8 +28,9 @@ draws:
     sample_scored         seeded draw and log-density, each box reading its
                           parameter point once (sample, sample_with_trace):
                           the input, the output, then each trace value
-    sample_slots          seeded draw, unscored, returning every slot (spw):
-                          the input, then the output
+    sample_slots          seeded draws over many seeds, unscored, yielding
+                          every slot (spw): the input, once per pass, then
+                          each output
     replay_with_uniforms  uniforms a caller supplies (cf): the input, every
                           box has a block and every block a box, then each
                           block's floats, length and range, then the output
@@ -45,7 +46,9 @@ draws:
 
 The seeded passes make their own uniforms, in [0, 1) and of the right
 length, and do not check them; sample_slots also leaves the trace values
-unchecked, as spw reads only the output and the weights.
+unchecked, as spw reads only the output and the weights. sample_slots is
+the one seeded pass over many records: it checks the input and builds the
+slot template once, then copies the template per seed.
 
 Traces are keyed by box id instead of nested positional tuples, so category
 laws hold literally (associativity does not need re-tupling). The residual
@@ -59,7 +62,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import rng
 from .errors import ShapeError
@@ -517,26 +520,42 @@ def replay_with_uniforms(
     return t, x
 
 
-def sample_slots(k: JointKernel, z: Value, seed: int) -> tuple[dict, list]:
-    """Draw one trace unscored: (trace, every slot's value).
+def sample_slots(k: JointKernel, z: Value, seeds: Iterable[int]) -> Iterator[tuple[dict, list]]:
+    """Draw one trace per seed, unscored: yields (trace, every slot's value).
 
-    replay_with_uniforms at the seeded uniforms sample_scored draws, less
-    the checks on those uniforms, which are in [0, 1) and of the right
-    length by construction: it checks the input, then the output.
+    Per seed, replay_with_uniforms at the seeded uniforms sample_scored
+    draws, less the checks on those uniforms, which are in [0, 1) and of
+    the right length by construction. The input is checked once, before
+    the first draw; each output is checked as it is drawn. What does not
+    change between seeds is done once: the slot template holds z and the
+    value of every Pack of no sources (UNIT_VALUE), and those steps are
+    not rerun.
     """
     check_member(k.dom, z, "kernel input")
-    slots = [None] * k.n_slots
-    slots[0] = z
-    t: dict = {}
-    draw, seed = rng.unit_uniform, rng.seed_key(seed)
+    template = [None] * k.n_slots
+    template[0] = z
+    steps = []
     for s in k.steps:
-        if type(s) is TracedBox:
-            box_id, p, src, dst, key = s
-            t[box_id] = slots[dst] = p.push((draw(seed, key),), p.point(slots[src]))
+        if type(s) is Pack and not s.srcs:
+            template[s.dst] = UNIT_VALUE
         else:
-            s.run(slots)
-    check_member(k.cod, slots[k.out], "kernel output")
-    return t, slots
+            steps.append(s)
+    cod, out = k.cod, k.out
+    # looked up once per pass, so a counter set on it before the pass sees
+    # every draw
+    draw, seed_key = rng.unit_uniform, rng.seed_key
+    for seed in seeds:
+        seed = seed_key(seed)
+        slots = template.copy()
+        t: dict = {}
+        for s in steps:
+            if type(s) is TracedBox:
+                box_id, p, src, dst, key = s
+                t[box_id] = slots[dst] = p.push((draw(seed, key),), p.point(slots[src]))
+            else:
+                s.run(slots)
+        check_member(cod, slots[out], "kernel output")
+        yield t, slots
 
 
 def sample_scored(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value, float]:

@@ -17,6 +17,7 @@ products cannot underflow.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -145,16 +146,38 @@ def unnormalized_log_density(wk: WeightedJointKernel, z: Value, t: Trace) -> flo
     return NEG_INF if lw == NEG_INF else lw + ld
 
 
-def expected_value_by_enumeration(wk: WeightedJointKernel, z: Value, h: DetMap) -> float:
-    """Exact E[w * h(output)] over all traces; finite residuals only."""
-    acc = Fraction(0)
-    for t, prob in enumerate_traces(wk.base, z):
-        lw = wk.log_weight(t, z)
+# the most positive-probability traces an exact reference sums over; past
+# it the enumeration stops, and spw needs its reference values given
+ENUMERATION_LIMIT = 2 ** 18
+
+
+def _expected_values(wk: WeightedJointKernel, z: Value, hs: Sequence[DetMap]) -> list[float]:
+    """Exact E[w * h(output)] for each h, over one enumeration of the traces;
+    each sum runs in trace order in exact Fraction arithmetic."""
+    base, log_weight = wk.base, wk.log_weight
+    accs = [Fraction(0)] * len(hs)
+    for count, (t, prob) in enumerate(enumerate_traces(base, z), 1):
+        if count > ENUMERATION_LIMIT:
+            raise ShapeError(
+                f"exact reference needs more than {ENUMERATION_LIMIT} traces; "
+                f"give the reference values instead (--ref)")
+        slots = run_trace(base, z, t)
+        lw = log_weight(t, z, slots)
         if lw == NEG_INF:
             continue
-        val = math.exp(lw) * float(h(wk.base.mech(t, z)))
-        acc += prob * Fraction(val)
-    return float(acc)
+        try:
+            w = math.exp(lw)
+        except OverflowError:
+            raise ShapeError(f"non-finite weight exp({lw!r}) in the exact reference") from None
+        x = slots[base.out]
+        accs = [acc + prob * Fraction(w * float(h(x))) for acc, h in zip(accs, hs)]
+    return [float(acc) for acc in accs]
+
+
+def expected_value_by_enumeration(wk: WeightedJointKernel, z: Value, h: DetMap) -> float:
+    """Exact E[w * h(output)] over all traces; finite residuals only, and at
+    most ENUMERATION_LIMIT positive-probability traces."""
+    return _expected_values(wk, z, [h])[0]
 
 
 def spw_check(
@@ -170,40 +193,50 @@ def spw_check(
     compares against the reference value (or an exact enumeration when
     reference is None). Passes when the estimate sits within three standard
     errors. Returns one report dict per test function.
+
+    Everything that can be rejected without sampling is checked before the
+    first draw: n, the domain, and the references, which must be finite.
+    The enumeration stops with a ShapeError past ENUMERATION_LIMIT traces.
     """
     if n < 1000:
         raise ParameterError(f"spw_check needs n >= 1000, got {n}")
     if wk.base.dom != UNIT:
         raise ShapeError(f"spw_check needs a kernel with unit domain, got {wk.base.dom!r}")
     if reference is None:
-        refs = [expected_value_by_enumeration(wk, UNIT_VALUE, h) for h in test_functions]
+        refs = _expected_values(wk, UNIT_VALUE, test_functions)
     else:
         refs = [float(r) for r in reference]
         if len(refs) != len(test_functions):
             raise ShapeError("one reference value per test function is required")
+        bad = [r for r in refs if not math.isfinite(r)]
+        if bad:
+            raise ParameterError(f"reference values must be finite, got {bad[0]!r}")
 
-    base, log_weight = wk.base, wk.log_weight
-    rows = []
-    for i in range(n):
-        t, slots = sample_slots(base, UNIT_VALUE, derive_seed(seed, i))
-        x = slots[base.out]
+    # one pass over the n seeds; one float array per test function, so a
+    # sample costs 8 bytes per test function
+    base, log_weight, out = wk.base, wk.log_weight, wk.base.out
+    fns = [h.fn for h in test_functions]
+    cols = [array("d") for _ in fns]
+    draws = sample_slots(base, UNIT_VALUE, (derive_seed(seed, i) for i in range(n)))
+    for i, (t, slots) in enumerate(draws):
         lw = log_weight(t, UNIT_VALUE, slots)
-        w = 0.0 if lw == NEG_INF else math.exp(lw)
-        if not math.isfinite(w):
-            raise ShapeError(f"non-finite weight {w!r} at sample {i}")
-        rows.append([w * float(h(x)) for h in test_functions])
-    rows = np.array(rows)
+        try:
+            w = math.exp(lw)  # 0.0 at -inf
+        except OverflowError:
+            raise ShapeError(f"non-finite weight exp({lw!r}) at sample {i}") from None
+        x = slots[out]
+        for fn, col in zip(fns, cols):
+            col.append(w * float(fn(x)))
 
-    out = []
-    for j in range(len(test_functions)):
-        col = rows[:, j]
+    report = []
+    for col, ref in zip(cols, refs):
+        col = np.frombuffer(col)
         est = float(np.mean(col))
         se = float(np.std(col, ddof=1) / math.sqrt(n))
-        ref = refs[j]
-        out.append({
+        report.append({
             "estimate": est,
             "stderr": se,
             "reference": ref,
             "pass": bool(abs(est - ref) <= 3.0 * se),
         })
-    return out
+    return report

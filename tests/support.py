@@ -228,3 +228,16 @@ def genmodels():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Count every call of owner.name from here on (a module's function or a
+    class's method); returns the one-element counter."""
+    calls, fn = [0], getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

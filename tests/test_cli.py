@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from jointkern.kernels import joint_log_density, sample_with_trace
 from jointkern.model import model_from_dict, parse_model
 from jointkern.spaces import UNIT_VALUE
 
-from support import genmodels
+from support import count_calls, genmodels
 
 MODELS = Path(__file__).parent / "models"
 CHAIN = str(MODELS / "chain.json")
@@ -530,6 +531,50 @@ def test_spw_chain(capsys):
     assert json.loads(out)[0]["pass"] is False
 
     assert main(["spw", CHAIN, "--n", "10"]) == 4
+
+
+def _usage_exit(capsys, *args) -> str:
+    """stderr of a command line that argparse rejects with exit 2."""
+    with pytest.raises(SystemExit) as e:
+        main(list(args))
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage: jointkern" in captured.err
+    return captured.err
+
+
+def test_spw_ref_must_be_a_finite_number(capsys, monkeypatch):
+    err = _usage_exit(capsys, "spw", CHAIN, "--n", "1000", "--ref", "abc")
+    assert "argument --ref: invalid float value: 'abc'" in err
+    draws = count_calls(monkeypatch, rng, "unit_uniform")
+    for ref in ("nan", "inf", "-inf", "1e999"):
+        code, out, err = run(capsys, "spw", CHAIN, "--n", "1000", f"--ref={ref}")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: reference values must be finite")
+    assert draws[0] == 0
+
+
+def test_spw_exact_reference_is_bounded(capsys, monkeypatch):
+    weighted_module = importlib.import_module("jointkern.weighted")
+    monkeypatch.setattr(weighted_module, "ENUMERATION_LIMIT", 3)
+    code, out, err = run(capsys, "spw", CHAIN, "--n", "1000")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: exact reference needs more than 3 traces") and "--ref" in err
+    code, out, _ = run(capsys, "spw", CHAIN, "--n", "1000", "--ref", "0.45")
+    assert code == 0 and json.loads(out)[0]["reference"] == 0.45
+
+
+def test_counts_are_not_negative(capsys):
+    for args in (("sample", CHAIN, "--n", "-1"),
+                 ("do", CHAIN, "--set", "flip=1", "sample", "--n", "-1"),
+                 ("cover", CHAIN, "--count", "-2"),
+                 ("spw", CHAIN, "--n", "-5")):
+        err = _usage_exit(capsys, *args)
+        assert "must be 0 or more" in err, args
+    err = _usage_exit(capsys, "sample", CHAIN, "--n", "abc")
+    assert "argument --n: invalid int value: 'abc'" in err
+    assert run(capsys, "sample", CHAIN, "--n", "0") == (0, "", "")
+    assert run(capsys, "cover", CHAIN, "--count", "0") == (0, "", "")
 
 
 def test_spw_weighted_model(capsys):

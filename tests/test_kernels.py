@@ -1,9 +1,11 @@
 import math
 import random
 import struct
+from pathlib import Path
 
 import pytest
 
+import jointkern.rng as rng
 from jointkern import (
     DetMap,
     Finite,
@@ -28,14 +30,17 @@ from jointkern import (
     poisson,
     rename_boxes,
     replay_with_uniforms,
+    run_trace,
     sample_scored,
+    sample_slots,
     sample_with_trace,
     structure_kernel,
     tensor,
     uniform,
 )
+from jointkern.model import parse_model
 
-from support import ck_composite, kernel_matrix, random_finite_kernel
+from support import ck_composite, count_calls, kernel_matrix, random_finite_kernel
 
 TWO = Finite(2)
 
@@ -303,6 +308,42 @@ def test_sample_scored_checks_the_output_before_the_trace():
         sample_scored(both, (UNIT_VALUE, UNIT_VALUE), 2)
     with pytest.raises(ShapeError, match="kernel input"):
         sample_scored(hidden, 1, 2)
+
+
+def test_sample_slots_is_sample_scored_unscored():
+    # a model kernel starts with a Pack of no sources, which the pass sets once
+    m = parse_model(str(Path(__file__).parent / "models" / "weighted.json"))
+    seeds = list(range(50)) + [2**62, 7]
+    for k in (chain_kernel(), m.kernel):
+        got = list(sample_slots(k, UNIT_VALUE, iter(seeds)))
+        assert len(got) == len(seeds)
+        for (t, slots), seed in zip(got, seeds):
+            want_t, want_x, _ = sample_scored(k, UNIT_VALUE, seed)
+            assert t == want_t and slots[k.out] == want_x
+            assert slots == run_trace(k, UNIT_VALUE, t)
+    # every yield is its own list and dict
+    (t0, s0), (t1, s1) = got[:2]
+    assert s0 is not s1 and t0 is not t1
+
+
+def test_sample_slots_checks_the_input_once_before_any_draw(monkeypatch):
+    draws = count_calls(monkeypatch, rng, "unit_uniform")
+    k = chain_kernel()
+    with pytest.raises(ShapeError, match="^kernel input"):
+        next(sample_slots(k, 5, iter(range(10))))
+    assert draws[0] == 0
+    assert len(list(sample_slots(k, UNIT_VALUE, range(10)))) == 10
+    assert draws[0] == 20
+
+
+def test_sample_slots_checks_each_output(monkeypatch):
+    draws = count_calls(monkeypatch, rng, "unit_uniform")
+    # a det step past the box turns every draw into a non-member of TWO
+    k = compose(from_primitive(bernoulli(0.5), "b"),
+                lift_det(DetMap(TWO, TWO, lambda v: v + 5, "off")))
+    with pytest.raises(ShapeError, match=r"^kernel output [56] is not a point"):
+        next(sample_slots(k, UNIT_VALUE, [0, 1]))
+    assert draws[0] == 1
 
 
 def test_rename_boxes():

@@ -1,7 +1,12 @@
+import importlib
 import math
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import jointkern.rng as rng
 from jointkern import (
     DetMap,
     Finite,
@@ -19,11 +24,14 @@ from jointkern import (
     constant_weight,
     evaluate,
     expected_value_by_enumeration,
+    derive_seed,
     from_primitive,
     joint_log_density,
     kleisli_compose,
     kleisli_tensor,
     lift_det,
+    parse_model,
+    sample_scored,
     spw_check,
     uniform,
     unnormalized_log_density,
@@ -31,7 +39,10 @@ from jointkern import (
     with_weight_map,
 )
 
-from support import chain_parts
+from support import chain_parts, count_calls
+
+# the module, which the package attribute `weighted` (a function) shadows
+weighted_module = importlib.import_module("jointkern.weighted")
 
 TWO = Finite(2)
 
@@ -232,3 +243,138 @@ def test_spw_check_deterministic():
     a = spw_check(wk, [h], None, n=2000, seed=5)
     b = spw_check(wk, [h], None, n=2000, seed=5)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# spw_check against an independent per-seed recomputation
+
+MODELS = Path(__file__).parent / "models"
+
+
+def fixture_kernel(name: str) -> WeightedJointKernel:
+    m = parse_model(str(MODELS / f"{name}.json"))
+    return m.weighted_kernel()
+
+
+def composed_kernel() -> WeightedJointKernel:
+    left = weighted(from_primitive(bernoulli(0.3), "a"),
+                    [lambda t, z: 3.0 if t["a"] >= 1 else 0.5])
+    step = from_primitive(bernoulli(lambda x: 0.2 if x < 1 else 0.7, dom=TWO), "b")
+    # the right factor reads its input, the left output, and can vanish
+    right = weighted(step, [lambda t, z: 0.0 if z == t["b"] else 4.0])
+    return kleisli_compose(left, right)
+
+
+TEST_FUNCTIONS = [
+    lambda x: x,
+    lambda x: x * x + 1.0,
+    lambda x: 3 - 2 * x,  # an int for an int x: spw_check converts with float
+]
+
+CASES = {
+    "weighted": (lambda: fixture_kernel("weighted"), TWO),
+    "uniform2x": (lambda: fixture_kernel("uniform2x"), Real(1)),
+    "kleisli": (composed_kernel, TWO),
+}
+
+
+def recomputed(wk, hs, n: int, seed: int) -> list:
+    """(estimate, stderr) per test function, each sample drawn and weighed
+    on its own: sample_scored at its seed, then log_weight with the slots
+    recomputed from the trace, then one row per sample."""
+    rows = []
+    for i in range(n):
+        t, x, _ = sample_scored(wk.base, UNIT_VALUE, derive_seed(seed, i))
+        lw = wk.log_weight(t, UNIT_VALUE)
+        w = 0.0 if lw == NEG_INF else math.exp(lw)
+        rows.append([w * float(h(x)) for h in hs])
+    rows = np.array(rows)
+    return [(float(np.mean(rows[:, j])), float(np.std(rows[:, j], ddof=1) / math.sqrt(n)))
+            for j in range(len(hs))]
+
+
+@pytest.mark.parametrize("n", [1000, 2001])
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_spw_check_bits_match_a_per_seed_recomputation(case, count, n):
+    make, cod = CASES[case]
+    wk = make()
+    hs = [DetMap(cod, Real(1), f, f"h{j}") for j, f in enumerate(TEST_FUNCTIONS[:count])]
+    refs = [1.0] * count
+    got = [(r["estimate"], r["stderr"]) for r in spw_check(wk, hs, refs, n=n, seed=11)]
+    assert got == recomputed(wk, hs, n, 11)
+
+
+def test_spw_check_weighs_each_sample_once_and_draws_each_box_once(monkeypatch):
+    wk = composed_kernel()
+    calls = count_calls(monkeypatch, WeightedJointKernel, "log_weight")
+    draws = count_calls(monkeypatch, rng, "unit_uniform")
+    h = DetMap(TWO, Real(1), float, "id")
+    spw_check(wk, [h, h, h], [0.5, 0.5, 0.5], n=1500, seed=3)
+    assert calls[0] == 1500
+    assert draws[0] == 1500 * len(wk.base.boxes)
+
+
+def test_spw_check_rejects_bad_references_before_any_draw(monkeypatch):
+    draws = count_calls(monkeypatch, rng, "unit_uniform")
+    wk = weighted(chain_kernel(), [indicator_y1])
+    h = DetMap(TWO, Real(1), float, "id")
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ParameterError, match="reference values must be finite"):
+            spw_check(wk, [h, h], [0.5, bad], n=1000, seed=0)
+    assert draws[0] == 0
+
+
+def test_spw_check_rejects_a_weight_past_the_float_range():
+    # each factor is a float; their product is not
+    wk = weighted(chain_kernel(), [lambda t, z: 1e300, lambda t, z: 1e300])
+    h = DetMap(TWO, Real(1), float, "id")
+    with pytest.raises(ShapeError, match=r"^non-finite weight exp\(1381\..*\) at sample 0$"):
+        spw_check(wk, [h], [1.0], n=1000, seed=0)
+    with pytest.raises(ShapeError, match=r"^non-finite weight .* in the exact reference$"):
+        spw_check(wk, [h], None, n=1000, seed=0)
+
+
+def test_spw_check_stores_one_float_per_sample_and_test_function():
+    wk = fixture_kernel("uniform2x")
+    h = DetMap(Real(1), Real(1), float, "id")
+    n = 10_000
+    spw_check(wk, [h], [8.0 / 3.0], n=1000, seed=0)  # warm every cache first
+    tracemalloc.start()
+    try:
+        spw_check(wk, [h], [8.0 / 3.0], n=n, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 8-byte array, plus numpy's copy of it for the standard deviation
+    assert peak / n <= 20.0
+
+
+# ---------------------------------------------------------------------------
+# exact references: one enumeration for every test function, bounded
+
+def test_exact_references_enumerate_once_for_every_test_function(monkeypatch):
+    wk = weighted(chain_kernel(), [indicator_y1])
+    hs = [DetMap(TWO, Real(1), float, "id"), DetMap(TWO, Real(1), lambda x: 1.0, "one"),
+          DetMap(TWO, Real(1), lambda x: 0.1 + x / 3, "third")]
+    alone = [expected_value_by_enumeration(wk, UNIT_VALUE, h) for h in hs]
+    calls = count_calls(monkeypatch, WeightedJointKernel, "log_weight")
+    reports = spw_check(wk, hs, None, n=1000, seed=0)
+    # the four traces once, then the 1000 samples
+    assert calls[0] == 4 + 1000
+    assert [r["reference"] for r in reports] == alone
+
+
+def test_exact_reference_stops_past_the_enumeration_limit(monkeypatch):
+    wk = weighted(chain_kernel(), [indicator_y1])
+    h = DetMap(TWO, Real(1), float, "id")
+    monkeypatch.setattr(weighted_module, "ENUMERATION_LIMIT", 4)
+    assert expected_value_by_enumeration(wk, UNIT_VALUE, h) == pytest.approx(0.9, abs=1e-12)
+    monkeypatch.setattr(weighted_module, "ENUMERATION_LIMIT", 3)
+    with pytest.raises(ShapeError, match=r"more than 3 traces.*--ref"):
+        expected_value_by_enumeration(wk, UNIT_VALUE, h)
+    with pytest.raises(ShapeError, match=r"--ref"):
+        spw_check(wk, [h], None, n=1000, seed=0)
+    # given references need no enumeration
+    (rep,) = spw_check(wk, [h], [0.9], n=1000, seed=0)
+    assert rep["reference"] == 0.9
