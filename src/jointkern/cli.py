@@ -48,10 +48,11 @@ __all__ = ["main"]
 
 
 def _default_seed() -> int:
+    text = os.environ.get("JOINTKERN_SEED", "0")
     try:
-        return int(os.environ.get("JOINTKERN_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise _UsageError(f"JOINTKERN_SEED must be an integer, got {text!r}") from None
 
 
 def _out(text: str):

@@ -539,8 +539,14 @@ def diagrams_isomorphic(d1: Diagram, d2: Diagram) -> bool:
     return diagram_structure(canonical_relabel(d1)) == diagram_structure(canonical_relabel(d2))
 
 
+def _dot_quoted(text: str) -> str:
+    """text as a DOT quoted string, its backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(d: Diagram) -> str:
     """Graphviz rendering: boxes as nodes, wires as type-labeled edges."""
+    q = _dot_quoted
     g = d.graph
     producer = {}
     for b in g.boxes:
@@ -557,14 +563,14 @@ def export_dot(d: Diagram) -> str:
     except DiagramError:
         order = list(g.boxes)
     for b in order:
-        lines.append(f'  "{b}" [shape=box, label="{b}:{d.box_label[b]}"];')
+        lines.append(f'  {q(b)} [shape=box, label={q(f"{b}:{d.box_label[b]}")}];')
     for i in range(len(d.outputs)):
         lines.append(f'  "out{i}" [shape=plaintext, label="out{i}"];')
 
     def src_name(w):
         kind, who = producer.get(w, (None, None))
         if kind == "box":
-            return f'"{who}"'
+            return q(who)
         if kind == "in":
             return f'"in{who}"'
         return None
@@ -574,11 +580,11 @@ def export_dot(d: Diagram) -> str:
         for w in g.dom[b]:
             s = src_name(w)
             if s is not None:
-                edges.append(f'  {s} -> "{b}" [label="{w}:{d.wire_label[w]}"];')
+                edges.append(f'  {s} -> {q(b)} [label={q(f"{w}:{d.wire_label[w]}")}];')
     for i, w in enumerate(d.outputs):
         s = src_name(w)
         if s is not None:
-            edges.append(f'  {s} -> "out{i}" [label="{w}:{d.wire_label[w]}"];')
+            edges.append(f'  {s} -> "out{i}" [label={q(f"{w}:{d.wire_label[w]}")}];')
     lines.extend(sorted(edges))
     lines.append("}")
     return "\n".join(lines) + "\n"

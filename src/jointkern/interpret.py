@@ -3,16 +3,20 @@
 An Interpretation assigns a Space to every signature wire and a JointKernel
 (plus residual wire labels) to every signature box. evaluate lowers a valid
 Markov diagram into one slot program (see kernels): every wire gets one
-slot, and each box, taken in topological order, packs its input wires into
-one slot when it has several, runs its interpretation's steps in place, and
-unpacks its output into its output wires' slots. A box whose kernel is one
-step, as every model-file box and intervention is, gets that one step
-built for it; a composite kernel is inlined step by step. Each signature
-box's kernel is checked against the wire spaces once, on its first graph
-box. Box ids in the result are the diagram's graph box ids (inner ids of a
-composite box kernel become "graph_id.inner"), so traces of the evaluated
-kernel read off the diagram directly, and the kernel's wires map names
-each wire's slot, so one replay yields every wire value.
+slot, and each box, taken in topological order, runs its interpretation's
+steps in place and unpacks its output into its output wires' slots when it
+has several. A box whose kernel is one step, as every model-file box and
+intervention is, gets that one step built for it, reading its input wires'
+slots directly: one slot, or the left-nested tuple of none (UNIT_VALUE) or
+several. So a model's program is one step per box, plus the input leg's
+Unpack, one pack of a multi-wire output leg, and one Unpack per box with
+several outputs. A composite kernel is inlined step by step, after one
+identity Apply packs its input wires when it has none or several. Each
+signature box's kernel is checked against the wire spaces once, on its
+first graph box. Box ids in the result are the diagram's graph box ids
+(inner ids of a composite box kernel become "graph_id.inner"), so traces
+of the evaluated kernel read off the diagram directly, and the kernel's
+wires map names each wire's slot, so one replay yields every wire value.
 
 Nothing is cached here: the validated box order is the diagram's
 Diagram.plan, and each compiled kernel is kept in the diagram's kernels
@@ -29,7 +33,7 @@ from typing import Mapping
 from .diagrams import Diagram, Hypergraph
 from .errors import EvalError
 from .kernels import (
-    JointKernel, Pack, Unpack, _one_step, _Program, joint_log_density, run_trace,
+    JointKernel, Unpack, _one_step, _Program, joint_log_density, run_trace,
     sample_with_trace,
 )
 from .spaces import Space, Value, nest_product
@@ -154,26 +158,20 @@ def _compile(d: Diagram, interp: Interpretation) -> JointKernel:
             entry = kernels[lab] = (k, _one_step(k))
         k, step = entry
         dom_wires, cod_wires = g_dom[b], g_cod[b]
-        if len(dom_wires) == 1:
-            src = slot[dom_wires[0]]
-        else:
-            src = prog.fresh()
-            prog.add(Pack(tuple(slot[w] for w in dom_wires), src))
+        # the int slot as is: a 1-tuple per box would cost lowering time
+        at = slot[dom_wires[0]] if len(dom_wires) == 1 else tuple(slot[w] for w in dom_wires)
         if step is not None:
-            out = prog.place(step, src, b)
+            out = prog.place(step, at, b)
         else:
-            out = prog.inline(k, src, _inner_ids(k, b))[k.out]
+            out = prog.inline(k, prog.pack(at), _inner_ids(k, b))[k.out]
         if len(cod_wires) == 1:
             slot[cod_wires[0]] = out
         elif cod_wires:
             slot.update((w, prog.fresh()) for w in cod_wires)
             prog.add(Unpack(out, tuple(slot[w] for w in cod_wires)))
 
-    if len(d.outputs) == 1:
-        out = slot[d.outputs[0]]
-    else:
-        out = prog.fresh()
-        prog.add(Pack(tuple(slot[w] for w in d.outputs), out))
+    outs = d.outputs
+    out = prog.pack(slot[outs[0]] if len(outs) == 1 else tuple(slot[w] for w in outs))
     return prog.kernel(dom, packed(d.outputs), out, MappingProxyType(slot))
 
 

@@ -2,13 +2,18 @@
 
 A JointKernel from Z to X is a straight-line program over numbered value
 slots. Slot 0 holds the input. Each step reads earlier slots and writes its
-own: a TracedBox draws (or scores) one primitive noise source whose
-parameter sits in one slot, Apply runs one deterministic map, and
-Pack/Unpack build or split left-nested tuples. Every slot is written by
-exactly one step, in program order, and `out` names the slot holding the
-output. Composition keeps every box: the joint distribution over all
-residuals is retained rather than marginalized, which is what makes trace
-densities, interventions and counterfactual replay possible downstream.
+own: a TracedBox draws (or scores) one primitive noise source, Apply runs
+one deterministic map, and Unpack splits a left-nested tuple over slots. A
+box or map reads one slot, or a tuple of slots as their left-nested tuple,
+through a reader built once with the step, so a box of a lowered diagram
+reads its input wires' slots directly. An Apply of the identity over a
+tuple of slots packs them where a kernel needs one packed value: tensor's
+output, expose_residuals, and a composite box or multi-wire output leg in
+evaluate. Every slot is written by exactly one step, in program order, and
+`out` names the slot holding the output. Composition keeps every box: the
+joint distribution over all residuals is retained rather than
+marginalized, which is what makes trace densities, interventions and
+counterfactual replay possible downstream.
 
 compose and tensor concatenate programs, moving the second program's slots
 past the first's; no step wraps another, so every query (sampling, replay,
@@ -48,7 +53,10 @@ The seeded passes make their own uniforms, in [0, 1) and of the right
 length, and do not check them; sample_slots also leaves the trace values
 unchecked, as spw reads only the output and the weights. sample_slots is
 the one seeded pass over many records: it checks the input and builds the
-slot template once, then copies the template per seed.
+slot template once, then copies the template per seed. Every pass reads a
+step's input the same way, slots[src] or read(slots), so a box with no
+input wires reads UNIT_VALUE, never the kernel input, even in the passes
+that do not check that input (abduct_uniforms, run_trace).
 
 Traces are keyed by box id instead of nested positional tuples, so category
 laws hold literally (associativity does not need re-tupling). The residual
@@ -61,6 +69,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -168,57 +177,67 @@ class PrimitiveKernel:
 #
 # Each step is a NamedTuple. Loops that use every field of a step unpack it:
 # on CPython 3.11 reading NamedTuple fields by name is slower than one unpack.
-# moved(where, ids) returns the step with each slot s read as where[s] and,
-# for boxes, the id renamed through ids (ids absent from it are kept).
+# A box or map reads one value: slots[src] when src is one slot and read is
+# None, or, when src is a tuple of slots, read(slots), their left-nested
+# tuple (see _reader). moved(where, ids) returns the step with each slot s
+# read as where[s] and, for boxes, the id renamed through ids (ids absent
+# from it are kept).
+
+
+def _reader(srcs: tuple) -> Callable[[list], Value]:
+    """The function of the slot list that returns the srcs' values nested as
+    nest_values nests them: UNIT_VALUE for none, the value itself for one."""
+    if not srcs:
+        return lambda slots: UNIT_VALUE
+    get = itemgetter(*srcs)
+    return get if len(srcs) <= 2 else lambda slots: nest_values(get(slots))
+
+
+def _moved_src(where, src, read) -> tuple:
+    if read is None:
+        return where[src], None
+    src = tuple(where[i] for i in src)
+    return src, _reader(src)
 
 
 class TracedBox(NamedTuple):
-    """One noise source: its parameter is read from slot src and its value,
-    the box's trace entry, is written to slot dst. key is rng.box_key(box_id),
-    the box's part of the key of each of its seeded draws."""
+    """One noise source: its parameter is the value it reads (see above) and
+    its value, the box's trace entry, is written to slot dst. key is
+    rng.box_key(box_id), the box's part of the key of each of its seeded
+    draws."""
 
     box_id: str
     primitive: PrimitiveKernel
-    src: int
+    src: int | tuple
     dst: int
     key: bytes
+    read: Callable[[list], Value] | None = None
 
     def moved(self, where, ids: Mapping) -> TracedBox:
-        box_id, p, src, dst, key = self
+        box_id, p, src, dst, key, read = self
         new = ids.get(box_id, box_id)
         if new is not box_id:
             key = rng.box_key(new)
-        return TracedBox(new, p, where[src], where[dst], key)
+        src, read = _moved_src(where, src, read)
+        return TracedBox(new, p, src, where[dst], key, read)
 
 
 class Apply(NamedTuple):
-    """slots[dst] = fn(slots[src])."""
+    """slots[dst] = fn(the value it reads); with fn the identity, it packs."""
 
     fn: Callable[[Value], Value]
-    src: int
+    src: int | tuple
     dst: int
+    read: Callable[[list], Value] | None = None
 
     def run(self, slots: list):
-        fn, src, dst = self
-        slots[dst] = fn(slots[src])
+        fn, src, dst, read = self
+        slots[dst] = fn(slots[src] if read is None else read(slots))
 
     def moved(self, where, ids: Mapping) -> Apply:
-        fn, src, dst = self
-        return Apply(fn, where[src], where[dst])
-
-
-class Pack(NamedTuple):
-    """slots[dst] = the left-nested tuple of the srcs' values (UNIT_VALUE if none)."""
-
-    srcs: tuple
-    dst: int
-
-    def run(self, slots: list):
-        srcs, dst = self
-        slots[dst] = nest_values([slots[i] for i in srcs])
-
-    def moved(self, where, ids: Mapping) -> Pack:
-        return Pack(tuple(where[i] for i in self.srcs), where[self.dst])
+        fn, src, dst, read = self
+        src, read = _moved_src(where, src, read)
+        return Apply(fn, src, where[dst], read)
 
 
 class Unpack(NamedTuple):
@@ -234,6 +253,10 @@ class Unpack(NamedTuple):
 
     def moved(self, where, ids: Mapping) -> Unpack:
         return Unpack(where[self.src], tuple(where[i] for i in self.dsts))
+
+
+# the one step of the identity map; _Program.pack places it to pack a tuple
+_IDENTITY = Apply(lambda v: v, 0, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,16 +317,23 @@ class _Program:
         self.steps.extend(s.moved(where, ids) for s in k.steps)
         return where
 
-    def place(self, step, src: int, box_id: str) -> int:
+    def place(self, step, src, box_id: str) -> int:
         """Append the one step of a kernel that _one_step accepts, reading
-        slot src and, for a box, under box_id; returns the slot it writes.
-        The same step inline would make, built directly."""
+        src, one slot or a tuple of them, and, for a box, under box_id;
+        returns the slot it writes."""
         dst = self.fresh()
+        read = None if type(src) is int else _reader(src)
         if type(step) is TracedBox:
-            self.steps.append(TracedBox(box_id, step.primitive, src, dst, rng.box_key(box_id)))
+            self.steps.append(
+                TracedBox(box_id, step.primitive, src, dst, rng.box_key(box_id), read))
         else:
-            self.steps.append(Apply(step.fn, src, dst))
+            self.steps.append(Apply(step.fn, src, dst, read))
         return dst
+
+    def pack(self, src) -> int:
+        """The slot holding what src reads: src itself if it is one slot,
+        else a new slot that an identity Apply fills with the tuple."""
+        return src if type(src) is int else self.place(_IDENTITY, src, "")
 
     def kernel(self, dom: Space, cod: Space, out: int, wires: Mapping = _EMPTY) -> JointKernel:
         return JointKernel(dom, cod, tuple(self.steps), out, self.n_slots, wires)
@@ -311,11 +341,12 @@ class _Program:
 
 def _one_step(k: JointKernel):
     """k's step if k is one box or one map from its input slot to its output
-    slot, as from_primitive and lift_det build; None otherwise. Slot 1 is
-    the step's own, so it reads slot 0."""
+    slot, as from_primitive and lift_det build; None otherwise. A one-step
+    kernel whose step reads no slot, as expose_residuals of a boxless
+    kernel, is not one: placed at a box's wires, it would read them."""
     if k.n_slots == 2 and k.out == 1 and len(k.steps) == 1:
         step = k.steps[0]
-        if type(step) is TracedBox or type(step) is Apply:
+        if (type(step) is TracedBox or type(step) is Apply) and step.src == 0:
             return step
     return None
 
@@ -390,8 +421,7 @@ def _tensor(a: JointKernel, b: JointKernel) -> tuple[JointKernel, tuple, tuple]:
     prog.add(Unpack(0, (za, zb)))
     where_a = prog.inline(a, za)
     where_b = prog.inline(b, zb)
-    out = prog.fresh()
-    prog.add(Pack((where_a[a.out], where_b[b.out]), out))
+    out = prog.pack((where_a[a.out], where_b[b.out]))
     return prog.kernel(Product(a.dom, b.dom), Product(a.cod, b.cod), out), where_a, where_b
 
 
@@ -415,8 +445,7 @@ def rename_boxes(k: JointKernel, mapping: Mapping[str, str]) -> JointKernel:
 def expose_residuals(k: JointKernel) -> JointKernel:
     """Forget the output and expose the full residual tuple instead."""
     prog = _Program(k)
-    out = prog.fresh()
-    prog.add(Pack(tuple(b.dst for b in k.boxes), out))
+    out = prog.pack(tuple(b.dst for b in k.boxes))
     return prog.kernel(k.dom, k.residual, out, k.wires)
 
 
@@ -470,9 +499,9 @@ def joint_log_density(k: JointKernel, z: Value, t: Trace) -> float:
     total = 0.0
     for s in k.steps:
         if type(s) is TracedBox:
-            box_id, p, src, dst, _ = s
+            box_id, p, src, dst, _, read = s
             m = t[box_id]
-            ld = p.density(p.point(slots[src]), m)
+            ld = p.density(p.point(slots[src] if read is None else read(slots)), m)
             if ld == NEG_INF:
                 return NEG_INF
             total += ld
@@ -505,7 +534,7 @@ def replay_with_uniforms(
         if type(s) is not TracedBox:
             s.run(slots)
             continue
-        box_id, p, src, dst, _ = s
+        box_id, p, src, dst, _, read = s
         try:
             block = tuple(map(float, u[box_id]))
         except OverflowError:  # an integer past the float range
@@ -514,7 +543,8 @@ def replay_with_uniforms(
             raise ShapeError(f"box {box_id} needs 1 uniforms, got {len(block)}")
         if not 0.0 <= block[0] <= 1.0:
             raise ShapeError(f"uniform {block[0]} outside [0, 1] for box {box_id}")
-        t[box_id] = slots[dst] = p.push(block, p.point(slots[src]))
+        t[box_id] = slots[dst] = p.push(
+            block, p.point(slots[src] if read is None else read(slots)))
     x = slots[k.out]
     check_member(k.cod, x, "kernel output")
     return t, x
@@ -526,21 +556,13 @@ def sample_slots(k: JointKernel, z: Value, seeds: Iterable[int]) -> Iterator[tup
     Per seed, replay_with_uniforms at the seeded uniforms sample_scored
     draws, less the checks on those uniforms, which are in [0, 1) and of
     the right length by construction. The input is checked once, before
-    the first draw; each output is checked as it is drawn. What does not
-    change between seeds is done once: the slot template holds z and the
-    value of every Pack of no sources (UNIT_VALUE), and those steps are
-    not rerun.
+    the first draw; each output is checked as it is drawn. The slot
+    template, which holds z, is built once and copied per seed.
     """
     check_member(k.dom, z, "kernel input")
     template = [None] * k.n_slots
     template[0] = z
-    steps = []
-    for s in k.steps:
-        if type(s) is Pack and not s.srcs:
-            template[s.dst] = UNIT_VALUE
-        else:
-            steps.append(s)
-    cod, out = k.cod, k.out
+    steps, cod, out = k.steps, k.cod, k.out
     # looked up once per pass, so a counter set on it before the pass sees
     # every draw
     draw, seed_key = rng.unit_uniform, rng.seed_key
@@ -550,8 +572,9 @@ def sample_slots(k: JointKernel, z: Value, seeds: Iterable[int]) -> Iterator[tup
         t: dict = {}
         for s in steps:
             if type(s) is TracedBox:
-                box_id, p, src, dst, key = s
-                t[box_id] = slots[dst] = p.push((draw(seed, key),), p.point(slots[src]))
+                box_id, p, src, dst, key, read = s
+                t[box_id] = slots[dst] = p.push(
+                    (draw(seed, key),), p.point(slots[src] if read is None else read(slots)))
             else:
                 s.run(slots)
         check_member(cod, slots[out], "kernel output")
@@ -577,8 +600,8 @@ def sample_scored(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value, flo
     draw, seed = rng.unit_uniform, rng.seed_key(seed)
     for s in k.steps:
         if type(s) is TracedBox:
-            box_id, p, src, dst, key = s
-            pt = p.point(slots[src])
+            box_id, p, src, dst, key, read = s
+            pt = p.point(slots[src] if read is None else read(slots))
             t[box_id] = slots[dst] = m = p.push((draw(seed, key),), pt)
             ld = p.density(pt, m)
             # joint_log_density stops at the first -inf factor
@@ -617,14 +640,14 @@ def abduct_uniforms(k: JointKernel, z: Value, t: Trace) -> dict:
     u: dict = {}
     for s in k.steps:
         if type(s) is TracedBox:
-            box_id, p, src, dst, _ = s
+            box_id, p, src, dst, _, read = s
             law = p.abduct_law
             if law is None:
                 raise ShapeError(f"primitive {p.name!r} of box {box_id!r} has no abduct")
             m = t[box_id]
             if not membership(p.cod, m):
                 p.check_value(m)  # raises; membership inline saves a call per box
-            u[box_id] = tuple(law(p.point(slots[src]), m))
+            u[box_id] = tuple(law(p.point(slots[src] if read is None else read(slots)), m))
             slots[dst] = m
         else:
             s.run(slots)
@@ -660,8 +683,8 @@ def enumerate_traces(k: JointKernel, z: Value) -> Iterator[tuple[dict, Fraction]
     def branches(j: int, before: Fraction):
         """Set box j to each of its positive points in turn; yield the
         path probability so far."""
-        box_id, p, src, dst, _ = steps[j]
-        pt = p.point(slots[src])
+        box_id, p, src, dst, _, read = steps[j]
+        pt = p.point(slots[src] if read is None else read(slots))
         for m in finite_points(p.cod):
             f = _exact_factor(p, pt, m)
             if f != 0:

@@ -49,12 +49,11 @@ from .diagrams import Diagram, Hypergraph, HypMorphism, is_causal_model
 from .errors import DiagramError, ModelSyntaxError, ShapeError
 from .expr import _compile, compile_det_map
 from .interpret import Interpretation, check_interpretation, evaluate
-from .kernels import JointKernel, from_primitive, lift_det
+from .kernels import JointKernel, _reader, from_primitive, lift_det
 from .primitives import FAMILIES, instantiate
 from .spaces import (
     Coproduct, CoproductSet, Countable, Finite, FinitePoints, Inl, Inr,
     IntervalBox, Product, ProductSet, Real, Space, Value, nest_product,
-    nest_values,
 )
 from .weighted import WeightFactor, WeightedJointKernel
 
@@ -343,8 +342,11 @@ class Model:
         slot = evaluate(self.diagram, interp).wires
         factors = []
         for b, weight in sorted(self._weights.items()):
-            factor = lambda t, *values, weight=weight: float(weight(nest_values(values)))
-            factors.append(WeightFactor(factor, tuple(slot[w] for w in g.dom[b] + g.cod[b])))
+            wires = g.dom[b] + g.cod[b]
+            # the values nested as a box reading these wires reads them
+            pack = _reader(range(len(wires)))
+            factor = lambda t, *values, weight=weight, pack=pack: float(weight(pack(values)))
+            factors.append(WeightFactor(factor, tuple(slot[w] for w in wires)))
         return tuple(factors)
 
     def weighted_kernel(self, interp: Interpretation | None = None) -> WeightedJointKernel:

@@ -91,10 +91,17 @@ class WeightedJointKernel:
         def fn(v):
             m, z = v
             t = dict(zip(ids, unnest_values(m, len(ids))))
-            lw = self.log_weight(t, z)
-            return 0.0 if lw == NEG_INF else math.exp(lw)
+            return _weight(self.log_weight(t, z), "")
 
         return DetMap(Product(self.base.residual, self.base.dom), Real(1), fn, "weight")
+
+
+def _weight(lw: float, where: str) -> float:
+    """exp(lw), 0.0 at -inf; past the float range, a ShapeError ending in where."""
+    try:
+        return math.exp(lw)
+    except OverflowError:
+        raise ShapeError(f"non-finite weight exp({lw!r}){where}") from None
 
 
 def weighted(base: JointKernel, factors: Sequence = ()) -> WeightedJointKernel:
@@ -165,10 +172,7 @@ def _expected_values(wk: WeightedJointKernel, z: Value, hs: Sequence[DetMap]) ->
         lw = log_weight(t, z, slots)
         if lw == NEG_INF:
             continue
-        try:
-            w = math.exp(lw)
-        except OverflowError:
-            raise ShapeError(f"non-finite weight exp({lw!r}) in the exact reference") from None
+        w = _weight(lw, " in the exact reference")
         x = slots[base.out]
         accs = [acc + prob * Fraction(w * float(h(x))) for acc, h in zip(accs, hs)]
     return [float(acc) for acc in accs]

@@ -318,6 +318,16 @@ def test_sample_env_seed(capsys, monkeypatch):
     assert from_env == explicit
 
 
+def test_env_seed_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("JOINTKERN_SEED", "12x")
+    for args in (("sample", CHAIN, "--n", "1"), ("spw", WEIGHTED, "--n", "1000")):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: JOINTKERN_SEED must be an integer, got '12x'\n")
+    # an explicit --seed does not read it
+    assert run(capsys, "sample", CHAIN, "--n", "1", "--seed", "0")[0] == 0
+
+
 def test_sample_out_appends(capsys, tmp_path):
     f = tmp_path / "records.jsonl"
     run(capsys, "sample", CHAIN, "--n", "2", "--seed", "1", "--out", str(f))
@@ -629,6 +639,23 @@ def test_export_dot(capsys, tmp_path):
     code, piped, _ = run(capsys, "export-dot", CHAIN, "--out", str(f))
     assert code == 0 and piped == ""
     assert f.read_text() == out
+
+
+def test_export_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    raw = json.loads(Path(CHAIN).read_text())
+    d = raw["diagram"]
+    d["boxes"] = {'b"1': "flip", "b2": "step"}
+    d["dom"] = {'b"1': [], "b2": ["x\\"]}
+    d["cod"] = {'b"1': ["x\\"], "b2": ["y"]}
+    d["wires"] = {"x\\": "B", "y": "B"}
+    f = tmp_path / "quoted.json"
+    f.write_text(json.dumps(raw))
+    assert run(capsys, "validate", str(f))[:2] == (0, "OK\n")
+    code, out, _ = run(capsys, "export-dot", str(f))
+    assert code == 0
+    assert '  "b\\"1" [shape=box, label="b\\"1:flip"];\n' in out
+    assert '  "b\\"1" -> "b2" [label="x\\\\:B"];\n' in out
+    assert '  "b2" [shape=box, label="b2:step"];\n' in out
 
 
 def test_input_flag(capsys):

@@ -17,15 +17,20 @@ from jointkern import (
     Hypergraph,
     HypMorphism,
     Interpretation,
+    PrimitiveKernel,
+    ShapeError,
     Product,
     UNIT,
     UNIT_VALUE,
+    abduct_uniforms,
     bernoulli,
     categorical,
     check_interpretation,
     compose,
     evaluate,
+    expose_residuals,
     from_primitive,
+    identity_kernel,
     intervene,
     joint_log_density,
     lift_det,
@@ -33,10 +38,15 @@ from jointkern import (
     model_from_dict,
     model_log_density,
     nest_values,
+    replay_with_uniforms,
+    run_trace,
     sample_model,
+    sample_scored,
     sample_with_trace,
+    value_from_jsonable,
     wire_values,
 )
+from jointkern.kernels import Apply, Unpack
 
 from support import (
     chain_parts,
@@ -172,18 +182,41 @@ def _lowered_both_ways(d, interp, monkeypatch) -> tuple:
     return placed, inlined
 
 
-def test_one_step_placement_matches_inline(monkeypatch):
+def _fixture_models() -> list:
+    """(model, its kernel input) for every fixture that parses, then
+    genmodels' chain_model(160, 1) and layered_dag(1..3, 0..7)."""
     gen = genmodels()
+    inputs = {"inputs.json": 1, "real2_input.json": [0.5, 1]}
     models = []
     for path in sorted(MODELS.glob("*.json")):
         try:
-            models.append(model_from_dict(json.loads(path.read_text())))
+            model = model_from_dict(json.loads(path.read_text()))
         except ValueError:  # the fixtures that must not parse
             continue
+        z = inputs.get(path.name)
+        models.append((model, UNIT_VALUE if z is None
+                       else value_from_jsonable(model.kernel.dom, z)))
     assert len(models) >= 8
-    models.append(model_from_dict(gen.chain_model(160, 1)[0]))
-    models += [model_from_dict(gen.layered_dag(s, i)[0]) for s in (1, 2, 3) for i in range(8)]
-    for model in models:
+    models.append((model_from_dict(gen.chain_model(160, 1)[0]), UNIT_VALUE))
+    models += [(model_from_dict(gen.layered_dag(s, i)[0]), UNIT_VALUE)
+               for s in (1, 2, 3) for i in range(8)]
+    return models
+
+
+def _outcome(f, *args) -> str:
+    """repr of f's result, or of the ShapeError it raises; floats' reprs
+    round-trip, so equal reprs are bit-identical values."""
+    try:
+        return repr(f(*args))
+    except ShapeError as e:
+        return f"ShapeError: {e}"
+
+
+def test_one_step_placement_matches_inline(monkeypatch):
+    # placed boxes read their wires' slots; inlining packs them into one
+    # slot first, so the programs differ step for step but must compute
+    # the same thing
+    for model, z in _fixture_models():
         d, interp = model.diagram, model.interpretation
         interps = [interp]
         # an intervention on the first drawn box, held at its sampled value
@@ -193,10 +226,111 @@ def test_one_step_placement_matches_inline(monkeypatch):
             interps.append(intervene(d, interp, {d.box_label[b]: t[b]}))
         for one in interps:
             placed, inlined = _lowered_both_ways(d, one, monkeypatch)
-            assert placed.steps == inlined.steps
-            assert (placed.n_slots, placed.out) == (inlined.n_slots, inlined.out)
-            assert dict(placed.wires) == dict(inlined.wires)
+            assert placed.box_ids == inlined.box_ids
             assert (placed.dom, placed.cod) == (inlined.dom, inlined.cod)
+            assert list(placed.wires) == list(inlined.wires)
+            for seed in range(6):
+                drawn = sample_scored(placed, z, seed)
+                assert repr(drawn) == repr(sample_scored(inlined, z, seed))
+                t = drawn[0]
+                for f in (joint_log_density, abduct_uniforms):
+                    assert _outcome(f, placed, z, t) == _outcome(f, inlined, z, t)
+                if placed.boxes and all(b.primitive.abduct_law for b in placed.boxes):
+                    u = abduct_uniforms(placed, z, t)
+                    replayed = replay_with_uniforms(placed, z, u)
+                    assert repr(replayed) == repr(replay_with_uniforms(inlined, z, u))
+                at = {k: dict(zip(k.wires, (run_trace(k, z, t)[i] for i in k.wires.values())))
+                      for k in (placed, inlined)}
+                assert repr(at[placed]) == repr(at[inlined])
+
+
+def test_model_programs_are_one_step_per_box():
+    # besides one step per graph box, a model's program has only its leg
+    # steps: the input leg's Unpack, one output pack, and one Unpack per
+    # box with several output wires
+    for model, _ in _fixture_models():
+        d, k = model.diagram, model.kernel
+        g = d.graph
+        unpacks = (len(d.inputs) > 1) + sum(len(g.cod[b]) > 1 for b in g.boxes)
+        packs = len(d.outputs) != 1
+        assert len(k.steps) == len(g.boxes) + unpacks + packs
+        assert sum(type(s) is Unpack for s in k.steps) == unpacks
+        # the output pack is the last step; it packs the output wires' slots
+        if packs:
+            last = k.steps[-1]
+            assert type(last) is Apply and last.dst == k.out
+            assert last.src == tuple(k.wires[w] for w in d.outputs)
+    gen = genmodels()
+    assert len(model_from_dict(gen.layered_dag(1, 0)[0]).kernel.steps) == 17
+
+
+def _recording(seen: list, dom) -> PrimitiveKernel:
+    """bernoulli(0.5) on dom whose point records each value it reads."""
+    base = bernoulli(0.5)
+    return PrimitiveKernel("rec", dom, TWO, base.density, base.push, base.abduct_law,
+                           base.pmf_law, lambda z: seen.append(z) or base.point(UNIT_VALUE))
+
+
+def test_a_box_reads_several_wires_as_their_left_nested_value(monkeypatch):
+    # three input wires, read by the box in another order than the
+    # diagram's inputs; placed on its own, and inlined as the first box of
+    # a composite, the point sees the same left-nested value
+    dom = Product(Product(TWO, Finite(3)), Finite(4))
+    sig = Hypergraph(("B", "T", "F"), ("h",), {"h": ("B", "T", "F")}, {"h": ("B",)})
+    graph = Hypergraph(("a", "b", "c", "x"), ("g",), {"g": ("b", "c", "a")}, {"g": ("x",)})
+    d = Diagram(graph=graph, signature=sig,
+                labeling=HypMorphism({"a": "F", "b": "B", "c": "T", "x": "B"}, {"g": "h"}),
+                inputs=("a", "b", "c"), outputs=("x",))
+    spaces = {"B": TWO, "T": Finite(3), "F": Finite(4)}
+    seen = []
+    one = from_primitive(_recording(seen, dom), "h")
+    composite = compose(one, lift_det(DetMap(TWO, TWO, lambda v: v, "same")))
+    for k in (one, composite):
+        interp = Interpretation(spaces, {"h": k}, {"h": ("B",)})
+        for lowered in _lowered_both_ways(d, interp, monkeypatch):
+            seen.clear()
+            t, _, _ = sample_scored(lowered, ((3, 1), 2), 0)
+            joint_log_density(lowered, ((3, 1), 2), t)
+            abduct_uniforms(lowered, ((3, 1), 2), t)
+            assert seen == [((1, 2), 3)] * 3
+
+
+def test_a_root_box_reads_the_unit_value_under_global_inputs():
+    # the root r has no input wires, so it reads UNIT_VALUE, never the
+    # diagram's input, even where the pass does not check that input
+    seen = []
+    sig = Hypergraph(("B",), ("root", "step"),
+                     {"root": (), "step": ("B",)}, {"root": ("B",), "step": ("B",)})
+    graph = Hypergraph(("u", "x", "y"), ("r", "s"),
+                       {"r": (), "s": ("u",)}, {"r": ("x",), "s": ("y",)})
+    d = Diagram(graph=graph, signature=sig,
+                labeling=HypMorphism(dict.fromkeys(graph.wires, "B"), {"r": "root", "s": "step"}),
+                inputs=("u",), outputs=("x", "y"))
+    interp = Interpretation(
+        {"B": TWO},
+        {"root": from_primitive(_recording(seen, UNIT), "root"),
+         "step": from_primitive(bernoulli(lambda z: 0.2 if z < 1 else 0.7, dom=TWO), "step")},
+        {"root": ("B",), "step": ("B",)})
+    k = evaluate(d, interp)
+    t, _, _ = sample_scored(k, 1, 0)
+    joint_log_density(k, 1, t)
+    abduct_uniforms(k, 1, t)
+    abduct_uniforms(k, 0, t)
+    assert seen == [UNIT_VALUE] * 4
+
+
+def test_a_step_reading_no_slot_zero_is_not_placed():
+    # expose_residuals of a boxless kernel is one identity Apply reading no
+    # slots; placed at a box's wires it would copy the box's input to its
+    # output, where the kernel's output is UNIT_VALUE
+    sig = Hypergraph(("B", "U"), ("res",), {"res": ("B",)}, {"res": ("U",)})
+    graph = Hypergraph(("w", "u"), ("r",), {"r": ("w",)}, {"r": ("u",)})
+    d = Diagram(graph=graph, signature=sig,
+                labeling=HypMorphism({"w": "B", "u": "U"}, {"r": "res"}),
+                inputs=("w",), outputs=("u",))
+    k = expose_residuals(identity_kernel(TWO))
+    placed = evaluate(d, Interpretation({"B": TWO, "U": UNIT}, {"res": k}))
+    assert [placed.mech({}, z) for z in (0, 1)] == [UNIT_VALUE] * 2
 
 
 def test_evaluate_rejects_invalid_diagram():
@@ -254,7 +388,9 @@ def test_compiled_steps_are_immutable():
          "neg": lift_det(DetMap(TWO, TWO, lambda z: 1 - z, "neg"))},
         {"flip": ("B",)})
     k = evaluate(d, interp)
-    assert {type(s).__name__ for s in k.steps} == {"Unpack", "TracedBox", "Apply", "Pack"}
+    assert {type(s).__name__ for s in k.steps} == {"Unpack", "TracedBox", "Apply"}
+    # a one-slot box and map, and the output leg's packing Apply
+    assert {type(s.src) for s in k.steps if type(s) is not Unpack} == {int, tuple}
     for step in k.steps:
         for name in step._fields:
             with pytest.raises(AttributeError):

@@ -311,7 +311,7 @@ def test_sample_scored_checks_the_output_before_the_trace():
 
 
 def test_sample_slots_is_sample_scored_unscored():
-    # a model kernel starts with a Pack of no sources, which the pass sets once
+    # a model kernel's root box reads UNIT_VALUE through a reader of no slots
     m = parse_model(str(Path(__file__).parent / "models" / "weighted.json"))
     seeds = list(range(50)) + [2**62, 7]
     for k in (chain_kernel(), m.kernel):

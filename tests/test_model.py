@@ -44,6 +44,8 @@ from jointkern import (
 from jointkern.cli import _record_encoder, _uniforms_encoder
 from jointkern.model import value_encoder
 
+from support import count_calls
+
 MODELS = Path(__file__).parent / "models"
 
 
@@ -313,6 +315,37 @@ def test_weight_reads_dom_then_cod():
     wk = m.weighted_kernel()
     assert wk.log_weight({"b1": 0, "b2": 1}, UNIT_VALUE) == 0.0
     assert wk.log_weight({"b1": 1, "b2": 1}, UNIT_VALUE) == float("-inf")
+
+
+def test_weight_factors_pack_wire_values_as_a_box_reads_them(monkeypatch):
+    # one wire is its value and two a pair, with no nest_values call, as a
+    # box reads them; three are the left-nested tuple ((x, y), z)
+    import jointkern.kernels as kernels
+
+    raw = chain_dict()
+    raw["signature"]["boxes"]["sum"] = {"dom": ["B", "B"], "cod": ["B"]}
+    raw["interpretation"]["sum"] = {"det": "if $0 + $1 < 1 then 0 else 1"}
+    raw["diagram"]["wires"]["z"] = "B"
+    raw["diagram"]["boxes"]["b3"] = "sum"
+    raw["diagram"]["dom"]["b3"] = ["x", "y"]
+    raw["diagram"]["cod"]["b3"] = ["z"]
+    raw["diagram"]["outputs"] = ["z"]
+    raw["weights"] = {"b1": "1.0 + $0", "b2": "1.0 + $0 + 2 * $1",
+                      "b3": "1.0 + $0 + 2 * $1 + 4 * $2"}
+    wk = model_from_dict(raw).weighted_kernel()
+    packs = count_calls(monkeypatch, kernels, "nest_values")
+    for x in (0, 1):
+        for y in (0, 1):
+            z = 0 if x + y < 1 else 1
+            want = math.log(1 + x) + math.log(1 + x + 2 * y) + math.log(1 + x + 2 * y + 4 * z)
+            got = wk.log_weight({"b1": x, "b2": y}, UNIT_VALUE)
+            assert got == pytest.approx(want, abs=1e-15)
+    assert packs[0] == 4  # b3's factor, once per call
+
+    wk = parse_model(str(MODELS / "weighted.json")).weighted_kernel()
+    packs = count_calls(monkeypatch, kernels, "nest_values")
+    assert wk.log_weight({"b1": 0, "b2": 1}, UNIT_VALUE) == math.log(2.0)
+    assert packs[0] == 0
 
 
 def test_det_box_model():

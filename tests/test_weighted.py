@@ -335,6 +335,14 @@ def test_spw_check_rejects_a_weight_past_the_float_range():
         spw_check(wk, [h], None, n=1000, seed=0)
 
 
+def test_weight_map_rejects_a_weight_past_the_float_range():
+    # the same exp that spw_check and the exact reference guard
+    wk = weighted(chain_kernel(), [lambda t, z: 1e300, lambda t, z: 1e300])
+    with pytest.raises(ShapeError, match=r"^non-finite weight exp\(1381\.[0-9]*\)$"):
+        wk.weight(((0, 1), UNIT_VALUE))
+    assert weighted(chain_kernel(), [lambda t, z: 0.0]).weight(((0, 1), UNIT_VALUE)) == 0.0
+
+
 def test_spw_check_stores_one_float_per_sample_and_test_function():
     wk = fixture_kernel("uniform2x")
     h = DetMap(Real(1), Real(1), float, "id")
