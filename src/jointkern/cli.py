@@ -253,26 +253,27 @@ def _run_spw(model: Model, interp: Interpretation, ns) -> int:
     return 0 if all(row["pass"] for row in report) else 1
 
 
-def _run_cover(model: Model, interp: Interpretation, ns) -> int:
-    space = model.output_space
+def _cover_rows(space, ns):
     if ns.point is not None:
         try:
             j = json.loads(ns.point)
         except (ValueError, RecursionError) as e:
             raise ShapeError(f"bad --point: {e}") from None
         v = value_from_jsonable(space, j)
-        _out(render_json({
-            "point": value_to_jsonable(v),
-            "index": cover_index_bound(space, v),
-        }) + "\n")
-        return 0
+        yield {"point": value_to_jsonable(v), "index": cover_index_bound(space, v)}
+        return
     for i in range(ns.count):
         desc = sigma_finite_cover(space, i)
-        _out(render_json({
-            "index": i,
-            "mass": base_measure_mass(space, desc),
-            "piece": descriptor_to_json(desc),
-        }) + "\n")
+        yield {"index": i, "mass": base_measure_mass(space, desc),
+               "piece": descriptor_to_json(desc)}
+
+
+def _run_cover(model: Model, interp: Interpretation, ns) -> int:
+    try:
+        for row in _cover_rows(model.output_space, ns):
+            _out(render_json(row) + "\n")
+    except RecursionError:  # a piece or point nests once per factor of the space
+        raise ShapeError("the output space nests too deeply to cover") from None
     return 0
 
 

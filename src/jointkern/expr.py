@@ -22,7 +22,10 @@ of Finite(2); if-conditions must have that shape.
 
 Checking is bidirectional with numeric subsumption Finite(k) <= Countable
 <= Real(1); integer values are adapted to floats only at the typed boundary
-(adapt_value). inl/inr need an expected coproduct shape from context.
+(adapt_value). inl/inr need an expected coproduct shape from context. Each
+form has one typing rule; if and case share theirs between the two modes
+(_branches): a checked expected shape goes into both branches, and without
+one the branches' shapes are joined.
 
 A text goes through four steps, each once: one regex splits it into tokens
 (_lex), the parser makes an AST of nested tuples (parse_expression), the
@@ -54,10 +57,9 @@ __all__ = [
     "adapt_value", "compile_det_map",
 ]
 
-_KEYWORDS = {"if", "then", "else", "case", "of", "inl", "inr",
-             "neg", "exp", "ln", "min", "max"}
-_UNARY = {"neg", "exp", "ln"}
-_BINARY = {"min", "max"}
+# the forms written keyword(e, ...), with the number of arguments each takes
+_ARITY = {"neg": 1, "exp": 1, "ln": 1, "min": 2, "max": 2, "inl": 1, "inr": 1}
+_KEYWORDS = {"if", "then", "else", "case", "of", *_ARITY}
 
 # tokens after which a dot means projection rather than a number
 _ATOMIC = {"ref", "int", "real", "rparen", "name", "proj"}
@@ -233,23 +235,14 @@ class _Parser:
             return ("real", v, pos)
         if k == "name":
             return ("var", v, pos)
-        if k == "kw" and v in _UNARY:
+        if k == "kw" and v in _ARITY:
             self.expect("lparen")
-            e = self.expr()
+            args = (self.expr(),)
+            if _ARITY[v] == 2:
+                self.expect("comma")
+                args = (args[0], self.expr())
             self.expect("rparen")
-            return ("call", v, (e,), pos)
-        if k == "kw" and v in _BINARY:
-            self.expect("lparen")
-            a = self.expr()
-            self.expect("comma")
-            b = self.expr()
-            self.expect("rparen")
-            return ("call", v, (a, b), pos)
-        if k == "kw" and v in ("inl", "inr"):
-            self.expect("lparen")
-            e = self.expr()
-            self.expect("rparen")
-            return (v, e, pos)
+            return (v, args[0], pos) if v in ("inl", "inr") else ("call", v, args, pos)
         if k == "lparen":
             e = self.expr()
             k2, v2, pos2 = self.next()
@@ -322,15 +315,21 @@ def _subsumes(expected: Space, actual: Space) -> bool:
         return isinstance(actual, Finite)
     if isinstance(expected, Finite) and isinstance(actual, Finite):
         return actual.size <= expected.size
-    if isinstance(expected, Product) and isinstance(actual, Product):
-        return _subsumes(expected.left, actual.left) and _subsumes(expected.right, actual.right)
-    if isinstance(expected, Coproduct) and isinstance(actual, Coproduct):
+    if isinstance(expected, (Product, Coproduct)) and actual.__class__ is expected.__class__:
         return _subsumes(expected.left, actual.left) and _subsumes(expected.right, actual.right)
     return False
 
 
 def _pos(ast) -> int:
     return ast[-1]
+
+
+def _numeric(sp: Space, ast, what: str) -> Space:
+    """sp, the shape of ast, once checked numeric; what names the operation
+    ast is an operand of."""
+    if not _is_numeric(sp):
+        raise ExprTypeError(f"{what} needs a numeric operand, got {sp!r}", _pos(ast))
+    return sp
 
 
 def _synth(ast, inputs, vars) -> Space:
@@ -347,32 +346,22 @@ def _synth(ast, inputs, vars) -> Space:
         return Countable()
     if tag == "real":
         return _REAL
+    # bin and call synthesize every operand before testing any
     if tag == "bin":
         _, op, l, r, pos = ast
         ls, rs = _synth(l, inputs, vars), _synth(r, inputs, vars)
-        for s, e in ((ls, l), (rs, r)):
-            if not _is_numeric(s):
-                raise ExprTypeError(f"arithmetic needs a numeric operand, got {s!r}", _pos(e))
-        if op == "/" or ls == _REAL or rs == _REAL:
-            return _REAL
-        return Countable()
+        _numeric(ls, l, "arithmetic")
+        _numeric(rs, r, "arithmetic")
+        return _REAL if op == "/" or ls == _REAL or rs == _REAL else Countable()
     if tag == "call":
         _, name, args, pos = ast
         spaces = [_synth(a, inputs, vars) for a in args]
         for s, a in zip(spaces, args):
-            if not _is_numeric(s):
-                raise ExprTypeError(f"{name} needs a numeric operand, got {s!r}", _pos(a))
-        if name in ("exp", "ln"):
-            return _REAL
-        if any(s == _REAL for s in spaces):
-            return _REAL
-        return Countable()
+            _numeric(s, a, name)
+        return _REAL if name in ("exp", "ln") or _REAL in spaces else Countable()
     if tag == "lt":
-        _, l, r, pos = ast
-        for e in (l, r):
-            s = _synth(e, inputs, vars)
-            if not _is_numeric(s):
-                raise ExprTypeError(f"comparison needs a numeric operand, got {s!r}", _pos(e))
+        for e in ast[1:3]:
+            _numeric(_synth(e, inputs, vars), e, "comparison")
         return Finite(2)
     if tag == "tuple":
         return Product(_synth(ast[1], inputs, vars), _synth(ast[2], inputs, vars))
@@ -384,27 +373,34 @@ def _synth(ast, inputs, vars) -> Space:
         return s.left if side == 0 else s.right
     if tag in ("inl", "inr"):
         raise ExprTypeError(f"{tag} needs an expected coproduct shape from context", _pos(ast))
-    if tag == "if":
+    if tag == "if" or tag == "case":
+        return _branches(ast, None, inputs, vars)
+    raise ExprTypeError(f"unknown expression form {tag!r}", _pos(ast))
+
+
+def _branches(ast, expected, inputs, vars) -> Space:
+    """The shape of an if or a case, in either mode: its condition is
+    checked, or its scrutinee synthesized, first; then both branches check
+    against expected or, with expected None, their shapes are joined."""
+    if ast[0] == "if":
         _, c, a, b, pos = ast
         _check(c, Finite(2), inputs, vars)
-        sa = _synth(a, inputs, vars)
-        sb = _synth(b, inputs, vars)
-        joined = _join(sa, sb)
-        if joined is None:
-            raise ExprTypeError(f"branches have incompatible shapes {sa!r} and {sb!r}", pos)
-        return joined
-    if tag == "case":
-        _, scrut, x, e1, y, e2, pos = ast
+        vars_a = vars_b = vars
+    else:
+        _, scrut, x, a, y, b, pos = ast
         s = _synth(scrut, inputs, vars)
         if not isinstance(s, Coproduct):
             raise ExprTypeError(f"case scrutinee must be a coproduct, got {s!r}", _pos(scrut))
-        s1 = _synth(e1, inputs, {**vars, x: s.left})
-        s2 = _synth(e2, inputs, {**vars, y: s.right})
-        joined = _join(s1, s2)
-        if joined is None:
-            raise ExprTypeError(f"branches have incompatible shapes {s1!r} and {s2!r}", pos)
-        return joined
-    raise ExprTypeError(f"unknown expression form {tag!r}", _pos(ast))
+        vars_a, vars_b = {**vars, x: s.left}, {**vars, y: s.right}
+    if expected is not None:
+        _check(a, expected, inputs, vars_a)
+        _check(b, expected, inputs, vars_b)
+        return expected
+    sa, sb = _synth(a, inputs, vars_a), _synth(b, inputs, vars_b)
+    joined = _join(sa, sb)
+    if joined is None:
+        raise ExprTypeError(f"branches have incompatible shapes {sa!r} and {sb!r}", pos)
+    return joined
 
 
 def _join(a: Space, b: Space):
@@ -445,32 +441,20 @@ def _check(ast, expected: Space, inputs, vars):
         _check(ast[1], expected.left, inputs, vars)
         _check(ast[2], expected.right, inputs, vars)
         return
-    if tag == "if":
-        _, c, a, b, pos = ast
-        _check(c, Finite(2), inputs, vars)
-        _check(a, expected, inputs, vars)
-        _check(b, expected, inputs, vars)
-        return
-    if tag == "case":
-        _, scrut, x, e1, y, e2, pos = ast
-        s = _synth(scrut, inputs, vars)
-        if not isinstance(s, Coproduct):
-            raise ExprTypeError(f"case scrutinee must be a coproduct, got {s!r}", _pos(scrut))
-        _check(e1, expected, inputs, {**vars, x: s.left})
-        _check(e2, expected, inputs, {**vars, y: s.right})
+    if tag == "if" or tag == "case":
+        _branches(ast, expected, inputs, vars)
         return
     actual = _synth(ast, inputs, vars)
     if not _subsumes(expected, actual):
         raise ExprTypeError(f"expected {expected!r}, got {actual!r}", _pos(ast))
 
 
-def check_expression(ast, inputs, expected: Space | None = None, vars=None) -> Space:
+def check_expression(ast, inputs, expected: Space | None = None) -> Space:
     """Shape-check; returns the synthesized (or expected) shape."""
-    vars = dict(vars or {})
     inputs = list(inputs)
     if expected is None:
-        return _synth(ast, inputs, vars)
-    _check(ast, expected, inputs, vars)
+        return _synth(ast, inputs, {})
+    _check(ast, expected, inputs, {})
     return expected
 
 
@@ -570,14 +554,12 @@ def _build(ast, n: int, scope: dict):
     raise EvalError(f"unknown expression form {tag!r}")
 
 
-def evaluate_expression(ast, inputs, vars=None):
+def evaluate_expression(ast, inputs):
     """Evaluate a checked expression; raises EvalError on runtime failures.
 
     This builds the expression on every call; _compile builds it once."""
-    inputs, vars = list(inputs), vars or {}
-    scope = {x: len(inputs) + i for i, x in enumerate(vars)}
-    slots = inputs + list(vars.values())
-    return _build(ast, len(slots), scope)(nest_values(slots))
+    inputs = list(inputs)
+    return _build(ast, len(inputs), {})(nest_values(inputs))
 
 
 def _to_float(v) -> float:

@@ -44,6 +44,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .diagrams import Diagram, Hypergraph, HypMorphism, is_causal_model
 from .errors import DiagramError, ModelSyntaxError, ShapeError
@@ -296,6 +297,21 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+_is_list, _is_str = list.__instancecheck__, str.__instancecheck__
+
+
+def _wire_lists(table: dict, where: str) -> dict:
+    """table, each of whose values must be a JSON list of wire ids, as a
+    string would read as its characters; where.format(key) names a value's
+    field. The lists are checked together, in two passes that call no
+    Python function, and one by one only to name a bad one."""
+    lists = table.values()
+    if not (all(map(_is_list, lists)) and all(map(_is_str, chain.from_iterable(lists)))):
+        key = next(k for k, ws in table.items() if not (_is_list(ws) and all(map(_is_str, ws))))
+        raise ModelSyntaxError(f"{where.format(key)} must be a list of wire ids")
+    return table
+
+
 def _build_param(value, dom_spaces: list, shape: Space):
     """An expression string becomes a callable of the box input; a real
     parameter's constant must be a JSON number, as true would pass for 1.0.
@@ -345,7 +361,7 @@ class Model:
             wires = g.dom[b] + g.cod[b]
             # the values nested as a box reading these wires reads them
             pack = _reader(range(len(wires)))
-            factor = lambda t, *values, weight=weight, pack=pack: float(weight(pack(values)))
+            factor = lambda t, *values, weight=weight, pack=pack: weight(pack(values))
             factors.append(WeightFactor(factor, tuple(slot[w] for w in wires)))
         return tuple(factors)
 
@@ -388,7 +404,7 @@ def _hypergraph(wires, boxes, dom, cod, where: str) -> Hypergraph:
 
 def model_from_dict(raw: dict, path: str | None = None) -> Model:
     version = _need(raw, "version", "model")
-    if version != 1:
+    if version.__class__ is not int or version != 1:  # true == 1.0 == 1 in Python
         raise ModelSyntaxError(f"unsupported schema version {version!r}")
 
     # signature
@@ -406,6 +422,8 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
     for b, entry in boxes_j.items():
         sig_dom[b] = _need(entry, "dom", f"signature box {b!r}")
         sig_cod[b] = _need(entry, "cod", f"signature box {b!r}")
+    _wire_lists(sig_dom, "signature box {!r} dom")
+    _wire_lists(sig_cod, "signature box {!r} cod")
     signature = _hypergraph(list(wires_j), list(boxes_j), sig_dom, sig_cod, "signature")
 
     # diagram
@@ -417,20 +435,25 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
     _check_ids(gw, "diagram wire")
     _check_ids(gb, "diagram box")
     for w, lab in gw.items():
-        if lab not in wire_spaces:
+        if not isinstance(lab, str) or lab not in wire_spaces:
             raise ModelSyntaxError(f"diagram wire {w!r} references unknown type {lab!r}")
     for b, lab in gb.items():
-        if lab not in boxes_j:
+        if not isinstance(lab, str) or lab not in boxes_j:
             raise ModelSyntaxError(f"diagram box {b!r} references unknown box {lab!r}")
-    graph = _hypergraph(
-        list(gw), list(gb),
-        _need(dia_j, "dom", "diagram"), _need(dia_j, "cod", "diagram"), "diagram")
+    dom, cod = _need(dia_j, "dom", "diagram"), _need(dia_j, "cod", "diagram")
+    for key, table in (("dom", dom), ("cod", cod)):
+        if not isinstance(table, dict):
+            raise ModelSyntaxError(f"diagram {key} must be an object")
+        _wire_lists(table, "diagram " + key + " for {!r}")
+    graph = _hypergraph(list(gw), list(gb), dom, cod, "diagram")
+    legs = _wire_lists({key: _need(dia_j, key, "diagram") for key in ("inputs", "outputs")},
+                       "diagram {}")
     diagram = Diagram(
         graph=graph,
         signature=signature,
         labeling=HypMorphism(dict(gw), dict(gb)),
-        inputs=_need(dia_j, "inputs", "diagram"),
-        outputs=_need(dia_j, "outputs", "diagram"),
+        inputs=legs["inputs"],
+        outputs=legs["outputs"],
     )
     diagram.plan  # validate once; evaluate reuses the order
     if not is_causal_model(diagram):
@@ -458,6 +481,8 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
                 raise ShapeError(
                     f"primitive box {b!r} must have exactly one output wire")
             name = entry["primitive"]
+            if not isinstance(name, str):
+                raise ModelSyntaxError(f"primitive for {b!r} must be a string")
             family = FAMILIES.get(name)
             if family is None:
                 raise ShapeError(f"unknown primitive {name!r} for box {b!r}")
@@ -496,6 +521,8 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
         else:
             raise ModelSyntaxError(
                 f"interpretation for {b!r} needs 'primitive' or 'det'")
+        if "residual" in entry:
+            _wire_lists({b: entry["residual"]}, "residual for {!r}")
         residual_labels[b] = tuple(entry.get("residual", default_residual))
 
     interp = Interpretation(wire_spaces, box_kernels, residual_labels)
@@ -515,7 +542,8 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
             raise ModelSyntaxError(f"weight for {b!r} must be an expression string")
         slots = [wire_spaces[gw[w]] for w in graph.dom[b]] + \
                 [wire_spaces[gw[w]] for w in graph.cod[b]]
-        weights[b] = _compile(text, slots, Real(1))
+        # a det map's output rule: the value adapted to a float, or EvalError
+        weights[b] = compile_det_map([text], slots, [Real(1)], name=b).fn
         weight_exprs[b] = text
 
     # with the plan and the interpretation checked, compiling cannot fail,

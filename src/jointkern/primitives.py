@@ -22,6 +22,7 @@ zero-density event, so it raises ParameterError.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -269,6 +270,11 @@ def _poisson_terms(rate):
         term *= rate / j
 
 
+# the largest rate whose exp(-rate), the first term of the CDF walk, is a
+# normal float; past it the walk's terms underflow and the draws go wrong
+_POISSON_MAX_RATE = -math.log(sys.float_info.min)  # 708.3964185322641
+
+
 def _poisson():
     """rate 0 is the point mass at 0. The sampler walks the CDF with the
     same partial sums abduction uses, so discrete round-trips are exact."""
@@ -350,7 +356,9 @@ FAMILIES = {
         {"rate": Param(1.0, _REAL, _real("exponential rate", *_POSITIVE))},
         _same, _REAL, *_exponential()),
     "poisson": Family(
-        {"rate": Param(1.0, _REAL, _real("poisson rate", *_NONNEGATIVE))},
+        {"rate": Param(1.0, _REAL, _real(
+            "poisson rate", lambda v: 0.0 <= v <= _POISSON_MAX_RATE,
+            f"must lie in [0, {_POISSON_MAX_RATE!r}]"))},
         _same, _COUNTABLE, *_poisson()),
     "dirac_countable": Family(
         {"value": Param(0, _COUNTABLE, _integer("dirac_countable point"))},

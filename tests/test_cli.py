@@ -595,6 +595,17 @@ def test_spw_weighted_model(capsys):
     assert row["pass"] is True
 
 
+def test_weight_integer_past_the_float_range(capsys, tmp_path):
+    # a weight adapts its value to a float as a det map does
+    raw = json.loads(Path(WEIGHTED).read_text())
+    raw["weights"]["b2"] = "if $1 < 1 then 0 else " + "1" * 400
+    path = tmp_path / "big_weight.json"
+    path.write_text(json.dumps(raw))
+    for ref in ((), ("--ref", "0.5")):
+        code, out, err = run(capsys, "spw", str(path), "--n", "1000", *ref)
+        assert (code, out, err) == (4, "", "error: integer too large for a float\n"), ref
+
+
 def test_spw_continuous_reference(capsys):
     code, out, _ = run(capsys, "spw", str(MODELS / "uniform2x.json"),
                        "--n", "20000", "--seed", "3",

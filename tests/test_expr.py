@@ -201,6 +201,84 @@ def test_shape_errors():
         check_expression(parse_expression("$0"), [Real(1)], Finite(2))
 
 
+def _type_error(text, inputs=(), expected=None) -> str:
+    with pytest.raises(ExprTypeError) as e:
+        check_expression(parse_expression(text), list(inputs), expected)
+    return str(e.value)
+
+
+PAIR = "Product(left=Countable(), right=Countable())"
+
+
+def test_two_bad_operands_report_the_first_check_that_fails():
+    # + and min synthesize every operand before testing any for a number,
+    # so an out-of-range right operand is reported over a pair on the left
+    assert _type_error("(0.5, 1) * (2, 3)") == \
+        "arithmetic needs a numeric operand, got Product(left=Real(dim=1), " \
+        "right=Countable()) (at offset 0)"
+    assert _type_error("(1, 2) + $9") == "input $9 out of range (at offset 9)"
+    assert _type_error("min((1, 2), (3, 4))") == \
+        f"min needs a numeric operand, got {PAIR} (at offset 4)"
+    assert _type_error("min((1, 2), $9)") == "input $9 out of range (at offset 12)"
+    # < tests each operand as soon as it has its shape
+    assert _type_error("(1, 2) < (3, 4)") == \
+        f"comparison needs a numeric operand, got {PAIR} (at offset 0)"
+    assert _type_error("(1, 2) < $9") == \
+        f"comparison needs a numeric operand, got {PAIR} (at offset 0)"
+
+
+def test_if_and_case_in_both_modes():
+    cond = "if 0 < 1 then "
+    assert check_expression(parse_expression(cond + "1 else 0.5"), []) == Real(1)
+    assert check_expression(parse_expression(cond + "1 else 0"), [], Finite(2)) == Finite(2)
+    assert _type_error(cond + "1 else 0.5", (), Countable()) == \
+        "expected Countable(), got Real(dim=1) (at offset 21)"
+    assert _type_error(cond + "(1, 2) else 3") == \
+        f"branches have incompatible shapes {PAIR} and Countable() (at offset 0)"
+    assert _type_error(cond + "(1, 2) else 3", (), Real(1)) == \
+        f"expected Real(dim=1), got {PAIR} (at offset 14)"
+    # the condition is checked before either branch
+    assert _type_error("if 2 then inl(1) else 0") == "literal 2 outside Finite(2) (at offset 3)"
+    # checking mode carries the expected coproduct into the branches
+    tagged = Coproduct(Countable(), Real(1))
+    assert check_expression(parse_expression(cond + "inl(1) else inr(0.5)"), [], tagged) \
+        == tagged
+    assert _type_error(cond + "inl(1) else inr(0.5)") == \
+        "inl needs an expected coproduct shape from context (at offset 14)"
+
+    sp = [Coproduct(Finite(2), Real(1))]
+    text = "case $0 of inl x => x | inr y => y"
+    assert check_expression(parse_expression(text), sp) == Real(1)
+    assert check_expression(parse_expression(text), sp, Real(1)) == Real(1)
+    assert _type_error(text, sp, Finite(2)) == \
+        "expected Finite(size=2), got Real(dim=1) (at offset 33)"
+    assert _type_error("case $0 of inl x => (x, x) | inr y => y", sp) == \
+        "branches have incompatible shapes Product(left=Finite(size=2), " \
+        "right=Finite(size=2)) and Real(dim=1) (at offset 0)"
+    # each branch sees only its own bound name
+    assert _type_error("case $0 of inl x => y | inr y => x", sp, Real(1)) == \
+        "unbound variable 'y' (at offset 20)"
+    # the scrutinee is synthesized before either branch is looked at
+    for expected in (None, Real(1)):
+        assert _type_error("case 1 of inl x => inl(x) | inr y => y", (), expected) == \
+            "case scrutinee must be a coproduct, got Countable() (at offset 5)"
+
+
+def test_keyword_forms_take_their_arity():
+    for text, message in (("min(1)", "expected 'comma', found ')' (at offset 5)"),
+                          ("neg(1, 2)", "expected 'rparen', found ',' (at offset 5)"),
+                          ("inl(1, 2)", "expected 'rparen', found ',' (at offset 5)"),
+                          ("max 1", "expected 'lparen', found 1 (at offset 4)")):
+        with pytest.raises(ExprSyntaxError) as e:
+            parse_expression(text)
+        assert str(e.value) == message, text
+    assert parse_expression("max(1, $0)") == ("call", "max", (("int", 1, 4), ("ref", 0, 7)), 0)
+    assert parse_expression("ln(1)") == ("call", "ln", (("int", 1, 3),), 0)
+    assert parse_expression("inr(1)") == ("inr", ("int", 1, 4), 0)
+    assert _type_error("inl(1)") == \
+        "inl needs an expected coproduct shape from context (at offset 0)"
+
+
 def test_adapt_value():
     assert adapt_value(Real(1), 3) == 3.0
     assert isinstance(adapt_value(Real(1), 3), float)

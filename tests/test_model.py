@@ -41,7 +41,7 @@ from jointkern import (
     value_to_jsonable,
     descriptor_to_json,
 )
-from jointkern.cli import _record_encoder, _uniforms_encoder
+from jointkern.cli import _record_encoder, _uniforms_encoder, main
 from jointkern.model import value_encoder
 
 from support import count_calls
@@ -404,6 +404,8 @@ def reject(mutate, exc):
 
 def test_structural_rejections():
     reject(lambda r: r.update(version=2), ModelSyntaxError)
+    for version in (True, 1.0, "1"):
+        reject(lambda r: r.update(version=version), ModelSyntaxError)
     reject(lambda r: r.pop("signature"), ModelSyntaxError)
     reject(lambda r: r.pop("diagram"), ModelSyntaxError)
     reject(lambda r: r.pop("interpretation"), ModelSyntaxError)
@@ -427,6 +429,79 @@ def test_structural_rejections():
         primitive="categorical", params={"probs": 0.5}), ModelSyntaxError)
     reject(lambda r: r.update(weights={"nope": "1.0"}), ModelSyntaxError)
     reject(lambda r: r.update(weights={"b2": 3}), ModelSyntaxError)
+
+
+def _mutations(node, path=()):
+    """(path, replacement) for each structural field under node: a list
+    becomes a string, a number, null or a nested list; a string becomes a
+    list; an object becomes the list of its keys."""
+    if isinstance(node, dict):
+        yield path, list(node)
+        for key, value in node.items():
+            yield from _mutations(value, path + (key,))
+    elif isinstance(node, list):
+        for bad in ("".join(x for x in node if isinstance(x, str)), 5, None, [node]):
+            yield path, bad
+        for i, value in enumerate(node):
+            yield from _mutations(value, path + (i,))
+    elif isinstance(node, str):
+        yield path, [node]
+
+
+def _replaced(raw, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(raw)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("name", ["chain.json", "weighted.json"])
+def test_wrong_json_types_in_structural_fields_exit_cleanly(capsys, tmp_path, name):
+    raw = json.loads((MODELS / name).read_text())
+    # fields the fixtures leave out
+    interp = ("interpretation", "flip")
+    extra = [(interp + ("residual",), bad) for bad in (5, [[1]], "B", None)]
+    extra.append((interp + ("primitive",), []))
+    path = tmp_path / name
+    seen = 0
+    for where, bad in [*_mutations(raw), *extra]:
+        path.write_text(json.dumps(_replaced(raw, where, bad)))
+        code = main(["validate", str(path)])
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert code in (3, 4, 5) and out == "", (where, bad, code)
+        assert lines[0].startswith("error: "), (where, bad)
+        assert all(line.startswith("  - ") for line in lines[1:]), (where, bad)
+        seen += 1
+    assert seen > 60
+
+
+def test_wire_lists_are_not_read_as_strings(capsys, tmp_path):
+    cases = [
+        (("signature", "boxes", "step", "dom"), "B", "signature box 'step' dom"),
+        (("diagram", "dom", "b2"), "x", "diagram dom for 'b2'"),
+        (("diagram", "cod", "b1"), "x", "diagram cod for 'b1'"),
+        (("diagram", "inputs"), "", "diagram inputs"),
+        (("diagram", "outputs"), "y", "diagram outputs"),
+        (("interpretation", "flip", "residual"), "B", "residual for 'flip'"),
+    ]
+    path = tmp_path / "chain.json"
+    for where, bad, field in cases:
+        path.write_text(json.dumps(_replaced(chain_dict(), where, bad)))
+        assert main(["validate", str(path)]) == 3, where
+        assert capsys.readouterr().err == f"error: {field} must be a list of wire ids\n"
+    for where, message in (
+            (("diagram", "wires", "x"), "diagram wire 'x' references unknown type ['x']"),
+            (("diagram", "boxes", "b1"), "diagram box 'b1' references unknown box ['x']"),
+            (("interpretation", "flip", "primitive"), "primitive for 'flip' must be a string"),
+            (("diagram", "dom"), "diagram dom must be an object")):
+        with pytest.raises(ModelSyntaxError) as e:
+            model_from_dict(_replaced(chain_dict(), where, ["x"]))
+        assert str(e.value) == message, where
 
 
 def test_shape_rejections():

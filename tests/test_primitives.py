@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -23,6 +24,7 @@ from jointkern import (
     uniform,
     uniform01,
 )
+from jointkern.cli import main
 
 Z = UNIT_VALUE
 
@@ -293,6 +295,49 @@ def test_instantiate_dispatch():
         instantiate("categorical", {})
     with pytest.raises(ParameterError):
         instantiate("beta", {})
+
+
+def test_poisson_rate_is_bounded_where_exp_of_minus_rate_is_normal():
+    top = 708.3964185322641  # -ln of the least normal float
+    p = poisson(top)
+    # quantiles near top +- 2.33 standard deviations, and an exact round trip
+    assert [p.pushforward([u], Z) for u in (0.01, 0.5, 0.99)] == [647, 708, 771]
+    assert p.pushforward(p.abduct(Z, 708), Z) == 708
+    bound = r"poisson rate must lie in \[0, 708.3964185322641\]"
+    for rate in (math.nextafter(top, math.inf), 745.0, 1000.0):
+        with pytest.raises(ParameterError, match=bound):
+            poisson(rate)
+    wired = poisson(lambda z: z, dom=Real(1))
+    assert wired.pushforward([0.5], top) == 708
+    with pytest.raises(ParameterError, match=bound):
+        wired.pushforward([0.5], 1000.0)
+
+
+def test_poisson_rate_bound_in_model_files(capsys, tmp_path):
+    raw = {
+        "version": 1,
+        "signature": {"wires": {"B": {"space": {"finite": 2}}, "N": {"space": "countable"}},
+                      "boxes": {"flip": {"dom": [], "cod": ["B"]},
+                                "count": {"dom": ["B"], "cod": ["N"]}}},
+        "diagram": {"wires": {"x": "B", "y": "N"}, "boxes": {"b1": "flip", "b2": "count"},
+                    "dom": {"b1": [], "b2": ["x"]}, "cod": {"b1": ["x"], "b2": ["y"]},
+                    "inputs": [], "outputs": ["y"]},
+        "interpretation": {"flip": {"primitive": "bernoulli", "params": {"p": 0.5}},
+                           "count": {"primitive": "poisson", "params": {"rate": 1000.0}}},
+    }
+    path = tmp_path / "poisson.json"
+    path.write_text(json.dumps(raw))
+    # a constant rate fails at parse
+    assert main(["validate", str(path)]) == 4
+    assert capsys.readouterr() == (
+        "", "error: poisson rate must lie in [0, 708.3964185322641], got 1000.0\n")
+    # a wired rate at the first record that reads it
+    raw["interpretation"]["count"]["params"]["rate"] = "if $0 < 1 then 3.0 else 1000.0"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 0
+    assert main(["sample", str(path), "--n", "20", "--seed", "0"]) == 4
+    out, err = capsys.readouterr()
+    assert err == "error: poisson rate must lie in [0, 708.3964185322641], got 1000.0\n"
 
 
 def test_poisson_rate_zero_and_large_values():

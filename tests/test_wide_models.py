@@ -146,3 +146,13 @@ def test_wide_input_rejected_cleanly(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: expected a two-element array for Product(left=Product(")
     assert err.count("\n") == 1 and err.endswith("got 5\n")
+
+
+def test_cover_on_a_wide_output_leg(capsys, tmp_path):
+    # a cover piece or point nests once per output wire
+    for n, args in ((300, ("--count", "2")),
+                    (600, ("--point", "[" * 599 + "0" + ", 1]" * 599))):
+        model = tmp_path / f"wide_output_{n}.json"
+        model.write_text(json.dumps(wide_output_raw(n)))
+        assert main(["cover", str(model), *args]) == 4, n
+        assert capsys.readouterr() == ("", "error: the output space nests too deeply to cover\n")
