@@ -35,7 +35,7 @@ from .expr import compile_det_map
 from .interpret import Interpretation, evaluate
 from .kernels import abduct_uniforms, joint_log_density, sample_scored
 from .model import (
-    Model, _float_text, _floats_text, _is_number, descriptor_to_json, parse_model,
+    Model, _float_text, _floats_text, _is_number, _loads, descriptor_to_json, parse_model,
     render_json, value_decoder, value_encoder, value_from_jsonable, value_to_jsonable,
 )
 from .rng import derive_seed
@@ -59,16 +59,25 @@ def _out(text: str):
     sys.stdout.write(text)
 
 
+def _emit(text: str, path: str | None, mode: str):
+    """text to the file path, opened in mode ("a" appends, "w" overwrites),
+    or to stdout without one."""
+    if path:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        _out(text)
+
+
 def _decode_input(model: Model, text: str | None):
     if not model.diagram.inputs:
+        if text is not None:
+            raise ShapeError("this model has no global inputs; drop --input")
         return UNIT_VALUE
     if text is None:
         raise ShapeError("this model has global inputs; pass --input")
-    try:
-        j = json.loads(text)
-    except (ValueError, RecursionError) as e:
-        raise ModelSyntaxError(f"--input is not valid JSON: {e}") from None
-    return value_from_jsonable(model.input_space, j)
+    return value_from_jsonable(
+        model.input_space, _loads(text, ModelSyntaxError, "--input is not valid JSON"))
 
 
 def _parse_do(model: Model, interp: Interpretation, settings) -> dict:
@@ -91,12 +100,8 @@ def _parse_do(model: Model, interp: Interpretation, settings) -> dict:
             sig_box = name
         else:
             raise ShapeError(f"unknown box {name!r} in --set")
-        space = interp.space_of(sig.cod[sig_box])
-        try:
-            j = json.loads(text)
-        except (ValueError, RecursionError) as e:
-            raise ShapeError(f"bad value in --set {item!r}: {e}") from None
-        do[sig_box] = value_from_jsonable(space, j)
+        j = _loads(text, ShapeError, f"bad value in --set {item!r}")
+        do[sig_box] = value_from_jsonable(interp.space_of(sig.cod[sig_box]), j)
     return do
 
 
@@ -187,12 +192,7 @@ def _run_sample(model: Model, interp: Interpretation, ns) -> int:
     seed = ns.seed if ns.seed is not None else _default_seed()
     encode = _record_encoder(_trace_spaces(k), k.cod)
     lines = [encode(*sample_scored(k, z, derive_seed(seed, i))) for i in range(ns.n)]
-    text = "".join(line + "\n" for line in lines)
-    if ns.out:
-        with open(ns.out, "a", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        _out(text)
+    _emit("".join(line + "\n" for line in lines), ns.out, "a")
     return 0
 
 
@@ -229,12 +229,7 @@ def _run_abduct(model: Model, interp: Interpretation, ns) -> int:
     encode = _uniforms_encoder(k.box_ids)
     z = _decode_input(model, ns.input)
     lines = [encode(abduct_uniforms(k, z, decode(rec))) for rec in _read_jsonl(ns.trace)]
-    text = "".join(line + "\n" for line in lines)
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        _out(text)
+    _emit("".join(line + "\n" for line in lines), ns.out, "w")
     return 0
 
 
@@ -255,11 +250,7 @@ def _run_spw(model: Model, interp: Interpretation, ns) -> int:
 
 def _cover_rows(space, ns):
     if ns.point is not None:
-        try:
-            j = json.loads(ns.point)
-        except (ValueError, RecursionError) as e:
-            raise ShapeError(f"bad --point: {e}") from None
-        v = value_from_jsonable(space, j)
+        v = value_from_jsonable(space, _loads(ns.point, ShapeError, "bad --point"))
         yield {"point": value_to_jsonable(v), "index": cover_index_bound(space, v)}
         return
     for i in range(ns.count):
@@ -278,12 +269,7 @@ def _run_cover(model: Model, interp: Interpretation, ns) -> int:
 
 
 def _run_export_dot(model: Model, interp: Interpretation, ns) -> int:
-    text = export_dot(model.diagram)
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        _out(text)
+    _emit(export_dot(model.diagram), ns.out, "w")
     return 0
 
 

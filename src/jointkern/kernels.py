@@ -626,10 +626,12 @@ def sample_with_trace(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value]
 def abduct_uniforms(k: JointKernel, z: Value, t: Trace) -> dict:
     """Uniform blocks that replay to the trace t exactly: box id -> tuple.
 
-    Checks that t has every box and no other, then, box by box, that the
-    box's primitive has an abduct law, that the value is a point of its
-    space, and, in the law, that it is in the support.
+    Checks that z is a point of the kernel's domain and that t has every
+    box and no other, then, box by box, that the box's primitive has an
+    abduct law, that the value is a point of its space, and, in the law,
+    that it is in the support.
     """
+    check_member(k.dom, z, "kernel input")
     missing, extra = _mismatch(k, t)
     if missing:
         raise ShapeError(f"trace is missing boxes {missing}")

@@ -49,12 +49,12 @@ from itertools import chain
 from .diagrams import Diagram, Hypergraph, HypMorphism, is_causal_model
 from .errors import DiagramError, ModelSyntaxError, ShapeError
 from .expr import _compile, compile_det_map
-from .interpret import Interpretation, check_interpretation, evaluate
+from .interpret import Interpretation, evaluate
 from .kernels import JointKernel, _reader, from_primitive, lift_det
 from .primitives import FAMILIES, instantiate
 from .spaces import (
     Coproduct, CoproductSet, Countable, Finite, FinitePoints, Inl, Inr,
-    IntervalBox, Product, ProductSet, Real, Space, Value, nest_product,
+    IntervalBox, Product, ProductSet, Real, Space, Value, nest_product, spine,
 )
 from .weighted import WeightFactor, WeightedJointKernel
 
@@ -174,11 +174,8 @@ def _spine_decoder(space: Product):
     decoder that recursed into the left factor first: each level's pair
     shape top down, then the innermost left value, then the right values
     bottom up."""
-    levels = []  # (product, its right factor's decoder), outermost first
-    while isinstance(space, Product):
-        levels.append((space, value_decoder(space.right)))
-        space = space.left
-    first = value_decoder(space)
+    levels = [(p, value_decoder(p.right)) for p in spine(space)]  # outermost first
+    first = value_decoder(levels[-1][0].left)
 
     def decode(j):
         rights = []
@@ -255,10 +252,7 @@ def value_encoder(space: Space):
     if isinstance(space, Real):
         return _float_text if space.dim == 1 else _floats_text
     if isinstance(space, Product):
-        if isinstance(space.left, Product):
-            return _spine_encoder(space)
-        left, right = value_encoder(space.left), value_encoder(space.right)
-        return lambda v: "[" + left(v[0]) + ", " + right(v[1]) + "]"
+        return _spine_encoder(space)
     if isinstance(space, Coproduct):
         left, right = value_encoder(space.left), value_encoder(space.right)
         return lambda v: ('{"inl": ' + left(v.value) + "}" if isinstance(v, Inl)
@@ -267,13 +261,11 @@ def value_encoder(space: Space):
 
 
 def _spine_encoder(space: Product):
-    """value_encoder of a product nested along its left side, which walks
-    the spine in a loop rather than one call per factor."""
-    rights = []
-    while isinstance(space, Product):
-        rights.append(value_encoder(space.right))
-        space = space.left
-    first, opening = value_encoder(space), "[" * len(rights)
+    """value_encoder of a product, which walks its left spine in a loop
+    rather than one call per factor."""
+    levels = spine(space)
+    rights = [value_encoder(p.right) for p in levels]
+    first, opening = value_encoder(levels[-1].left), "[" * len(levels)
 
     def encode(v):
         closing = []
@@ -342,13 +334,11 @@ class Model:
 
     @property
     def input_space(self) -> Space:
-        return nest_product(
-            [self.interpretation.wire_spaces[l] for l in self.diagram.input_types()])
+        return self.interpretation.space_of(self.diagram.input_types())
 
     @property
     def output_space(self) -> Space:
-        return nest_product(
-            [self.interpretation.wire_spaces[l] for l in self.diagram.output_types()])
+        return self.interpretation.space_of(self.diagram.output_types())
 
     def weight_factors(self, interp: Interpretation | None = None) -> tuple:
         """One factor per weighted graph box, reading its wire values' slots
@@ -378,11 +368,17 @@ def parse_model(path: str) -> Model:
     """Read and validate a model file. OSError propagates for the CLI."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    return model_from_dict(_loads(text, ModelSyntaxError, "not valid JSON"), path)
+
+
+def _loads(text: str, error: type, what: str):
+    """json.loads(text), or error(f"{what}: ..."): ValueError includes an
+    integer of more digits than int() reads, RecursionError nesting deeper
+    than the decoder goes."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as e:
-        raise ModelSyntaxError(f"not valid JSON: {e}") from None
-    return model_from_dict(raw, path)
+        raise error(f"{what}: {e}") from None
 
 
 def _check_ids(ids, where: str):
@@ -393,6 +389,17 @@ def _check_ids(ids, where: str):
             i.encode("utf-8")
         except UnicodeEncodeError:
             raise ModelSyntaxError(f"{where} id {i!r} has a lone surrogate") from None
+
+
+def _section(raw: dict, key: str):
+    """raw[key], with its wires and boxes objects, every id checked."""
+    section = _need(raw, key, "model")
+    wires, boxes = _need(section, "wires", key), _need(section, "boxes", key)
+    if not isinstance(wires, dict) or not isinstance(boxes, dict):
+        raise ModelSyntaxError(f"{key} wires/boxes must be objects")
+    _check_ids(wires, key + " wire")
+    _check_ids(boxes, key + " box")
+    return section, wires, boxes
 
 
 def _hypergraph(wires, boxes, dom, cod, where: str) -> Hypergraph:
@@ -408,13 +415,7 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
         raise ModelSyntaxError(f"unsupported schema version {version!r}")
 
     # signature
-    sig_j = _need(raw, "signature", "model")
-    wires_j = _need(sig_j, "wires", "signature")
-    boxes_j = _need(sig_j, "boxes", "signature")
-    if not isinstance(wires_j, dict) or not isinstance(boxes_j, dict):
-        raise ModelSyntaxError("signature wires/boxes must be objects")
-    _check_ids(wires_j, "signature wire")
-    _check_ids(boxes_j, "signature box")
+    _, wires_j, boxes_j = _section(raw, "signature")
     wire_spaces = {}
     for w, entry in wires_j.items():
         wire_spaces[w] = space_from_json(_need(entry, "space", f"signature wire {w!r}"))
@@ -427,13 +428,7 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
     signature = _hypergraph(list(wires_j), list(boxes_j), sig_dom, sig_cod, "signature")
 
     # diagram
-    dia_j = _need(raw, "diagram", "model")
-    gw = _need(dia_j, "wires", "diagram")
-    gb = _need(dia_j, "boxes", "diagram")
-    if not isinstance(gw, dict) or not isinstance(gb, dict):
-        raise ModelSyntaxError("diagram wires/boxes must be objects")
-    _check_ids(gw, "diagram wire")
-    _check_ids(gb, "diagram box")
+    dia_j, gw, gb = _section(raw, "diagram")
     for w, lab in gw.items():
         if not isinstance(lab, str) or lab not in wire_spaces:
             raise ModelSyntaxError(f"diagram wire {w!r} references unknown type {lab!r}")
@@ -451,7 +446,7 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
     diagram = Diagram(
         graph=graph,
         signature=signature,
-        labeling=HypMorphism(dict(gw), dict(gb)),
+        labeling=HypMorphism(gw, gb),
         inputs=legs["inputs"],
         outputs=legs["outputs"],
     )
@@ -466,8 +461,8 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
     stray = [b for b in interp_j if b not in boxes_j]
     if stray:
         raise ModelSyntaxError(f"interpretation references unknown boxes {stray}")
-    box_kernels = {}
-    residual_labels = {}
+    box_kernels, residual_labels = {}, {}
+    misfits = []  # explicit residual lists that do not fit their box's kernel
     for b in signature.boxes:
         if b not in interp_j:
             raise ModelSyntaxError(f"interpretation is missing box {b!r}")
@@ -508,7 +503,7 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
                     f"box {b!r}: primitive {name!r} yields {prim.cod!r}, "
                     f"wire needs {cod_spaces[0]!r}")
             box_kernels[b] = from_primitive(prim, b)
-            default_residual = tuple(signature.cod[b])
+            residual_labels[b] = signature.cod[b]
         elif "det" in entry:
             exprs = entry["det"]
             if isinstance(exprs, str):
@@ -517,18 +512,22 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
                 raise ModelSyntaxError(f"det for {b!r} must be a string or list of strings")
             det = compile_det_map(exprs, dom_spaces, cod_spaces, name=b)
             box_kernels[b] = lift_det(det)
-            default_residual = ()
+            residual_labels[b] = ()
         else:
             raise ModelSyntaxError(
                 f"interpretation for {b!r} needs 'primitive' or 'det'")
         if "residual" in entry:
-            _wire_lists({b: entry["residual"]}, "residual for {!r}")
-        residual_labels[b] = tuple(entry.get("residual", default_residual))
-
+            # the one fact of the interpretation the loader did not build to fit
+            labels = _wire_lists({b: entry["residual"]}, "residual for {!r}")[b]
+            residual = box_kernels[b].residual
+            if any(w not in wire_spaces for w in labels):
+                misfits.append(f"box {b!r} residual labels use unknown wires")
+            elif residual != (space := nest_product([wire_spaces[w] for w in labels])):
+                misfits.append(f"box {b!r} residual {residual!r} != labeled space {space!r}")
+            residual_labels[b] = labels
+    if misfits:
+        raise ShapeError("interpretation does not fit the signature: " + "; ".join(misfits))
     interp = Interpretation(wire_spaces, box_kernels, residual_labels)
-    problems = check_interpretation(signature, interp)
-    if problems:
-        raise ShapeError("interpretation does not fit the signature: " + "; ".join(problems))
 
     # weights
     weight_exprs, weights = {}, {}

@@ -31,7 +31,7 @@ __all__ = [
     "FinitePoints", "IntervalBox", "ProductSet", "CoproductSet", "SetDescriptor",
     "membership", "check_member", "base_measure_mass", "sigma_finite_cover",
     "cover_index_bound", "descriptor_contains", "is_finite_space", "finite_points",
-    "nest_product", "nest_values", "unnest_values",
+    "nest_product", "spine", "nest_values", "unnest_values",
     "zigzag", "zigzag_index", "cantor_pair", "cantor_unpair",
 ]
 
@@ -69,7 +69,9 @@ class Product:
     right: "Space"
 
     # a product of n factors nests n - 1 deep along its left side, so
-    # equality, hash and repr walk that spine in a loop, not one frame per factor
+    # equality, hash and repr walk that spine in a loop, not one frame per
+    # factor; equality keeps its own loop, as spine() would cost each pair
+    # of spaces a list
     def __eq__(self, other):
         if other.__class__ is not Product:
             return NotImplemented
@@ -81,25 +83,17 @@ class Product:
         return (a.left, a.right) == (b.left, b.right)
 
     def __hash__(self):
-        rights, p = [], self
-        while p.left.__class__ is Product:
-            rights.append(p.right)
-            p = p.left
-        h = hash((p.left, p.right))
-        for right in reversed(rights):
-            h = hash((h, right))
+        levels = spine(self)
+        h = hash((levels[-1].left, levels[-1].right))
+        for p in levels[-2::-1]:
+            h = hash((h, p.right))
         return h
 
     def __repr__(self):
         # the dataclass text, Product(left=..., right=...), built along the spine
-        rights, p = [], self
-        while p.left.__class__ is Product:
-            rights.append(p.right)
-            p = p.left
-        return "".join([
-            "Product(left=" * len(rights), f"Product(left={p.left!r}, right={p.right!r})",
-            *[f", right={right!r})" for right in reversed(rights)],
-        ])
+        levels = spine(self)
+        return "".join(["Product(left=" * len(levels), repr(levels[-1].left),
+                        *[f", right={p.right!r})" for p in reversed(levels)]])
 
 
 @dataclass(frozen=True)
@@ -154,16 +148,12 @@ def membership(space: Space, v: Value) -> bool:
             and all(_is_real_scalar(x) for x in v)
         )
     if isinstance(space, Product):
-        while isinstance(space.left, Product):  # the left spine, in a loop
-            if not (isinstance(v, tuple) and len(v) == 2 and membership(space.right, v[1])):
+        levels = spine(space)
+        for p in levels:
+            if not (isinstance(v, tuple) and len(v) == 2 and membership(p.right, v[1])):
                 return False
-            space, v = space.left, v[0]
-        return (
-            isinstance(v, tuple)
-            and len(v) == 2
-            and membership(space.left, v[0])
-            and membership(space.right, v[1])
-        )
+            v = v[0]
+        return membership(levels[-1].left, v)
     if isinstance(space, Coproduct):
         if isinstance(v, Inl):
             return membership(space.left, v.value)
@@ -449,6 +439,16 @@ def nest_product(spaces) -> Space:
     for s in spaces[1:]:
         out = Product(out, s)
     return out
+
+
+def spine(space: Space) -> list:
+    """The products along space's left side, outermost first: space,
+    space.left, ... while each is a Product; empty if space is none."""
+    levels = []
+    while space.__class__ is Product:
+        levels.append(space)
+        space = space.left
+    return levels
 
 
 def nest_values(values) -> Value:

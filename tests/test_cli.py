@@ -687,6 +687,31 @@ def test_input_flag(capsys):
         assert main(["sample", real2, "--input", bad]) == 4, bad
 
 
+def test_abduct_checks_its_input(capsys, tmp_path):
+    # as logpdf does: an input outside Finite(2) is no point of the kernel's domain
+    t = tmp_path / "t.jsonl"
+    t.write_text('{"trace": {"g": 1}}\n')
+    for z in ("5", "-3"):
+        for cmd in ("abduct", "logpdf"):
+            code, out, err = run(capsys, cmd, INPUTS, "--trace", str(t), "--input", z)
+            assert (code, out) == (4, ""), (cmd, z)
+            assert err == f"error: kernel input {z} is not a point of Finite(size=2)\n"
+    assert run(capsys, "abduct", INPUTS, "--trace", str(t), "--input", "1")[0] == 0
+
+
+def test_input_on_a_model_without_inputs_is_refused(capsys, tmp_path):
+    t, u = tmp_path / "t.jsonl", tmp_path / "u.jsonl"
+    t.write_text('{"trace": {"g": 0.5}}\n')
+    u.write_text('{"g": [0.5]}\n')
+    for cmd in (("sample", NORMAL), ("logpdf", NORMAL, "--trace", str(t)),
+                ("abduct", NORMAL, "--trace", str(t)), ("cf", NORMAL, "--u", str(u))):
+        assert run(capsys, *cmd)[0] == 0, cmd
+        for text in ("{", "0"):
+            code, out, err = run(capsys, *cmd, "--input", text)
+            assert (code, out) == (4, ""), (cmd, text)
+            assert err == "error: this model has no global inputs; drop --input\n"
+
+
 def test_logpdf_with_input(capsys, tmp_path):
     t = tmp_path / "t.jsonl"
     t.write_text('{"trace": {"g": 1}}\n')

@@ -5,6 +5,9 @@ order, before the joint kernel became a flat slot program; later commands
 read earlier outputs (logpdf and abduct read the sampled records, cf reads
 the abducted uniforms). The spw audits in SPW, one per weighted fixture,
 were written before spw drew its samples in an unscored seeded pass.
+The dag fixture (genmodels' layered_dag(1, 0): boxes of two inputs, a
+categorical whose probabilities read wires, and a four-wire output leg)
+was pinned before the model loader stopped re-checking what it built.
 Regenerate only for a deliberate output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -24,6 +27,7 @@ GOLDEN = HERE / "golden"
 # fixture -> (extra flags for models with global inputs, one --set for do/cf)
 FIXTURES = {
     "chain": ((), "b1=1"),
+    "dag": ((), "L0_0=0.5"),
     "inputs": (("--input", "1"), "g=0"),
     "normal": ((), "g=0.5"),
     "sure": ((), "g=0"),

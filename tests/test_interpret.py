@@ -203,6 +203,13 @@ def _fixture_models() -> list:
     return models
 
 
+def test_loaded_models_fit_their_signature():
+    # the loader builds each box's kernel from its signature's wire spaces
+    # and checks only what it did not build; the library's check agrees
+    for model, _ in _fixture_models():
+        assert check_interpretation(model.signature, model.interpretation) == []
+
+
 def _outcome(f, *args) -> str:
     """repr of f's result, or of the ShapeError it raises; floats' reprs
     round-trip, so equal reprs are bit-identical values."""

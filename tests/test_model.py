@@ -523,6 +523,31 @@ def test_shape_rejections():
     reject(lambda r: r.update(weights={"b2": "$5"}), ShapeError)
 
 
+def test_explicit_residuals():
+    def with_residuals(**residuals) -> dict:
+        raw = chain_dict()
+        for box, labels in residuals.items():
+            raw["interpretation"][box]["residual"] = labels
+        return raw
+
+    m = model_from_dict(with_residuals(flip=["B"], step=["B"]))
+    assert dict(m.interpretation.residual_labels) == {"flip": ("B",), "step": ("B",)}
+    # every misfit is reported, in signature box order
+    with pytest.raises(ShapeError) as e:
+        model_from_dict(with_residuals(flip=["B", "B"], step=["Z"]))
+    assert str(e.value) == (
+        "interpretation does not fit the signature: box 'flip' residual Finite(size=2) "
+        "!= labeled space Product(left=Finite(size=2), right=Finite(size=2)); "
+        "box 'step' residual labels use unknown wires")
+    # a later box's parameter error comes first
+    raw = with_residuals(flip=[])
+    raw["interpretation"]["step"]["params"]["p"] = "$7"
+    with pytest.raises(ShapeError, match=r"input \$7 out of range"):
+        model_from_dict(raw)
+    with pytest.raises(ModelSyntaxError, match="residual for 'flip' must be a list"):
+        model_from_dict(with_residuals(flip=5))
+
+
 def test_wiring_rejections():
     def cycle(r):
         r["diagram"]["dom"]["b1"] = ["y"]

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jointkern import (
     Coproduct,
@@ -29,7 +30,10 @@ from jointkern import (
     nest_product,
     nest_values,
     sigma_finite_cover,
+    spine,
     unnest_values,
+    value_decoder,
+    value_to_jsonable,
     zigzag,
     zigzag_index,
 )
@@ -257,3 +261,69 @@ def test_wide_product_equality_hash_and_membership():
     assert repr(Product(Finite(2), Product(Real(1), Finite(3)))) == (
         "Product(left=Finite(size=2), right=Product(left=Real(dim=1), right=Finite(size=3)))")
 
+
+SPACES = st.recursive(
+    st.one_of(st.integers(1, 4).map(Finite), st.just(Countable()), st.integers(1, 3).map(Real)),
+    lambda inner: st.builds(lambda cls, a, b: cls(a, b),
+                            st.sampled_from([Product, Coproduct]), inner, inner),
+    max_leaves=10)
+
+
+def _rebuilt(space):
+    """An equal space that shares no object with space."""
+    if isinstance(space, (Product, Coproduct)):
+        return type(space)(_rebuilt(space.left), _rebuilt(space.right))
+    return type(space)(*vars(space).values())
+
+
+def _dataclass_text(space) -> str:
+    """The repr a frozen dataclass gives, built recursively."""
+    if isinstance(space, (Product, Coproduct)):
+        return (f"{type(space).__name__}(left={_dataclass_text(space.left)}, "
+                f"right={_dataclass_text(space.right)})")
+    return repr(space)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(SPACES)
+def test_equal_spaces_hash_and_print_alike(space):
+    other = _rebuilt(space)
+    assert other == space and hash(other) == hash(space)
+    assert repr(other) == repr(space) == _dataclass_text(space)
+
+
+# a factor of a wide product and one of its points
+LEAF_POINTS = st.one_of(
+    st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(Finite(n)), st.integers(0, n - 1))),
+    st.integers(-10 ** 6, 10 ** 6).map(lambda m: (Countable(), m)),
+    st.floats(-1e6, 1e6).map(lambda x: (Real(1), x)),
+    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=3).map(
+        lambda xs: (Real(len(xs)), tuple(xs))),
+)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.lists(LEAF_POINTS, min_size=1, max_size=6))
+def test_spine_membership_and_decoding_of_a_3000_factor_product(pattern):
+    n = 3000
+    factors = [pattern[i % len(pattern)] for i in range(n)]
+    spaces = [sp for sp, _ in factors]
+    values = [v for _, v in factors]
+    space = nest_product(spaces)
+    levels = spine(space)
+    assert len(levels) == n - 1 and levels[0] is space
+    assert [p.right for p in reversed(levels)] == spaces[1:]
+    assert levels[-1].left == spaces[0] and spine(levels[-1].left) == []
+    assert membership(space, nest_values(values))
+    # the JSON form nests as the point does; built in a loop, as its
+    # reading must be
+    j = value_to_jsonable(values[0])
+    for v in values[1:]:
+        j = [j, value_to_jsonable(v)]
+    assert unnest_values(value_decoder(space)(j), n) == values
+    bad = j
+    for _ in range(n // 2):
+        bad = bad[0]
+    bad[1] = "x"
+    with pytest.raises(ShapeError, match="got 'x'"):
+        value_decoder(space)(j)

@@ -1,0 +1,252 @@
+"""Run a fixed corpus of jointkern CLI commands in-process and print what each did.
+
+    python3 tools/cli_corpus.py SRC
+
+imports jointkern from the directory SRC (a tree's src/), runs every
+command of the corpus through jointkern.cli.main and prints one line per
+command, tab-separated:
+
+    model  command  exit-code  sha256-of-stdout  stderr-as-a-JSON-string
+
+A command given --out hashes its stdout followed by the file it wrote, and
+an argument longer than 80 characters shows as its length and digest.
+Paths print as {tmp}/... under the corpus's temporary directory and as
+{models}/... under tests/models, so two trees' outputs diff line for line:
+
+    python3 tools/cli_corpus.py old/src > old.txt
+    python3 tools/cli_corpus.py src > new.txt
+    diff old.txt new.txt
+
+The corpus covers validate, sample, logpdf, abduct, cf (with and without
+--set), do ... sample, spw (with and without --ref), cover and export-dot
+on every model under tests/models, genmodels' chain_model(160, 1|2) and
+layered_dag(1..3, 0..7), and models with 300 global inputs and 300 output
+wires; then explicit-residual variants, and malformed or misplaced
+--input, --set and --point values.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "tests" / "models"
+WIDE = 300
+
+# fixture -> (its --input flags, a --set for cf and do); the rest run bare
+FIXTURE_FLAGS = {
+    "chain": ((), "b1=1"),
+    "dag": ((), "L0_0=0.5"),
+    "inputs": (("--input", "1"), "g=0"),
+    "normal": ((), "g=0.5"),
+    "real2_input": (("--input", "[0.5, 1]"), None),
+    "sure": ((), "g=0"),
+    "uniform2x": ((), "g=1.5"),
+    "weighted": ((), "b1=0"),
+}
+
+
+def _wide_raw(n: int, inputs: bool) -> dict:
+    """One det box over n global inputs, or n bernoulli roots all on the output leg."""
+    if inputs:
+        wires = {**{f"w{i}": "R" for i in range(n)}, "y": "R"}
+        boxes, dom, cod = {"s": "sum"}, {"s": list(wires)[:-1]}, {"s": ["y"]}
+        sig = {"sum": {"dom": ["R"] * n, "cod": ["R"]}}
+        interp = {"sum": {"det": f"$0 + ${n - 1}"}}
+        legs = {"inputs": list(dom["s"]), "outputs": ["y"]}
+    else:
+        wires = {f"w{i}": "B" for i in range(n)}
+        boxes = {f"r{i}": f"g{i}" for i in range(n)}
+        dom = {f"r{i}": [] for i in range(n)}
+        cod = {f"r{i}": [f"w{i}"] for i in range(n)}
+        sig = {f"g{i}": {"dom": [], "cod": ["B"]} for i in range(n)}
+        interp = {f"g{i}": {"primitive": "bernoulli", "params": {"p": 0.5}} for i in range(n)}
+        legs = {"inputs": [], "outputs": list(wires)}
+    return {
+        "version": 1,
+        "signature": {"wires": {"R": {"space": {"real": 1}}, "B": {"space": {"finite": 2}}},
+                      "boxes": sig},
+        "diagram": {"wires": wires, "boxes": boxes, "dom": dom, "cod": cod, **legs},
+        "interpretation": interp,
+    }
+
+
+def _residual_variants(chain: dict) -> dict:
+    """The chain fixture with explicit residual lists, good and bad."""
+    def variant(**residuals):
+        raw = copy.deepcopy(chain)
+        for box, labels in residuals.items():
+            raw["interpretation"][box]["residual"] = labels
+        return raw
+
+    bad_param = variant(flip=[])
+    bad_param["interpretation"]["step"]["params"]["p"] = "$7"
+    return {
+        "residual_ok": variant(flip=["B"], step=["B"]),
+        "residual_empty": variant(flip=[]),
+        "residual_unknown": variant(step=["Z"]),
+        "residual_not_list": variant(flip=5),
+        "residual_two_bad": variant(flip=["B", "B"], step=["Z"]),
+        "residual_then_param": bad_param,
+    }
+
+
+class Corpus:
+    def __init__(self, main, tmp: str):
+        self.main, self.tmp = main, tmp
+        self.lines = []
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.tmp, name)
+
+    def model(self, name: str, raw) -> str:
+        path = self.path(name + ".json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(raw if isinstance(raw, str) else json.dumps(raw))
+        return path
+
+    def run(self, name: str, argv: list, save: str | None = None) -> int:
+        """Run argv; save its stdout to the file save, when given."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = self.main(argv)
+        data = out.getvalue()
+        if "--out" in argv:
+            with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
+                data += fh.read()
+        if save:
+            with open(self.path(save), "w", encoding="utf-8") as fh:
+                fh.write(out.getvalue())
+        command, stderr = (text.replace(self.tmp, "{tmp}").replace(str(MODELS), "{models}")
+                           for text in (" ".join(map(_short, argv)), err.getvalue()))
+        digest = _sha256(data)
+        self.lines.append(f"{name}\t{command}\t{code}\t{digest}\t{json.dumps(stderr)}")
+        return code
+
+    def commands(self, name: str, path: str, extra=(), setting=None, spw=True, ref=False):
+        """The record commands on one model; the records and uniforms each reads
+        are the ones the command before it wrote. spw runs with exact references
+        when spw is set, and with a --ref too when ref is (1000 samples each)."""
+        extra = list(extra)
+        trace, u = f"{name}.trace", f"{name}.u"
+        self.run(name, ["validate", path])
+        self.run(name, ["sample", path, "--n", "4", "--seed", "3", *extra], save=trace)
+        self.run(name, ["logpdf", path, "--trace", self.path(trace), *extra])
+        self.run(name, ["abduct", path, "--trace", self.path(trace), *extra], save=u)
+        self.run(name, ["cf", path, "--u", self.path(u), *extra])
+        if setting:
+            self.run(name, ["cf", path, "--u", self.path(u), "--set", setting, *extra])
+            self.run(name, ["do", path, "--set", setting, "sample", "--n", "2", *extra])
+        if spw:
+            self.run(name, ["spw", path, "--n", "1000", "--seed", "1"])
+        if ref:
+            self.run(name, ["spw", path, "--n", "1000", "--seed", "1", "--ref", "0.5"])
+        self.run(name, ["cover", path, "--count", "3"])
+        self.run(name, ["export-dot", path])
+
+
+def run_corpus(main, genmodels, tmp: str) -> list:
+    c = Corpus(main, tmp)
+    for fixture in sorted(MODELS.glob("*.json")):
+        extra, setting = FIXTURE_FLAGS.get(fixture.stem, ((), None))
+        c.commands(fixture.stem, str(fixture), extra, setting, ref=True)
+
+    for seed in (1, 2):
+        raw, _ = genmodels.chain_model(160, seed)
+        c.commands(f"chain160_{seed}", c.model(f"chain160_{seed}", raw), (), "root=0.25",
+                   spw=seed == 1)
+    for seed in (1, 2, 3):
+        for index in range(8):
+            name = f"dag_{seed}_{index}"
+            raw, _ = genmodels.layered_dag(seed, index)
+            root = genmodels.dag_roots(raw)[index % 4]
+            c.commands(name, c.model(name, raw), (), f"{root}=0.5", ref=index == 0)
+
+    wide_in = c.model("wide_in", _wide_raw(WIDE, inputs=True))
+    c.commands("wide_in", wide_in, ("--input", json.dumps(_nested(0.5, WIDE))), spw=False)
+    wide_out = c.model("wide_out", _wide_raw(WIDE, inputs=False))
+    c.commands("wide_out", wide_out, (), "r0=1", spw=False)
+    c.run("wide_out", ["cover", wide_out, "--point", json.dumps(_nested(1, WIDE))])
+
+    chain = json.loads((MODELS / "chain.json").read_text())
+    for name, raw in _residual_variants(chain).items():
+        c.run(name, ["validate", c.model(name, raw)])
+
+    # --out, to each of the three commands that take it
+    chain_path, out = str(MODELS / "chain.json"), c.path("out.txt")
+    c.run("chain", ["sample", chain_path, "--n", "3", "--out", out])
+    c.run("chain", ["sample", chain_path, "--n", "2", "--seed", "9", "--out", out])
+    c.run("chain", ["abduct", chain_path, "--trace", c.path("chain.trace"), "--out", out])
+    c.run("chain", ["export-dot", chain_path, "--out", out])
+
+    # malformed or misplaced --input, --set and --point
+    inputs, normal = str(MODELS / "inputs.json"), str(MODELS / "normal.json")
+    deep = "[" * 5000
+    for text in ("5", "-3", "{", "1.5", deep, "[1, 2]"):
+        for cmd in (["sample", inputs, "--n", "1"],
+                    ["logpdf", inputs, "--trace", c.path("inputs.trace")],
+                    ["abduct", inputs, "--trace", c.path("inputs.trace")],
+                    ["cf", inputs, "--u", c.path("inputs.u")]):
+            c.run("inputs", [*cmd, "--input", text])
+    c.run("inputs", ["sample", inputs, "--n", "1"])
+    for text in ("{", "0"):
+        for cmd in (["sample", normal, "--n", "1"],
+                    ["logpdf", normal, "--trace", c.path("normal.trace")],
+                    ["abduct", normal, "--trace", c.path("normal.trace")],
+                    ["cf", normal, "--u", c.path("normal.u")]):
+            c.run("normal", [*cmd, "--input", text])
+    for setting in ("g={", "g=", "g", "nobox=1", "g=true", f"g={deep}", "g=1e999"):
+        c.run("normal", ["cf", normal, "--u", c.path("normal.u"), "--set", setting])
+        c.run("normal", ["do", normal, "--set", setting, "sample", "--n", "1"])
+    for point in ("{", "0.5", "1", "true", deep, "[0.5]"):
+        c.run("normal", ["cover", normal, "--point", point])
+    c.run("chain", ["cover", chain_path, "--point", "1"])
+    c.run("chain", ["cover", chain_path, "--point", "2"])
+    for name, text in (("not_json", "{"), ("deep_json", deep), ("not_object", "[1]")):
+        c.run(name, ["validate", c.model(name, text)])
+    return c.lines
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _short(arg: str) -> str:
+    """An argument as the command column shows it: a long one by its length and digest."""
+    return arg if len(arg) <= 80 else f"<{len(arg)} chars, sha256 {_sha256(arg)[:12]}>"
+
+
+def _nested(value, n: int):
+    out = value
+    for _ in range(n - 1):
+        out = [out, value]
+    return out
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(argv[0]).resolve()))
+    sys.path.insert(0, str(ROOT / "bench"))
+    os.environ.pop("JOINTKERN_SEED", None)
+    from jointkern.cli import main as cli_main
+    import genmodels
+
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = run_corpus(cli_main, genmodels, tmp)
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
