@@ -24,6 +24,7 @@ import functools
 import json
 import os
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 from .causal import _replayer, intervene
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .expr import compile_det_map
 from .interpret import Interpretation, evaluate
-from .kernels import abduct_uniforms, joint_log_density, sample_scored
+from .kernels import abduct_uniforms, joint_log_density, sample_records
 from .model import (
     Model, _float_text, _floats_text, _is_number, _loads, descriptor_to_json, parse_model,
     render_json, value_decoder, value_encoder, value_from_jsonable, value_to_jsonable,
@@ -191,7 +192,9 @@ def _run_sample(model: Model, interp: Interpretation, ns) -> int:
     z = _decode_input(model, ns.input)
     seed = ns.seed if ns.seed is not None else _default_seed()
     encode = _record_encoder(_trace_spaces(k), k.cod)
-    lines = [encode(*sample_scored(k, z, derive_seed(seed, i))) for i in range(ns.n)]
+    # one pass over the records' seeds; it checks z before its first draw
+    records = sample_records(k, z, map(derive_seed, repeat(seed), range(ns.n)))
+    lines = [encode(*record) for record in records]
     _emit("".join(line + "\n" for line in lines), ns.out, "a")
     return 0
 

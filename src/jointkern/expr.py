@@ -592,21 +592,36 @@ def _compile(text: str, inputs, expected: Space):
     return _build(ast, len(inputs), {})
 
 
-def compile_det_map(texts, dom_spaces, cod_spaces, name: str = "det") -> DetMap:
+def _located(e: ExprSyntaxError | ExprTypeError, where: str):
+    """e, an expression error, with where prefixed to its message, to name
+    the field of a model file that holds the text; its class and pos stay."""
+    e.args = (f"{where}: {e}",)
+    return e
+
+
+def compile_det_map(texts, dom_spaces, cod_spaces, name: str = "det",
+                    where: str | None = None) -> DetMap:
     """Compile one expression per output slot into a packed DetMap.
 
     Inputs $0..$k-1 are the unpacked domain slots; output i must check
     against cod_spaces[i], and its value is adapted to it. The map's
-    dom/cod are the packed products.
+    dom/cod are the packed products. where, if given, names the texts'
+    field: an expression error in text i starts with f"{where}[{i}]: ", a
+    wrong number of texts with f"{where}: ".
     """
     dom_spaces = list(dom_spaces)
     cod_spaces = list(cod_spaces)
     if len(texts) != len(cod_spaces):
-        raise ExprTypeError(
-            f"{len(cod_spaces)} output expressions needed, got {len(texts)}")
+        e = ExprTypeError(f"{len(cod_spaces)} output expressions needed, got {len(texts)}")
+        raise _located(e, where) if where else e
     fs = []
-    for text, sp in zip(texts, cod_spaces):
-        f = _compile(text, dom_spaces, sp)
+    for i, (text, sp) in enumerate(zip(texts, cod_spaces)):
+        try:
+            f = _compile(text, dom_spaces, sp)
+        except (ExprSyntaxError, ExprTypeError) as e:
+            if where:
+                _located(e, f"{where}[{i}]")
+            raise
         if sp == _REAL:
             f = lambda v, f=f: _to_float(f(v))
         elif isinstance(sp, (Product, Coproduct)):

@@ -26,13 +26,25 @@ PrimitiveKernel.point, and calls the primitive's laws at that point. A
 TracedBox also carries its rng key, rng.box_key(box_id), built wherever the
 box gets its id (from_primitive, and moving a step under a new id, as
 rename_boxes and lowering a diagram do), so a seeded pass encodes only the
-seed, once per record, and draws each box's uniform from the two. Each
-pass keeps, in this order, the checks that can fail on what it is given or
-draws:
+seed, once per record, and draws each box's uniform from the two.
 
-    sample_scored         seeded draw and log-density, each box reading its
-                          parameter point once (sample, sample_with_trace):
-                          the input, the output, then each trace value
+Every pass but enumerate_traces and run_trace loops over the kernel's pass
+plan (JointKernel.pass_plan), built by the first pass that runs the kernel
+and kept on it: one plain tuple per step, holding a box's id, slots, rng
+key, its primitive's point, push, density and abduct_law, and its value
+check, or a map's bound run. Each value check, of a box's codomain and of
+the kernel's input and output, is chosen once per space when the plan is
+built (spaces.member_check): an exact int or float is tested inline, and
+anything else goes to membership. A failing check raises through
+check_member or PrimitiveKernel.check_value, so the message is the same.
+A kernel never changes, so neither does its plan; compose, tensor and the
+rest build new kernels, each with a plan of its own. Each pass keeps, in
+this order, the checks that can fail on what it is given or draws:
+
+    sample_records        seeded draws and log-densities over many seeds
+                          (sample; sample_scored and sample_with_trace are
+                          its one-seed calls): the input, once per pass,
+                          then per record the output and each trace value
     sample_slots          seeded draws over many seeds, unscored, yielding
                           every slot (spw): the input, once per pass, then
                           each output
@@ -42,8 +54,8 @@ draws:
     joint_log_density     a given trace (logpdf): the input, the trace's box
                           set, then each trace value
     abduct_uniforms       the uniforms that replay a given trace (abduct):
-                          the trace's box set, then, box by box, that the
-                          primitive has an abduct law, the value's
+                          the input, the trace's box set, then, box by box,
+                          that the primitive has an abduct law, the value's
                           membership, then its support
     enumerate_traces      every trace of a finite kernel with its exact
                           probability: the input and the box codomains
@@ -51,12 +63,13 @@ draws:
 
 The seeded passes make their own uniforms, in [0, 1) and of the right
 length, and do not check them; sample_slots also leaves the trace values
-unchecked, as spw reads only the output and the weights. sample_slots is
-the one seeded pass over many records: it checks the input and builds the
-slot template once, then copies the template per seed. Every pass reads a
-step's input the same way, slots[src] or read(slots), so a box with no
-input wires reads UNIT_VALUE, never the kernel input, even in the passes
-that do not check that input (abduct_uniforms, run_trace).
+unchecked, as spw reads only the output and the weights. Each seeded pass
+runs over many records: it checks the input and builds the slot template
+once, then copies the template per seed, so an input that is no point
+fails at the first draw and a pass over no seeds checks nothing. Every
+pass reads a step's input the same way, slots[src] or read(slots), so a
+box with no input wires reads UNIT_VALUE, never the kernel input, even in
+run_trace, which does not check that input.
 
 Traces are keyed by box id instead of nested positional tuples, so category
 laws hold literally (associativity does not need re-tupling). The residual
@@ -84,6 +97,7 @@ from .spaces import (
     check_member,
     finite_points,
     is_finite_space,
+    member_check,
     membership,
     nest_product,
     nest_values,
@@ -95,7 +109,7 @@ __all__ = [
     "lift_det", "identity_kernel", "structure_kernel", "from_primitive",
     "compose", "tensor", "rename_boxes", "expose_residuals", "run_trace",
     "joint_log_density", "replay_with_uniforms", "sample_slots",
-    "sample_scored", "sample_with_trace", "abduct_uniforms",
+    "sample_records", "sample_scored", "sample_with_trace", "abduct_uniforms",
     "enumerate_traces", "marginal_pmf_finite",
 ]
 
@@ -139,7 +153,7 @@ class PrimitiveKernel:
     density: Callable[[object, Value], float]
     push: Callable[[Sequence[float], object], Value]
     # the defaults live in __init__: a function on the class as point's
-    # default would keep CPython 3.11 from specializing the passes' p.point
+    # default would keep CPython 3.11 from specializing reads of p.point
     abduct_law: Callable[[object, Value], tuple] | None
     pmf_law: Callable[[object, Value], Fraction] | None
     point: Callable[[Value], object]
@@ -289,6 +303,12 @@ class JointKernel:
     @cached_property
     def box_id_set(self) -> frozenset:
         return frozenset(self.box_ids)
+
+    @cached_property
+    def pass_plan(self) -> tuple:
+        """The pass plan, built by the first pass that runs the kernel; see
+        _pass_plan."""
+        return _pass_plan(self)
 
     def mech(self, t: Trace, z: Value) -> Value:
         """The output at input z when every box takes its value from t."""
@@ -483,6 +503,44 @@ def _check_trace_keys(k: JointKernel, t: Trace):
         raise ShapeError(f"trace key mismatch: missing {missing}, extra {extra}")
 
 
+# ---------------------------------------------------------------------------
+# pass plans: what a pass reads of each step, bound once per kernel
+#
+# A plan entry is one plain tuple per step, unpacked whole by the pass loops:
+#
+#     (run, box_id, src, dst, read, key, point, push, density, abduct_law, ok, p)
+#
+# For a box, run is None, p is its primitive, point, push, density and
+# abduct_law are p's, and ok is member_check(p.cod); for an Apply or Unpack,
+# run is the step's bound run and the rest are None.
+
+_NOT_A_BOX = (None,) * 11
+
+
+def _pass_plan(k: JointKernel) -> tuple:
+    """(entries, checks, dom_ok, cod_ok): one entry per step (see above),
+    (box_id, ok, cod) per box in step order, and the checks of the input
+    and of the output. A kernel never changes, so neither does its plan.
+
+    Boxes of one family share its codomain object, so each check is chosen
+    once per codomain object, found by id; the kernel holds every codomain
+    while the plan is built, so no id is reused meanwhile."""
+    entries, checks, oks = [], [], {}
+    for s in k.steps:
+        if type(s) is TracedBox:
+            box_id, p, src, dst, key, read = s
+            cod = p.cod
+            ok = oks.get(id(cod))
+            if ok is None:
+                ok = oks[id(cod)] = member_check(cod)
+            entries.append((None, box_id, src, dst, read, key, p.point, p.push, p.density,
+                            p.abduct_law, ok, p))
+            checks.append((box_id, ok, cod))
+        else:
+            entries.append((s.run, *_NOT_A_BOX))
+    return tuple(entries), tuple(checks), member_check(k.dom), member_check(k.cod)
+
+
 def joint_log_density(k: JointKernel, z: Value, t: Trace) -> float:
     """Log density of a full trace: the sum of per-box factors in list order.
 
@@ -490,24 +548,26 @@ def joint_log_density(k: JointKernel, z: Value, t: Trace) -> float:
     its trace value, so the factors multiply to the joint density of the
     conditional product.
     """
-    check_member(k.dom, z, "kernel input")
+    steps, checks, dom_ok, _ = k.pass_plan
+    if not dom_ok(z):
+        check_member(k.dom, z, "kernel input")
     _check_trace_keys(k, t)
-    for box in k.boxes:
-        check_member(box.primitive.cod, t[box.box_id], f"trace value for {box.box_id}")
+    for box_id, ok, cod in checks:
+        if not ok(t[box_id]):
+            check_member(cod, t[box_id], f"trace value for {box_id}")
     slots = [None] * k.n_slots
     slots[0] = z
     total = 0.0
-    for s in k.steps:
-        if type(s) is TracedBox:
-            box_id, p, src, dst, _, read = s
-            m = t[box_id]
-            ld = p.density(p.point(slots[src] if read is None else read(slots)), m)
-            if ld == NEG_INF:
-                return NEG_INF
-            total += ld
-            slots[dst] = m
-        else:
-            s.run(slots)
+    for run, box_id, src, dst, read, _, point, _, density, _, _, _ in steps:
+        if run is not None:
+            run(slots)
+            continue
+        m = t[box_id]
+        ld = density(point(slots[src] if read is None else read(slots)), m)
+        if ld == NEG_INF:
+            return NEG_INF
+        total += ld
+        slots[dst] = m
     return total
 
 
@@ -521,7 +581,9 @@ def replay_with_uniforms(
     box; then, box by box, each block's numbers (converted with float), its
     length, which is one uniform, and its range [0, 1]; last the output.
     """
-    check_member(k.dom, z, "kernel input")
+    steps, _, dom_ok, cod_ok = k.pass_plan
+    if not dom_ok(z):
+        check_member(k.dom, z, "kernel input")
     missing, extra = _mismatch(k, u)
     if missing:
         raise ShapeError(f"missing uniform blocks for boxes {missing}")
@@ -530,11 +592,10 @@ def replay_with_uniforms(
     slots = [None] * k.n_slots
     slots[0] = z
     t: dict = {}
-    for s in k.steps:
-        if type(s) is not TracedBox:
-            s.run(slots)
+    for run, box_id, src, dst, read, _, point, push, _, _, _, _ in steps:
+        if run is not None:
+            run(slots)
             continue
-        box_id, p, src, dst, _, read = s
         try:
             block = tuple(map(float, u[box_id]))
         except OverflowError:  # an integer past the float range
@@ -543,26 +604,28 @@ def replay_with_uniforms(
             raise ShapeError(f"box {box_id} needs 1 uniforms, got {len(block)}")
         if not 0.0 <= block[0] <= 1.0:
             raise ShapeError(f"uniform {block[0]} outside [0, 1] for box {box_id}")
-        t[box_id] = slots[dst] = p.push(
-            block, p.point(slots[src] if read is None else read(slots)))
+        t[box_id] = slots[dst] = push(block, point(slots[src] if read is None else read(slots)))
     x = slots[k.out]
-    check_member(k.cod, x, "kernel output")
+    if not cod_ok(x):
+        check_member(k.cod, x, "kernel output")
     return t, x
 
 
 def sample_slots(k: JointKernel, z: Value, seeds: Iterable[int]) -> Iterator[tuple[dict, list]]:
     """Draw one trace per seed, unscored: yields (trace, every slot's value).
 
-    Per seed, replay_with_uniforms at the seeded uniforms sample_scored
+    Per seed, replay_with_uniforms at the seeded uniforms sample_records
     draws, less the checks on those uniforms, which are in [0, 1) and of
     the right length by construction. The input is checked once, before
     the first draw; each output is checked as it is drawn. The slot
     template, which holds z, is built once and copied per seed.
     """
-    check_member(k.dom, z, "kernel input")
+    steps, _, dom_ok, cod_ok = k.pass_plan
+    if not dom_ok(z):
+        check_member(k.dom, z, "kernel input")
     template = [None] * k.n_slots
     template[0] = z
-    steps, cod, out = k.steps, k.cod, k.out
+    out = k.out
     # looked up once per pass, so a counter set on it before the pass sees
     # every draw
     draw, seed_key = rng.unit_uniform, rng.seed_key
@@ -570,51 +633,70 @@ def sample_slots(k: JointKernel, z: Value, seeds: Iterable[int]) -> Iterator[tup
         seed = seed_key(seed)
         slots = template.copy()
         t: dict = {}
-        for s in steps:
-            if type(s) is TracedBox:
-                box_id, p, src, dst, key, read = s
-                t[box_id] = slots[dst] = p.push(
-                    (draw(seed, key),), p.point(slots[src] if read is None else read(slots)))
-            else:
-                s.run(slots)
-        check_member(cod, slots[out], "kernel output")
+        for run, box_id, src, dst, read, key, point, push, _, _, _, _ in steps:
+            if run is not None:
+                run(slots)
+                continue
+            t[box_id] = slots[dst] = push(
+                (draw(seed, key),), point(slots[src] if read is None else read(slots)))
+        x = slots[out]
+        if not cod_ok(x):
+            check_member(k.cod, x, "kernel output")
         yield t, slots
 
 
-def sample_scored(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value, float]:
-    """Draw one record and score it in the same pass: (trace, output, logpdf).
+def sample_records(
+    k: JointKernel, z: Value, seeds: Iterable[int]
+) -> Iterator[tuple[dict, Value, float]]:
+    """Draw and score one record per seed: yields (trace, output, logpdf).
 
     Bit-reproducible per (kernel, z, seed). The log-densities are added in
     box order from 0.0, so logpdf has the bits of joint_log_density(k, z,
-    trace), -inf included. The input, the output, then each trace value are
-    checked, in that order; the seeded uniforms are in [0, 1) and of the
-    right length by construction, so they are not.
+    trace), -inf included. The input is checked once, before the first
+    draw; then, per record, the output and each trace value, in that order.
+    The seeded uniforms are in [0, 1) and of the right length by
+    construction, so they are not.
     """
-    check_member(k.dom, z, "kernel input")
-    slots = [None] * k.n_slots
-    slots[0] = z
-    t: dict = {}
-    total, vanished = 0.0, False
-    # the seed's key once per record; rng.unit_uniform is looked up per pass,
-    # so a counter set on it sees every draw
-    draw, seed = rng.unit_uniform, rng.seed_key(seed)
-    for s in k.steps:
-        if type(s) is TracedBox:
-            box_id, p, src, dst, key, read = s
-            pt = p.point(slots[src] if read is None else read(slots))
-            t[box_id] = slots[dst] = m = p.push((draw(seed, key),), pt)
-            ld = p.density(pt, m)
+    steps, _, dom_ok, cod_ok = k.pass_plan
+    if not dom_ok(z):
+        check_member(k.dom, z, "kernel input")
+    template = [None] * k.n_slots
+    template[0] = z
+    out = k.out
+    # as in sample_slots: the draw is looked up once per pass, the seed's
+    # key built once per record
+    draw, seed_key = rng.unit_uniform, rng.seed_key
+    for seed in seeds:
+        seed = seed_key(seed)
+        slots = template.copy()
+        t: dict = {}
+        total, vanished, bad = 0.0, False, None
+        for run, box_id, src, dst, read, key, point, push, density, _, ok, p in steps:
+            if run is not None:
+                run(slots)
+                continue
+            pt = point(slots[src] if read is None else read(slots))
+            t[box_id] = slots[dst] = m = push((draw(seed, key),), pt)
+            ld = density(pt, m)
             # joint_log_density stops at the first -inf factor
             if ld == NEG_INF:
                 vanished = True
             total += ld
-        else:
-            s.run(slots)
-    x = slots[k.out]
-    check_member(k.cod, x, "kernel output")
-    for box in k.boxes:
-        check_member(box.primitive.cod, t[box.box_id], f"trace value for {box.box_id}")
-    return t, x, NEG_INF if vanished else total
+            # the first bad trace value is raised after the output's check
+            if not ok(m) and bad is None:
+                bad = box_id, p.cod
+        x = slots[out]
+        if not cod_ok(x):
+            check_member(k.cod, x, "kernel output")
+        if bad is not None:
+            check_member(bad[1], t[bad[0]], f"trace value for {bad[0]}")
+        yield t, x, NEG_INF if vanished else total
+
+
+def sample_scored(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value, float]:
+    """Draw one record and score it in the same pass: (trace, output, logpdf);
+    sample_records at one seed."""
+    return next(sample_records(k, z, (seed,)))
 
 
 def sample_with_trace(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value]:
@@ -631,7 +713,9 @@ def abduct_uniforms(k: JointKernel, z: Value, t: Trace) -> dict:
     abduct law, that the value is a point of its space, and, in the law,
     that it is in the support.
     """
-    check_member(k.dom, z, "kernel input")
+    steps, _, dom_ok, _ = k.pass_plan
+    if not dom_ok(z):
+        check_member(k.dom, z, "kernel input")
     missing, extra = _mismatch(k, t)
     if missing:
         raise ShapeError(f"trace is missing boxes {missing}")
@@ -640,19 +724,17 @@ def abduct_uniforms(k: JointKernel, z: Value, t: Trace) -> dict:
     slots = [None] * k.n_slots
     slots[0] = z
     u: dict = {}
-    for s in k.steps:
-        if type(s) is TracedBox:
-            box_id, p, src, dst, _, read = s
-            law = p.abduct_law
-            if law is None:
-                raise ShapeError(f"primitive {p.name!r} of box {box_id!r} has no abduct")
-            m = t[box_id]
-            if not membership(p.cod, m):
-                p.check_value(m)  # raises; membership inline saves a call per box
-            u[box_id] = tuple(law(p.point(slots[src] if read is None else read(slots)), m))
-            slots[dst] = m
-        else:
-            s.run(slots)
+    for run, box_id, src, dst, read, _, point, _, _, law, ok, p in steps:
+        if run is not None:
+            run(slots)
+            continue
+        if law is None:
+            raise ShapeError(f"primitive {p.name!r} of box {box_id!r} has no abduct")
+        m = t[box_id]
+        if not ok(m):
+            p.check_value(m)  # raises
+        u[box_id] = tuple(law(point(slots[src] if read is None else read(slots)), m))
+        slots[dst] = m
     return u
 
 

@@ -35,7 +35,9 @@ pair arrays, and {"inl": v}/{"inr": v}.
 
 Error classes map to CLI exit codes: ModelSyntaxError for malformed or
 unresolved structure, ShapeError family for type and parameter problems,
-DiagramError for wiring violations.
+DiagramError for wiring violations. An expression error keeps its class
+and offset, and its message starts with the field that holds the text:
+"box 'b' parameter 'p': ", "box 'b' det[0]: " or "weight of box 'b2': ".
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ from functools import cached_property
 from itertools import chain
 
 from .diagrams import Diagram, Hypergraph, HypMorphism, is_causal_model
-from .errors import DiagramError, ModelSyntaxError, ShapeError
-from .expr import _compile, compile_det_map
+from .errors import (
+    DiagramError, ExprSyntaxError, ExprTypeError, ModelSyntaxError, ShapeError,
+)
+from .expr import _compile, _located, compile_det_map
 from .interpret import Interpretation, evaluate
 from .kernels import JointKernel, _reader, from_primitive, lift_det
 from .primitives import FAMILIES, instantiate
@@ -491,12 +495,15 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
             params = {}
             for key, value in params_j.items():
                 param = family.params[key]
-                if not param.many:
-                    params[key] = _build_param(value, dom_spaces, param.shape)
-                elif isinstance(value, list):
-                    params[key] = [_build_param(q, dom_spaces, param.shape) for q in value]
-                else:
-                    raise ModelSyntaxError(f"{key} for {b!r} must be a list")
+                try:
+                    if not param.many:
+                        params[key] = _build_param(value, dom_spaces, param.shape)
+                    elif isinstance(value, list):
+                        params[key] = [_build_param(q, dom_spaces, param.shape) for q in value]
+                    else:
+                        raise ModelSyntaxError(f"{key} for {b!r} must be a list")
+                except (ExprSyntaxError, ExprTypeError) as e:
+                    raise _located(e, f"box {b!r} parameter {key!r}")
             prim = instantiate(name, params, dom=nest_product(dom_spaces))
             if prim.cod != cod_spaces[0]:
                 raise ShapeError(
@@ -510,7 +517,7 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
                 exprs = [exprs]
             if not isinstance(exprs, list) or not all(isinstance(e, str) for e in exprs):
                 raise ModelSyntaxError(f"det for {b!r} must be a string or list of strings")
-            det = compile_det_map(exprs, dom_spaces, cod_spaces, name=b)
+            det = compile_det_map(exprs, dom_spaces, cod_spaces, name=b, where=f"box {b!r} det")
             box_kernels[b] = lift_det(det)
             residual_labels[b] = ()
         else:
@@ -542,7 +549,10 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
         slots = [wire_spaces[gw[w]] for w in graph.dom[b]] + \
                 [wire_spaces[gw[w]] for w in graph.cod[b]]
         # a det map's output rule: the value adapted to a float, or EvalError
-        weights[b] = compile_det_map([text], slots, [Real(1)], name=b).fn
+        try:
+            weights[b] = compile_det_map([text], slots, [Real(1)], name=b).fn
+        except (ExprSyntaxError, ExprTypeError) as e:
+            raise _located(e, f"weight of box {b!r}")
         weight_exprs[b] = text
 
     # with the plan and the interpretation checked, compiling cannot fail,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .errors import ShapeError
 
@@ -29,7 +29,7 @@ __all__ = [
     "Finite", "Countable", "Real", "Product", "Coproduct", "Space",
     "UNIT", "UNIT_VALUE", "Inl", "Inr", "Value",
     "FinitePoints", "IntervalBox", "ProductSet", "CoproductSet", "SetDescriptor",
-    "membership", "check_member", "base_measure_mass", "sigma_finite_cover",
+    "membership", "member_check", "check_member", "base_measure_mass", "sigma_finite_cover",
     "cover_index_bound", "descriptor_contains", "is_finite_space", "finite_points",
     "nest_product", "spine", "nest_values", "unnest_values",
     "zigzag", "zigzag_index", "cantor_pair", "cantor_unpair",
@@ -125,6 +125,9 @@ class Inr:
 Value = Union[int, float, tuple, Inl, Inr]
 
 
+_INF = math.inf
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -161,6 +164,23 @@ def membership(space: Space, v: Value) -> bool:
             return membership(space.right, v.value)
         return False
     raise ShapeError(f"not a Space: {space!r}")
+
+
+def member_check(space: Space) -> Callable[[Value], bool]:
+    """A predicate equal to membership(space, .), chosen once for space, so
+    a pass that checks many values of one space skips membership's dispatch.
+    Finite, Countable and Real(1) test an exact int or float inline and
+    leave any other value, a subclass instance among them, to membership's
+    own test; every other space is membership itself."""
+    cls = space.__class__
+    if cls is Finite:
+        n = space.size
+        return lambda v: (v.__class__ is int or _is_int(v)) and 0 <= v < n
+    if cls is Countable:
+        return lambda v: v.__class__ is int or _is_int(v)
+    if cls is Real and space.dim == 1:
+        return lambda v: v.__class__ is float and -_INF < v < _INF or _is_real_scalar(v)
+    return lambda v: membership(space, v)
 
 
 def check_member(space: Space, v: Value, what: str = "value"):

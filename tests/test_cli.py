@@ -228,16 +228,30 @@ def test_sample_evaluates_each_wired_parameter_once(capsys, tmp_path, monkeypatc
 
 
 def test_logpdf_checks_each_trace_value_once(capsys, tmp_path, monkeypatch):
+    # a value is checked by membership or by the check member_check chose
+    # for its space; both are counted
     checked = []
-    membership = spaces.membership
+    membership, member_check = spaces.membership, spaces.member_check
 
     def counted(space, v):
         checked.append(space)
         return membership(space, v)
 
+    def counted_check(space):
+        ok = member_check(space)
+
+        def check(v):
+            checked.append(space)
+            return ok(v)
+
+        return check
+
     for name, mod in list(sys.modules.items()):
-        if name.startswith("jointkern") and getattr(mod, "membership", None) is membership:
-            monkeypatch.setattr(mod, "membership", counted)
+        if name.startswith("jointkern"):
+            if getattr(mod, "membership", None) is membership:
+                monkeypatch.setattr(mod, "membership", counted)
+            if getattr(mod, "member_check", None) is member_check:
+                monkeypatch.setattr(mod, "member_check", counted_check)
     for path in (CHAIN, NORMAL, WEIGHTED):
         code, out, _ = run(capsys, "sample", path, "--n", "1", "--seed", "3")
         trace = tmp_path / "t.jsonl"

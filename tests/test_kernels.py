@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import struct
@@ -16,13 +17,16 @@ from jointkern import (
     ShapeError,
     UNIT,
     UNIT_VALUE,
+    abduct_uniforms,
     bernoulli,
     compose,
     enumerate_traces,
+    evaluate,
     exponential,
     expose_residuals,
     from_primitive,
     identity_kernel,
+    intervene,
     joint_log_density,
     lift_det,
     marginal_pmf_finite,
@@ -31,6 +35,7 @@ from jointkern import (
     rename_boxes,
     replay_with_uniforms,
     run_trace,
+    sample_records,
     sample_scored,
     sample_slots,
     sample_with_trace,
@@ -206,6 +211,18 @@ def test_density_errors_and_support():
         joint_log_density(k, UNIT_VALUE, {"b1": 1, "b2": 1, "zz": 0})
     with pytest.raises(ShapeError):
         joint_log_density(k, UNIT_VALUE, {"b1": 1, "b2": 2})
+    # the input, then the trace's box set, then each value in box order,
+    # all before the first factor
+    with pytest.raises(ShapeError, match=r"^kernel input True is not a point of Finite\(size=1\)$"):
+        joint_log_density(k, True, {"b1": True})
+    with pytest.raises(ShapeError, match=r"^trace key mismatch: missing \['b2'\], extra \[\]$"):
+        joint_log_density(k, UNIT_VALUE, {"b1": True})
+    with pytest.raises(ShapeError, match=r"^trace value for b1 True is not a point of Finite\(size=2\)$"):
+        joint_log_density(k, UNIT_VALUE, {"b1": True, "b2": 2})
+    with pytest.raises(ShapeError, match=r"^trace value for b2 2 is not a point of Finite\(size=2\)$"):
+        joint_log_density(k, UNIT_VALUE, {"b1": 0, "b2": 2})
+    with pytest.raises(ShapeError, match=r"^trace value for b2 False is not a point"):
+        joint_log_density(k, UNIT_VALUE, {"b1": 1, "b2": False})
 
     certain = from_primitive(bernoulli(1.0), "c")
     assert joint_log_density(certain, UNIT_VALUE, {"c": 0}) == NEG_INF
@@ -223,6 +240,34 @@ def test_replay_with_uniforms_contract():
         replay_with_uniforms(k, UNIT_VALUE, {"b1": [0.6, 0.5], "b2": [0.1]})
     with pytest.raises(ShapeError):
         replay_with_uniforms(k, UNIT_VALUE, {"b1": [1.5], "b2": [0.1]})
+    # the output is checked last, after every block; a box's value is not
+    huge = normal(mu=1.7e308, sigma=1e308)
+    g = from_primitive(huge, "g")
+    with pytest.raises(ShapeError, match=r"^kernel output inf is not a point of Real\(dim=1\)$"):
+        replay_with_uniforms(g, UNIT_VALUE, {"g": [0.99]})
+    with pytest.raises(ShapeError, match=r"^uniform 1.5 outside"):
+        replay_with_uniforms(tensor(g, from_primitive(huge, "h")), (UNIT_VALUE, UNIT_VALUE),
+                             {"g": [0.99], "h": [1.5]})
+    hidden = compose(g, lift_det(DetMap(Real(1), UNIT, lambda v: UNIT_VALUE, "drop")))
+    assert replay_with_uniforms(hidden, UNIT_VALUE, {"g": [0.99]}) == (
+        {"g": math.inf}, UNIT_VALUE)
+
+
+def test_abduct_uniforms_checks_box_by_box():
+    k = compose(from_primitive(bernoulli(0.5), "a"),
+                from_primitive(_hand_built("coin", lambda z, m: 0.0, dom=TWO), "b"))
+    # box a's value, then box b's law, then box b's value
+    with pytest.raises(ShapeError, match=r"^bernoulli: value 2 is not a point of Finite\(size=2\)$"):
+        abduct_uniforms(k, UNIT_VALUE, {"a": 2, "b": True})
+    with pytest.raises(ShapeError, match=r"^bernoulli: value True is not a point"):
+        abduct_uniforms(k, UNIT_VALUE, {"a": True, "b": 0})
+    with pytest.raises(ShapeError, match=r"^primitive 'coin' of box 'b' has no abduct$"):
+        abduct_uniforms(k, UNIT_VALUE, {"a": 1, "b": 5})
+    n = compose(from_primitive(bernoulli(0.5), "a"),
+                from_primitive(bernoulli(lambda x: 0.25, dom=TWO), "b"))
+    for value in (2, -1, 1.0, "x", math.inf):
+        with pytest.raises(ShapeError, match=rf"^bernoulli: value {value!r} is not a point"):
+            abduct_uniforms(n, UNIT_VALUE, {"a": 0, "b": value})
 
 
 def test_sampling_determinism_and_mean():
@@ -386,3 +431,74 @@ def test_enumerate_traces_deep_chain():
     assert traces == [({f"b{i}": 1 for i in range(1500)}, 1)]
     assert list(traces[0][0]) == list(k.box_ids)
     assert marginal_pmf_finite(k, UNIT_VALUE) == {1: 1.0}
+
+
+def _runs(k, seeds=range(8)):
+    """Every pass's results on k: the sampled records of sample_records and
+    sample_scored, sample_slots' traces, then per record its logpdf, its
+    abducted uniforms and their replay."""
+    z = UNIT_VALUE if k.dom == UNIT else (UNIT_VALUE, UNIT_VALUE)
+    records = list(sample_records(k, z, seeds))
+    assert records == [sample_scored(k, z, seed) for seed in seeds]
+    out = [records, [t for t, _ in sample_slots(k, z, seeds)]]
+    for t, _, _ in records:
+        u = abduct_uniforms(k, z, t)
+        out += [joint_log_density(k, z, t), u, replay_with_uniforms(k, z, u)]
+    return out
+
+
+def _sources():
+    """Two fresh kernels whose boxes all abduct, and a model's kernel parts."""
+    m = parse_model(str(Path(__file__).parent / "models" / "chain.json"))
+    return chain_kernel(), from_primitive(normal(0.3, 2.0), "n"), m
+
+
+# each kernel built from the sources: one per way to make a kernel from others
+DERIVED = {
+    "compose": lambda a, b, m: compose(
+        a, from_primitive(bernoulli(lambda x: 0.9 if x else 0.1, dom=TWO), "c")),
+    "tensor": lambda a, b, m: tensor(a, b),
+    "rename_boxes": lambda a, b, m: rename_boxes(a, {"b1": "x", "b2": "y"}),
+    "expose_residuals": lambda a, b, m: expose_residuals(a),
+    "intervene": lambda a, b, m: evaluate(
+        m.diagram, intervene(m.diagram, m.interpretation, {"flip": 1})),
+    "replace": lambda a, b, m: dataclasses.replace(
+        b, steps=rename_boxes(b, {"n": "q"}).steps),
+}
+
+
+@pytest.mark.parametrize("how", list(DERIVED))
+def test_a_derived_kernel_runs_its_own_steps(how):
+    # the sources run first, so each has its plan before the derived kernel
+    # is built; the derived kernel must run as one built from fresh sources
+    a, b, m = _sources()
+    for k in (a, b, m.kernel):
+        _runs(k)
+    k = DERIVED[how](a, b, m)
+    want = _runs(DERIVED[how](*_sources()))
+    assert _runs(k) == want
+    entries = k.pass_plan[0]
+    assert len(entries) == len(k.steps)
+    for entry, step in zip(entries, k.steps):
+        if entry[0] is None:
+            assert (entry[1], entry[-1]) == (step.box_id, step.primitive)
+        else:
+            assert entry[0] == step.run
+    assert set(want[0][0][0]) == set(k.box_ids)
+
+
+def test_passes_that_alternate_between_kernels_match_fresh_kernels():
+    def kernels():
+        a, b, _ = _sources()
+        return [(compose(a, from_primitive(bernoulli(0.3, dom=TWO), "c")), UNIT_VALUE),
+                (tensor(a, b), (UNIT_VALUE, UNIT_VALUE))]
+
+    def record(k, z, seed):
+        t, x, lp = sample_scored(k, z, seed)
+        u = abduct_uniforms(k, z, t)
+        return t, x, lp, joint_log_density(k, z, t), u, replay_with_uniforms(k, z, u)
+
+    pair = kernels()
+    alternating = [[record(k, z, seed) for k, z in pair] for seed in range(10)]
+    for i, (k, z) in enumerate(kernels()):
+        assert [record(k, z, seed) for seed in range(10)] == [rs[i] for rs in alternating]

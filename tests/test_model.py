@@ -12,6 +12,8 @@ from jointkern import (
     Countable,
     DetMap,
     DiagramError,
+    ExprSyntaxError,
+    ExprTypeError,
     Finite,
     FinitePoints,
     Inl,
@@ -546,6 +548,57 @@ def test_explicit_residuals():
         model_from_dict(raw)
     with pytest.raises(ModelSyntaxError, match="residual for 'flip' must be a list"):
         model_from_dict(with_residuals(flip=5))
+
+
+def _expression_error(raw, tmp_path, capsys, exc, message, pos, code):
+    """model_from_dict raises exc with message and pos; validate exits code
+    with the message as its one stderr line."""
+    with pytest.raises(exc) as e:
+        model_from_dict(raw)
+    assert str(e.value) == message and e.value.pos == pos
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_expression_errors_name_their_parameter(tmp_path, capsys):
+    raw = chain_dict()
+    raw["interpretation"]["step"]["params"]["p"] = "$7"
+    _expression_error(raw, tmp_path, capsys, ExprTypeError,
+                      "box 'step' parameter 'p': input $7 out of range (at offset 0)", 0, 4)
+    raw["interpretation"]["step"]["params"]["p"] = "0.5 +"
+    _expression_error(raw, tmp_path, capsys, ExprSyntaxError,
+                      "box 'step' parameter 'p': unexpected token None (at offset 5)", 5, 3)
+
+
+def test_expression_errors_name_their_det_output(tmp_path, capsys):
+    raw = chain_dict()
+    raw["signature"]["boxes"]["dup"] = {"dom": ["B"], "cod": ["B", "B"]}
+    raw["interpretation"]["dup"] = {"det": ["$0", "if $9 < 1 then 1 else 0"]}
+    raw["diagram"]["wires"].update(u="B", v="B")
+    raw["diagram"]["boxes"]["b3"] = "dup"
+    raw["diagram"]["dom"]["b3"] = ["y"]
+    raw["diagram"]["cod"]["b3"] = ["u", "v"]
+    raw["diagram"]["outputs"] = ["u", "v"]
+    _expression_error(raw, tmp_path, capsys, ExprTypeError,
+                      "box 'dup' det[1]: input $9 out of range (at offset 3)", 3, 4)
+    raw["interpretation"]["dup"] = {"det": ["$0", "if"]}
+    _expression_error(raw, tmp_path, capsys, ExprSyntaxError,
+                      "box 'dup' det[1]: unexpected token None (at offset 2)", 2, 3)
+    raw["interpretation"]["dup"] = {"det": "$0"}
+    _expression_error(raw, tmp_path, capsys, ExprTypeError,
+                      "box 'dup' det: 2 output expressions needed, got 1", -1, 4)
+
+
+def test_expression_errors_name_their_weight(tmp_path, capsys):
+    raw = chain_dict()
+    raw["weights"] = {"b2": "1.0 + $5"}
+    _expression_error(raw, tmp_path, capsys, ExprTypeError,
+                      "weight of box 'b2': input $5 out of range (at offset 6)", 6, 4)
+    raw["weights"] = {"b2": "(("}
+    _expression_error(raw, tmp_path, capsys, ExprSyntaxError,
+                      "weight of box 'b2': unexpected token None (at offset 2)", 2, 3)
 
 
 def test_wiring_rejections():

@@ -26,6 +26,7 @@ from jointkern import (
     cover_index_bound,
     descriptor_contains,
     finite_points,
+    member_check,
     membership,
     nest_product,
     nest_values,
@@ -327,3 +328,69 @@ def test_spine_membership_and_decoding_of_a_3000_factor_product(pattern):
     bad[1] = "x"
     with pytest.raises(ShapeError, match="got 'x'"):
         value_decoder(space)(j)
+
+
+class _Int(int):
+    """An int subclass: a point of Finite and Countable, as bool is not."""
+
+
+# values that are points of few spaces or none: bools, an int subclass,
+# non-finite floats, -0.0, other types, lists and tuples
+ODD_VALUES = [True, False, _Int(0), _Int(5), -1, 0, 1, 2, 3, 10 ** 30, 0.0, -0.0, 1.0, 0.5,
+              math.nan, math.inf, -math.inf, "x", None, [], [0, 1], (), (0,), (0.5, 0.5, 0.5)]
+
+
+def _near_points(space):
+    """Points of space, int-subclass points and -0.0 among them, where any
+    part may be an odd value instead, a tuple a list or of another length,
+    and an Inl an Inr."""
+    odd = st.sampled_from(ODD_VALUES)
+    if isinstance(space, Finite):
+        return st.integers(0, space.size - 1) | st.just(_Int(space.size - 1)) | odd
+    if isinstance(space, Countable):
+        return st.integers() | st.just(_Int(-3)) | odd
+    if isinstance(space, Real):
+        scalar = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0) | odd
+        if space.dim == 1:
+            return scalar
+        parts = st.tuples(*[scalar] * space.dim)
+        return parts | parts.map(list) | st.lists(scalar, max_size=space.dim + 1).map(tuple)
+    if isinstance(space, Product):
+        pair = st.tuples(_near_points(space.left), _near_points(space.right))
+        return pair | pair.map(list) | pair.map(lambda p: p + (0,)) | odd
+    left, right = _near_points(space.left), _near_points(space.right)
+    return left.map(Inl) | right.map(Inr) | left.map(Inr) | right.map(Inl) | odd
+
+
+def _as_lists(v):
+    """v with every tuple a list, as JSON would give it."""
+    if isinstance(v, tuple):
+        return [_as_lists(x) for x in v]
+    if isinstance(v, (Inl, Inr)):
+        return type(v)(_as_lists(v.value))
+    return v
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.data())
+def test_member_check_is_membership(data):
+    space = data.draw(st.sampled_from([UNIT, Finite(3), Countable(), Real(1), Real(2)]) | SPACES)
+    ok = member_check(space)
+    values = data.draw(st.lists(_near_points(space), min_size=1, max_size=8))
+    for v in values + ODD_VALUES + [Inl(v) for v in ODD_VALUES] + [Inr(v) for v in ODD_VALUES]:
+        assert ok(v) is membership(space, v), (space, v)
+
+
+def test_member_check_of_a_3000_factor_product():
+    factors = [Finite(2), Real(1), Countable(), Coproduct(Finite(1), Real(2))] * 750
+    values = [1, 0.5, -7, Inr((0.0, 1.0))] * 750
+    ok = member_check(nest_product(factors))
+    assert ok(nest_values(values))
+    assert not ok(nest_values(values[:-1] + [Inr((0.0, math.nan))]))
+    assert not ok(nest_values(values[:-1] + [Inl(1)]))
+    assert not ok(nest_values([True] + values[1:]))
+    assert not ok(nest_values(values[:-1]))
+    listed = values[0]
+    for v in values[1:]:
+        listed = [listed, _as_lists(v)]
+    assert not ok(listed)

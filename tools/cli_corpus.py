@@ -21,8 +21,11 @@ The corpus covers validate, sample, logpdf, abduct, cf (with and without
 --set), do ... sample, spw (with and without --ref), cover and export-dot
 on every model under tests/models, genmodels' chain_model(160, 1|2) and
 layered_dag(1..3, 0..7), and models with 300 global inputs and 300 output
-wires; then explicit-residual variants, and malformed or misplaced
---input, --set and --point values.
+wires; then explicit-residual variants, a bad expression in a parameter,
+a det map or a weight, a normal box whose draws overflow (hidden, on the
+output leg, or both), trace and u files holding values that are no point
+of their box's space, and malformed or misplaced --input, --set and
+--point values.
 """
 
 from __future__ import annotations
@@ -76,6 +79,70 @@ def _wide_raw(n: int, inputs: bool) -> dict:
                       "boxes": sig},
         "diagram": {"wires": wires, "boxes": boxes, "dom": dom, "cod": cod, **legs},
         "interpretation": interp,
+    }
+
+
+# a normal whose draws past about the 54th percentile overflow to inf
+HUGE_NORMAL = {"primitive": "normal", "params": {"mu": 1.7e308, "sigma": 1e308}}
+
+# JSON texts of values that are no point of a finite: 2 or a real box's space
+BAD_VALUES = ("true", "2", "1.5", '"x"', "1e999")
+
+
+def _overflow_raw(hidden: bool, output: bool) -> dict:
+    """The box g draws HUGE_NORMAL onto wire x. Hidden, a det box reads x;
+    output, x is on the output leg; both, both."""
+    boxes, dom, cod = {"g": "huge"}, {"g": []}, {"g": ["x"]}
+    sig = {"huge": {"dom": [], "cod": ["R"]}}
+    interp = {"huge": HUGE_NORMAL}
+    wires, outputs = {"x": "R"}, []
+    if hidden:
+        boxes["d"], dom["d"], cod["d"] = "sign", ["x"], ["y"]
+        sig["sign"] = {"dom": ["R"], "cod": ["B"]}
+        interp["sign"] = {"det": "if $0 < 0.0 then 0 else 1"}
+        wires["y"] = "B"
+        outputs.append("y")
+    if output:
+        outputs.append("x")
+    return {
+        "version": 1,
+        "signature": {"wires": {"R": {"space": {"real": 1}}, "B": {"space": {"finite": 2}}},
+                      "boxes": sig},
+        "diagram": {"wires": wires, "boxes": boxes, "dom": dom, "cod": cod,
+                    "inputs": [], "outputs": outputs},
+        "interpretation": interp,
+    }
+
+
+def _expression_variants(chain: dict, weighted: dict) -> dict:
+    """Fixtures with a bad expression in a parameter, a det map or a weight."""
+    def variant(raw, edit):
+        raw = copy.deepcopy(raw)
+        edit(raw)
+        return raw
+
+    def det(texts):
+        def edit(raw):
+            raw["signature"]["boxes"]["dup"] = {"dom": ["B"], "cod": ["B", "B"]}
+            raw["interpretation"]["dup"] = {"det": texts}
+            raw["diagram"]["wires"].update(u="B", v="B")
+            raw["diagram"]["boxes"]["b3"] = "dup"
+            raw["diagram"]["dom"]["b3"] = ["y"]
+            raw["diagram"]["cod"]["b3"] = ["u", "v"]
+            raw["diagram"]["outputs"] = ["u", "v"]
+        return edit
+
+    def param(text):
+        return lambda raw: raw["interpretation"]["step"]["params"].update(p=text)
+
+    return {
+        "expr_param_type": variant(chain, param("$7")),
+        "expr_param_syntax": variant(chain, param("0.5 +")),
+        "expr_det_type": variant(chain, det(["$0", "if $9 < 1 then 1 else 0"])),
+        "expr_det_syntax": variant(chain, det(["$0", "if"])),
+        "expr_det_count": variant(chain, det("$0")),
+        "expr_weight_type": variant(weighted, lambda raw: raw["weights"].update(b2="$5")),
+        "expr_weight_syntax": variant(weighted, lambda raw: raw["weights"].update(b2="((")),
     }
 
 
@@ -179,6 +246,41 @@ def run_corpus(main, genmodels, tmp: str) -> list:
     chain = json.loads((MODELS / "chain.json").read_text())
     for name, raw in _residual_variants(chain).items():
         c.run(name, ["validate", c.model(name, raw)])
+    weighted = json.loads((MODELS / "weighted.json").read_text())
+    for name, raw in _expression_variants(chain, weighted).items():
+        c.run(name, ["validate", c.model(name, raw)])
+        c.run(name, ["sample", c.path(name + ".json"), "--n", "1"])
+
+    # values a box's space does not hold: drawn by an overflowing normal,
+    # and read from trace and u files
+    for name, hidden, output in (("huge_hidden", True, False), ("huge_output", False, True),
+                                 ("huge_both", True, True)):
+        path = c.model(name, _overflow_raw(hidden, output))
+        c.commands(name, path, (), "g=1.5", spw=False, ref=True)
+        for seed in range(6):
+            c.run(name, ["sample", path, "--n", "1", "--seed", str(seed)])
+        c.run(name, ["spw", path, "--n", "1000", "--seed", "2", "--ref", "0.5", "--h", "0.5"])
+        for u in ("0.2", "0.99"):
+            upath = c.path(f"{name}.u{u}")
+            with open(upath, "w", encoding="utf-8") as fh:
+                fh.write(f'{{"g": [{u}]}}\n')
+            c.run(name, ["cf", path, "--u", upath])
+    for name, boxes in (("chain", ("b1", "b2")), ("normal", ("g",))):
+        path = str(MODELS / f"{name}.json")
+        good = {"chain": "0", "normal": "0.5"}[name]
+        for box in boxes:
+            for bad in BAD_VALUES:
+                values = ", ".join(f'"{b}": {bad if b == box else good}' for b in boxes)
+                trace = c.path(f"{name}.bad.trace")
+                with open(trace, "w", encoding="utf-8") as fh:
+                    fh.write(f'{{"trace": {{{values}}}}}\n')
+                c.run(name, ["logpdf", path, "--trace", trace])
+                c.run(name, ["abduct", path, "--trace", trace])
+                blocks = ", ".join(f'"{b}": [{bad if b == box else "0.5"}]' for b in boxes)
+                upath = c.path(f"{name}.bad.u")
+                with open(upath, "w", encoding="utf-8") as fh:
+                    fh.write(f"{{{blocks}}}\n")
+                c.run(name, ["cf", path, "--u", upath])
 
     # --out, to each of the three commands that take it
     chain_path, out = str(MODELS / "chain.json"), c.path("out.txt")
