@@ -6,7 +6,7 @@
     jointkern do MODEL --set box=value ... COMMAND [flags]
     jointkern cf MODEL --u FILE [--set box=value ...] [--input J]
     jointkern abduct MODEL --trace FILE [--input J] [--out FILE]
-    jointkern spw MODEL [--n N] [--seed S] [--h EXPR ...] [--ref X ...]
+    jointkern spw MODEL [--n N] [--seed S] [--h EXPR ...] [--ref X ...] [--input J]
     jointkern cover MODEL [--count N] [--point J]
     jointkern export-dot MODEL [--out FILE]
 
@@ -238,13 +238,14 @@ def _run_abduct(model: Model, interp: Interpretation, ns) -> int:
 
 def _run_spw(model: Model, interp: Interpretation, ns) -> int:
     wk = model.weighted_kernel(interp)
+    z = _decode_input(model, ns.input)
     out_wires = model.diagram.outputs
     slot_spaces = [interp.wire_spaces[model.diagram.wire_label[w]] for w in out_wires]
     exprs = ns.h or ["$0"]
     tests = [compile_det_map([e], slot_spaces, [Real(1)], name=e) for e in exprs]
     refs = ns.ref or None
     seed = ns.seed if ns.seed is not None else _default_seed()
-    report = spw_check(wk, tests, refs, ns.n, seed)
+    report = spw_check(wk, tests, refs, ns.n, seed, z)
     for e, row in zip(exprs, report):
         row["h"] = e
     _out(render_json(report) + "\n")
@@ -322,6 +323,7 @@ _COMMANDS = {
                      help="test function over the output wires (default $0)")),
         ("--ref", dict(type=float, action="append", default=[],
                        help="reference value per --h (default: exact enumeration)")),
+        ("--input", dict(default=None)),
     ]),
     "cover": (_run_cover, [
         ("--count", dict(type=_count, default=5)),

@@ -46,11 +46,17 @@ this order, the checks that can fail on what it is given or draws:
                           its one-seed calls): the input, once per pass,
                           then per record the output and each trace value
     sample_slots          seeded draws over many seeds, unscored, yielding
-                          every slot (spw): the input, once per pass, then
-                          each output
+                          every slot (spw, one sample at a time): the
+                          input, once per pass, then per sample the output
+                          and each trace value
+    sample_columns        sample_slots over a block of seeds as columns
+                          (spw): the input, then the block's outputs and
+                          trace values, and whatever its column steps
+                          cannot vouch for (see "columns" below)
     replay_with_uniforms  uniforms a caller supplies (cf): the input, every
                           box has a block and every block a box, then each
-                          block's floats, length and range, then the output
+                          block's floats, length and range, then the
+                          output, then each trace value
     joint_log_density     a given trace (logpdf): the input, the trace's box
                           set, then each trace value
     abduct_uniforms       the uniforms that replay a given trace (abduct):
@@ -62,14 +68,13 @@ this order, the checks that can fail on what it is given or draws:
     run_trace             every slot at a given trace, unchecked
 
 The seeded passes make their own uniforms, in [0, 1) and of the right
-length, and do not check them; sample_slots also leaves the trace values
-unchecked, as spw reads only the output and the weights. Each seeded pass
-runs over many records: it checks the input and builds the slot template
-once, then copies the template per seed, so an input that is no point
-fails at the first draw and a pass over no seeds checks nothing. Every
-pass reads a step's input the same way, slots[src] or read(slots), so a
-box with no input wires reads UNIT_VALUE, never the kernel input, even in
-run_trace, which does not check that input.
+length, and do not check them. Each seeded pass runs over many records:
+it checks the input and builds the slot template once, then copies the
+template per seed, so an input that is no point fails at the first draw
+and a pass over no seeds checks nothing. Every pass reads a step's input
+the same way, slots[src] or read(slots), so a box with no input wires
+reads UNIT_VALUE, never the kernel input, even in run_trace, which does
+not check that input.
 
 Traces are keyed by box id instead of nested positional tuples, so category
 laws hold literally (associativity does not need re-tupling). The residual
@@ -82,16 +87,22 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from . import rng
 from .errors import ShapeError
 from .spaces import (
     UNIT,
     UNIT_VALUE,
+    Countable,
+    Finite,
     Product,
+    Real,
     Space,
     Value,
     check_member,
@@ -109,7 +120,7 @@ __all__ = [
     "lift_det", "identity_kernel", "structure_kernel", "from_primitive",
     "compose", "tensor", "rename_boxes", "expose_residuals", "run_trace",
     "joint_log_density", "replay_with_uniforms", "sample_slots",
-    "sample_records", "sample_scored", "sample_with_trace", "abduct_uniforms",
+    "sample_columns", "sample_records", "sample_scored", "sample_with_trace", "abduct_uniforms",
     "enumerate_traces", "marginal_pmf_finite",
 ]
 
@@ -144,7 +155,11 @@ class PrimitiveKernel:
     forward to; and, where defined, abduct_law(pt, m), a right-inverse of
     push, and pmf_law(pt, m), an exact rational pmf used by finite
     enumeration. The methods are the laws as functions of z; those given an
-    observed m first check that it is a point of cod.
+    observed m first check that it is a point of cod. columns, None or
+    given, is the column form of the draws (see sample_columns):
+    columns(x, u, m) is the column of push((u_i,), point(x_i)) over m rows.
+    It is derived from the laws, not one of the fields that equality,
+    hashing and repr read, so it may be given after the kernel is built.
     """
 
     name: str
@@ -159,12 +174,12 @@ class PrimitiveKernel:
     point: Callable[[Value], object]
 
     def __init__(self, name, dom, cod, density, push, abduct_law=None, pmf_law=None,
-                 point=lambda z: z):
+                 point=lambda z: z, columns=None):
         # one dict update, where the frozen dataclass __init__ makes an
         # object.__setattr__ call per field; every box build pays this
         self.__dict__.update(
             name=name, dom=dom, cod=cod, density=density, push=push,
-            abduct_law=abduct_law, pmf_law=pmf_law, point=point)
+            abduct_law=abduct_law, pmf_law=pmf_law, point=point, columns=columns)
 
     def check_value(self, m: Value):
         if not membership(self.cod, m):
@@ -269,8 +284,14 @@ class Unpack(NamedTuple):
         return Unpack(where[self.src], tuple(where[i] for i in self.dsts))
 
 
+def _identity(v):
+    return v
+
+
+_identity.columns = lambda c, m: c
+
 # the one step of the identity map; _Program.pack places it to pack a tuple
-_IDENTITY = Apply(lambda v: v, 0, 1)
+_IDENTITY = Apply(_identity, 0, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -579,7 +600,8 @@ def replay_with_uniforms(
     The one pass for uniforms a caller supplies, so it checks all of them,
     in this order: the input; every box has a block and every block names a
     box; then, box by box, each block's numbers (converted with float), its
-    length, which is one uniform, and its range [0, 1]; last the output.
+    length, which is one uniform, and its range [0, 1]; last the output,
+    then each trace value.
     """
     steps, _, dom_ok, cod_ok = k.pass_plan
     if not dom_ok(z):
@@ -592,7 +614,8 @@ def replay_with_uniforms(
     slots = [None] * k.n_slots
     slots[0] = z
     t: dict = {}
-    for run, box_id, src, dst, read, _, point, push, _, _, _, _ in steps:
+    bad = None
+    for run, box_id, src, dst, read, _, point, push, _, _, ok, p in steps:
         if run is not None:
             run(slots)
             continue
@@ -604,10 +627,16 @@ def replay_with_uniforms(
             raise ShapeError(f"box {box_id} needs 1 uniforms, got {len(block)}")
         if not 0.0 <= block[0] <= 1.0:
             raise ShapeError(f"uniform {block[0]} outside [0, 1] for box {box_id}")
-        t[box_id] = slots[dst] = push(block, point(slots[src] if read is None else read(slots)))
+        t[box_id] = slots[dst] = m = push(
+            block, point(slots[src] if read is None else read(slots)))
+        # the first bad trace value is raised after the output's check
+        if not ok(m) and bad is None:
+            bad = box_id, p.cod
     x = slots[k.out]
     if not cod_ok(x):
         check_member(k.cod, x, "kernel output")
+    if bad is not None:
+        check_member(bad[1], t[bad[0]], f"trace value for {bad[0]}")
     return t, x
 
 
@@ -617,8 +646,9 @@ def sample_slots(k: JointKernel, z: Value, seeds: Iterable[int]) -> Iterator[tup
     Per seed, replay_with_uniforms at the seeded uniforms sample_records
     draws, less the checks on those uniforms, which are in [0, 1) and of
     the right length by construction. The input is checked once, before
-    the first draw; each output is checked as it is drawn. The slot
-    template, which holds z, is built once and copied per seed.
+    the first draw; then, per sample, the output and each trace value, in
+    that order, as sample_records checks them. The slot template, which
+    holds z, is built once and copied per seed.
     """
     steps, _, dom_ok, cod_ok = k.pass_plan
     if not dom_ok(z):
@@ -633,16 +663,200 @@ def sample_slots(k: JointKernel, z: Value, seeds: Iterable[int]) -> Iterator[tup
         seed = seed_key(seed)
         slots = template.copy()
         t: dict = {}
-        for run, box_id, src, dst, read, key, point, push, _, _, _, _ in steps:
+        bad = None
+        for run, box_id, src, dst, read, key, point, push, _, _, ok, p in steps:
             if run is not None:
                 run(slots)
                 continue
-            t[box_id] = slots[dst] = push(
+            t[box_id] = slots[dst] = m = push(
                 (draw(seed, key),), point(slots[src] if read is None else read(slots)))
+            # as in sample_records: the first bad value after the output
+            if not ok(m) and bad is None:
+                bad = box_id, p.cod
         x = slots[out]
         if not cod_ok(x):
             check_member(k.cod, x, "kernel output")
+        if bad is not None:
+            check_member(bad[1], t[bad[0]], f"trace value for {bad[0]}")
         yield t, slots
+
+
+# ---------------------------------------------------------------------------
+# columns: one block of samples at a time
+#
+# A column holds one slot's values over a block of m samples: a float64 or
+# int64 numpy array when every value is a Python float, or every value a
+# Python int that fits, and a list of the values otherwise; a slot holding
+# tuples may also be a tuple of columns, nested as the values are, as a
+# reader packing several slots' columns builds it. numpy computes + - * /,
+# comparisons, selection and ndtri/ndtr on float64 with the bits Python's
+# scalar operations give, so a column step runs those over whole arrays,
+# and each of its other operations (exp, ln, every function without a
+# column form) row by row with the very scalar function, on the rows'
+# Python values. Int arrays only take operations that cannot wrap.
+#
+# A function of a value may carry a column form as its columns attribute:
+# fn.columns(c, m) is the column of fn over the rows of c; a PrimitiveKernel
+# may carry columns(x, u, m), the column of its draws at inputs x and
+# uniforms u. expr.compile_det_map gives one to each map it compiles, and
+# model.Model.weighted_kernel to each primitive box of a model (only spw
+# runs columns, so only spw builds those); anything without one runs row by
+# row. A column step that meets a value its scalar twin would refuse, or
+# cannot promise the scalar bits for, raises; the caller then reruns the
+# scalar pass, which raises what it always raised, or finishes.
+
+# the largest ints a float holds exactly, and the int64 bound
+_EXACT = 2 ** 53
+_INT64 = 2 ** 63
+
+
+class _Anomaly(Exception):
+    """A column pass met a row its scalar twin would refuse, or whose scalar
+    bits it cannot promise; rerun the rows one by one."""
+
+
+def _rows(c, m: int) -> list:
+    """The m Python values of column c."""
+    if type(c) is np.ndarray:
+        return c.tolist()
+    if type(c) is list:
+        return c
+    if c:
+        return list(zip(*[_rows(x, m) for x in c]))
+    return [()] * m
+
+
+def _column(rows: list):
+    """The column holding rows: an array when every row is a Python float,
+    or every row a Python int that fits in int64; else rows itself."""
+    kinds = set(map(type, rows))
+    if kinds == {float}:
+        return np.array(rows, float)
+    if kinds == {int}:
+        try:
+            return np.array(rows, np.int64)
+        except OverflowError:
+            pass
+    return rows
+
+
+def _constant(v: Value, m: int):
+    """The column of m copies of v."""
+    if type(v) is float:
+        return np.full(m, v)
+    if type(v) is int and -_INT64 <= v < _INT64:
+        return np.full(m, v, np.int64)
+    if type(v) is tuple:
+        return tuple(_constant(x, m) for x in v)
+    return [v] * m
+
+
+def _map_rows(fn: Callable, c, m: int):
+    """The column of fn over the rows of c, row by row."""
+    return _column(list(map(fn, _rows(c, m))))
+
+
+def _columns_of(fn: Callable, c, m: int):
+    """fn over the rows of column c: its column form if it has one, else
+    row by row."""
+    form = getattr(fn, "columns", None)
+    return _map_rows(fn, c, m) if form is None else form(c, m)
+
+
+def _project(c, k: int, m: int):
+    """Component k of each row of a column of pairs."""
+    if type(c) is tuple:
+        return c[k]
+    return _column([r[k] for r in _rows(c, m)])
+
+
+def _magnitude(c: np.ndarray) -> int:
+    """The largest absolute value in an int array, as a Python int."""
+    return max(-int(c.min()), int(c.max()))
+
+
+def _floats(c, m: int) -> np.ndarray:
+    """float() of each row of c, as a float64 array."""
+    if type(c) is np.ndarray:
+        if c.dtype.kind == "f":
+            return c
+        if _magnitude(c) <= _EXACT:
+            return c.astype(float)
+    return np.fromiter(map(float, _rows(c, m)), float, m)
+
+
+def _all_members(space: Space, ok: Callable, c, m: int) -> bool:
+    """Every row of c is a point of space; ok is member_check(space)."""
+    if type(c) is np.ndarray:
+        cls, kind = space.__class__, c.dtype.kind
+        if cls is Real and space.dim == 1 and kind == "f":
+            return bool(np.isfinite(c).all())
+        if cls is Countable and kind == "i":
+            return True
+        if cls is Finite and kind == "i":
+            return bool((c >= 0).all() and (c < space.size).all())
+    return all(map(ok, _rows(c, m)))
+
+
+def _unnest_columns(c, n: int, m: int) -> list:
+    """unnest_values over the rows of a column."""
+    out = []
+    for _ in range(n - 1):
+        out.append(_project(c, 1, m))
+        c = _project(c, 0, m)
+    out.append(c)
+    out.reverse()
+    return out
+
+
+def sample_columns(k: JointKernel, z: Value, seeds: Iterable[int]) -> tuple[dict, list]:
+    """sample_slots over one block of seeds, as columns: (box id -> the
+    column of its draws, every slot's column).
+
+    Each box's uniforms are drawn as a column with rng.unit_uniform, so
+    each row is the draw sample_slots makes at its seed, and every step runs
+    once over the block (see above). Raises where sample_slots would raise
+    at some seed of the block, and also where a column step cannot vouch
+    for the scalar bits (_Anomaly); the output and the trace values are
+    checked over the whole block.
+    """
+    _, checks, dom_ok, cod_ok = k.pass_plan
+    if not dom_ok(z):
+        check_member(k.dom, z, "kernel input")
+    keys = list(map(rng.seed_key, seeds))
+    m = len(keys)
+    draw = rng.unit_uniform  # looked up per pass, as in sample_slots
+    slots = [None] * k.n_slots
+    slots[0] = _constant(z, m)
+    unit = _constant(UNIT_VALUE, m)
+    t: dict = {}
+    for s in k.steps:
+        cls = type(s)
+        if cls is Unpack:
+            src, dsts = s
+            for i, c in zip(dsts, _unnest_columns(slots[src], len(dsts), m)):
+                slots[i] = c
+            continue
+        src, read = s.src, s.read
+        # a reader of no slots returns UNIT_VALUE itself, not a column
+        x = slots[src] if read is None else read(slots) if src else unit
+        if cls is Apply:
+            slots[s.dst] = _columns_of(s.fn, x, m)
+            continue
+        box_id, p, _, dst, key, _ = s
+        u = np.fromiter(map(draw, keys, repeat(key, m)), float, m)
+        if p.columns is not None:
+            c = p.columns(x, u, m)
+        else:
+            push, point = p.push, p.point
+            c = _column([push((v,), point(y)) for v, y in zip(u.tolist(), _rows(x, m))])
+        t[box_id] = slots[dst] = c
+    if not _all_members(k.cod, cod_ok, slots[k.out], m):
+        raise _Anomaly("kernel output")
+    for box_id, ok, cod in checks:
+        if not _all_members(cod, ok, t[box_id], m):
+            raise _Anomaly(f"trace value for {box_id}")
+    return t, slots
 
 
 def sample_records(

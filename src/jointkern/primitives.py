@@ -17,22 +17,32 @@ parameter value is a constant, checked once there, or a callable of the
 kernel input whose result goes through the same rule each time the point
 is read: an out-of-range parameter produced upstream is a bug, not a
 zero-density event, so it raises ParameterError.
+
+A family may also give its draws in column form (see kernels): the
+pushforward over a column of uniforms, and the point over columns of
+parameter values, each checked by its rule over the whole column.
+_draw_columns makes the column form of a kernel's draws, when its point is
+a constant or its family's point has a column form, from the column forms
+of its expressions; model.Model.weighted_kernel gives it to the kernels
+spw runs.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from dataclasses import dataclass, replace
+from decimal import Decimal
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable
 
+import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import ParameterError, ShapeError
-from .kernels import NEG_INF, PrimitiveKernel
+from .kernels import NEG_INF, PrimitiveKernel, _Anomaly, _floats
 from .spaces import UNIT, Countable, Finite, Real, Space
 
 __all__ = [
@@ -65,7 +75,10 @@ class Family:
     cod is the codomain, or a function of the raw values giving it. The
     laws are functions of the point pt: density(pt, m), push(u, pt),
     abduct(pt, m) and, for discrete families, pmf(pt, m); every kernel of
-    the family carries them unchanged, so each formula is written once."""
+    the family carries them unchanged, so each formula is written once.
+    push_columns(u, pt) is push over a column of uniforms u at a point pt
+    whose entries are constants or columns, and point_columns the point of
+    checked parameter columns; None where the family has none."""
 
     params: dict
     point: Callable
@@ -74,6 +87,8 @@ class Family:
     push: Callable
     abduct: Callable
     pmf: Callable | None = None
+    push_columns: Callable | None = None
+    point_columns: Callable | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +96,9 @@ class Family:
 
 
 def _real(what: str, ok=None, needs: str = ""):
-    """The rule for a finite real that also satisfies ok, when given."""
+    """The rule for a finite real that also satisfies ok, when given; ok
+    takes a float or a float array. rule.columns(c, m) is the rule over a
+    column: the float array of its rows, when every row passes."""
 
     def rule(v) -> float:
         try:
@@ -95,6 +112,13 @@ def _real(what: str, ok=None, needs: str = ""):
             raise ParameterError(f"{what} {needs}, got {v}")
         return v
 
+    def columns(c, m: int):
+        v = _floats(c, m)
+        if not np.isfinite(v).all() or (ok is not None and not ok(v).all()):
+            raise _Anomaly(f"{what} out of its range")
+        return v
+
+    rule.columns = columns
     return rule
 
 
@@ -147,25 +171,36 @@ def _bernoulli():
         pe = _decimal_fraction(p)
         return pe if m == 1 else 1 - pe
 
-    return density, push, abduct, pmf
+    def push_columns(u, p):
+        return (u < p).astype(np.int64)
+
+    return density, push, abduct, pmf, push_columns
 
 
 class _Probs:
     """A categorical point: exact probabilities, and their float cumulative
-    sums, computed when a law first reads them."""
+    sums, computed when a law first reads them.
+
+    Each entry is read once as the integer ratio of its shortest decimal
+    literal (as _decimal_fraction reads it), and the entries are put over
+    one common denominator, so the exact sum is an integer: qs are each
+    entry over that sum, and cum each running sum over it, an int true
+    division, which rounds as float() of the Fraction does."""
 
     def __init__(self, probs):
         # normalized by the exact rational sum, so enumeration masses add to
         # exactly 1
-        qs = [_decimal_fraction(v) for v in probs]
-        total = sum(qs)
-        if abs(float(total) - 1.0) > 1e-9:
-            raise ParameterError(f"categorical probabilities sum to {float(total)}, not 1")
-        self.qs = [q / total for q in qs]
+        ratios = [Decimal(repr(float(v))).as_integer_ratio() for v in probs]
+        den = math.lcm(*[d for _, d in ratios])
+        self._ns = ns = [n * (den // d) for n, d in ratios]
+        self._total = total = sum(ns)
+        if abs(total / den - 1.0) > 1e-9:
+            raise ParameterError(f"categorical probabilities sum to {total / den}, not 1")
+        self.qs = [Fraction(n, total) for n in ns]
 
     @cached_property
     def cum(self) -> list[float]:
-        return [float(c) for c in accumulate(self.qs)]
+        return [c / self._total for c in accumulate(self._ns)]
 
 
 def _categorical_cod(probs) -> Finite:
@@ -198,12 +233,25 @@ def _categorical():
     def pmf(pt, m):
         return pt.qs[m]
 
-    return density, push, abduct, pmf
+    def push_columns(u, pt):
+        # the first index whose cumulative sum exceeds u, as push finds it
+        i = np.searchsorted(pt.cum, u, side="right")
+        if (i == len(pt.qs)).any():
+            raise _Anomaly("categorical draw past its last cumulative sum")
+        return i.astype(np.int64)
+
+    return density, push, abduct, pmf, push_columns
 
 
 def _ordered(a, b):
     if not a < b:
         raise ParameterError(f"uniform needs a < b, got a={a}, b={b}")
+    return a, b
+
+
+def _ordered_columns(a, b):
+    if not np.all(a < b):
+        raise _Anomaly("uniform needs a < b")
     return a, b
 
 
@@ -222,7 +270,11 @@ def _uniform():
             raise ShapeError(f"{m} outside the support [{a}, {b}]")
         return (min(max((m - a) / (b - a), 0.0), 1.0),)
 
-    return density, push, abduct, None
+    def push_columns(u, pt):
+        a, b = pt
+        return a + u * (b - a)
+
+    return density, push, abduct, None, push_columns
 
 
 def _normal():
@@ -241,7 +293,13 @@ def _normal():
         mu, sigma = pt
         return (float(ndtr((m - mu) / sigma)),)
 
-    return density, push, abduct, None
+    def push_columns(u, pt):
+        mu, sigma = pt
+        if not ((0.0 < u) & (u < 1.0)).all():
+            raise _Anomaly("normal pushforward has no finite value at u=0")
+        return mu + sigma * ndtri(u)
+
+    return density, push, abduct, None, push_columns
 
 
 def _exponential():
@@ -258,7 +316,13 @@ def _exponential():
             raise ShapeError(f"{m} outside the support [0, inf)")
         return (-math.expm1(-rate * m),)
 
-    return density, push, abduct, None
+    def push_columns(u, rate):
+        if (u >= 1.0).any():
+            raise _Anomaly("exponential pushforward has no finite value at u=1")
+        # log1p row by row: numpy's differs from math's in the last bit
+        return -np.fromiter(map(math.log1p, (-u).tolist()), float, len(u)) / rate
+
+    return density, push, abduct, None, push_columns
 
 
 def _poisson_terms(rate):
@@ -335,13 +399,20 @@ _POSITIVE = (lambda v: v > 0, "must be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 _UNIFORM = Family(
     {"a": Param(0.0, _REAL, _real("uniform a")), "b": Param(1.0, _REAL, _real("uniform b"))},
-    _ordered, _REAL, *_uniform())
+    _ordered, _REAL, *_uniform(), point_columns=_ordered_columns)
 
+
+def _pair(mu, sigma):
+    return mu, sigma
+
+
+# the rules' ok tests combine with &, so they hold for arrays as for floats
 FAMILIES = {
     "bernoulli": Family(
         {"p": Param(0.5, _REAL,
-                    _real("bernoulli p", lambda v: 0.0 <= v <= 1.0, "must lie in [0,1]"))},
-        _same, _TWO, *_bernoulli()),
+                    _real("bernoulli p", lambda v: (0.0 <= v) & (v <= 1.0),
+                          "must lie in [0,1]"))},
+        _same, _TWO, *_bernoulli(), point_columns=_same),
     "categorical": Family(
         {"probs": Param(None, _REAL, _real("categorical probability", *_NONNEGATIVE),
                         many=True)},
@@ -351,13 +422,13 @@ FAMILIES = {
     "normal": Family(
         {"mu": Param(0.0, _REAL, _real("normal mu")),
          "sigma": Param(1.0, _REAL, _real("normal sigma", *_POSITIVE))},
-        lambda mu, sigma: (mu, sigma), _REAL, *_normal()),
+        _pair, _REAL, *_normal(), point_columns=_pair),
     "exponential": Family(
         {"rate": Param(1.0, _REAL, _real("exponential rate", *_POSITIVE))},
-        _same, _REAL, *_exponential()),
+        _same, _REAL, *_exponential(), point_columns=_same),
     "poisson": Family(
         {"rate": Param(1.0, _REAL, _real(
-            "poisson rate", lambda v: 0.0 <= v <= _POISSON_MAX_RATE,
+            "poisson rate", lambda v: (0.0 <= v) & (v <= _POISSON_MAX_RATE),
             f"must lie in [0, {_POISSON_MAX_RATE!r}]"))},
         _same, _COUNTABLE, *_poisson()),
     "dirac_countable": Family(
@@ -374,6 +445,34 @@ BUILTIN_NAMES = tuple(FAMILIES)
 
 def _listed(*entries) -> list:
     return list(entries)
+
+
+def _draw_columns(p: PrimitiveKernel, params: dict):
+    """The column form of the draws of p (PrimitiveKernel.columns), where p
+    is instantiate(p.name, ...) and params holds the same parameters, each
+    expression given by its column form (expr._compile_columns) in place of
+    its function; None when the family has no column laws, or a parameter
+    reads the input and the family's point has no column form."""
+    fam = FAMILIES[p.name]
+    push = fam.push_columns
+    if push is None:
+        return None
+    values = [params.get(name, param.default) for name, param in fam.params.items()]
+    if not any(callable(v) or type(v) is list and any(map(callable, v)) for v in values):
+        pt = p.point(None)  # a constant point reads no input
+        return lambda x, u, m: push(u, pt)
+    make = fam.point_columns
+    if make is None:
+        return None
+    # (rule, column form) per wired value, (None, checked value) per constant
+    parts = [(param.rule, v) if callable(v) else (None, param.rule(v))
+             for param, v in zip(fam.params.values(), values)]
+
+    def columns(x, u, m):
+        return push(u, make(*[v if rule is None else rule.columns(v(x, m), m)
+                              for rule, v in parts]))
+
+    return columns
 
 
 def _point(make, pairs):

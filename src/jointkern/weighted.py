@@ -12,6 +12,15 @@ integral within three standard errors.
 
 Factors are kept in linear space but always accumulated as logs, so long
 products cannot underflow.
+
+spw_check draws its samples in blocks, each one column pass of the base
+(kernels.sample_columns) with the weights and test functions run once
+over the block's columns; a factor whose function has a column form,
+fn.columns(value columns, m), is weighed over columns, and a kernel with
+any other factor weighs each row with log_weight. Each sample's w * h has
+the bits of the one-by-one loop, which stays as the path that raises: a
+block that meets anything the loop would refuse, or cannot vouch for,
+sends spw_check back to the loop from the first sample.
 """
 
 from __future__ import annotations
@@ -20,17 +29,20 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .kernels import (
-    NEG_INF, DetMap, JointKernel, Trace, _compose, _tensor, enumerate_traces,
-    joint_log_density, run_trace, sample_slots,
+    NEG_INF, DetMap, JointKernel, Trace, _Anomaly, _columns_of, _compose, _floats, _rows,
+    _tensor, enumerate_traces, joint_log_density, run_trace, sample_columns, sample_slots,
 )
 from .rng import derive_seed
-from .spaces import UNIT, UNIT_VALUE, Product, Real, Value, nest_values, unnest_values
+from .spaces import (
+    UNIT_VALUE, Product, Real, Value, check_member, nest_values, unnest_values,
+)
 
 __all__ = [
     "WeightFactor", "WeightedJointKernel", "weighted", "with_weight_map",
@@ -42,7 +54,9 @@ __all__ = [
 @dataclass(frozen=True)
 class WeightFactor:
     """One nonnegative factor fn(t, *values), values read from the base
-    kernel's slots (slot 0 is the kernel input, so fn(t, z) by default)."""
+    kernel's slots (slot 0 is the kernel input, so fn(t, z) by default).
+    fn may carry a column form that reads no trace: fn.columns(cols, m),
+    the column of the factor over a block, cols the slots' columns."""
 
     fn: Callable[..., float]
     slots: tuple = (0,)
@@ -67,7 +81,8 @@ class WeightedJointKernel:
         """Sum of log factors; -inf when any factor is zero.
 
         slots, when given, are the base program's slot values at t and z,
-        as a replay that drew t returns them; otherwise they are recomputed.
+        as a replay that drew t returns them, indexed by slot number;
+        otherwise they are recomputed.
         """
         if slots is None:
             slots = run_trace(self.base, z, t)
@@ -190,24 +205,27 @@ def spw_check(
     reference: Sequence[float] | None,
     n: int,
     seed: int,
+    z: Value = UNIT_VALUE,
 ) -> list[dict]:
-    """Strict-proper-weighting audit for a kernel with unit domain.
+    """Strict-proper-weighting audit at the kernel input z.
 
-    Estimates E[w * h(x)] from n seeded samples for each test function and
-    compares against the reference value (or an exact enumeration when
-    reference is None). Passes when the estimate sits within three standard
-    errors. Returns one report dict per test function.
+    Estimates E[w * h(x)] from n seeded samples at z for each test function
+    and compares against the reference value (or an exact enumeration at z
+    when reference is None). Passes when the estimate sits within three
+    standard errors. Returns one report dict per test function.
 
     Everything that can be rejected without sampling is checked before the
-    first draw: n, the domain, and the references, which must be finite.
-    The enumeration stops with a ShapeError past ENUMERATION_LIMIT traces.
+    first draw: n, that z is a point of the kernel's domain, and the
+    references, which must be finite. The enumeration stops with a
+    ShapeError past ENUMERATION_LIMIT traces. The samples run in blocks
+    (see the module docstring), with the floats and errors of one sample
+    at a time.
     """
     if n < 1000:
         raise ParameterError(f"spw_check needs n >= 1000, got {n}")
-    if wk.base.dom != UNIT:
-        raise ShapeError(f"spw_check needs a kernel with unit domain, got {wk.base.dom!r}")
+    check_member(wk.base.dom, z, "kernel input")
     if reference is None:
-        refs = _expected_values(wk, UNIT_VALUE, test_functions)
+        refs = _expected_values(wk, z, test_functions)
     else:
         refs = [float(r) for r in reference]
         if len(refs) != len(test_functions):
@@ -216,21 +234,13 @@ def spw_check(
         if bad:
             raise ParameterError(f"reference values must be finite, got {bad[0]!r}")
 
-    # one pass over the n seeds; one float array per test function, so a
-    # sample costs 8 bytes per test function
-    base, log_weight, out = wk.base, wk.log_weight, wk.base.out
     fns = [h.fn for h in test_functions]
-    cols = [array("d") for _ in fns]
-    draws = sample_slots(base, UNIT_VALUE, (derive_seed(seed, i) for i in range(n)))
-    for i, (t, slots) in enumerate(draws):
-        lw = log_weight(t, UNIT_VALUE, slots)
-        try:
-            w = math.exp(lw)  # 0.0 at -inf
-        except OverflowError:
-            raise ShapeError(f"non-finite weight exp({lw!r}) at sample {i}") from None
-        x = slots[out]
-        for fn, col in zip(fns, cols):
-            col.append(w * float(fn(x)))
+    try:
+        cols = _sample_blocks(wk, fns, z, seed, n)
+    except Exception:
+        # an anomaly or an error in some block: the loop meets the first
+        # failing sample, if any, and raises what it always raised
+        cols = _sample_one_by_one(wk, fns, z, seed, n)
 
     report = []
     for col, ref in zip(cols, refs):
@@ -244,3 +254,75 @@ def spw_check(
             "pass": bool(abs(est - ref) <= 3.0 * se),
         })
     return report
+
+
+def _sample_one_by_one(wk: WeightedJointKernel, fns: list, z: Value, seed: int,
+                       n: int) -> list[array]:
+    """w * float(h(x)) of each of the n seeded samples at z, one float array
+    per test function h, so a sample costs 8 bytes per test function; one
+    pass over the seeds, each sample drawn, weighed and tested in turn."""
+    base, log_weight, out = wk.base, wk.log_weight, wk.base.out
+    cols = [array("d") for _ in fns]
+    draws = sample_slots(base, z, (derive_seed(seed, i) for i in range(n)))
+    for i, (t, slots) in enumerate(draws):
+        lw = log_weight(t, z, slots)
+        try:
+            w = math.exp(lw)  # 0.0 at -inf
+        except OverflowError:
+            raise ShapeError(f"non-finite weight exp({lw!r}) at sample {i}") from None
+        x = slots[out]
+        for fn, col in zip(fns, cols):
+            col.append(w * float(fn(x)))
+    return cols
+
+
+# cells of one block: its rows times the kernel's slots, so a block's
+# columns stay small beside the n samples' floats
+_BLOCK_CELLS = 1024
+
+
+def _sample_blocks(wk: WeightedJointKernel, fns: list, z: Value, seed: int,
+                   n: int) -> list[array]:
+    """_sample_one_by_one's floats, block by block; raises where the loop
+    would, and where a column step cannot vouch for the loop's bits."""
+    base = wk.base
+    rows = max(64, _BLOCK_CELLS // base.n_slots)
+    cols = [array("d") for _ in fns]
+    # numpy's float warnings stay silent: Python's scalar floats give
+    # inf and nan without a word, and every error is the loop's to raise
+    with np.errstate(all="ignore"):
+        for start in range(0, n, rows):
+            m = min(rows, n - start)
+            t, slots = sample_columns(
+                base, z, map(derive_seed, repeat(seed, m), range(start, start + m)))
+            w = _weight_column(wk, t, slots, z, m)
+            x = slots[base.out]
+            for fn, col in zip(fns, cols):
+                col.frombytes((w * _floats(_columns_of(fn, x, m), m)).tobytes())
+    return cols
+
+
+def _weight_column(wk: WeightedJointKernel, t: dict, slots: list, z: Value,
+                   m: int) -> np.ndarray:
+    """exp(log_weight) of each row of a block: the column of its weights."""
+    factors = wk.weight_factors
+    if all(hasattr(f.fn, "columns") for f in factors):
+        total, dead = np.zeros(m), np.zeros(m, bool)
+        for f in factors:
+            w = _floats(f.fn.columns(tuple(slots[i] for i in f.slots), m), m)
+            # log_weight refuses these where it reaches them: on the rows
+            # that no earlier factor zeroed
+            if ((~np.isfinite(w) | (w < 0.0)) & ~dead).any():
+                raise _Anomaly("negative or non-finite weight factor")
+            dead |= w == 0.0
+            # math.log row by row: numpy's differs in the last bit
+            total += np.fromiter(map(math.log, np.where(dead, 1.0, w).tolist()), float, m)
+        lw = np.where(dead, NEG_INF, total).tolist()
+    else:
+        # each row's trace and the factors' slot values, for log_weight itself
+        ids = list(t)
+        traces = [dict(zip(ids, r)) for r in _rows(tuple(t[b] for b in ids), m)]
+        read = sorted({i for f in factors for i in f.slots})
+        values = [dict(zip(read, r)) for r in _rows(tuple(slots[i] for i in read), m)]
+        lw = list(map(wk.log_weight, traces, repeat(z, m), values))
+    return np.fromiter(map(math.exp, lw), float, m)  # 0.0 at -inf

@@ -311,9 +311,17 @@ def _overflow_model(tmp_path, hidden: bool) -> str:
 
 
 def test_sample_checks_every_drawn_value(capsys, tmp_path, monkeypatch):
-    code, out, err = run(capsys, "sample", _overflow_model(tmp_path, True), "--n", "3")
+    hidden = _overflow_model(tmp_path, True)
+    code, out, err = run(capsys, "sample", hidden, "--n", "3")
     assert (code, out) == (4, "")
     assert err == "error: trace value for g inf is not a point of Real(dim=1)\n"
+    # so do spw's draws and cf's replays
+    u = tmp_path / "u.jsonl"
+    u.write_text('{"g": [0.99], "h": [0.5]}\n')
+    for args in (("spw", hidden, "--n", "1000", "--ref", "0.5"), ("cf", hidden, "--u", str(u))):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (4, "")
+        assert err == "error: trace value for g inf is not a point of Real(dim=1)\n"
     code, out, err = run(capsys, "sample", _overflow_model(tmp_path, False), "--n", "3")
     assert (code, out) == (4, "")
     assert err == "error: kernel output inf is not a point of Real(dim=1)\n"
@@ -322,6 +330,19 @@ def test_sample_checks_every_drawn_value(capsys, tmp_path, monkeypatch):
     monkeypatch.setitem(primitives.FAMILIES, "normal", nan_normal)
     code, out, err = run(capsys, "sample", NORMAL, "--n", "2")
     assert (code, out, err) == (4, "", "error: cannot serialize NaN\n")
+
+
+def test_spw_audits_at_the_given_input(capsys):
+    code, out, err = run(capsys, "spw", INPUTS, "--n", "1000")
+    assert (code, out, err) == (4, "", "error: this model has global inputs; pass --input\n")
+    code, out, err = run(capsys, "spw", INPUTS, "--n", "1000", "--input", "5")
+    assert (code, out, err) == (4, "", "error: kernel input 5 is not a point of Finite(size=2)\n")
+    # the exact reference enumerates at the input: P(q = 1) is 0.2 at p = 0, 0.7 at p = 1
+    for text, p in (("0", 0.2), ("1", 0.7)):
+        code, out, err = run(capsys, "spw", INPUTS, "--n", "2000", "--seed", "3", "--input", text)
+        (row,) = json.loads(out)
+        assert code == (0 if row["pass"] else 1) and err == ""
+        assert row["reference"] == p and abs(row["estimate"] - p) < 0.05
 
 
 def test_sample_env_seed(capsys, monkeypatch):

@@ -1,8 +1,11 @@
 import json
 import math
 import random
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -25,6 +28,7 @@ from jointkern import (
     uniform01,
 )
 from jointkern.cli import main
+from jointkern.primitives import _Probs
 
 Z = UNIT_VALUE
 
@@ -347,3 +351,38 @@ def test_poisson_rate_zero_and_large_values():
     big = poisson(100.0)
     m = 137
     assert big.pushforward(big.abduct(Z, m), Z) == m
+
+
+def _normalized_by_fractions(probs):
+    """A categorical point as exact Fraction arithmetic normalizes it: each
+    entry read as its shortest decimal literal, over their exact sum."""
+    qs = [Fraction(repr(float(v))) for v in probs]
+    total = sum(qs)
+    if abs(float(total) - 1.0) > 1e-9:
+        return f"categorical probabilities sum to {float(total)}, not 1"
+    qs = [q / total for q in qs]
+    return qs, [float(c) for c in accumulate(qs)]
+
+
+# weights normalized in floats, so they sum to 1 within rounding; plus tiny,
+# huge-exponent and zero entries, and vectors that miss 1 by a little or a lot
+_VECTORS = st.one_of(
+    st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8).filter(lambda ws: sum(ws) > 0).map(
+        lambda ws: [w / sum(ws) for w in ws]),
+    st.lists(st.sampled_from([0.0, 5e-324, 1e-300, 1e-17, 0.1, 0.2, 0.3, 1 / 3, 0.5, 0.7, 1.0]),
+             min_size=1, max_size=6),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_VECTORS)
+def test_categorical_normalization_is_exact(probs):
+    want = _normalized_by_fractions(probs)
+    try:
+        pt = _Probs(probs)
+    except ParameterError as e:
+        assert str(e) == want
+        return
+    assert (pt.qs, pt.cum) == want
+    assert [c.hex() for c in pt.cum] == [c.hex() for c in want[1]]

@@ -232,9 +232,12 @@ def test_spw_check_guards():
         spw_check(wk, [h], None, n=10, seed=0)
     with pytest.raises(ShapeError, match="one reference value"):
         spw_check(wk, [h], [0.1, 0.2], n=2000, seed=0)
+    # the input is any point of the kernel's domain, checked before any draw
     nonunit = weighted(from_primitive(bernoulli(0.5, dom=TWO), "b"))
-    with pytest.raises(ShapeError, match="unit domain"):
-        spw_check(nonunit, [h], [0.5], n=2000, seed=0)
+    with pytest.raises(ShapeError, match=r"^kernel input 5 is not a point of Finite\(size=2\)$"):
+        spw_check(nonunit, [h], [0.5], n=2000, seed=0, z=5)
+    (rep,) = spw_check(nonunit, [h], [0.5], n=2000, seed=0, z=1)
+    assert rep["pass"]
 
 
 def test_spw_check_deterministic():

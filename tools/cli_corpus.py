@@ -23,9 +23,12 @@ on every model under tests/models, genmodels' chain_model(160, 1|2) and
 layered_dag(1..3, 0..7), and models with 300 global inputs and 300 output
 wires; then explicit-residual variants, a bad expression in a parameter,
 a det map or a weight, a normal box whose draws overflow (hidden, on the
-output leg, or both), trace and u files holding values that are no point
-of their box's space, and malformed or misplaced --input, --set and
---point values.
+output leg, or both), spw audits of weighted models (a poisson box,
+weights through exp and ln, a three-output det box, weights that are
+mostly zero, several --h, and a model with global inputs, with and
+without --input), trace and u files holding values that are no point of
+their box's space, and malformed or misplaced --input, --set and --point
+values.
 """
 
 from __future__ import annotations
@@ -114,6 +117,55 @@ def _overflow_raw(hidden: bool, output: bool) -> dict:
     }
 
 
+def _weighted_raw(boxes: dict, outputs: list, weights: dict) -> dict:
+    """A model of boxes, each name -> (input wires, output wires and their
+    types, its interpretation), no global inputs."""
+    wires = {w: t for _, outs, _ in boxes.values() for w, t in outs}
+    return {
+        "version": 1,
+        "signature": {"wires": {"R": {"space": {"real": 1}}, "B": {"space": {"finite": 2}},
+                                "N": {"space": "countable"}},
+                      "boxes": {b: {"dom": [wires[w] for w in ins], "cod": [t for _, t in outs]}
+                                for b, (ins, outs, _) in boxes.items()}},
+        "diagram": {"wires": wires, "boxes": {b: b for b in boxes},
+                    "dom": {b: ins for b, (ins, _, _) in boxes.items()},
+                    "cod": {b: [w for w, _ in outs] for b, (_, outs, _) in boxes.items()},
+                    "inputs": [], "outputs": outputs},
+        "interpretation": {b: entry for b, (_, _, entry) in boxes.items()},
+        "weights": weights,
+    }
+
+
+def _weighted_variants() -> dict:
+    """name -> (model, the flags after the seed of each spw run on it)."""
+    flip = ([], [("x", "B")], {"primitive": "bernoulli", "params": {"p": 0.05}})
+    draw = ([], [("r", "R")], {"primitive": "normal", "params": {"mu": 0.5, "sigma": 1.0}})
+    hs = ["--h", "$0", "--h", "$1 * $2", "--h", "if $0 < 1 then $2 else 0.5"]
+    return {
+        "spw_poisson": (_weighted_raw(
+            {"c": ([], [("k", "N")], {"primitive": "poisson", "params": {"rate": 3.0}}),
+             "s": (["k"], [("y", "R")], {"primitive": "normal",
+                                         "params": {"mu": "$0 * 0.5", "sigma": 1.0}})},
+            ["y", "k"], {"c": "1.0 + $0 * 0.5"}),
+            [["--n", "1000", "--ref", "4.0"], ["--n", "1000", "--h", "$1", "--ref", "2"]]),
+        "spw_exp_ln": (_weighted_raw(
+            {"g": draw, "u": (["r"], [("v", "R")], {"primitive": "uniform",
+                                                     "params": {"a": "$0", "b": "$0 + 2.0"}})},
+            ["v"], {"g": "exp(neg($0 * $0) / 2.0)", "u": "ln(3.0 + $1 * $1)"}),
+            [["--n", "1000", "--ref", "1.0"], ["--n", "1000", "--h", "exp($0)", "--ref", "2.0"]]),
+        "spw_three_out": (_weighted_raw(
+            {"b": flip, "g": draw,
+             "d": (["x", "r"], [("p", "R"), ("q", "R"), ("s", "B")],
+                   {"det": ["$0 * 1.0", "$1 + 1.0", "if $0 < 1 then 1 else 0"]})},
+            ["s", "p", "q"], {"d": "$2 * 0.5 + $4"}),
+            [["--n", "1000", *hs, "--ref", "0.5", "--ref", "1", "--ref", "0.2"]]),
+        "spw_zero_heavy": (_weighted_raw(
+            {"b": flip}, ["x"], {"b": "if $0 < 1 then 0.0 else 20.0"}),
+            [["--n", "1000"], ["--n", "5000"],
+             ["--n", "1000", "--h", "$0", "--h", "1.0 - $0", "--h", "$0 * 3.0"]]),
+    }
+
+
 def _expression_variants(chain: dict, weighted: dict) -> dict:
     """Fixtures with a bad expression in a parameter, a det map or a weight."""
     def variant(raw, edit):
@@ -184,7 +236,10 @@ class Corpus:
         """Run argv; save its stdout to the file save, when given."""
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = self.main(argv)
+            try:
+                code = self.main(argv)
+            except SystemExit as e:  # argparse refuses an unknown flag by exiting
+                code = e.code
         data = out.getvalue()
         if "--out" in argv:
             with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
@@ -265,6 +320,18 @@ def run_corpus(main, genmodels, tmp: str) -> list:
             with open(upath, "w", encoding="utf-8") as fh:
                 fh.write(f'{{"g": [{u}]}}\n')
             c.run(name, ["cf", path, "--u", upath])
+    for name, (raw, runs) in _weighted_variants().items():
+        path = c.model(name, raw)
+        c.run(name, ["validate", path])
+        for extra in runs:
+            for seed in ("1", "2"):
+                c.run(name, ["spw", path, "--seed", seed, *extra])
+    weighted_path, inputs = str(MODELS / "weighted.json"), str(MODELS / "inputs.json")
+    c.run("weighted", ["spw", weighted_path, "--n", "1003", "--h", "$0", "--h", "1.0 - $0",
+                       "--h", "$0 * 3.0"])
+    for extra in ([], ["--input", "1"], ["--input", "0"], ["--input", "5"],
+                  ["--input", "1", "--ref", "0.7"], ["--input", "0", "--h", "1.0 - $0"]):
+        c.run("inputs", ["spw", inputs, "--n", "1000", "--seed", "4", *extra])
     for name, boxes in (("chain", ("b1", "b2")), ("normal", ("g",))):
         path = str(MODELS / f"{name}.json")
         good = {"chain": "0", "normal": "0.5"}[name]
@@ -290,7 +357,7 @@ def run_corpus(main, genmodels, tmp: str) -> list:
     c.run("chain", ["export-dot", chain_path, "--out", out])
 
     # malformed or misplaced --input, --set and --point
-    inputs, normal = str(MODELS / "inputs.json"), str(MODELS / "normal.json")
+    normal = str(MODELS / "normal.json")
     deep = "[" * 5000
     for text in ("5", "-3", "{", "1.5", deep, "[1, 2]"):
         for cmd in (["sample", inputs, "--n", "1"],
