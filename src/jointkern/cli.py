@@ -24,9 +24,10 @@ import functools
 import json
 import os
 import sys
-from itertools import repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
+from . import rng
 from .causal import _replayer, intervene
 from .diagrams import export_dot
 from .errors import (
@@ -39,7 +40,6 @@ from .model import (
     Model, _float_text, _floats_text, _is_number, _loads, descriptor_to_json, parse_model,
     render_json, value_decoder, value_encoder, value_from_jsonable, value_to_jsonable,
 )
-from .rng import derive_seed
 from .spaces import (
     Real, UNIT_VALUE, base_measure_mass, cover_index_bound, sigma_finite_cover,
 )
@@ -187,13 +187,20 @@ def _run_validate(model: Model, interp: Interpretation, ns) -> int:
     return 0
 
 
+# the most record seed keys that sample derives at once
+_KEY_BLOCK = 1024
+
+
 def _run_sample(model: Model, interp: Interpretation, ns) -> int:
     k = evaluate(model.diagram, interp)
     z = _decode_input(model, ns.input)
     seed = ns.seed if ns.seed is not None else _default_seed()
     encode = _record_encoder(_trace_spaces(k), k.cod)
-    # one pass over the records' seeds; it checks z before its first draw
-    records = sample_records(k, z, map(derive_seed, repeat(seed), range(ns.n)))
+    # one pass over the records' seed keys, derived a block at a time; it
+    # checks z before its first draw
+    keys = chain.from_iterable(rng.derived_seed_keys(seed, i, min(i + _KEY_BLOCK, ns.n))
+                               for i in range(0, ns.n, _KEY_BLOCK))
+    records = sample_records(k, z, keys)
     lines = [encode(*record) for record in records]
     _emit("".join(line + "\n" for line in lines), ns.out, "a")
     return 0

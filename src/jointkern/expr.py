@@ -580,8 +580,9 @@ def _build(ast, n: int, scope: dict):
 # NaN included; if as a selection between arrays of one dtype. exp and ln
 # call the scalar functions row by row; case, inl and inr, and every
 # operation on other columns, run their scalar function row by row. Both
-# branches of an if run on every row, so one that fails on a row the
-# condition does not take fails the block (see kernels._Anomaly).
+# branches of an if run on every row; when one fails, each reruns on the
+# rows that take it alone, as the scalar if runs one branch a row, and the
+# two are merged.
 
 
 def _pair(a, b):
@@ -603,6 +604,36 @@ def _exact_floats(c):
 
 def _rowwise(op, *cols, m):
     return _column(list(map(op, *[_rows(c, m) for c in cols])))
+
+
+def _take(c, rows: np.ndarray):
+    """The column of c's values at the row indexes rows."""
+    if type(c) is np.ndarray:
+        return c[rows]
+    if type(c) is list:
+        return [c[i] for i in rows.tolist()]
+    return tuple(_take(x, rows) for x in c)
+
+
+def _branches_apart(cc, fa, fb, s, m: int):
+    """if over a block whose condition column is cc, with branch fa run on
+    the rows where cc is 1 alone and fb on the rest."""
+    pick = cc == 1 if type(cc) is np.ndarray else np.array([q == 1 for q in _rows(cc, m)])
+    parts = [(rows, f(_take(s, rows), len(rows)))
+             for f, rows in ((fa, np.flatnonzero(pick)), (fb, np.flatnonzero(~pick)))
+             if len(rows)]
+    if len(parts) == 1:
+        return parts[0][1]
+    (ra, xa), (rb, xb) = parts
+    if type(xa) is np.ndarray and type(xb) is np.ndarray and xa.dtype == xb.dtype:
+        out = np.empty(m, xa.dtype)
+        out[ra], out[rb] = xa, xb
+        return out
+    values = [None] * m
+    for rows, x in parts:
+        for i, v in zip(rows.tolist(), _rows(x, len(rows))):
+            values[i] = v
+    return _column(values)
 
 
 def _arith_columns(sym, fa, fb):
@@ -693,7 +724,12 @@ def _columns(ast, n: int):
         c, a, b = _columns(ast[1], n), _columns(ast[2], n), _columns(ast[3], n)
 
         def if_(s, m):
-            cc, x, y = c(s, m), a(s, m), b(s, m)
+            cc = c(s, m)
+            try:
+                x, y = a(s, m), b(s, m)
+            except (_Anomaly, EvalError, ArithmeticError):
+                # maybe only on rows the branch does not take
+                return _branches_apart(cc, a, b, s, m)
             if (type(cc) is np.ndarray and type(x) is np.ndarray and type(y) is np.ndarray
                     and x.dtype == y.dtype):
                 return np.where(cc == 1, x, y)

@@ -26,13 +26,16 @@ PrimitiveKernel.point, and calls the primitive's laws at that point. A
 TracedBox also carries its rng key, rng.box_key(box_id), built wherever the
 box gets its id (from_primitive, and moving a step under a new id, as
 rename_boxes and lowering a diagram do), so a seeded pass encodes only the
-seed, once per record, and draws each box's uniform from the two.
+seed, once per record (or takes its key as rng.derived_seed_keys builds
+it), and draws every uniform with rng.unit_uniforms, a block of seeds by
+some of the kernel's box keys (JointKernel.box_keys) at a time, as the
+table below says.
 
 Every pass but enumerate_traces and run_trace loops over the kernel's pass
 plan (JointKernel.pass_plan), built by the first pass that runs the kernel
-and kept on it: one plain tuple per step, holding a box's id, slots, rng
-key, its primitive's point, push, density and abduct_law, and its value
-check, or a map's bound run. Each value check, of a box's codomain and of
+and kept on it: one plain tuple per step, holding a box's id, slots, its
+primitive's point, push, density and abduct_law, and its value check, or
+a map's bound run. Each value check, of a box's codomain and of
 the kernel's input and output, is chosen once per space when the plan is
 built (spaces.member_check): an exact int or float is tested inline, and
 anything else goes to membership. A failing check raises through
@@ -43,16 +46,18 @@ this order, the checks that can fail on what it is given or draws:
 
     sample_records        seeded draws and log-densities over many seeds
                           (sample; sample_scored and sample_with_trace are
-                          its one-seed calls): the input, once per pass,
-                          then per record the output and each trace value
+                          its one-seed calls), drawn per block of seeds:
+                          the input, once per pass, then per record the
+                          output and each trace value
     sample_slots          seeded draws over many seeds, unscored, yielding
-                          every slot (spw, one sample at a time): the
-                          input, once per pass, then per sample the output
-                          and each trace value
+                          every slot (spw, one sample at a time), drawn
+                          one seed at a time: the input, once per pass,
+                          then per sample the output and each trace value
     sample_columns        sample_slots over a block of seeds as columns
-                          (spw): the input, then the block's outputs and
-                          trace values, and whatever its column steps
-                          cannot vouch for (see "columns" below)
+                          (spw), drawn one box's column at a time: the
+                          input, then the block's outputs and trace
+                          values, and whatever its column steps cannot
+                          vouch for (see "columns" below)
     replay_with_uniforms  uniforms a caller supplies (cf): the input, every
                           box has a block and every block a box, then each
                           block's floats, length and range, then the
@@ -68,7 +73,8 @@ this order, the checks that can fail on what it is given or draws:
     run_trace             every slot at a given trace, unchecked
 
 The seeded passes make their own uniforms, in [0, 1) and of the right
-length, and do not check them. Each seeded pass runs over many records:
+length, and do not check them. A seed is an int or the key that
+rng.seed_key makes of it. Each seeded pass runs over many records:
 it checks the input and builds the slot template once, then copies the
 template per seed, so an input that is no point fails at the first draw
 and a pass over no seeds checks nothing. Every pass reads a step's input
@@ -87,7 +93,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import islice
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -326,6 +332,11 @@ class JointKernel:
         return frozenset(self.box_ids)
 
     @cached_property
+    def box_keys(self) -> tuple[bytes, ...]:
+        """Each box's rng key, in step order: a seeded pass's box keys."""
+        return tuple(b.key for b in self.boxes)
+
+    @cached_property
     def pass_plan(self) -> tuple:
         """The pass plan, built by the first pass that runs the kernel; see
         _pass_plan."""
@@ -529,13 +540,13 @@ def _check_trace_keys(k: JointKernel, t: Trace):
 #
 # A plan entry is one plain tuple per step, unpacked whole by the pass loops:
 #
-#     (run, box_id, src, dst, read, key, point, push, density, abduct_law, ok, p)
+#     (run, box_id, src, dst, read, point, push, density, abduct_law, ok, p)
 #
 # For a box, run is None, p is its primitive, point, push, density and
 # abduct_law are p's, and ok is member_check(p.cod); for an Apply or Unpack,
 # run is the step's bound run and the rest are None.
 
-_NOT_A_BOX = (None,) * 11
+_NOT_A_BOX = (None,) * 10
 
 
 def _pass_plan(k: JointKernel) -> tuple:
@@ -549,12 +560,12 @@ def _pass_plan(k: JointKernel) -> tuple:
     entries, checks, oks = [], [], {}
     for s in k.steps:
         if type(s) is TracedBox:
-            box_id, p, src, dst, key, read = s
+            box_id, p, src, dst, _, read = s
             cod = p.cod
             ok = oks.get(id(cod))
             if ok is None:
                 ok = oks[id(cod)] = member_check(cod)
-            entries.append((None, box_id, src, dst, read, key, p.point, p.push, p.density,
+            entries.append((None, box_id, src, dst, read, p.point, p.push, p.density,
                             p.abduct_law, ok, p))
             checks.append((box_id, ok, cod))
         else:
@@ -579,7 +590,7 @@ def joint_log_density(k: JointKernel, z: Value, t: Trace) -> float:
     slots = [None] * k.n_slots
     slots[0] = z
     total = 0.0
-    for run, box_id, src, dst, read, _, point, _, density, _, _, _ in steps:
+    for run, box_id, src, dst, read, point, _, density, _, _, _ in steps:
         if run is not None:
             run(slots)
             continue
@@ -615,7 +626,7 @@ def replay_with_uniforms(
     slots[0] = z
     t: dict = {}
     bad = None
-    for run, box_id, src, dst, read, _, point, push, _, _, ok, p in steps:
+    for run, box_id, src, dst, read, point, push, _, _, ok, p in steps:
         if run is not None:
             run(slots)
             continue
@@ -640,7 +651,8 @@ def replay_with_uniforms(
     return t, x
 
 
-def sample_slots(k: JointKernel, z: Value, seeds: Iterable[int]) -> Iterator[tuple[dict, list]]:
+def sample_slots(k: JointKernel, z: Value,
+                 seeds: Iterable[int | bytes]) -> Iterator[tuple[dict, list]]:
     """Draw one trace per seed, unscored: yields (trace, every slot's value).
 
     Per seed, replay_with_uniforms at the seeded uniforms sample_records
@@ -655,21 +667,22 @@ def sample_slots(k: JointKernel, z: Value, seeds: Iterable[int]) -> Iterator[tup
         check_member(k.dom, z, "kernel input")
     template = [None] * k.n_slots
     template[0] = z
-    out = k.out
+    out, keys = k.out, k.box_keys
     # looked up once per pass, so a counter set on it before the pass sees
     # every draw
-    draw, seed_key = rng.unit_uniform, rng.seed_key
-    for seed in seeds:
-        seed = seed_key(seed)
+    draw, seed_key = rng.unit_uniforms, rng.seed_key
+    for seed in map(seed_key, seeds):
+        # one seed's boxes at a time: a failing sample stops the draws
+        u = iter(draw((seed,), keys)).__next__
         slots = template.copy()
         t: dict = {}
         bad = None
-        for run, box_id, src, dst, read, key, point, push, _, _, ok, p in steps:
+        for run, box_id, src, dst, read, point, push, _, _, ok, p in steps:
             if run is not None:
                 run(slots)
                 continue
             t[box_id] = slots[dst] = m = push(
-                (draw(seed, key),), point(slots[src] if read is None else read(slots)))
+                (u(),), point(slots[src] if read is None else read(slots)))
             # as in sample_records: the first bad value after the output
             if not ok(m) and bad is None:
                 bad = box_id, p.cod
@@ -809,11 +822,12 @@ def _unnest_columns(c, n: int, m: int) -> list:
     return out
 
 
-def sample_columns(k: JointKernel, z: Value, seeds: Iterable[int]) -> tuple[dict, list]:
+def sample_columns(k: JointKernel, z: Value,
+                   seeds: Iterable[int | bytes]) -> tuple[dict, list]:
     """sample_slots over one block of seeds, as columns: (box id -> the
     column of its draws, every slot's column).
 
-    Each box's uniforms are drawn as a column with rng.unit_uniform, so
+    Each box's uniforms are drawn as a column with rng.unit_uniforms, so
     each row is the draw sample_slots makes at its seed, and every step runs
     once over the block (see above). Raises where sample_slots would raise
     at some seed of the block, and also where a column step cannot vouch
@@ -823,9 +837,9 @@ def sample_columns(k: JointKernel, z: Value, seeds: Iterable[int]) -> tuple[dict
     _, checks, dom_ok, cod_ok = k.pass_plan
     if not dom_ok(z):
         check_member(k.dom, z, "kernel input")
-    keys = list(map(rng.seed_key, seeds))
-    m = len(keys)
-    draw = rng.unit_uniform  # looked up per pass, as in sample_slots
+    seeds = list(map(rng.seed_key, seeds))
+    m = len(seeds)
+    draw = rng.unit_uniforms  # looked up per pass, as in sample_slots
     slots = [None] * k.n_slots
     slots[0] = _constant(z, m)
     unit = _constant(UNIT_VALUE, m)
@@ -844,7 +858,7 @@ def sample_columns(k: JointKernel, z: Value, seeds: Iterable[int]) -> tuple[dict
             slots[s.dst] = _columns_of(s.fn, x, m)
             continue
         box_id, p, _, dst, key, _ = s
-        u = np.fromiter(map(draw, keys, repeat(key, m)), float, m)
+        u = np.array(draw(seeds, (key,)), float)
         if p.columns is not None:
             c = p.columns(x, u, m)
         else:
@@ -859,8 +873,12 @@ def sample_columns(k: JointKernel, z: Value, seeds: Iterable[int]) -> tuple[dict
     return t, slots
 
 
+# the most cells, seeds times boxes, that sample_records draws at once
+_DRAW_CELLS = 1024
+
+
 def sample_records(
-    k: JointKernel, z: Value, seeds: Iterable[int]
+    k: JointKernel, z: Value, seeds: Iterable[int | bytes]
 ) -> Iterator[tuple[dict, Value, float]]:
     """Draw and score one record per seed: yields (trace, output, logpdf).
 
@@ -869,42 +887,48 @@ def sample_records(
     trace), -inf included. The input is checked once, before the first
     draw; then, per record, the output and each trace value, in that order.
     The seeded uniforms are in [0, 1) and of the right length by
-    construction, so they are not.
+    construction, so they are not. The records' uniforms are drawn a block
+    of seeds at a time, at most _DRAW_CELLS of them but at least one
+    record's, so a pass over many seeds never holds them all.
     """
     steps, _, dom_ok, cod_ok = k.pass_plan
     if not dom_ok(z):
         check_member(k.dom, z, "kernel input")
     template = [None] * k.n_slots
     template[0] = z
-    out = k.out
-    # as in sample_slots: the draw is looked up once per pass, the seed's
-    # key built once per record
-    draw, seed_key = rng.unit_uniform, rng.seed_key
-    for seed in seeds:
-        seed = seed_key(seed)
-        slots = template.copy()
-        t: dict = {}
-        total, vanished, bad = 0.0, False, None
-        for run, box_id, src, dst, read, key, point, push, density, _, ok, p in steps:
-            if run is not None:
-                run(slots)
-                continue
-            pt = point(slots[src] if read is None else read(slots))
-            t[box_id] = slots[dst] = m = push((draw(seed, key),), pt)
-            ld = density(pt, m)
-            # joint_log_density stops at the first -inf factor
-            if ld == NEG_INF:
-                vanished = True
-            total += ld
-            # the first bad trace value is raised after the output's check
-            if not ok(m) and bad is None:
-                bad = box_id, p.cod
-        x = slots[out]
-        if not cod_ok(x):
-            check_member(k.cod, x, "kernel output")
-        if bad is not None:
-            check_member(bad[1], t[bad[0]], f"trace value for {bad[0]}")
-        yield t, x, NEG_INF if vanished else total
+    out, keys = k.out, k.box_keys
+    # as in sample_slots, the draw is looked up once per pass; a block of
+    # records draws at once, its seeds' keys built once per record
+    draw, seed_key = rng.unit_uniforms, rng.seed_key
+    rows = max(1, _DRAW_CELLS // max(1, len(keys)))
+    seeds = iter(seeds)
+    while block := list(map(seed_key, islice(seeds, rows))):
+        # the block's cells, seed by seed and box by box in step order
+        u = iter(draw(block, keys)).__next__
+        for _ in block:
+            slots = template.copy()
+            t: dict = {}
+            total, vanished, bad = 0.0, False, None
+            for run, box_id, src, dst, read, point, push, density, _, ok, p in steps:
+                if run is not None:
+                    run(slots)
+                    continue
+                pt = point(slots[src] if read is None else read(slots))
+                t[box_id] = slots[dst] = m = push((u(),), pt)
+                ld = density(pt, m)
+                # joint_log_density stops at the first -inf factor
+                if ld == NEG_INF:
+                    vanished = True
+                total += ld
+                # the first bad trace value is raised after the output's check
+                if not ok(m) and bad is None:
+                    bad = box_id, p.cod
+            x = slots[out]
+            if not cod_ok(x):
+                check_member(k.cod, x, "kernel output")
+            if bad is not None:
+                check_member(bad[1], t[bad[0]], f"trace value for {bad[0]}")
+            yield t, x, NEG_INF if vanished else total
 
 
 def sample_scored(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value, float]:
@@ -938,7 +962,7 @@ def abduct_uniforms(k: JointKernel, z: Value, t: Trace) -> dict:
     slots = [None] * k.n_slots
     slots[0] = z
     u: dict = {}
-    for run, box_id, src, dst, read, _, point, _, _, law, ok, p in steps:
+    for run, box_id, src, dst, read, point, _, _, law, ok, p in steps:
         if run is not None:
             run(slots)
             continue

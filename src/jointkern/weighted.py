@@ -34,12 +34,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import rng
 from .errors import ParameterError, ShapeError
 from .kernels import (
     NEG_INF, DetMap, JointKernel, Trace, _Anomaly, _columns_of, _compose, _floats, _rows,
     _tensor, enumerate_traces, joint_log_density, run_trace, sample_columns, sample_slots,
 )
-from .rng import derive_seed
 from .spaces import (
     UNIT_VALUE, Product, Real, Value, check_member, nest_values, unnest_values,
 )
@@ -263,7 +263,7 @@ def _sample_one_by_one(wk: WeightedJointKernel, fns: list, z: Value, seed: int,
     pass over the seeds, each sample drawn, weighed and tested in turn."""
     base, log_weight, out = wk.base, wk.log_weight, wk.base.out
     cols = [array("d") for _ in fns]
-    draws = sample_slots(base, z, (derive_seed(seed, i) for i in range(n)))
+    draws = sample_slots(base, z, (rng.derive_seed(seed, i) for i in range(n)))
     for i, (t, slots) in enumerate(draws):
         lw = log_weight(t, z, slots)
         try:
@@ -293,8 +293,7 @@ def _sample_blocks(wk: WeightedJointKernel, fns: list, z: Value, seed: int,
     with np.errstate(all="ignore"):
         for start in range(0, n, rows):
             m = min(rows, n - start)
-            t, slots = sample_columns(
-                base, z, map(derive_seed, repeat(seed, m), range(start, start + m)))
+            t, slots = sample_columns(base, z, rng.derived_seed_keys(seed, start, start + m))
             w = _weight_column(wk, t, slots, z, m)
             x = slots[base.out]
             for fn, col in zip(fns, cols):

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import jointkern.rng as rng
 from jointkern import (
     Diagram,
     Hypergraph,
@@ -241,3 +242,17 @@ def count_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_draws(monkeypatch) -> list:
+    """Count every uniform drawn from here on: the cells, seed keys times box
+    keys, of each call of rng.unit_uniforms, the choke point of every seeded
+    draw; returns the one-element counter."""
+    cells, fn = [0], rng.unit_uniforms
+
+    def counted(seeds, keys):
+        cells[0] += len(seeds) * len(keys)
+        return fn(seeds, keys)
+
+    monkeypatch.setattr(rng, "unit_uniforms", counted)
+    return cells

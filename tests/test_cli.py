@@ -12,14 +12,13 @@ import pytest
 
 import jointkern.model as model_module
 import jointkern.primitives as primitives
-import jointkern.rng as rng
 import jointkern.spaces as spaces
 from jointkern.cli import _decode_input, _trace_decoder, main
 from jointkern.kernels import joint_log_density, sample_with_trace
 from jointkern.model import model_from_dict, parse_model
 from jointkern.spaces import UNIT_VALUE
 
-from support import count_calls, genmodels
+from support import count_draws, genmodels
 
 MODELS = Path(__file__).parent / "models"
 CHAIN = str(MODELS / "chain.json")
@@ -265,16 +264,9 @@ def test_logpdf_checks_each_trace_value_once(capsys, tmp_path, monkeypatch):
 
 
 def test_sample_draws_one_uniform_per_box(monkeypatch):
-    # what the benchmark's rng.draws_per_record counts: calls of the rng
-    # module's unit_uniform while sample_with_trace draws one record
-    drawn = [0]
-    unit_uniform = rng.unit_uniform
-
-    def counted(*args):
-        drawn[0] += 1
-        return unit_uniform(*args)
-
-    monkeypatch.setattr(rng, "unit_uniform", counted)
+    # the uniforms drawn, cells at rng.unit_uniforms, while sample_with_trace
+    # draws one record
+    drawn = count_draws(monkeypatch)
     gen = genmodels()
     for raw, want in ((json.loads(Path(CHAIN).read_text()), 2), (gen.chain_model(160, 1)[0], 160)):
         drawn[0] = 0
@@ -591,7 +583,7 @@ def _usage_exit(capsys, *args) -> str:
 def test_spw_ref_must_be_a_finite_number(capsys, monkeypatch):
     err = _usage_exit(capsys, "spw", CHAIN, "--n", "1000", "--ref", "abc")
     assert "argument --ref: invalid float value: 'abc'" in err
-    draws = count_calls(monkeypatch, rng, "unit_uniform")
+    draws = count_draws(monkeypatch)
     for ref in ("nan", "inf", "-inf", "1e999"):
         code, out, err = run(capsys, "spw", CHAIN, "--n", "1000", f"--ref={ref}")
         assert (code, out) == (4, "")

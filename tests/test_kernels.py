@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import jointkern.rng as rng
 from jointkern import (
     DetMap,
     Finite,
@@ -45,7 +44,7 @@ from jointkern import (
 )
 from jointkern.model import parse_model
 
-from support import ck_composite, count_calls, kernel_matrix, random_finite_kernel
+from support import ck_composite, count_draws, kernel_matrix, random_finite_kernel
 
 TWO = Finite(2)
 
@@ -373,7 +372,7 @@ def test_sample_slots_is_sample_scored_unscored():
 
 
 def test_sample_slots_checks_the_input_once_before_any_draw(monkeypatch):
-    draws = count_calls(monkeypatch, rng, "unit_uniform")
+    draws = count_draws(monkeypatch)
     k = chain_kernel()
     with pytest.raises(ShapeError, match="^kernel input"):
         next(sample_slots(k, 5, iter(range(10))))
@@ -383,7 +382,7 @@ def test_sample_slots_checks_the_input_once_before_any_draw(monkeypatch):
 
 
 def test_sample_slots_checks_each_output(monkeypatch):
-    draws = count_calls(monkeypatch, rng, "unit_uniform")
+    draws = count_draws(monkeypatch)
     # a det step past the box turns every draw into a non-member of TWO
     k = compose(from_primitive(bernoulli(0.5), "b"),
                 lift_det(DetMap(TWO, TWO, lambda v: v + 5, "off")))

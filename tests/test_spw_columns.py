@@ -6,15 +6,15 @@ Here the blocks must give the loop's floats bit for bit on generated
 weighted models (every family, det boxes of one to three outputs, weights
 reading several wires, several test functions, global inputs), at sample
 counts that are no multiple of a block; a block must refuse every sample
-the loop refuses, so spw_check raises the loop's error; and the model
-fixtures must never need the loop.
+the loop refuses, so spw_check raises the loop's error, and no other: an
+if whose branch fails only on rows the condition sends elsewhere stays in
+the blocks; and the model fixtures must never need the loop.
 """
 
 import importlib
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -175,12 +175,10 @@ def _uniform_model(weights: dict, box: dict = None) -> dict:
 
 HUGE = {"primitive": "normal", "params": {"mu": 1.7e308, "sigma": 1e308}}
 
-# weights that fail on some sample, or only where an if does not look
+# weights that fail on some sample
 ANOMALIES = {
     "negative": _uniform_model({"b2": "$1 - 0.5"}),
     "division_by_zero": _uniform_model({"b2": "1.0 / $0"}),
-    "untaken_division": _uniform_model({"b2": "if $0 < 1 then 2.0 else 1.0 / $0"}),
-    "untaken_ln": _uniform_model({"b2": "if $0 < 1 then 1.0 else ln($0 * 1.0)"}),
     "overflowing_normal": _uniform_model({"b2": "1.0"}, HUGE),
     "overflowing_exp": _uniform_model({"b2": "exp($1 * 800.0)"}),
     "overflowing_product": _uniform_model({"b1": "1e300", "b2": "1e300"}),
@@ -199,11 +197,29 @@ def test_a_refused_sample_raises_the_loop_error(name, monkeypatch):
     loops = count_calls(monkeypatch, weighted_module, "_sample_one_by_one")
     got = outcome(lambda: spw_check(wk, [h], [1.0], n=1000, seed=3))
     assert loops[0] == 1
-    if isinstance(want, tuple):
-        assert got == want
-    else:  # the loop finishes: the if never takes the failing branch
-        assert name.startswith("untaken")
-        assert got[0]["estimate"] == float(np.mean(np.frombuffer(want[0])))
+    assert isinstance(want, tuple) and got == want
+
+
+# weights with a branch that fails on the rows its if does not send to it
+UNTAKEN = {
+    "division": _uniform_model({"b2": "if $0 < 1 then 2.0 else 1.0 / $0"}),
+    "ln": _uniform_model({"b2": "if $0 < 1 then 1.0 else ln($0 * 1.0)"}),
+    # an int branch beside a float one: the merged column is the rows' values
+    "mixed": _uniform_model({"b2": "if $0 < 1 then 2 else 1.0 / $0"}),
+    "nested": _uniform_model({"b2": "if 1 < $0 then ln(0.0) else if $0 < 1 then 3.0 else 1.0 / $0"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTAKEN))
+def test_an_untaken_failing_branch_keeps_the_blocks(name, monkeypatch):
+    wk = model_from_dict(UNTAKEN[name]).weighted_kernel()
+    h = compile_det_map(["$0"], [Real(1)], [Real(1)])
+    want = weighted_module._sample_one_by_one(wk, [h.fn], 0, 3, 1000)
+    got = weighted_module._sample_blocks(wk, [h.fn], 0, 3, 1000)
+    assert got[0].tobytes() == want[0].tobytes()
+    loops = count_calls(monkeypatch, weighted_module, "_sample_one_by_one")
+    spw_check(wk, [h], [1.0], n=1000, seed=3)
+    assert loops[0] == 0
 
 
 @pytest.mark.parametrize("fixture,extra", [

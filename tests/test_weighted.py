@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import jointkern.rng as rng
 from jointkern import (
     DetMap,
     Finite,
@@ -39,7 +38,7 @@ from jointkern import (
     with_weight_map,
 )
 
-from support import chain_parts, count_calls
+from support import chain_parts, count_calls, count_draws
 
 # the module, which the package attribute `weighted` (a function) shadows
 weighted_module = importlib.import_module("jointkern.weighted")
@@ -311,7 +310,7 @@ def test_spw_check_bits_match_a_per_seed_recomputation(case, count, n):
 def test_spw_check_weighs_each_sample_once_and_draws_each_box_once(monkeypatch):
     wk = composed_kernel()
     calls = count_calls(monkeypatch, WeightedJointKernel, "log_weight")
-    draws = count_calls(monkeypatch, rng, "unit_uniform")
+    draws = count_draws(monkeypatch)
     h = DetMap(TWO, Real(1), float, "id")
     spw_check(wk, [h, h, h], [0.5, 0.5, 0.5], n=1500, seed=3)
     assert calls[0] == 1500
@@ -319,7 +318,7 @@ def test_spw_check_weighs_each_sample_once_and_draws_each_box_once(monkeypatch):
 
 
 def test_spw_check_rejects_bad_references_before_any_draw(monkeypatch):
-    draws = count_calls(monkeypatch, rng, "unit_uniform")
+    draws = count_draws(monkeypatch)
     wk = weighted(chain_kernel(), [indicator_y1])
     h = DetMap(TWO, Real(1), float, "id")
     for bad in (float("nan"), float("inf"), float("-inf")):

@@ -21,14 +21,15 @@ The corpus covers validate, sample, logpdf, abduct, cf (with and without
 --set), do ... sample, spw (with and without --ref), cover and export-dot
 on every model under tests/models, genmodels' chain_model(160, 1|2) and
 layered_dag(1..3, 0..7), and models with 300 global inputs and 300 output
-wires; then explicit-residual variants, a bad expression in a parameter,
-a det map or a weight, a normal box whose draws overflow (hidden, on the
-output leg, or both), spw audits of weighted models (a poisson box,
-weights through exp and ln, a three-output det box, weights that are
-mostly zero, several --h, and a model with global inputs, with and
-without --input), trace and u files holding values that are no point of
-their box's space, and malformed or misplaced --input, --set and --point
-values.
+wires; sample and spw at record counts on either side of their blocks,
+with seeds of every size and a JOINTKERN_SEED; then explicit-residual
+variants, a bad expression in a parameter, a det map or a weight, a
+normal box whose draws overflow (hidden, on the output leg, or both), spw
+audits of weighted models (a poisson box, weights through exp and ln, a
+three-output det box, weights that are mostly zero, several --h, and a
+model with global inputs, with and without --input), trace and u files
+holding values that are no point of their box's space, and malformed or
+misplaced --input, --set and --point values.
 """
 
 from __future__ import annotations
@@ -232,14 +233,20 @@ class Corpus:
             fh.write(raw if isinstance(raw, str) else json.dumps(raw))
         return path
 
-    def run(self, name: str, argv: list, save: str | None = None) -> int:
-        """Run argv; save its stdout to the file save, when given."""
+    def run(self, name: str, argv: list, save: str | None = None, seed_env: str | None = None
+            ) -> int:
+        """Run argv; save its stdout to the file save, when given. seed_env,
+        when given, is JOINTKERN_SEED for this command alone, shown after it."""
         out, err = io.StringIO(), io.StringIO()
+        if seed_env is not None:
+            os.environ["JOINTKERN_SEED"] = seed_env
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = self.main(argv)
             except SystemExit as e:  # argparse refuses an unknown flag by exiting
                 code = e.code
+            finally:
+                os.environ.pop("JOINTKERN_SEED", None)
         data = out.getvalue()
         if "--out" in argv:
             with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
@@ -247,8 +254,11 @@ class Corpus:
         if save:
             with open(self.path(save), "w", encoding="utf-8") as fh:
                 fh.write(out.getvalue())
+        command = " ".join(map(_short, argv))
+        if seed_env is not None:
+            command += f" [JOINTKERN_SEED={seed_env}]"
         command, stderr = (text.replace(self.tmp, "{tmp}").replace(str(MODELS), "{models}")
-                           for text in (" ".join(map(_short, argv)), err.getvalue()))
+                           for text in (command, err.getvalue()))
         digest = _sha256(data)
         self.lines.append(f"{name}\t{command}\t{code}\t{digest}\t{json.dumps(stderr)}")
         return code
@@ -285,6 +295,19 @@ def run_corpus(main, genmodels, tmp: str) -> list:
         raw, _ = genmodels.chain_model(160, seed)
         c.commands(f"chain160_{seed}", c.model(f"chain160_{seed}", raw), (), "root=0.25",
                    spw=seed == 1)
+    c.run("chain160_1", ["sample", c.path("chain160_1.json"), "--n", "7"])
+
+    # record counts and seeds at the edges of the blocks that sample and spw
+    # draw, and of the seeds' sizes
+    for name in ("chain", "normal"):
+        path = str(MODELS / f"{name}.json")
+        for n in ("0", "1", "2", "1025"):
+            for seed in ("-1", "0", "18446744073709551617"):
+                c.run(name, ["sample", path, "--n", n, "--seed", seed])
+            c.run(name, ["sample", path, "--n", n], seed_env="-3")
+    for name, ref in (("weighted", []), ("uniform2x", ["--ref", "2.5"])):
+        for n in ("1000", "1001", "2049"):
+            c.run(name, ["spw", str(MODELS / f"{name}.json"), "--n", n, "--seed", "-7", *ref])
     for seed in (1, 2, 3):
         for index in range(8):
             name = f"dag_{seed}_{index}"
