@@ -15,6 +15,12 @@ Exit codes: 0 success, 1 audit failure, 2 I/O or usage, 3 syntax,
 supplies the default seed. Trace records are JSON lines with reals printed
 at 17 significant digits, so reruns with a fixed seed are byte-identical
 and logpdf round-trips exactly.
+
+sample writes its records a block of _KEY_BLOCK at a time, as each block is
+made, to stdout or to --out, which it opens only once the first block is
+made: an error in the first block leaves stdout empty and the file as it
+was, and an error in a later block leaves the blocks before it written, as
+an error in a logpdf or cf record leaves the records before it.
 """
 
 from __future__ import annotations
@@ -24,8 +30,9 @@ import functools
 import json
 import os
 import sys
-from itertools import chain
+from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 from . import rng
 from .causal import _replayer, intervene
@@ -60,14 +67,15 @@ def _out(text: str):
     sys.stdout.write(text)
 
 
-def _emit(text: str, path: str | None, mode: str):
-    """text to the file path, opened in mode ("a" appends, "w" overwrites),
-    or to stdout without one."""
-    if path:
-        with open(path, mode, encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        _out(text)
+def _emit(texts: Iterable[str], path: str | None, mode: str):
+    """Each of texts in turn to the file path, opened in mode ("a" appends,
+    "w" overwrites) once the first text is made, or to stdout without one;
+    an error before the first text leaves the file as it was."""
+    texts = iter(texts)
+    first = next(texts, "")
+    with open(path, mode, encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        fh.write(first)
+        fh.writelines(texts)
 
 
 def _decode_input(model: Model, text: str | None):
@@ -196,13 +204,12 @@ def _run_sample(model: Model, interp: Interpretation, ns) -> int:
     z = _decode_input(model, ns.input)
     seed = ns.seed if ns.seed is not None else _default_seed()
     encode = _record_encoder(_trace_spaces(k), k.cod)
-    # one pass over the records' seed keys, derived a block at a time; it
-    # checks z before its first draw
-    keys = chain.from_iterable(rng.derived_seed_keys(seed, i, min(i + _KEY_BLOCK, ns.n))
-                               for i in range(0, ns.n, _KEY_BLOCK))
-    records = sample_records(k, z, keys)
-    lines = [encode(*record) for record in records]
-    _emit("".join(line + "\n" for line in lines), ns.out, "a")
+    # one pass per block of records' seed keys, written as soon as it is
+    # made; each pass checks z before its first draw, so --n 0 checks it too
+    blocks = ("".join([encode(*record) + "\n" for record in sample_records(
+        k, z, rng.derived_seed_keys(seed, i, min(i + _KEY_BLOCK, ns.n)))])
+        for i in range(0, max(ns.n, 1), _KEY_BLOCK))
+    _emit(blocks, ns.out, "a")
     return 0
 
 
@@ -239,7 +246,7 @@ def _run_abduct(model: Model, interp: Interpretation, ns) -> int:
     encode = _uniforms_encoder(k.box_ids)
     z = _decode_input(model, ns.input)
     lines = [encode(abduct_uniforms(k, z, decode(rec))) for rec in _read_jsonl(ns.trace)]
-    _emit("".join(line + "\n" for line in lines), ns.out, "w")
+    _emit(["".join(line + "\n" for line in lines)], ns.out, "w")
     return 0
 
 
@@ -280,7 +287,7 @@ def _run_cover(model: Model, interp: Interpretation, ns) -> int:
 
 
 def _run_export_dot(model: Model, interp: Interpretation, ns) -> int:
-    _emit(export_dot(model.diagram), ns.out, "w")
+    _emit([export_dot(model.diagram)], ns.out, "w")
     return 0
 
 

@@ -49,15 +49,11 @@ this order, the checks that can fail on what it is given or draws:
                           its one-seed calls), drawn per block of seeds:
                           the input, once per pass, then per record the
                           output and each trace value
-    sample_slots          seeded draws over many seeds, unscored, yielding
-                          every slot (spw, one sample at a time), drawn
-                          one seed at a time: the input, once per pass,
-                          then per sample the output and each trace value
-    sample_columns        sample_slots over a block of seeds as columns
-                          (spw), drawn one box's column at a time: the
-                          input, then the block's outputs and trace
-                          values, and whatever its column steps cannot
-                          vouch for (see "columns" below)
+    sample_columns        sample_records' draws, unscored, over a block of
+                          seeds as columns (spw), drawn one box's column
+                          at a time: the input, then the block's outputs
+                          and trace values, and whatever its column steps
+                          cannot vouch for (see "columns" below)
     replay_with_uniforms  uniforms a caller supplies (cf): the input, every
                           box has a block and every block a box, then each
                           block's floats, length and range, then the
@@ -76,8 +72,8 @@ The seeded passes make their own uniforms, in [0, 1) and of the right
 length, and do not check them. A seed is an int or the key that
 rng.seed_key makes of it. Each seeded pass runs over many records:
 it checks the input and builds the slot template once, then copies the
-template per seed, so an input that is no point fails at the first draw
-and a pass over no seeds checks nothing. Every pass reads a step's input
+template per seed, so an input that is no point fails before the first
+draw, even in a pass over no seeds. Every pass reads a step's input
 the same way, slots[src] or read(slots), so a box with no input wires
 reads UNIT_VALUE, never the kernel input, even in run_trace, which does
 not check that input.
@@ -125,8 +121,8 @@ __all__ = [
     "NEG_INF", "DetMap", "PrimitiveKernel", "TracedBox", "JointKernel",
     "lift_det", "identity_kernel", "structure_kernel", "from_primitive",
     "compose", "tensor", "rename_boxes", "expose_residuals", "run_trace",
-    "joint_log_density", "replay_with_uniforms", "sample_slots",
-    "sample_columns", "sample_records", "sample_scored", "sample_with_trace", "abduct_uniforms",
+    "joint_log_density", "replay_with_uniforms", "sample_columns", "sample_records",
+    "sample_scored", "sample_with_trace", "abduct_uniforms",
     "enumerate_traces", "marginal_pmf_finite",
 ]
 
@@ -550,14 +546,14 @@ _NOT_A_BOX = (None,) * 10
 
 
 def _pass_plan(k: JointKernel) -> tuple:
-    """(entries, checks, dom_ok, cod_ok): one entry per step (see above),
-    (box_id, ok, cod) per box in step order, and the checks of the input
-    and of the output. A kernel never changes, so neither does its plan.
+    """(entries, dom_ok, cod_ok): one entry per step (see above) and the
+    checks of the input and of the output. A kernel never changes, so
+    neither does its plan.
 
     Boxes of one family share its codomain object, so each check is chosen
     once per codomain object, found by id; the kernel holds every codomain
     while the plan is built, so no id is reused meanwhile."""
-    entries, checks, oks = [], [], {}
+    entries, oks = [], {}
     for s in k.steps:
         if type(s) is TracedBox:
             box_id, p, src, dst, _, read = s
@@ -567,10 +563,9 @@ def _pass_plan(k: JointKernel) -> tuple:
                 ok = oks[id(cod)] = member_check(cod)
             entries.append((None, box_id, src, dst, read, p.point, p.push, p.density,
                             p.abduct_law, ok, p))
-            checks.append((box_id, ok, cod))
         else:
             entries.append((s.run, *_NOT_A_BOX))
-    return tuple(entries), tuple(checks), member_check(k.dom), member_check(k.cod)
+    return tuple(entries), member_check(k.dom), member_check(k.cod)
 
 
 def joint_log_density(k: JointKernel, z: Value, t: Trace) -> float:
@@ -580,13 +575,13 @@ def joint_log_density(k: JointKernel, z: Value, t: Trace) -> float:
     its trace value, so the factors multiply to the joint density of the
     conditional product.
     """
-    steps, checks, dom_ok, _ = k.pass_plan
+    steps, dom_ok, _ = k.pass_plan
     if not dom_ok(z):
         check_member(k.dom, z, "kernel input")
     _check_trace_keys(k, t)
-    for box_id, ok, cod in checks:
-        if not ok(t[box_id]):
-            check_member(cod, t[box_id], f"trace value for {box_id}")
+    for run, box_id, _, _, _, _, _, _, _, ok, p in steps:
+        if run is None and not ok(t[box_id]):
+            check_member(p.cod, t[box_id], f"trace value for {box_id}")
     slots = [None] * k.n_slots
     slots[0] = z
     total = 0.0
@@ -614,7 +609,7 @@ def replay_with_uniforms(
     length, which is one uniform, and its range [0, 1]; last the output,
     then each trace value.
     """
-    steps, _, dom_ok, cod_ok = k.pass_plan
+    steps, dom_ok, cod_ok = k.pass_plan
     if not dom_ok(z):
         check_member(k.dom, z, "kernel input")
     missing, extra = _mismatch(k, u)
@@ -651,49 +646,6 @@ def replay_with_uniforms(
     return t, x
 
 
-def sample_slots(k: JointKernel, z: Value,
-                 seeds: Iterable[int | bytes]) -> Iterator[tuple[dict, list]]:
-    """Draw one trace per seed, unscored: yields (trace, every slot's value).
-
-    Per seed, replay_with_uniforms at the seeded uniforms sample_records
-    draws, less the checks on those uniforms, which are in [0, 1) and of
-    the right length by construction. The input is checked once, before
-    the first draw; then, per sample, the output and each trace value, in
-    that order, as sample_records checks them. The slot template, which
-    holds z, is built once and copied per seed.
-    """
-    steps, _, dom_ok, cod_ok = k.pass_plan
-    if not dom_ok(z):
-        check_member(k.dom, z, "kernel input")
-    template = [None] * k.n_slots
-    template[0] = z
-    out, keys = k.out, k.box_keys
-    # looked up once per pass, so a counter set on it before the pass sees
-    # every draw
-    draw, seed_key = rng.unit_uniforms, rng.seed_key
-    for seed in map(seed_key, seeds):
-        # one seed's boxes at a time: a failing sample stops the draws
-        u = iter(draw((seed,), keys)).__next__
-        slots = template.copy()
-        t: dict = {}
-        bad = None
-        for run, box_id, src, dst, read, point, push, _, _, ok, p in steps:
-            if run is not None:
-                run(slots)
-                continue
-            t[box_id] = slots[dst] = m = push(
-                (u(),), point(slots[src] if read is None else read(slots)))
-            # as in sample_records: the first bad value after the output
-            if not ok(m) and bad is None:
-                bad = box_id, p.cod
-        x = slots[out]
-        if not cod_ok(x):
-            check_member(k.cod, x, "kernel output")
-        if bad is not None:
-            check_member(bad[1], t[bad[0]], f"trace value for {bad[0]}")
-        yield t, slots
-
-
 # ---------------------------------------------------------------------------
 # columns: one block of samples at a time
 #
@@ -716,7 +668,8 @@ def sample_slots(k: JointKernel, z: Value,
 # runs columns, so only spw builds those); anything without one runs row by
 # row. A column step that meets a value its scalar twin would refuse, or
 # cannot promise the scalar bits for, raises; the caller then reruns the
-# scalar pass, which raises what it always raised, or finishes.
+# block's seeds through the scalar pass, which raises what it always
+# raised, or finishes.
 
 # the largest ints a float holds exactly, and the int64 bound
 _EXACT = 2 ** 53
@@ -824,22 +777,22 @@ def _unnest_columns(c, n: int, m: int) -> list:
 
 def sample_columns(k: JointKernel, z: Value,
                    seeds: Iterable[int | bytes]) -> tuple[dict, list]:
-    """sample_slots over one block of seeds, as columns: (box id -> the
-    column of its draws, every slot's column).
+    """sample_records' draws over one block of seeds, unscored, as columns:
+    (box id -> the column of its draws, every slot's column).
 
     Each box's uniforms are drawn as a column with rng.unit_uniforms, so
-    each row is the draw sample_slots makes at its seed, and every step runs
-    once over the block (see above). Raises where sample_slots would raise
-    at some seed of the block, and also where a column step cannot vouch
-    for the scalar bits (_Anomaly); the output and the trace values are
-    checked over the whole block.
+    each row is the draw sample_records makes at its seed, and every step
+    runs once over the block (see above). Raises where sample_records
+    would raise at some seed of the block, and also where a column step
+    cannot vouch for the scalar bits (_Anomaly); the output and the trace
+    values are checked over the whole block.
     """
-    _, checks, dom_ok, cod_ok = k.pass_plan
+    entries, dom_ok, cod_ok = k.pass_plan
     if not dom_ok(z):
         check_member(k.dom, z, "kernel input")
     seeds = list(map(rng.seed_key, seeds))
     m = len(seeds)
-    draw = rng.unit_uniforms  # looked up per pass, as in sample_slots
+    draw = rng.unit_uniforms  # looked up per pass, as in sample_records
     slots = [None] * k.n_slots
     slots[0] = _constant(z, m)
     unit = _constant(UNIT_VALUE, m)
@@ -867,8 +820,8 @@ def sample_columns(k: JointKernel, z: Value,
         t[box_id] = slots[dst] = c
     if not _all_members(k.cod, cod_ok, slots[k.out], m):
         raise _Anomaly("kernel output")
-    for box_id, ok, cod in checks:
-        if not _all_members(cod, ok, t[box_id], m):
+    for run, box_id, _, _, _, _, _, _, _, ok, p in entries:
+        if run is None and not _all_members(p.cod, ok, t[box_id], m):
             raise _Anomaly(f"trace value for {box_id}")
     return t, slots
 
@@ -891,14 +844,15 @@ def sample_records(
     of seeds at a time, at most _DRAW_CELLS of them but at least one
     record's, so a pass over many seeds never holds them all.
     """
-    steps, _, dom_ok, cod_ok = k.pass_plan
+    steps, dom_ok, cod_ok = k.pass_plan
     if not dom_ok(z):
         check_member(k.dom, z, "kernel input")
     template = [None] * k.n_slots
     template[0] = z
     out, keys = k.out, k.box_keys
-    # as in sample_slots, the draw is looked up once per pass; a block of
-    # records draws at once, its seeds' keys built once per record
+    # looked up once per pass, so a counter set on it before the pass sees
+    # every draw; a block of records draws at once, its seeds' keys built
+    # once per record
     draw, seed_key = rng.unit_uniforms, rng.seed_key
     rows = max(1, _DRAW_CELLS // max(1, len(keys)))
     seeds = iter(seeds)
@@ -951,7 +905,7 @@ def abduct_uniforms(k: JointKernel, z: Value, t: Trace) -> dict:
     abduct law, that the value is a point of its space, and, in the law,
     that it is in the support.
     """
-    steps, _, dom_ok, _ = k.pass_plan
+    steps, dom_ok, _ = k.pass_plan
     if not dom_ok(z):
         check_member(k.dom, z, "kernel input")
     missing, extra = _mismatch(k, t)

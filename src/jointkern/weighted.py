@@ -18,9 +18,13 @@ spw_check draws its samples in blocks, each one column pass of the base
 over the block's columns; a factor whose function has a column form,
 fn.columns(value columns, m), is weighed over columns, and a kernel with
 any other factor weighs each row with log_weight. Each sample's w * h has
-the bits of the one-by-one loop, which stays as the path that raises: a
-block that meets anything the loop would refuse, or cannot vouch for,
-sends spw_check back to the loop from the first sample.
+the bits of drawing it alone with kernels.sample_records and weighing it
+with log_weight, the row path, which stays the path that raises: a block
+whose column pass raises anything, because it met a sample the row path
+would refuse or one it cannot vouch for, reruns its own seeds through the
+row path, and the next block goes back to columns. A block refuses every
+sample the row path refuses, so the first refused sample, if any, lies in
+the first block that raises, and the row path raises its error.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from . import rng
 from .errors import ParameterError, ShapeError
 from .kernels import (
     NEG_INF, DetMap, JointKernel, Trace, _Anomaly, _columns_of, _compose, _floats, _rows,
-    _tensor, enumerate_traces, joint_log_density, run_trace, sample_columns, sample_slots,
+    _tensor, enumerate_traces, joint_log_density, run_trace, sample_columns, sample_records,
 )
 from .spaces import (
     UNIT_VALUE, Product, Real, Value, check_member, nest_values, unnest_values,
@@ -234,14 +238,7 @@ def spw_check(
         if bad:
             raise ParameterError(f"reference values must be finite, got {bad[0]!r}")
 
-    fns = [h.fn for h in test_functions]
-    try:
-        cols = _sample_blocks(wk, fns, z, seed, n)
-    except Exception:
-        # an anomaly or an error in some block: the loop meets the first
-        # failing sample, if any, and raises what it always raised
-        cols = _sample_one_by_one(wk, fns, z, seed, n)
-
+    cols = _sample_blocks(wk, [h.fn for h in test_functions], z, seed, n)
     report = []
     for col, ref in zip(cols, refs):
         col = np.frombuffer(col)
@@ -256,26 +253,6 @@ def spw_check(
     return report
 
 
-def _sample_one_by_one(wk: WeightedJointKernel, fns: list, z: Value, seed: int,
-                       n: int) -> list[array]:
-    """w * float(h(x)) of each of the n seeded samples at z, one float array
-    per test function h, so a sample costs 8 bytes per test function; one
-    pass over the seeds, each sample drawn, weighed and tested in turn."""
-    base, log_weight, out = wk.base, wk.log_weight, wk.base.out
-    cols = [array("d") for _ in fns]
-    draws = sample_slots(base, z, (rng.derive_seed(seed, i) for i in range(n)))
-    for i, (t, slots) in enumerate(draws):
-        lw = log_weight(t, z, slots)
-        try:
-            w = math.exp(lw)  # 0.0 at -inf
-        except OverflowError:
-            raise ShapeError(f"non-finite weight exp({lw!r}) at sample {i}") from None
-        x = slots[out]
-        for fn, col in zip(fns, cols):
-            col.append(w * float(fn(x)))
-    return cols
-
-
 # cells of one block: its rows times the kernel's slots, so a block's
 # columns stay small beside the n samples' floats
 _BLOCK_CELLS = 1024
@@ -283,22 +260,51 @@ _BLOCK_CELLS = 1024
 
 def _sample_blocks(wk: WeightedJointKernel, fns: list, z: Value, seed: int,
                    n: int) -> list[array]:
-    """_sample_one_by_one's floats, block by block; raises where the loop
-    would, and where a column step cannot vouch for the loop's bits."""
+    """w * float(h(x)) of each of the n seeded samples at z, one float array
+    per test function h, so a sample costs 8 bytes per test function; block
+    by block, each a column pass or, where that raises, _sample_rows over
+    the block's seeds (see the module docstring)."""
     base = wk.base
     rows = max(64, _BLOCK_CELLS // base.n_slots)
     cols = [array("d") for _ in fns]
     # numpy's float warnings stay silent: Python's scalar floats give
-    # inf and nan without a word, and every error is the loop's to raise
+    # inf and nan without a word, and every error is the row path's to raise
     with np.errstate(all="ignore"):
         for start in range(0, n, rows):
-            m = min(rows, n - start)
-            t, slots = sample_columns(base, z, rng.derived_seed_keys(seed, start, start + m))
-            w = _weight_column(wk, t, slots, z, m)
-            x = slots[base.out]
-            for fn, col in zip(fns, cols):
-                col.frombytes((w * _floats(_columns_of(fn, x, m), m)).tobytes())
+            seeds = rng.derived_seed_keys(seed, start, min(start + rows, n))
+            m = len(seeds)
+            try:
+                t, slots = sample_columns(base, z, seeds)
+                w = _weight_column(wk, t, slots, z, m)
+                x = slots[base.out]
+                # every test function's floats before any is kept, so a
+                # block that raises adds nothing
+                block = [w * _floats(_columns_of(fn, x, m), m) for fn in fns]
+            except Exception:
+                _sample_rows(wk, fns, z, seeds, start, cols)
+                continue
+            for c, col in zip(block, cols):
+                col.frombytes(c.tobytes())
     return cols
+
+
+def _sample_rows(wk: WeightedJointKernel, fns: list, z: Value, seeds: list, start: int,
+                 cols: list[array]):
+    """Append w * float(h(x)) of each sample to the float array of its test
+    function h in cols, one sample at a time; seeds are the samples' keys,
+    the first of them sample start. Each sample is drawn with
+    sample_records and weighed with log_weight, which replays its slots;
+    the first it refuses raises, and a weight past the float range names
+    its sample."""
+    log_weight = wk.log_weight
+    for i, (t, x, _) in enumerate(sample_records(wk.base, z, seeds), start):
+        lw = log_weight(t, z)
+        try:
+            w = math.exp(lw)  # 0.0 at -inf
+        except OverflowError:
+            raise ShapeError(f"non-finite weight exp({lw!r}) at sample {i}") from None
+        for fn, col in zip(fns, cols):
+            col.append(w * float(fn(x)))
 
 
 def _weight_column(wk: WeightedJointKernel, t: dict, slots: list, z: Value,

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,47 @@ def test_sample_out_appends(capsys, tmp_path):
     run(capsys, "sample", CHAIN, "--n", "2", "--seed", "1", "--out", str(f))
     run(capsys, "sample", CHAIN, "--n", "1", "--seed", "2", "--out", str(f))
     assert len(f.read_text().strip().split("\n")) == 3
+
+
+def test_sample_writes_its_records_a_block_at_a_time(capsys, tmp_path):
+    out = tmp_path / "records.jsonl"
+    assert main(["sample", CHAIN, "--n", "2000", "--out", str(out)]) == 0  # warm the caches
+    peaks = {}
+    for n in (5000, 20000):
+        out.unlink()
+        tracemalloc.start()
+        try:
+            assert main(["sample", CHAIN, "--n", str(n), "--seed", "1", "--out", str(out)]) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_text().count("\n") == n
+    # one block's text at a time, not every record's
+    assert peaks[20000] < 1.5 * peaks[5000]
+
+
+def test_sample_keeps_the_blocks_before_a_failing_one(capsys, tmp_path):
+    # at seed 2 the first draw that overflows to inf is record 1286, in
+    # the second block of 1024
+    raw = json.loads(Path(_overflow_model(tmp_path, False)).read_text())
+    raw["interpretation"]["gen"]["params"]["sigma"] = 3.2e306
+    late = tmp_path / "late.json"
+    late.write_text(json.dumps(raw))
+    _, first, _ = run(capsys, "sample", str(late), "--n", "1024", "--seed", "2")
+    assert first.count("\n") == 1024
+    out = tmp_path / "records.jsonl"
+    out.write_text("kept\n")
+    code, piped, err = run(capsys, "sample", str(late), "--n", "3000", "--seed", "2",
+                           "--out", str(out))
+    assert (code, piped, err) == (4, "", "error: kernel output inf is not a point of Real(dim=1)\n")
+    assert out.read_text() == "kept\n" + first
+    code, piped, _ = run(capsys, "sample", str(late), "--n", "3000", "--seed", "2")
+    assert (code, piped) == (4, first)
+    # an error in the first block leaves the file as it was
+    for argv in (("--n", "3000", "--seed", "3"), ("--n", "0", "--input", "0")):
+        code, piped, _ = run(capsys, "sample", str(late), *argv, "--out", str(out))
+        assert (code, piped) == (4, "")
+        assert out.read_text() == "kept\n" + first
 
 
 def test_logpdf_roundtrip(capsys, tmp_path):

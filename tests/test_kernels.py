@@ -33,10 +33,8 @@ from jointkern import (
     poisson,
     rename_boxes,
     replay_with_uniforms,
-    run_trace,
     sample_records,
     sample_scored,
-    sample_slots,
     sample_with_trace,
     structure_kernel,
     tensor,
@@ -355,40 +353,28 @@ def test_sample_scored_checks_the_output_before_the_trace():
         sample_scored(hidden, 1, 2)
 
 
-def test_sample_slots_is_sample_scored_unscored():
-    # a model kernel's root box reads UNIT_VALUE through a reader of no slots
-    m = parse_model(str(Path(__file__).parent / "models" / "weighted.json"))
-    seeds = list(range(50)) + [2**62, 7]
-    for k in (chain_kernel(), m.kernel):
-        got = list(sample_slots(k, UNIT_VALUE, iter(seeds)))
-        assert len(got) == len(seeds)
-        for (t, slots), seed in zip(got, seeds):
-            want_t, want_x, _ = sample_scored(k, UNIT_VALUE, seed)
-            assert t == want_t and slots[k.out] == want_x
-            assert slots == run_trace(k, UNIT_VALUE, t)
-    # every yield is its own list and dict
-    (t0, s0), (t1, s1) = got[:2]
-    assert s0 is not s1 and t0 is not t1
-
-
-def test_sample_slots_checks_the_input_once_before_any_draw(monkeypatch):
+def test_sample_records_checks_the_input_once_before_any_draw(monkeypatch):
     draws = count_draws(monkeypatch)
     k = chain_kernel()
     with pytest.raises(ShapeError, match="^kernel input"):
-        next(sample_slots(k, 5, iter(range(10))))
+        next(sample_records(k, 5, iter(range(10))))
     assert draws[0] == 0
-    assert len(list(sample_slots(k, UNIT_VALUE, range(10)))) == 10
+    assert len(list(sample_records(k, UNIT_VALUE, range(10)))) == 10
     assert draws[0] == 20
 
 
-def test_sample_slots_checks_each_output(monkeypatch):
-    draws = count_draws(monkeypatch)
-    # a det step past the box turns every draw into a non-member of TWO
-    k = compose(from_primitive(bernoulli(0.5), "b"),
-                lift_det(DetMap(TWO, TWO, lambda v: v + 5, "off")))
-    with pytest.raises(ShapeError, match=r"^kernel output [56] is not a point"):
-        next(sample_slots(k, UNIT_VALUE, [0, 1]))
-    assert draws[0] == 1
+def test_sample_records_checks_each_output():
+    # a det step past the box sends each draw of 0 off the points of TWO
+    coin = from_primitive(bernoulli(0.5), "b")
+    k = compose(coin, lift_det(DetMap(TWO, TWO, lambda v: 5 - 5 * v, "off")))
+    seeds = range(20)
+    j = [sample_scored(coin, UNIT_VALUE, seed)[1] for seed in seeds].index(0)
+    assert j > 0
+    records = sample_records(k, UNIT_VALUE, seeds)
+    for seed in seeds[:j]:
+        assert next(records) == sample_scored(k, UNIT_VALUE, seed)
+    with pytest.raises(ShapeError, match=r"^kernel output 5 is not a point"):
+        next(records)
 
 
 def test_rename_boxes():
@@ -435,12 +421,12 @@ def test_enumerate_traces_deep_chain():
 
 def _runs(k, seeds=range(8)):
     """Every pass's results on k: the sampled records of sample_records and
-    sample_scored, sample_slots' traces, then per record its logpdf, its
-    abducted uniforms and their replay."""
+    sample_scored, then per record its logpdf, its abducted uniforms and
+    their replay."""
     z = UNIT_VALUE if k.dom == UNIT else (UNIT_VALUE, UNIT_VALUE)
     records = list(sample_records(k, z, seeds))
     assert records == [sample_scored(k, z, seed) for seed in seeds]
-    out = [records, [t for t, _ in sample_slots(k, z, seeds)]]
+    out = [records]
     for t, _, _ in records:
         u = abduct_uniforms(k, z, t)
         out += [joint_log_density(k, z, t), u, replay_with_uniforms(k, z, u)]

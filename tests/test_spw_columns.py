@@ -1,32 +1,45 @@
-"""spw's column pass against its one-sample-at-a-time loop.
+"""spw's column pass against its row path, one sample at a time.
 
-spw_check draws its samples in blocks of columns and reruns the
-one-by-one loop only when a block meets something that loop would refuse.
-Here the blocks must give the loop's floats bit for bit on generated
-weighted models (every family, det boxes of one to three outputs, weights
-reading several wires, several test functions, global inputs), at sample
-counts that are no multiple of a block; a block must refuse every sample
-the loop refuses, so spw_check raises the loop's error, and no other: an
-if whose branch fails only on rows the condition sends elsewhere stays in
-the blocks; and the model fixtures must never need the loop.
+spw_check draws its samples in blocks of columns and reruns a block's own
+seeds through the row path (weighted._sample_rows) only when its column
+pass raises. Here the blocks must give the row path's floats bit for bit
+on generated weighted models (every family, det boxes of one to three
+outputs, weights reading several wires, several test functions, global
+inputs), at sample counts that are no multiple of a block, without
+falling back; a block must refuse every sample the row path refuses, so
+spw_check raises the row path's error, and no other, and draws no block
+after the one that holds the first refused sample; a block that falls
+back without an error gives the row path's bits and the next block is
+columns again; an if whose branch fails only on rows the condition sends
+elsewhere stays in the blocks; and the model fixtures never fall back.
 """
 
 import importlib
 import random
+from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jointkern.rng as rng
 from jointkern import (
     DetMap, Finite, Real, compile_det_map, from_primitive, model_from_dict,
-    normal, spw_check, weighted,
+    ShapeError, normal, parse_model, spw_check, weighted,
 )
 from jointkern.cli import main
+from jointkern.kernels import _Anomaly
 
 from support import count_calls
 
 weighted_module = importlib.import_module("jointkern.weighted")
+
+
+def by_rows(wk, fns, z, seed, n):
+    """The row path over all n seeds: each test function's float array."""
+    cols = [array("d") for _ in fns]
+    weighted_module._sample_rows(wk, fns, z, rng.derived_seed_keys(seed, 0, n), 0, cols)
+    return cols
 
 MODELS = Path(__file__).parent / "models"
 
@@ -144,9 +157,11 @@ def test_blocks_match_the_loop_bit_for_bit(seed, count):
     wk, hs, z = audit_parts(raw, z, n_out, count)
     fns = [h.fn for h in hs]
     for n in (1000, 1003, 5000):
-        # a block that fell back would raise here
-        got = weighted_module._sample_blocks(wk, fns, z, seed, n)
-        want = weighted_module._sample_one_by_one(wk, fns, z, seed, n)
+        with pytest.MonkeyPatch.context() as mp:
+            rows = count_calls(mp, weighted_module, "_sample_rows")
+            got = weighted_module._sample_blocks(wk, fns, z, seed, n)
+        assert rows[0] == 0, (raw, n)
+        want = by_rows(wk, fns, z, seed, n)
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want], (raw, n)
 
 
@@ -190,14 +205,55 @@ def test_a_refused_sample_raises_the_loop_error(name, monkeypatch):
     m = model_from_dict(ANOMALIES[name])
     wk = m.weighted_kernel()
     h = compile_det_map(["$0"], [Real(1)], [Real(1)])
-    want = outcome(lambda: weighted_module._sample_one_by_one(wk, [h.fn], 0, 3, 1000))
-    # the blocks refuse every such sample, so spw_check always reruns the loop
-    with pytest.raises(Exception):
-        weighted_module._sample_blocks(wk, [h.fn], 0, 3, 1000)
-    loops = count_calls(monkeypatch, weighted_module, "_sample_one_by_one")
+    want = outcome(lambda: by_rows(wk, [h.fn], 0, 3, 1000))
+    # the blocks refuse every such sample: the first block that raises
+    # holds the first one, and its row path raises
+    rows = count_calls(monkeypatch, weighted_module, "_sample_rows")
     got = outcome(lambda: spw_check(wk, [h], [1.0], n=1000, seed=3))
-    assert loops[0] == 1
+    assert rows[0] == 1
     assert isinstance(want, tuple) and got == want
+
+
+# weights refused on about one sample in a thousand; at seed 4 the first
+# refused sample is 404, past the first block
+LATE = {
+    "overflowing_product": (_uniform_model(
+        {"b1": "1e300", "b2": "if $1 < 0.999 then 1.0 else 1e300"}),
+        r"^non-finite weight exp\(1381\.\d+\) at sample 404$"),
+    "negative": (_uniform_model({"b2": "if $1 < 0.999 then 1.0 else neg(1.0)"}),
+                 r"^negative weight factor -1\.0$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATE))
+def test_a_late_refused_sample_falls_back_in_its_own_block(name, monkeypatch):
+    raw, message = LATE[name]
+    wk = model_from_dict(raw).weighted_kernel()
+    h = compile_det_map(["$0"], [Real(1)], [Real(1)])
+    blocks, fell_back, drawn = [], [], set()
+    columns, rows, draw = (weighted_module.sample_columns, weighted_module._sample_rows,
+                           rng.unit_uniforms)
+
+    def sample_rows(wk, fns, z, seeds, start, cols):
+        fell_back.append((start, seeds))
+        return rows(wk, fns, z, seeds, start, cols)
+
+    monkeypatch.setattr(weighted_module, "sample_columns",
+                        lambda k, z, seeds: columns(k, z, blocks.append(seeds) or seeds))
+    monkeypatch.setattr(weighted_module, "_sample_rows", sample_rows)
+    monkeypatch.setattr(rng, "unit_uniforms",
+                        lambda seeds, keys: draw(drawn.update(seeds) or seeds, keys))
+    with pytest.raises(ShapeError, match=message):
+        spw_check(wk, [h], [1.0], n=2000, seed=4)
+    # the blocks run in order from sample 0; the last one drawn holds
+    # sample 404, the first does not, and only the last falls back
+    keys = rng.derived_seed_keys(4, 0, 2000)
+    start = sum(map(len, blocks[:-1]))
+    assert sum(blocks, []) == keys[:start + len(blocks[-1])] != keys
+    assert start > 0 and keys[404] in blocks[-1]
+    assert fell_back == [(start, blocks[-1])]
+    # no block after it is drawn, by the columns or by the row path
+    assert drawn == set(sum(blocks, []))
 
 
 # weights with a branch that fails on the rows its if does not send to it
@@ -214,31 +270,57 @@ UNTAKEN = {
 def test_an_untaken_failing_branch_keeps_the_blocks(name, monkeypatch):
     wk = model_from_dict(UNTAKEN[name]).weighted_kernel()
     h = compile_det_map(["$0"], [Real(1)], [Real(1)])
-    want = weighted_module._sample_one_by_one(wk, [h.fn], 0, 3, 1000)
+    want = by_rows(wk, [h.fn], 0, 3, 1000)
+    rows = count_calls(monkeypatch, weighted_module, "_sample_rows")
     got = weighted_module._sample_blocks(wk, [h.fn], 0, 3, 1000)
     assert got[0].tobytes() == want[0].tobytes()
-    loops = count_calls(monkeypatch, weighted_module, "_sample_one_by_one")
     spw_check(wk, [h], [1.0], n=1000, seed=3)
-    assert loops[0] == 0
+    assert rows[0] == 0
 
 
 @pytest.mark.parametrize("fixture,extra", [
     ("weighted", []), ("uniform2x", ["--ref", "2.5", "--ref", "5"]), ("inputs", ["--input", "1"])])
 def test_fixtures_never_fall_back(fixture, extra, monkeypatch, capsys):
-    loops = count_calls(monkeypatch, weighted_module, "_sample_one_by_one")
+    rows = count_calls(monkeypatch, weighted_module, "_sample_rows")
     for n in ("1000", "2500"):
         code = main(["spw", str(MODELS / f"{fixture}.json"), "--n", n, "--seed", "5",
                      "--h", "$0", "--h", "$0 * $0 + 1.0", *extra])
         assert code in (0, 1)
-    assert loops[0] == 0
+    assert rows[0] == 0
 
 
-def test_library_kernels_run_row_by_row_in_blocks():
+def test_library_kernels_run_row_by_row_in_blocks(monkeypatch):
     # a primitive built from a plain callable and an opaque weight factor:
-    # no column forms, yet no fallback, and the loop's floats
+    # no column forms, yet no fallback, and the row path's floats
     base = from_primitive(normal(lambda z: 0.5 * z, 1.0, dom=Finite(2)), "g")
     wk = weighted(base, [lambda t, z: 1.0 + abs(t["g"])])
     h = DetMap(Real(1), Real(1), lambda x: x * x, "sq")
+    want = by_rows(wk, [h.fn], 1, 9, 1003)
+    rows = count_calls(monkeypatch, weighted_module, "_sample_rows")
     got = weighted_module._sample_blocks(wk, [h.fn], 1, 9, 1003)
-    want = weighted_module._sample_one_by_one(wk, [h.fn], 1, 9, 1003)
+    assert rows[0] == 0
     assert got[0].tobytes() == want[0].tobytes()
+
+
+def test_a_block_that_falls_back_without_an_error_gives_the_row_bits(monkeypatch):
+    # a test function whose column form refuses the second block it sees
+    wk = parse_model(str(MODELS / "weighted.json")).weighted_kernel()
+    seen = []
+
+    def sq(x):
+        return x * x + 0.5
+
+    def sq_columns(c, m):
+        seen.append(m)
+        if len(seen) == 2:
+            raise _Anomaly("refused for the test")
+        return c * c + 0.5
+
+    sq.columns = sq_columns
+    want = by_rows(wk, [sq], 0, 6, 1000)
+    blocks = count_calls(monkeypatch, weighted_module, "sample_columns")
+    rows = count_calls(monkeypatch, weighted_module, "_sample_rows")
+    got = weighted_module._sample_blocks(wk, [sq], 0, 6, 1000)
+    assert got[0].tobytes() == want[0].tobytes()
+    # every block ran as columns, the one after the refused one too
+    assert rows[0] == 1 and blocks[0] == len(seen) > 2

@@ -27,9 +27,12 @@ variants, a bad expression in a parameter, a det map or a weight, a
 normal box whose draws overflow (hidden, on the output leg, or both), spw
 audits of weighted models (a poisson box, weights through exp and ln, a
 three-output det box, weights that are mostly zero, several --h, and a
-model with global inputs, with and without --input), trace and u files
-holding values that are no point of their box's space, and malformed or
-misplaced --input, --set and --point values.
+model with global inputs, with and without --input), spw audits whose
+blocks fall back to one sample at a time (a weight refused past the first
+block, and a block that falls back with no sample refused), trace and u
+files holding values that are no point of their box's space, and
+malformed or misplaced --input, --set and --point values (sample --n 0
+among them).
 """
 
 from __future__ import annotations
@@ -164,6 +167,35 @@ def _weighted_variants() -> dict:
             {"b": flip}, ["x"], {"b": "if $0 < 1 then 0.0 else 20.0"}),
             [["--n", "1000"], ["--n", "5000"],
              ["--n", "1000", "--h", "$0", "--h", "1.0 - $0", "--h", "$0 * 3.0"]]),
+    }
+
+
+def _fallback_variants() -> dict:
+    """name -> (model, the spw flags of one run on it). At the seed given,
+    the first refused sample lies past the first block of samples: a weight
+    product past the float range, whose error names the sample, and a
+    negative weight; in the last, a block falls back to one sample at a
+    time though no sample is refused: a factor divides by zero only where
+    the factor before it is zero."""
+    def coin(p):
+        return [], [("x", "B")], {"primitive": "bernoulli", "params": {"p": p}}
+
+    draw = (["x"], [("y", "R")], {"primitive": "uniform", "params": {"a": 0.0, "b": 1.0}})
+    flags = ["--n", "2000", "--ref", "1.0", "--seed"]
+    return {
+        # refused at sample 1102, in the fourth block of 341
+        "spw_late_overflow": (_weighted_raw(
+            {"b": coin(0.5), "u": draw}, ["y"],
+            {"b": "1e300", "u": "if $1 < 0.999 then 1.0 else 1e300"}), [*flags, "2"]),
+        # refused at sample 449, in the second block
+        "spw_late_negative": (_weighted_raw(
+            {"b": coin(0.5), "u": draw}, ["y"],
+            {"u": "if $1 < 0.999 then 1.0 else neg(1.0)"}), [*flags, "6"]),
+        # x is 0 at samples 429, 716 and 1268: the second to fourth blocks
+        # fall back, the rest stay columns
+        "spw_fallback_no_error": (_weighted_raw(
+            {"b": coin(0.999), "u": draw}, ["y"], {"b": "$0 * 1.0", "u": "1.0 / $0"}),
+            [*flags, "2"]),
     }
 
 
@@ -349,6 +381,8 @@ def run_corpus(main, genmodels, tmp: str) -> list:
         for extra in runs:
             for seed in ("1", "2"):
                 c.run(name, ["spw", path, "--seed", seed, *extra])
+    for name, (raw, flags) in _fallback_variants().items():
+        c.run(name, ["spw", c.model(name, raw), *flags])
     weighted_path, inputs = str(MODELS / "weighted.json"), str(MODELS / "inputs.json")
     c.run("weighted", ["spw", weighted_path, "--n", "1003", "--h", "$0", "--h", "1.0 - $0",
                        "--h", "$0 * 3.0"])
@@ -389,6 +423,7 @@ def run_corpus(main, genmodels, tmp: str) -> list:
                     ["cf", inputs, "--u", c.path("inputs.u")]):
             c.run("inputs", [*cmd, "--input", text])
     c.run("inputs", ["sample", inputs, "--n", "1"])
+    c.run("inputs", ["sample", inputs, "--n", "0", "--input", "5"])
     for text in ("{", "0"):
         for cmd in (["sample", normal, "--n", "1"],
                     ["logpdf", normal, "--trace", c.path("normal.trace")],
