@@ -55,7 +55,7 @@ import numpy as np
 from .errors import EvalError, ExprSyntaxError, ExprTypeError
 from .kernels import (
     _EXACT, _INT64, DetMap, _Anomaly, _column, _constant, _floats, _magnitude, _map_rows,
-    _project, _rows,
+    _project, _rows, _take,
 )
 from .spaces import (
     Coproduct, Countable, Finite, Inl, Inr, Product, Real, Space,
@@ -604,15 +604,6 @@ def _exact_floats(c):
 
 def _rowwise(op, *cols, m):
     return _column(list(map(op, *[_rows(c, m) for c in cols])))
-
-
-def _take(c, rows: np.ndarray):
-    """The column of c's values at the row indexes rows."""
-    if type(c) is np.ndarray:
-        return c[rows]
-    if type(c) is list:
-        return [c[i] for i in rows.tolist()]
-    return tuple(_take(x, rows) for x in c)
 
 
 def _branches_apart(cc, fa, fb, s, m: int):

@@ -85,13 +85,19 @@ def check_interpretation(sig: Hypergraph, interp: Interpretation) -> list:
             out.append(f"box {b!r} kernel domain {k.dom!r} != its wire spaces")
         if k.cod != interp.space_of(sig.cod[b]):
             out.append(f"box {b!r} kernel codomain {k.cod!r} != its wire spaces")
-        labels = interp.residual_labels.get(b, ())
-        if any(w not in interp.wire_spaces for w in labels):
-            out.append(f"box {b!r} residual labels use unknown wires")
-        elif k.residual != interp.space_of(labels):
-            out.append(
-                f"box {b!r} residual {k.residual!r} != labeled space {interp.space_of(labels)!r}")
+        out += _residual_misfits(
+            b, k.residual, interp.residual_labels.get(b, ()), interp.wire_spaces)
     return out
+
+
+def _residual_misfits(b: str, residual: Space, labels, wire_spaces: Mapping) -> list:
+    """Why box b's residual labels do not fit its kernel's residual: one
+    message, or none when they fit."""
+    if any(w not in wire_spaces for w in labels):
+        return [f"box {b!r} residual labels use unknown wires"]
+    space = nest_product([wire_spaces[w] for w in labels])
+    return [] if residual == space else [
+        f"box {b!r} residual {residual!r} != labeled space {space!r}"]
 
 
 def _inner_ids(k: JointKernel, graph_id: str) -> dict:

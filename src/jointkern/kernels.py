@@ -22,14 +22,14 @@ costs O(steps). Steps are immutable tuples, so moving a step is one tuple
 build and a kernel, once built, never changes.
 
 Each query is one pass. A pass reads each box's parameter point once, with
-PrimitiveKernel.point, and calls the primitive's laws at that point. A
-TracedBox also carries its rng key, rng.box_key(box_id), built wherever the
-box gets its id (from_primitive, and moving a step under a new id, as
-rename_boxes and lowering a diagram do), so a seeded pass encodes only the
-seed, once per record (or takes its key as rng.derived_seed_keys builds
-it), and draws every uniform with rng.unit_uniforms, a block of seeds by
-some of the kernel's box keys (JointKernel.box_keys) at a time, as the
-table below says.
+PrimitiveKernel.point, and calls the primitive's laws at that point. The
+boxes' rng keys, rng.box_key(box_id) each, belong to the kernel
+(JointKernel.box_keys), built by the first seeded pass that runs it, so
+building or moving a box builds no key and the unseeded passes never pay
+for one. A seeded pass encodes only the seed, once per record (or takes
+its key as rng.derived_seed_keys builds it), and draws every uniform with
+rng.unit_uniforms, a block of seeds by some of the kernel's box keys at a
+time, as the table below says.
 
 Every pass but enumerate_traces and run_trace loops over the kernel's pass
 plan (JointKernel.pass_plan), built by the first pass that runs the kernel
@@ -157,11 +157,12 @@ class PrimitiveKernel:
     forward to; and, where defined, abduct_law(pt, m), a right-inverse of
     push, and pmf_law(pt, m), an exact rational pmf used by finite
     enumeration. The methods are the laws as functions of z; those given an
-    observed m first check that it is a point of cod. columns, None or
-    given, is the column form of the draws (see sample_columns):
-    columns(x, u, m) is the column of push((u_i,), point(x_i)) over m rows.
-    It is derived from the laws, not one of the fields that equality,
-    hashing and repr read, so it may be given after the kernel is built.
+    observed m first check that it is a point of cod. columns, None until
+    model.Model gives it, is the column form of the draws (see
+    sample_columns): columns(x, u, m) is the column of push((u_i,),
+    point(x_i)) over m rows. It is derived from the laws, not one of the
+    fields that equality, hashing and repr read, so it is set after the
+    kernel is built.
     """
 
     name: str
@@ -176,12 +177,12 @@ class PrimitiveKernel:
     point: Callable[[Value], object]
 
     def __init__(self, name, dom, cod, density, push, abduct_law=None, pmf_law=None,
-                 point=lambda z: z, columns=None):
+                 point=lambda z: z):
         # one dict update, where the frozen dataclass __init__ makes an
         # object.__setattr__ call per field; every box build pays this
         self.__dict__.update(
             name=name, dom=dom, cod=cod, density=density, push=push,
-            abduct_law=abduct_law, pmf_law=pmf_law, point=point, columns=columns)
+            abduct_law=abduct_law, pmf_law=pmf_law, point=point, columns=None)
 
     def check_value(self, m: Value):
         if not membership(self.cod, m):
@@ -233,24 +234,18 @@ def _moved_src(where, src, read) -> tuple:
 
 class TracedBox(NamedTuple):
     """One noise source: its parameter is the value it reads (see above) and
-    its value, the box's trace entry, is written to slot dst. key is
-    rng.box_key(box_id), the box's part of the key of each of its seeded
-    draws."""
+    its value, the box's trace entry, is written to slot dst."""
 
     box_id: str
     primitive: PrimitiveKernel
     src: int | tuple
     dst: int
-    key: bytes
     read: Callable[[list], Value] | None = None
 
     def moved(self, where, ids: Mapping) -> TracedBox:
-        box_id, p, src, dst, key, read = self
-        new = ids.get(box_id, box_id)
-        if new is not box_id:
-            key = rng.box_key(new)
+        box_id, p, src, dst, read = self
         src, read = _moved_src(where, src, read)
-        return TracedBox(new, p, src, where[dst], key, read)
+        return TracedBox(ids.get(box_id, box_id), p, src, where[dst], read)
 
 
 class Apply(NamedTuple):
@@ -329,8 +324,9 @@ class JointKernel:
 
     @cached_property
     def box_keys(self) -> tuple[bytes, ...]:
-        """Each box's rng key, in step order: a seeded pass's box keys."""
-        return tuple(b.key for b in self.boxes)
+        """Each box's rng key, rng.box_key(box_id), in step order: a seeded
+        pass's box keys, built once per kernel by the first such pass."""
+        return tuple(map(rng.box_key, self.box_ids))
 
     @cached_property
     def pass_plan(self) -> tuple:
@@ -372,8 +368,7 @@ class _Program:
         dst = self.fresh()
         read = None if type(src) is int else _reader(src)
         if type(step) is TracedBox:
-            self.steps.append(
-                TracedBox(box_id, step.primitive, src, dst, rng.box_key(box_id), read))
+            self.steps.append(TracedBox(box_id, step.primitive, src, dst, read))
         else:
             self.steps.append(Apply(step.fn, src, dst, read))
         return dst
@@ -431,7 +426,7 @@ def structure_kernel(kind: str, a: Space, b: Space | None = None) -> JointKernel
 
 def from_primitive(p: PrimitiveKernel, box_id: str) -> JointKernel:
     """A single-box kernel whose output is the primitive's sample."""
-    return JointKernel(p.dom, p.cod, (TracedBox(box_id, p, 0, 1, rng.box_key(box_id)),), 1, 2)
+    return JointKernel(p.dom, p.cod, (TracedBox(box_id, p, 0, 1),), 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +551,7 @@ def _pass_plan(k: JointKernel) -> tuple:
     entries, oks = [], {}
     for s in k.steps:
         if type(s) is TracedBox:
-            box_id, p, src, dst, _, read = s
+            box_id, p, src, dst, read = s
             cod = p.cod
             ok = oks.get(id(cod))
             if ok is None:
@@ -666,10 +661,12 @@ def replay_with_uniforms(
 # uniforms u. expr.compile_det_map gives one to each map it compiles, and
 # model.Model.weighted_kernel to each primitive box of a model (only spw
 # runs columns, so only spw builds those); anything without one runs row by
-# row. A column step that meets a value its scalar twin would refuse, or
-# cannot promise the scalar bits for, raises; the caller then reruns the
-# block's seeds through the scalar pass, which raises what it always
-# raised, or finishes.
+# row. What runs on some rows of a block only (an if's branch, a weight
+# factor past an earlier zero factor) reads those rows' values, _take of
+# the block's columns. A column step that meets a value its scalar twin
+# would refuse, or cannot promise the scalar bits for, raises; the caller
+# then reruns the block's seeds through the scalar pass, which raises what
+# it always raised, or finishes.
 
 # the largest ints a float holds exactly, and the int64 bound
 _EXACT = 2 ** 53
@@ -690,6 +687,15 @@ def _rows(c, m: int) -> list:
     if c:
         return list(zip(*[_rows(x, m) for x in c]))
     return [()] * m
+
+
+def _take(c, rows: np.ndarray):
+    """The column of c's values at the row indexes rows."""
+    if type(c) is np.ndarray:
+        return c[rows]
+    if type(c) is list:
+        return [c[i] for i in rows.tolist()]
+    return tuple(_take(x, rows) for x in c)
 
 
 def _column(rows: list):
@@ -793,6 +799,7 @@ def sample_columns(k: JointKernel, z: Value,
     seeds = list(map(rng.seed_key, seeds))
     m = len(seeds)
     draw = rng.unit_uniforms  # looked up per pass, as in sample_records
+    keys = iter(k.box_keys)
     slots = [None] * k.n_slots
     slots[0] = _constant(z, m)
     unit = _constant(UNIT_VALUE, m)
@@ -810,8 +817,8 @@ def sample_columns(k: JointKernel, z: Value,
         if cls is Apply:
             slots[s.dst] = _columns_of(s.fn, x, m)
             continue
-        box_id, p, _, dst, key, _ = s
-        u = np.array(draw(seeds, (key,)), float)
+        box_id, p, _, dst, _ = s
+        u = np.array(draw(seeds, (next(keys),)), float)
         if p.columns is not None:
             c = p.columns(x, u, m)
         else:
@@ -959,7 +966,7 @@ def enumerate_traces(k: JointKernel, z: Value) -> Iterator[tuple[dict, Fraction]
     def branches(j: int, before: Fraction):
         """Set box j to each of its positive points in turn; yield the
         path probability so far."""
-        box_id, p, src, dst, _, read = steps[j]
+        box_id, p, src, dst, read = steps[j]
         pt = p.point(slots[src] if read is None else read(slots))
         for m in finite_points(p.cod):
             f = _exact_factor(p, pt, m)

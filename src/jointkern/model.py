@@ -53,7 +53,7 @@ from .errors import (
     DiagramError, ExprSyntaxError, ExprTypeError, ModelSyntaxError, ShapeError,
 )
 from .expr import _compile, _compile_columns, _located, compile_det_map
-from .interpret import Interpretation, evaluate
+from .interpret import Interpretation, _residual_misfits, evaluate
 from .kernels import JointKernel, _reader, from_primitive, lift_det
 from .primitives import FAMILIES, _draw_columns, instantiate
 from .spaces import (
@@ -554,11 +554,7 @@ def model_from_dict(raw: dict, path: str | None = None) -> Model:
         if "residual" in entry:
             # the one fact of the interpretation the loader did not build to fit
             labels = _wire_lists({b: entry["residual"]}, "residual for {!r}")[b]
-            residual = box_kernels[b].residual
-            if any(w not in wire_spaces for w in labels):
-                misfits.append(f"box {b!r} residual labels use unknown wires")
-            elif residual != (space := nest_product([wire_spaces[w] for w in labels])):
-                misfits.append(f"box {b!r} residual {residual!r} != labeled space {space!r}")
+            misfits += _residual_misfits(b, box_kernels[b].residual, labels, wire_spaces)
             residual_labels[b] = labels
     if misfits:
         raise ShapeError("interpretation does not fit the signature: " + "; ".join(misfits))

@@ -13,9 +13,9 @@ reads the digests' words as floats in one pass, with no call per cell.
 Every seeded pass draws through it, so it is the one choke point that a
 counter or tracer of draws needs. A pass encodes each seed once per record
 (derived_seed_keys derives a range of records' keys the same way) and
-reads each box's key from its TracedBox, built once when the box got its
-id. unit_uniform and derive_seed are the one-cell forms, with the same
-bits.
+reads the boxes' keys from its kernel, which builds them once
+(kernels.JointKernel.box_keys). unit_uniform and derive_seed are the
+one-cell forms, with the same bits.
 """
 
 from __future__ import annotations

@@ -15,14 +15,15 @@ products cannot underflow.
 
 spw_check draws its samples in blocks, each one column pass of the base
 (kernels.sample_columns) with the weights and test functions run once
-over the block's columns; a factor whose function has a column form,
-fn.columns(value columns, m), is weighed over columns, and a kernel with
-any other factor weighs each row with log_weight. Each sample's w * h has
-the bits of drawing it alone with kernels.sample_records and weighing it
-with log_weight, the row path, which stays the path that raises: a block
-whose column pass raises anything, because it met a sample the row path
-would refuse or one it cannot vouch for, reruns its own seeds through the
-row path, and the next block goes back to columns. A block refuses every
+over the block's columns. The weights keep log_weight's rule: each factor
+runs on the rows that no earlier factor zeroed, over their columns
+through its column form, fn.columns(value columns, m), if it has one, and
+row by row on their traces otherwise. Each sample's w * h has the bits of
+drawing it alone with kernels.sample_records and weighing it with
+log_weight, the row path, which stays the path that raises: a block whose
+column pass raises anything, because it met a sample the row path would
+refuse or one it cannot vouch for, reruns its own seeds through the row
+path, and the next block goes back to columns. A block refuses every
 sample the row path refuses, so the first refused sample, if any, lies in
 the first block that raises, and the row path raises its error.
 """
@@ -33,7 +34,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +42,8 @@ from . import rng
 from .errors import ParameterError, ShapeError
 from .kernels import (
     NEG_INF, DetMap, JointKernel, Trace, _Anomaly, _columns_of, _compose, _floats, _rows,
-    _tensor, enumerate_traces, joint_log_density, run_trace, sample_columns, sample_records,
+    _take, _tensor, enumerate_traces, joint_log_density, run_trace, sample_columns,
+    sample_records,
 )
 from .spaces import (
     UNIT_VALUE, Product, Real, Value, check_member, nest_values, unnest_values,
@@ -275,7 +276,7 @@ def _sample_blocks(wk: WeightedJointKernel, fns: list, z: Value, seed: int,
             m = len(seeds)
             try:
                 t, slots = sample_columns(base, z, seeds)
-                w = _weight_column(wk, t, slots, z, m)
+                w = _weight_column(wk, t, slots, m)
                 x = slots[base.out]
                 # every test function's floats before any is kept, so a
                 # block that raises adds nothing
@@ -298,36 +299,40 @@ def _sample_rows(wk: WeightedJointKernel, fns: list, z: Value, seeds: list, star
     its sample."""
     log_weight = wk.log_weight
     for i, (t, x, _) in enumerate(sample_records(wk.base, z, seeds), start):
-        lw = log_weight(t, z)
-        try:
-            w = math.exp(lw)  # 0.0 at -inf
-        except OverflowError:
-            raise ShapeError(f"non-finite weight exp({lw!r}) at sample {i}") from None
+        w = _weight(log_weight(t, z), f" at sample {i}")
         for fn, col in zip(fns, cols):
             col.append(w * float(fn(x)))
 
 
-def _weight_column(wk: WeightedJointKernel, t: dict, slots: list, z: Value,
-                   m: int) -> np.ndarray:
-    """exp(log_weight) of each row of a block: the column of its weights."""
-    factors = wk.weight_factors
-    if all(hasattr(f.fn, "columns") for f in factors):
-        total, dead = np.zeros(m), np.zeros(m, bool)
-        for f in factors:
-            w = _floats(f.fn.columns(tuple(slots[i] for i in f.slots), m), m)
-            # log_weight refuses these where it reaches them: on the rows
-            # that no earlier factor zeroed
-            if ((~np.isfinite(w) | (w < 0.0)) & ~dead).any():
-                raise _Anomaly("negative or non-finite weight factor")
-            dead |= w == 0.0
-            # math.log row by row: numpy's differs in the last bit
-            total += np.fromiter(map(math.log, np.where(dead, 1.0, w).tolist()), float, m)
-        lw = np.where(dead, NEG_INF, total).tolist()
-    else:
-        # each row's trace and the factors' slot values, for log_weight itself
-        ids = list(t)
-        traces = [dict(zip(ids, r)) for r in _rows(tuple(t[b] for b in ids), m)]
-        read = sorted({i for f in factors for i in f.slots})
-        values = [dict(zip(read, r)) for r in _rows(tuple(slots[i] for i in read), m)]
-        lw = list(map(wk.log_weight, traces, repeat(z, m), values))
-    return np.fromiter(map(math.exp, lw), float, m)  # 0.0 at -inf
+def _weight_column(wk: WeightedJointKernel, t: dict, slots: list, m: int) -> np.ndarray:
+    """exp(log_weight) of each row of a block: the column of its weights.
+
+    log_weight's loop over the factors, run on a block: each factor runs on
+    the rows that no earlier factor zeroed, through its column form if it
+    has one, else row by row on those rows' traces. A non-finite or
+    negative value there raises, so the block falls back to the row path,
+    which raises its error. The logs of the live rows add up in factor
+    order from 0.0, and the loop stops once no row is live."""
+    ids = list(t)
+    live, total = np.arange(m), np.zeros(m)
+    for f in wk.weight_factors:
+        k = len(live)
+        if not k:
+            break
+        cols = tuple(_take(slots[i], live) for i in f.slots)
+        form = getattr(f.fn, "columns", None)
+        if form is None:
+            traces = _rows(tuple(_take(t[b], live) for b in ids), k)
+            w = np.fromiter((float(f.fn(dict(zip(ids, r)), *v))
+                             for r, v in zip(traces, _rows(cols, k))), float, k)
+        else:
+            w = _floats(form(cols, k), k)
+        if (~np.isfinite(w) | (w < 0.0)).any():
+            raise _Anomaly("negative or non-finite weight factor")
+        keep = w != 0.0
+        live, total, w = live[keep], total[keep], w[keep]
+        # math.log row by row: numpy's differs in the last bit
+        total += np.fromiter(map(math.log, w.tolist()), float, len(live))
+    weights = np.zeros(m)
+    weights[live] = np.fromiter(map(math.exp, total.tolist()), float, len(live))
+    return weights

@@ -40,9 +40,10 @@ from jointkern import (
     tensor,
     uniform,
 )
+import jointkern.rng as rng
 from jointkern.model import parse_model
 
-from support import ck_composite, count_draws, kernel_matrix, random_finite_kernel
+from support import ck_composite, count_calls, count_draws, kernel_matrix, random_finite_kernel
 
 TWO = Finite(2)
 
@@ -488,3 +489,19 @@ def test_passes_that_alternate_between_kernels_match_fresh_kernels():
     alternating = [[record(k, z, seed) for k, z in pair] for seed in range(10)]
     for i, (k, z) in enumerate(kernels()):
         assert [record(k, z, seed) for seed in range(10)] == [rs[i] for rs in alternating]
+
+
+def test_box_keys_are_built_once_by_the_first_seeded_pass(monkeypatch):
+    calls = count_calls(monkeypatch, rng, "box_key")
+    m = parse_model(str(Path(__file__).parent / "models" / "chain.json"))
+    k = evaluate(m.diagram, m.interpretation)
+    assert calls[0] == 0
+    records = list(sample_records(k, UNIT_VALUE, range(5)))
+    assert calls[0] == len(k.boxes) == 2
+    # a second seeded pass, and the unseeded ones, build no key
+    assert list(sample_records(k, UNIT_VALUE, range(5))) == records
+    for t, _, _ in records:
+        u = abduct_uniforms(k, UNIT_VALUE, t)
+        joint_log_density(k, UNIT_VALUE, t)
+        replay_with_uniforms(k, UNIT_VALUE, u)
+    assert calls[0] == 2

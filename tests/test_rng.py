@@ -1,6 +1,6 @@
 """The rng key is defined once, in rng: a seeded pass draws from a key built
 once per record (the seed's part) and once per box (the box's part, which
-every TracedBox carries), and these draws are unit_uniform's bit for bit.
+each kernel builds for its boxes), and these draws are unit_uniform's bit for bit.
 The bulk forms, unit_uniforms and derived_seed_keys, are the one-cell
 forms cell by cell."""
 
@@ -133,7 +133,7 @@ def test_moved_kernels_draw_as_fresh_ones():
     ]
     for moved, built in pairs:
         assert moved.box_ids == built.box_ids
-        assert [s.key for s in moved.boxes] == [box_key(b) for b in moved.box_ids]
+        assert list(moved.box_keys) == [box_key(b) for b in moved.box_ids]
         z = (UNIT_VALUE, UNIT_VALUE) if moved.dom == Product(UNIT, UNIT) else UNIT_VALUE
         for seed in SEEDS:
             assert repr(sample_scored(moved, z, seed)) == repr(sample_scored(built, z, seed))

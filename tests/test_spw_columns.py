@@ -11,7 +11,9 @@ spw_check raises the row path's error, and no other, and draws no block
 after the one that holds the first refused sample; a block that falls
 back without an error gives the row path's bits and the next block is
 columns again; an if whose branch fails only on rows the condition sends
-elsewhere stays in the blocks; and the model fixtures never fall back.
+elsewhere stays in the blocks, and so does a weight factor that fails only
+on rows an earlier factor zeroed, which runs on no such row; and the model
+fixtures never fall back.
 """
 
 import importlib
@@ -24,8 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 import jointkern.rng as rng
 from jointkern import (
-    DetMap, Finite, Real, compile_det_map, from_primitive, model_from_dict,
-    ShapeError, normal, parse_model, spw_check, weighted,
+    DetMap, Finite, Real, WeightedJointKernel, WeightFactor, compile_det_map, from_primitive,
+    model_from_dict, ShapeError, normal, parse_model, spw_check, weighted,
 )
 from jointkern.cli import main
 from jointkern.kernels import _Anomaly
@@ -172,7 +174,7 @@ def outcome(run):
         return type(e), str(e)
 
 
-def _uniform_model(weights: dict, box: dict = None) -> dict:
+def _uniform_model(weights: dict, box: dict = None, p: float = 0.5) -> dict:
     return {
         "version": 1,
         "signature": {"wires": {"R": {"space": {"real": 1}}, "B": {"space": {"finite": 2}}},
@@ -182,7 +184,7 @@ def _uniform_model(weights: dict, box: dict = None) -> dict:
                     "dom": {"b1": [], "b2": ["x"]}, "cod": {"b1": ["x"], "b2": ["y"]},
                     "inputs": [], "outputs": ["y"]},
         "interpretation": {
-            "draw": {"primitive": "bernoulli", "params": {"p": 0.5}},
+            "draw": {"primitive": "bernoulli", "params": {"p": p}},
             "step": box or {"primitive": "uniform", "params": {"a": 0.0, "b": 1.0}}},
         "weights": weights,
     }
@@ -257,12 +259,19 @@ def test_a_late_refused_sample_falls_back_in_its_own_block(name, monkeypatch):
 
 
 # weights with a branch that fails on the rows its if does not send to it
+# or a factor that fails on the rows an earlier factor zeroes
 UNTAKEN = {
     "division": _uniform_model({"b2": "if $0 < 1 then 2.0 else 1.0 / $0"}),
     "ln": _uniform_model({"b2": "if $0 < 1 then 1.0 else ln($0 * 1.0)"}),
     # an int branch beside a float one: the merged column is the rows' values
     "mixed": _uniform_model({"b2": "if $0 < 1 then 2 else 1.0 / $0"}),
     "nested": _uniform_model({"b2": "if 1 < $0 then ln(0.0) else if $0 < 1 then 3.0 else 1.0 / $0"}),
+    # a factor that fails only on the rows the factor before it zeroes,
+    # which log_weight never runs it on
+    "zeroed_division": _uniform_model({"b1": "$0 * 1.0", "b2": "1.0 / $0"}),
+    "zeroed_ln": _uniform_model({"b1": "$0 * 1.0", "b2": "ln($0)"}),
+    # x = 1 weighs ln 3, where ln($0) zeroes it too
+    "zeroed_ln_scaled": _uniform_model({"b1": "$0 * 1.0", "b2": "ln($0 * 3.0)"}),
 }
 
 
@@ -276,6 +285,38 @@ def test_an_untaken_failing_branch_keeps_the_blocks(name, monkeypatch):
     assert got[0].tobytes() == want[0].tobytes()
     spw_check(wk, [h], [1.0], n=1000, seed=3)
     assert rows[0] == 0
+
+
+def test_a_factor_after_one_that_zeroes_every_row_never_runs(monkeypatch):
+    wk = model_from_dict(_uniform_model({"b1": "$0 * 1.0", "b2": "1.0 / $0"}, p=0.0)
+                         ).weighted_kernel()
+    first, second = wk.weight_factors
+    calls = []
+
+    def fn(*args):
+        calls.append(1)
+        return second.fn(*args)
+
+    fn.columns = lambda cols, m: calls.append(m) or second.fn.columns(cols, m)
+    wk = WeightedJointKernel(wk.base, (first, WeightFactor(fn, second.slots)))
+    h = compile_det_map(["$0"], [Real(1)], [Real(1)])
+    want = by_rows(wk, [h.fn], 0, 3, 1003)
+    rows = count_calls(monkeypatch, weighted_module, "_sample_rows")
+    got = weighted_module._sample_blocks(wk, [h.fn], 0, 3, 1003)
+    assert rows[0] == 0 and calls == []
+    assert got[0].tobytes() == want[0].tobytes() == bytes(8 * 1003)
+
+
+def test_a_plain_factor_after_a_column_form_runs_on_the_live_rows(monkeypatch):
+    # the plain factor divides by the coin, which the first factor zeroes
+    wk = model_from_dict(_uniform_model({"b1": "$0 * 1.0"})).weighted_kernel()
+    wk = weighted(wk.base, [*wk.weight_factors, lambda t, z: 1.0 / t["b1"] + t["b2"]])
+    h = compile_det_map(["$0"], [Real(1)], [Real(1)])
+    want = by_rows(wk, [h.fn], 0, 8, 1003)
+    rows = count_calls(monkeypatch, weighted_module, "_sample_rows")
+    got = weighted_module._sample_blocks(wk, [h.fn], 0, 8, 1003)
+    assert rows[0] == 0
+    assert got[0].tobytes() == want[0].tobytes()
 
 
 @pytest.mark.parametrize("fixture,extra", [

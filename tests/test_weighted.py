@@ -38,7 +38,7 @@ from jointkern import (
     with_weight_map,
 )
 
-from support import chain_parts, count_calls, count_draws
+from support import chain_parts, count_draws
 
 # the module, which the package attribute `weighted` (a function) shadows
 weighted_module = importlib.import_module("jointkern.weighted")
@@ -307,13 +307,27 @@ def test_spw_check_bits_match_a_per_seed_recomputation(case, count, n):
     assert got == recomputed(wk, hs, n, 11)
 
 
+def counted_factors(wk: WeightedJointKernel) -> tuple[WeightedJointKernel, list]:
+    """wk with every call of each factor counted; returns it and the counts."""
+    calls = [0] * len(wk.weight_factors)
+
+    def counted(j, fn):
+        def factor(*args):
+            calls[j] += 1
+            return fn(*args)
+        return factor
+
+    return WeightedJointKernel(wk.base, tuple(
+        WeightFactor(counted(j, f.fn), f.slots) for j, f in enumerate(wk.weight_factors))), calls
+
+
 def test_spw_check_weighs_each_sample_once_and_draws_each_box_once(monkeypatch):
-    wk = composed_kernel()
-    calls = count_calls(monkeypatch, WeightedJointKernel, "log_weight")
+    # the left factor never vanishes, so both factors weigh every sample
+    wk, calls = counted_factors(composed_kernel())
     draws = count_draws(monkeypatch)
     h = DetMap(TWO, Real(1), float, "id")
     spw_check(wk, [h, h, h], [0.5, 0.5, 0.5], n=1500, seed=3)
-    assert calls[0] == 1500
+    assert calls == [1500, 1500]
     assert draws[0] == 1500 * len(wk.base.boxes)
 
 
@@ -363,15 +377,15 @@ def test_spw_check_stores_one_float_per_sample_and_test_function():
 # ---------------------------------------------------------------------------
 # exact references: one enumeration for every test function, bounded
 
-def test_exact_references_enumerate_once_for_every_test_function(monkeypatch):
+def test_exact_references_enumerate_once_for_every_test_function():
     wk = weighted(chain_kernel(), [indicator_y1])
     hs = [DetMap(TWO, Real(1), float, "id"), DetMap(TWO, Real(1), lambda x: 1.0, "one"),
           DetMap(TWO, Real(1), lambda x: 0.1 + x / 3, "third")]
     alone = [expected_value_by_enumeration(wk, UNIT_VALUE, h) for h in hs]
-    calls = count_calls(monkeypatch, WeightedJointKernel, "log_weight")
+    wk, calls = counted_factors(wk)
     reports = spw_check(wk, hs, None, n=1000, seed=0)
     # the four traces once, then the 1000 samples
-    assert calls[0] == 4 + 1000
+    assert calls == [4 + 1000]
     assert [r["reference"] for r in reports] == alone
 
 

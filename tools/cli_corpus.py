@@ -29,7 +29,8 @@ audits of weighted models (a poisson box, weights through exp and ln, a
 three-output det box, weights that are mostly zero, several --h, and a
 model with global inputs, with and without --input), spw audits whose
 blocks fall back to one sample at a time (a weight refused past the first
-block, and a block that falls back with no sample refused), trace and u
+block) and audits of weight factors that fail only where the factor
+before them is zero (on some samples or on all), trace and u
 files holding values that are no point of their box's space, and
 malformed or misplaced --input, --set and --point values (sample --n 0
 among them).
@@ -174,9 +175,9 @@ def _fallback_variants() -> dict:
     """name -> (model, the spw flags of one run on it). At the seed given,
     the first refused sample lies past the first block of samples: a weight
     product past the float range, whose error names the sample, and a
-    negative weight; in the last, a block falls back to one sample at a
-    time though no sample is refused: a factor divides by zero only where
-    the factor before it is zero."""
+    negative weight. In the rest no sample is refused: a factor divides by
+    zero, or takes ln of zero, only where the factor before it is zero, on
+    a few samples or, with a coin that always lands 0, on every one."""
     def coin(p):
         return [], [("x", "B")], {"primitive": "bernoulli", "params": {"p": p}}
 
@@ -191,10 +192,16 @@ def _fallback_variants() -> dict:
         "spw_late_negative": (_weighted_raw(
             {"b": coin(0.5), "u": draw}, ["y"],
             {"u": "if $1 < 0.999 then 1.0 else neg(1.0)"}), [*flags, "6"]),
-        # x is 0 at samples 429, 716 and 1268: the second to fourth blocks
-        # fall back, the rest stay columns
+        # x is 0 at samples 429, 716 and 1268, where u's factor never runs
         "spw_fallback_no_error": (_weighted_raw(
             {"b": coin(0.999), "u": draw}, ["y"], {"b": "$0 * 1.0", "u": "1.0 / $0"}),
+            [*flags, "2"]),
+        # ln of x, scaled so that x = 1 weighs ln 3, not 0
+        "spw_zeroed_ln": (_weighted_raw(
+            {"b": coin(0.5), "u": draw}, ["y"], {"b": "$0 * 1.0", "u": "ln($0 * 3.0)"}),
+            [*flags, "2"]),
+        "spw_all_zero": (_weighted_raw(
+            {"b": coin(0.0), "u": draw}, ["y"], {"b": "$0 * 1.0", "u": "1.0 / $0"}),
             [*flags, "2"]),
     }
 
