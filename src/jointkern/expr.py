@@ -37,10 +37,10 @@ nesting at MAX_DEPTH levels, so no later step can exhaust the stack; a real
 literal past the float range is a syntax error, and an integer too large
 for a float that meets real arithmetic an EvalError.
 
-_columns builds, from the same checked AST, the function's column form,
-which spw runs over a block of samples at a time (see kernels): a
-compile_det_map map carries its form, built on first use, and
-_compile_columns builds one from texts already checked.
+Each function built from a checked AST carries, as its columns attribute,
+its column form, which spw runs over a block of samples at a time: the
+columns module compiles the kept AST to it on first use, so only spw pays
+for it, and the text is parsed once.
 """
 
 from __future__ import annotations
@@ -50,13 +50,8 @@ import math
 import operator
 import re
 
-import numpy as np
-
 from .errors import EvalError, ExprSyntaxError, ExprTypeError
-from .kernels import (
-    _EXACT, _INT64, DetMap, _Anomaly, _column, _constant, _floats, _magnitude, _map_rows,
-    _project, _rows, _take,
-)
+from .kernels import DetMap
 from .spaces import (
     Coproduct, Countable, Finite, Inl, Inr, Product, Real, Space,
     nest_product, nest_values,
@@ -569,202 +564,27 @@ def _build(ast, n: int, scope: dict):
     raise EvalError(f"unknown expression form {tag!r}")
 
 
-# ---------------------------------------------------------------------------
-# columns: a checked AST becomes a function of the input columns of a block
-#
-# _columns(ast, n) is _build over columns (see kernels): the function (s, m)
-# of the left-nested tuple s of n input columns of m rows. Each operation
-# runs over whole arrays only where numpy gives Python's bits: + - * / and
-# < on floats, or on ints within 2**53 met with floats; + - * on ints whose
-# result cannot wrap; min and max as selections, which is Python's rule,
-# NaN included; if as a selection between arrays of one dtype. exp and ln
-# call the scalar functions row by row; case, inl and inr, and every
-# operation on other columns, run their scalar function row by row. Both
-# branches of an if run on every row; when one fails, each reruns on the
-# rows that take it alone, as the scalar if runs one branch a row, and the
-# two are merged.
-
-
-def _pair(a, b):
-    """a and b as two arrays of one dtype, elementwise equal to their rows,
-    or None: ints meet floats as floats only when each is exact."""
-    if type(a) is not np.ndarray or type(b) is not np.ndarray:
-        return None
-    if a.dtype == b.dtype:
-        return a, b
-    a, b = _exact_floats(a), _exact_floats(b)
-    return None if a is None or b is None else (a, b)
-
-
-def _exact_floats(c):
-    if c.dtype.kind == "f":
-        return c
-    return c.astype(float) if _magnitude(c) <= _EXACT else None
-
-
-def _rowwise(op, *cols, m):
-    return _column(list(map(op, *[_rows(c, m) for c in cols])))
-
-
-def _branches_apart(cc, fa, fb, s, m: int):
-    """if over a block whose condition column is cc, with branch fa run on
-    the rows where cc is 1 alone and fb on the rest."""
-    pick = cc == 1 if type(cc) is np.ndarray else np.array([q == 1 for q in _rows(cc, m)])
-    parts = [(rows, f(_take(s, rows), len(rows)))
-             for f, rows in ((fa, np.flatnonzero(pick)), (fb, np.flatnonzero(~pick)))
-             if len(rows)]
-    if len(parts) == 1:
-        return parts[0][1]
-    (ra, xa), (rb, xb) = parts
-    if type(xa) is np.ndarray and type(xb) is np.ndarray and xa.dtype == xb.dtype:
-        out = np.empty(m, xa.dtype)
-        out[ra], out[rb] = xa, xb
-        return out
-    values = [None] * m
-    for rows, x in parts:
-        for i, v in zip(rows.tolist(), _rows(x, len(rows))):
-            values[i] = v
-    return _column(values)
-
-
-def _arith_columns(sym, fa, fb):
-    op = _OPS[sym]
-
-    def arith(s, m):
-        a, b = fa(s, m), fb(s, m)
-        pair = _pair(a, b)
-        if pair is None:
-            return _rowwise(op, a, b, m=m)
-        a, b = pair
-        if sym == "/":
-            a, b = _exact_floats(a), _exact_floats(b)
-            if a is None or b is None:
-                return _rowwise(op, *pair, m=m)
-            if (b == 0).any():
-                raise _Anomaly("division by zero")
-        elif a.dtype.kind == "i":
-            ma, mb = _magnitude(a), _magnitude(b)
-            if (ma * mb if sym == "*" else ma + mb) >= _INT64:
-                return _rowwise(op, a, b, m=m)
-        return op(a, b)
-
-    return arith
-
-
-def _select_columns(pick, fa, fb):
-    """min (pick is operator.lt) or max (operator.gt): b where pick(b, a),
-    else a, as Python's min and max choose."""
-    scalar = min if pick is operator.lt else max
-
-    def select(s, m):
-        a, b = fa(s, m), fb(s, m)
-        if type(a) is np.ndarray and type(b) is np.ndarray and a.dtype == b.dtype:
-            return np.where(pick(b, a), b, a)
-        return _rowwise(scalar, a, b, m=m)
-
-    return select
-
-
-def _columns(ast, n: int):
-    """The column form of the checked ast over n input slots; see above."""
-    tag = ast[0]
-    if tag == "ref":
-        def ref(s, m, path=_path(ast[1], n)):
-            for k in path:
-                s = _project(s, k, m)
-            return s
-
-        return ref
-    if tag in ("int", "real"):
-        return lambda s, m, v=ast[1]: _constant(v, m)
-    if tag == "bin":
-        return _arith_columns(ast[1], _columns(ast[2], n), _columns(ast[3], n))
-    if tag == "call":
-        name, args = ast[1], ast[2]
-        a = _columns(args[0], n)
-        if name in ("exp", "ln"):
-            op = _OPS[name]
-            return lambda s, m: np.fromiter(map(op, _rows(a(s, m), m)), float, m)
-        if name == "neg":
-            def neg(s, m):
-                c = a(s, m)
-                if type(c) is np.ndarray and (c.dtype.kind == "f" or c.min() > -_INT64):
-                    return -c
-                return _rowwise(operator.neg, c, m=m)
-
-            return neg
-        pick = operator.lt if name == "min" else operator.gt
-        return _select_columns(pick, a, _columns(args[1], n))
-    if tag == "lt":
-        a, b = _columns(ast[1], n), _columns(ast[2], n)
-
-        def lt(s, m):
-            x, y = a(s, m), b(s, m)
-            pair = _pair(x, y)
-            if pair is None:
-                return _rowwise(lambda p, q: 1 if p < q else 0, x, y, m=m)
-            return (pair[0] < pair[1]).astype(np.int64)
-
-        return lt
-    if tag == "tuple":
-        a, b = _columns(ast[1], n), _columns(ast[2], n)
-        return lambda s, m: (a(s, m), b(s, m))
-    if tag == "proj":
-        return lambda s, m, e=_columns(ast[2], n), k=ast[1]: _project(e(s, m), k, m)
-    if tag == "if":
-        c, a, b = _columns(ast[1], n), _columns(ast[2], n), _columns(ast[3], n)
-
-        def if_(s, m):
-            cc = c(s, m)
-            try:
-                x, y = a(s, m), b(s, m)
-            except (_Anomaly, EvalError, ArithmeticError):
-                # maybe only on rows the branch does not take
-                return _branches_apart(cc, a, b, s, m)
-            if (type(cc) is np.ndarray and type(x) is np.ndarray and type(y) is np.ndarray
-                    and x.dtype == y.dtype):
-                return np.where(cc == 1, x, y)
-            return _rowwise(lambda q, p, r: p if q == 1 else r, cc, x, y, m=m)
-
-        return if_
-    # case, inl and inr: the scalar function, row by row
-    scalar = _build(ast, n, {})
-    return lambda s, m: _map_rows(scalar, s, m)
-
-
-def _compile_columns(texts, dom_spaces, cod_spaces):
-    """The column form of compile_det_map(texts, dom_spaces, cod_spaces).fn
-    (see kernels), with the texts parsed again: they passed their checks
-    when the map was compiled. model.Model.weighted_kernel builds the forms
-    of a model's parameters this way, so the loader pays nothing for them."""
-    return _det_columns([parse_expression(t) for t in texts], len(dom_spaces), cod_spaces)
-
-
-def _det_columns(asts, n: int, cod_spaces):
-    """The function (s, m) of the packed input columns of a block of m rows
-    that a det map of the checked asts, one per output space, computes."""
-    forms = []
-    for ast, sp in zip(asts, cod_spaces):
-        form = _columns(ast, n)
-        if sp == _REAL:
-            form = lambda s, m, form=form: _floats(form(s, m), m)
-        elif isinstance(sp, (Product, Coproduct)):
-            f = _build(ast, n, {})
-            form = lambda s, m, f=f, sp=sp: _map_rows(lambda v: adapt_value(sp, f(v)), s, m)
-        forms.append(form)
-    if len(forms) == 1:
-        return forms[0]
-    return lambda s, m: nest_values([form(s, m) for form in forms])
+def _carrying(fn, asts, n: int, cod_spaces):
+    """fn, the function of n input slots built from the checked asts, one
+    per output space, carrying its column form (_column_form) as its
+    columns attribute; a slot reader _slot shares is wrapped first."""
+    if asts[0][0] == "ref" and fn is _slot(asts[0][1], n):
+        fn = lambda v, get=fn: get(v)
+    fn.columns = _column_form(asts, n, cod_spaces)
+    return fn
 
 
 def _column_form(asts, n: int, cod_spaces):
-    """_det_columns(asts, n, cod_spaces), built when first called: only spw
-    runs columns."""
+    """The column form of a det map of the checked asts, over n input slots
+    and one output space each (columns._det_columns), built when first
+    called: only spw runs columns."""
     form = None
 
     def columns(s, m):
         nonlocal form
         if form is None:
+            from .columns import _det_columns
+
             form = _det_columns(asts, n, cod_spaces)
         return form(s, m)
 
@@ -803,8 +623,10 @@ def adapt_value(space: Space, v):
 def _compile(text: str, inputs, expected: Space):
     """Parse, check against expected and build text, once: the function of
     the packed input (the left-nested tuple of the input slots, as kernels
-    pass it). Its value is not adapted to expected (see compile_det_map)."""
-    return _build(_checked(text, inputs, expected), len(inputs), {})
+    pass it). Its value is not adapted to expected (see compile_det_map);
+    its column form's is."""
+    ast = _checked(text, inputs, expected)
+    return _carrying(_build(ast, len(inputs), {}), [ast], len(inputs), [expected])
 
 
 def _checked(text: str, inputs, expected: Space):
@@ -830,7 +652,7 @@ def compile_det_map(texts, dom_spaces, cod_spaces, name: str = "det",
     dom/cod are the packed products. where, if given, names the texts'
     field: an expression error in text i starts with f"{where}[{i}]: ", a
     wrong number of texts with f"{where}: ". The map's function carries
-    its column form as its columns attribute (see kernels).
+    its column form as its columns attribute (see the columns module).
     """
     dom_spaces = list(dom_spaces)
     cod_spaces = list(cod_spaces)
@@ -853,11 +675,6 @@ def compile_det_map(texts, dom_spaces, cod_spaces, name: str = "det",
             f = lambda v, f=f, sp=sp: adapt_value(sp, f(v))
         asts.append(ast)
         fs.append(f)
-    if len(fs) > 1:
-        fn = lambda v, fs=fs: nest_values([f(v) for f in fs])
-    else:
-        fn = fs[0]
-        if asts[0][0] == "ref" and fn is _slot(asts[0][1], n):
-            fn = lambda v, get=fn: get(v)  # _slot's readers are shared
-    fn.columns = _column_form(asts, n, cod_spaces)
-    return DetMap(nest_product(dom_spaces), nest_product(cod_spaces), fn, name)
+    fn = fs[0] if len(fs) == 1 else lambda v, fs=fs: nest_values([f(v) for f in fs])
+    return DetMap(nest_product(dom_spaces), nest_product(cod_spaces),
+                  _carrying(fn, asts, n, cod_spaces), name)

@@ -49,11 +49,6 @@ this order, the checks that can fail on what it is given or draws:
                           its one-seed calls), drawn per block of seeds:
                           the input, once per pass, then per record the
                           output and each trace value
-    sample_columns        sample_records' draws, unscored, over a block of
-                          seeds as columns (spw), drawn one box's column
-                          at a time: the input, then the block's outputs
-                          and trace values, and whatever its column steps
-                          cannot vouch for (see "columns" below)
     replay_with_uniforms  uniforms a caller supplies (cf): the input, every
                           box has a block and every block a box, then each
                           block's floats, length and range, then the
@@ -67,6 +62,10 @@ this order, the checks that can fail on what it is given or draws:
     enumerate_traces      every trace of a finite kernel with its exact
                           probability: the input and the box codomains
     run_trace             every slot at a given trace, unchecked
+
+spw also runs sample_records' draws over a block of seeds as columns; that
+pass, and everything else that runs on columns, lives in the columns
+module, which only spw loads.
 
 The seeded passes make their own uniforms, in [0, 1) and of the right
 length, and do not check them. A seed is an int or the key that
@@ -94,17 +93,12 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from . import rng
 from .errors import ShapeError
 from .spaces import (
     UNIT,
     UNIT_VALUE,
-    Countable,
-    Finite,
     Product,
-    Real,
     Space,
     Value,
     check_member,
@@ -121,9 +115,8 @@ __all__ = [
     "NEG_INF", "DetMap", "PrimitiveKernel", "TracedBox", "JointKernel",
     "lift_det", "identity_kernel", "structure_kernel", "from_primitive",
     "compose", "tensor", "rename_boxes", "expose_residuals", "run_trace",
-    "joint_log_density", "replay_with_uniforms", "sample_columns", "sample_records",
-    "sample_scored", "sample_with_trace", "abduct_uniforms",
-    "enumerate_traces", "marginal_pmf_finite",
+    "joint_log_density", "replay_with_uniforms", "sample_records", "sample_scored",
+    "sample_with_trace", "abduct_uniforms", "enumerate_traces", "marginal_pmf_finite",
 ]
 
 Trace = Mapping[str, Value]
@@ -157,12 +150,11 @@ class PrimitiveKernel:
     forward to; and, where defined, abduct_law(pt, m), a right-inverse of
     push, and pmf_law(pt, m), an exact rational pmf used by finite
     enumeration. The methods are the laws as functions of z; those given an
-    observed m first check that it is a point of cod. columns, None until
-    model.Model gives it, is the column form of the draws (see
-    sample_columns): columns(x, u, m) is the column of push((u_i,),
-    point(x_i)) over m rows. It is derived from the laws, not one of the
-    fields that equality, hashing and repr read, so it is set after the
-    kernel is built.
+    observed m first check that it is a point of cod. params holds the
+    parameter values primitives.instantiate built the kernel from, in its
+    family's order, each a constant or a callable of z; None for a kernel
+    built otherwise. Equality, hashing and repr do not read it. A kernel
+    never changes once built.
     """
 
     name: str
@@ -175,14 +167,15 @@ class PrimitiveKernel:
     abduct_law: Callable[[object, Value], tuple] | None
     pmf_law: Callable[[object, Value], Fraction] | None
     point: Callable[[Value], object]
+    params: tuple | None = field(compare=False, repr=False)
 
     def __init__(self, name, dom, cod, density, push, abduct_law=None, pmf_law=None,
-                 point=lambda z: z):
+                 point=lambda z: z, params=None):
         # one dict update, where the frozen dataclass __init__ makes an
         # object.__setattr__ call per field; every box build pays this
         self.__dict__.update(
             name=name, dom=dom, cod=cod, density=density, push=push,
-            abduct_law=abduct_law, pmf_law=pmf_law, point=point, columns=None)
+            abduct_law=abduct_law, pmf_law=pmf_law, point=point, params=params)
 
     def check_value(self, m: Value):
         if not membership(self.cod, m):
@@ -284,8 +277,6 @@ class Unpack(NamedTuple):
 def _identity(v):
     return v
 
-
-_identity.columns = lambda c, m: c
 
 # the one step of the identity map; _Program.pack places it to pack a tuple
 _IDENTITY = Apply(_identity, 0, 1)
@@ -641,198 +632,6 @@ def replay_with_uniforms(
     return t, x
 
 
-# ---------------------------------------------------------------------------
-# columns: one block of samples at a time
-#
-# A column holds one slot's values over a block of m samples: a float64 or
-# int64 numpy array when every value is a Python float, or every value a
-# Python int that fits, and a list of the values otherwise; a slot holding
-# tuples may also be a tuple of columns, nested as the values are, as a
-# reader packing several slots' columns builds it. numpy computes + - * /,
-# comparisons, selection and ndtri/ndtr on float64 with the bits Python's
-# scalar operations give, so a column step runs those over whole arrays,
-# and each of its other operations (exp, ln, every function without a
-# column form) row by row with the very scalar function, on the rows'
-# Python values. Int arrays only take operations that cannot wrap.
-#
-# A function of a value may carry a column form as its columns attribute:
-# fn.columns(c, m) is the column of fn over the rows of c; a PrimitiveKernel
-# may carry columns(x, u, m), the column of its draws at inputs x and
-# uniforms u. expr.compile_det_map gives one to each map it compiles, and
-# model.Model.weighted_kernel to each primitive box of a model (only spw
-# runs columns, so only spw builds those); anything without one runs row by
-# row. What runs on some rows of a block only (an if's branch, a weight
-# factor past an earlier zero factor) reads those rows' values, _take of
-# the block's columns. A column step that meets a value its scalar twin
-# would refuse, or cannot promise the scalar bits for, raises; the caller
-# then reruns the block's seeds through the scalar pass, which raises what
-# it always raised, or finishes.
-
-# the largest ints a float holds exactly, and the int64 bound
-_EXACT = 2 ** 53
-_INT64 = 2 ** 63
-
-
-class _Anomaly(Exception):
-    """A column pass met a row its scalar twin would refuse, or whose scalar
-    bits it cannot promise; rerun the rows one by one."""
-
-
-def _rows(c, m: int) -> list:
-    """The m Python values of column c."""
-    if type(c) is np.ndarray:
-        return c.tolist()
-    if type(c) is list:
-        return c
-    if c:
-        return list(zip(*[_rows(x, m) for x in c]))
-    return [()] * m
-
-
-def _take(c, rows: np.ndarray):
-    """The column of c's values at the row indexes rows."""
-    if type(c) is np.ndarray:
-        return c[rows]
-    if type(c) is list:
-        return [c[i] for i in rows.tolist()]
-    return tuple(_take(x, rows) for x in c)
-
-
-def _column(rows: list):
-    """The column holding rows: an array when every row is a Python float,
-    or every row a Python int that fits in int64; else rows itself."""
-    kinds = set(map(type, rows))
-    if kinds == {float}:
-        return np.array(rows, float)
-    if kinds == {int}:
-        try:
-            return np.array(rows, np.int64)
-        except OverflowError:
-            pass
-    return rows
-
-
-def _constant(v: Value, m: int):
-    """The column of m copies of v."""
-    if type(v) is float:
-        return np.full(m, v)
-    if type(v) is int and -_INT64 <= v < _INT64:
-        return np.full(m, v, np.int64)
-    if type(v) is tuple:
-        return tuple(_constant(x, m) for x in v)
-    return [v] * m
-
-
-def _map_rows(fn: Callable, c, m: int):
-    """The column of fn over the rows of c, row by row."""
-    return _column(list(map(fn, _rows(c, m))))
-
-
-def _columns_of(fn: Callable, c, m: int):
-    """fn over the rows of column c: its column form if it has one, else
-    row by row."""
-    form = getattr(fn, "columns", None)
-    return _map_rows(fn, c, m) if form is None else form(c, m)
-
-
-def _project(c, k: int, m: int):
-    """Component k of each row of a column of pairs."""
-    if type(c) is tuple:
-        return c[k]
-    return _column([r[k] for r in _rows(c, m)])
-
-
-def _magnitude(c: np.ndarray) -> int:
-    """The largest absolute value in an int array, as a Python int."""
-    return max(-int(c.min()), int(c.max()))
-
-
-def _floats(c, m: int) -> np.ndarray:
-    """float() of each row of c, as a float64 array."""
-    if type(c) is np.ndarray:
-        if c.dtype.kind == "f":
-            return c
-        if _magnitude(c) <= _EXACT:
-            return c.astype(float)
-    return np.fromiter(map(float, _rows(c, m)), float, m)
-
-
-def _all_members(space: Space, ok: Callable, c, m: int) -> bool:
-    """Every row of c is a point of space; ok is member_check(space)."""
-    if type(c) is np.ndarray:
-        cls, kind = space.__class__, c.dtype.kind
-        if cls is Real and space.dim == 1 and kind == "f":
-            return bool(np.isfinite(c).all())
-        if cls is Countable and kind == "i":
-            return True
-        if cls is Finite and kind == "i":
-            return bool((c >= 0).all() and (c < space.size).all())
-    return all(map(ok, _rows(c, m)))
-
-
-def _unnest_columns(c, n: int, m: int) -> list:
-    """unnest_values over the rows of a column."""
-    out = []
-    for _ in range(n - 1):
-        out.append(_project(c, 1, m))
-        c = _project(c, 0, m)
-    out.append(c)
-    out.reverse()
-    return out
-
-
-def sample_columns(k: JointKernel, z: Value,
-                   seeds: Iterable[int | bytes]) -> tuple[dict, list]:
-    """sample_records' draws over one block of seeds, unscored, as columns:
-    (box id -> the column of its draws, every slot's column).
-
-    Each box's uniforms are drawn as a column with rng.unit_uniforms, so
-    each row is the draw sample_records makes at its seed, and every step
-    runs once over the block (see above). Raises where sample_records
-    would raise at some seed of the block, and also where a column step
-    cannot vouch for the scalar bits (_Anomaly); the output and the trace
-    values are checked over the whole block.
-    """
-    entries, dom_ok, cod_ok = k.pass_plan
-    if not dom_ok(z):
-        check_member(k.dom, z, "kernel input")
-    seeds = list(map(rng.seed_key, seeds))
-    m = len(seeds)
-    draw = rng.unit_uniforms  # looked up per pass, as in sample_records
-    keys = iter(k.box_keys)
-    slots = [None] * k.n_slots
-    slots[0] = _constant(z, m)
-    unit = _constant(UNIT_VALUE, m)
-    t: dict = {}
-    for s in k.steps:
-        cls = type(s)
-        if cls is Unpack:
-            src, dsts = s
-            for i, c in zip(dsts, _unnest_columns(slots[src], len(dsts), m)):
-                slots[i] = c
-            continue
-        src, read = s.src, s.read
-        # a reader of no slots returns UNIT_VALUE itself, not a column
-        x = slots[src] if read is None else read(slots) if src else unit
-        if cls is Apply:
-            slots[s.dst] = _columns_of(s.fn, x, m)
-            continue
-        box_id, p, _, dst, _ = s
-        u = np.array(draw(seeds, (next(keys),)), float)
-        if p.columns is not None:
-            c = p.columns(x, u, m)
-        else:
-            push, point = p.push, p.point
-            c = _column([push((v,), point(y)) for v, y in zip(u.tolist(), _rows(x, m))])
-        t[box_id] = slots[dst] = c
-    if not _all_members(k.cod, cod_ok, slots[k.out], m):
-        raise _Anomaly("kernel output")
-    for run, box_id, _, _, _, _, _, _, _, ok, p in entries:
-        if run is None and not _all_members(p.cod, ok, t[box_id], m):
-            raise _Anomaly(f"trace value for {box_id}")
-    return t, slots
-
-
 # the most cells, seeds times boxes, that sample_records draws at once
 _DRAW_CELLS = 1024
 
@@ -944,6 +743,14 @@ def _exact_factor(p: PrimitiveKernel, pt, m: Value) -> Fraction:
     return Fraction(0) if ld == NEG_INF else Fraction(math.exp(ld))
 
 
+def _check_finite(k: JointKernel, hint: str = ""):
+    """Raise at the first box whose codomain is not finite; hint ends the
+    message."""
+    for b in k.boxes:
+        if not is_finite_space(b.primitive.cod):
+            raise ShapeError(f"box {b.box_id} has non-finite codomain {b.primitive.cod!r}{hint}")
+
+
 def enumerate_traces(k: JointKernel, z: Value) -> Iterator[tuple[dict, Fraction]]:
     """All positive-probability traces with exact rational probabilities.
 
@@ -953,11 +760,7 @@ def enumerate_traces(k: JointKernel, z: Value) -> Iterator[tuple[dict, Fraction]
     search keeps an explicit stack, so depth is not bounded by recursion.
     """
     check_member(k.dom, z, "kernel input")
-    for box in k.boxes:
-        if not is_finite_space(box.primitive.cod):
-            raise ShapeError(
-                f"box {box.box_id} has non-finite codomain {box.primitive.cod!r}"
-            )
+    _check_finite(k)
     steps = k.steps
     slots = [None] * k.n_slots
     slots[0] = z

@@ -52,10 +52,10 @@ from .diagrams import Diagram, Hypergraph, HypMorphism, is_causal_model
 from .errors import (
     DiagramError, ExprSyntaxError, ExprTypeError, ModelSyntaxError, ShapeError,
 )
-from .expr import _compile, _compile_columns, _located, compile_det_map
+from .expr import _compile, _located, compile_det_map
 from .interpret import Interpretation, _residual_misfits, evaluate
 from .kernels import JointKernel, _reader, from_primitive, lift_det
-from .primitives import FAMILIES, _draw_columns, instantiate
+from .primitives import FAMILIES, instantiate
 from .spaces import (
     Coproduct, CoproductSet, Countable, Finite, FinitePoints, Inl, Inr,
     IntervalBox, Product, ProductSet, Real, Space, Value, nest_product, spine,
@@ -363,34 +363,10 @@ class Model:
 
     def weighted_kernel(self, interp: Interpretation | None = None) -> WeightedJointKernel:
         """The kernel spw audits: the model's kernel under interp, with its
-        weights; its boxes first get their column forms (_give_columns)."""
+        weights."""
         interp = interp or self.interpretation
-        self._give_columns()
         return WeightedJointKernel(evaluate(self.diagram, interp),
                                    self.weight_factors(interp))
-
-    def _give_columns(self):
-        """Give each primitive box of the model's interpretation the column
-        form of its draws (see kernels), its expressions compiled again from
-        the model's texts: only spw runs columns, and the loader would pay
-        for them on every command. (A det map and a weight carry theirs from
-        compile_det_map.) A kernel is immutable, so the form stays right; an
-        interpretation that intervenes on a box replaces that box's kernel."""
-        sig, spaces = self.signature, self.interpretation.wire_spaces
-        for b, k in self.interpretation.box_kernels.items():
-            entry = self.raw["interpretation"][b]
-            if "primitive" not in entry:
-                continue
-            dom = [spaces[w] for w in sig.dom[b]]
-            p = k.steps[0].primitive
-            shapes = {key: param.shape for key, param in FAMILIES[p.name].params.items()}
-
-            def form(v, shape):
-                return _compile_columns([v], dom, [shape]) if isinstance(v, str) else v
-
-            params = {key: [form(q, shapes[key]) for q in v] if isinstance(v, list)
-                      else form(v, shapes[key]) for key, v in entry.get("params", {}).items()}
-            object.__setattr__(p, "columns", _draw_columns(p, params))
 
     def graph_to_signature_box(self, graph_box: str) -> str:
         return self.diagram.box_label[graph_box]

@@ -18,13 +18,9 @@ kernel input whose result goes through the same rule each time the point
 is read: an out-of-range parameter produced upstream is a bug, not a
 zero-density event, so it raises ParameterError.
 
-A family may also give its draws in column form (see kernels): the
-pushforward over a column of uniforms, and the point over columns of
-parameter values, each checked by its rule over the whole column.
-_draw_columns makes the column form of a kernel's draws, when its point is
-a constant or its family's point has a column form, from the column forms
-of its expressions; model.Model.weighted_kernel gives it to the kernels
-spw runs.
+Each kernel keeps the parameter values it was built from
+(PrimitiveKernel.params), from which spw's column engine (the columns
+module) builds the column form of its draws, by family name.
 """
 
 from __future__ import annotations
@@ -38,11 +34,10 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable
 
-import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import ParameterError, ShapeError
-from .kernels import NEG_INF, PrimitiveKernel, _Anomaly, _floats
+from .kernels import NEG_INF, PrimitiveKernel
 from .spaces import UNIT, Countable, Finite, Real, Space
 
 __all__ = [
@@ -60,12 +55,15 @@ _TWO = Finite(2)
 @dataclass(frozen=True)
 class Param:
     """One family parameter; see the module docstring. default None marks
-    a required parameter; many=True takes a list, rule checking each entry."""
+    a required parameter; many=True takes a list, rule checking each entry.
+    ok, for a real parameter, is the range test its rule makes of a finite
+    value; it takes a float or a float array."""
 
     default: object
     shape: Space
     rule: Callable
     many: bool = False
+    ok: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -75,10 +73,7 @@ class Family:
     cod is the codomain, or a function of the raw values giving it. The
     laws are functions of the point pt: density(pt, m), push(u, pt),
     abduct(pt, m) and, for discrete families, pmf(pt, m); every kernel of
-    the family carries them unchanged, so each formula is written once.
-    push_columns(u, pt) is push over a column of uniforms u at a point pt
-    whose entries are constants or columns, and point_columns the point of
-    checked parameter columns; None where the family has none."""
+    the family carries them unchanged, so each formula is written once."""
 
     params: dict
     point: Callable
@@ -87,18 +82,15 @@ class Family:
     push: Callable
     abduct: Callable
     pmf: Callable | None = None
-    push_columns: Callable | None = None
-    point_columns: Callable | None = None
 
 
 # ---------------------------------------------------------------------------
 # parameter rules
 
 
-def _real(what: str, ok=None, needs: str = ""):
-    """The rule for a finite real that also satisfies ok, when given; ok
-    takes a float or a float array. rule.columns(c, m) is the rule over a
-    column: the float array of its rows, when every row passes."""
+def _real(default, what: str, ok=None, needs: str = "", many: bool = False) -> Param:
+    """A real parameter, whose rule takes a finite real that also satisfies
+    ok, when given."""
 
     def rule(v) -> float:
         try:
@@ -112,14 +104,7 @@ def _real(what: str, ok=None, needs: str = ""):
             raise ParameterError(f"{what} {needs}, got {v}")
         return v
 
-    def columns(c, m: int):
-        v = _floats(c, m)
-        if not np.isfinite(v).all() or (ok is not None and not ok(v).all()):
-            raise _Anomaly(f"{what} out of its range")
-        return v
-
-    rule.columns = columns
-    return rule
+    return Param(default, _REAL, rule, many, ok)
 
 
 def _integer(what: str):
@@ -171,10 +156,7 @@ def _bernoulli():
         pe = _decimal_fraction(p)
         return pe if m == 1 else 1 - pe
 
-    def push_columns(u, p):
-        return (u < p).astype(np.int64)
-
-    return density, push, abduct, pmf, push_columns
+    return density, push, abduct, pmf
 
 
 class _Probs:
@@ -233,25 +215,12 @@ def _categorical():
     def pmf(pt, m):
         return pt.qs[m]
 
-    def push_columns(u, pt):
-        # the first index whose cumulative sum exceeds u, as push finds it
-        i = np.searchsorted(pt.cum, u, side="right")
-        if (i == len(pt.qs)).any():
-            raise _Anomaly("categorical draw past its last cumulative sum")
-        return i.astype(np.int64)
-
-    return density, push, abduct, pmf, push_columns
+    return density, push, abduct, pmf
 
 
 def _ordered(a, b):
     if not a < b:
         raise ParameterError(f"uniform needs a < b, got a={a}, b={b}")
-    return a, b
-
-
-def _ordered_columns(a, b):
-    if not np.all(a < b):
-        raise _Anomaly("uniform needs a < b")
     return a, b
 
 
@@ -270,11 +239,7 @@ def _uniform():
             raise ShapeError(f"{m} outside the support [{a}, {b}]")
         return (min(max((m - a) / (b - a), 0.0), 1.0),)
 
-    def push_columns(u, pt):
-        a, b = pt
-        return a + u * (b - a)
-
-    return density, push, abduct, None, push_columns
+    return density, push, abduct
 
 
 def _normal():
@@ -293,13 +258,7 @@ def _normal():
         mu, sigma = pt
         return (float(ndtr((m - mu) / sigma)),)
 
-    def push_columns(u, pt):
-        mu, sigma = pt
-        if not ((0.0 < u) & (u < 1.0)).all():
-            raise _Anomaly("normal pushforward has no finite value at u=0")
-        return mu + sigma * ndtri(u)
-
-    return density, push, abduct, None, push_columns
+    return density, push, abduct
 
 
 def _exponential():
@@ -316,13 +275,7 @@ def _exponential():
             raise ShapeError(f"{m} outside the support [0, inf)")
         return (-math.expm1(-rate * m),)
 
-    def push_columns(u, rate):
-        if (u >= 1.0).any():
-            raise _Anomaly("exponential pushforward has no finite value at u=1")
-        # log1p row by row: numpy's differs from math's in the last bit
-        return -np.fromiter(map(math.log1p, (-u).tolist()), float, len(u)) / rate
-
-    return density, push, abduct, None, push_columns
+    return density, push, abduct
 
 
 def _poisson_terms(rate):
@@ -397,39 +350,34 @@ def _dirac():
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
-_UNIFORM = Family(
-    {"a": Param(0.0, _REAL, _real("uniform a")), "b": Param(1.0, _REAL, _real("uniform b"))},
-    _ordered, _REAL, *_uniform(), point_columns=_ordered_columns)
+_UNIFORM = Family({"a": _real(0.0, "uniform a"), "b": _real(1.0, "uniform b")},
+                  _ordered, _REAL, *_uniform())
 
 
 def _pair(mu, sigma):
     return mu, sigma
 
 
-# the rules' ok tests combine with &, so they hold for arrays as for floats
+# the ok tests combine with &, so they hold for arrays as for floats
 FAMILIES = {
     "bernoulli": Family(
-        {"p": Param(0.5, _REAL,
-                    _real("bernoulli p", lambda v: (0.0 <= v) & (v <= 1.0),
-                          "must lie in [0,1]"))},
-        _same, _TWO, *_bernoulli(), point_columns=_same),
+        {"p": _real(0.5, "bernoulli p", lambda v: (0.0 <= v) & (v <= 1.0),
+                    "must lie in [0,1]")},
+        _same, _TWO, *_bernoulli()),
     "categorical": Family(
-        {"probs": Param(None, _REAL, _real("categorical probability", *_NONNEGATIVE),
-                        many=True)},
+        {"probs": _real(None, "categorical probability", *_NONNEGATIVE, many=True)},
         _Probs, _categorical_cod, *_categorical()),
     "uniform01": replace(_UNIFORM, params={}, point=lambda: (0.0, 1.0)),
     "uniform": _UNIFORM,
     "normal": Family(
-        {"mu": Param(0.0, _REAL, _real("normal mu")),
-         "sigma": Param(1.0, _REAL, _real("normal sigma", *_POSITIVE))},
-        _pair, _REAL, *_normal(), point_columns=_pair),
+        {"mu": _real(0.0, "normal mu"), "sigma": _real(1.0, "normal sigma", *_POSITIVE)},
+        _pair, _REAL, *_normal()),
     "exponential": Family(
-        {"rate": Param(1.0, _REAL, _real("exponential rate", *_POSITIVE))},
-        _same, _REAL, *_exponential(), point_columns=_same),
+        {"rate": _real(1.0, "exponential rate", *_POSITIVE)},
+        _same, _REAL, *_exponential()),
     "poisson": Family(
-        {"rate": Param(1.0, _REAL, _real(
-            "poisson rate", lambda v: (0.0 <= v) & (v <= _POISSON_MAX_RATE),
-            f"must lie in [0, {_POISSON_MAX_RATE!r}]"))},
+        {"rate": _real(1.0, "poisson rate", lambda v: (0.0 <= v) & (v <= _POISSON_MAX_RATE),
+                       f"must lie in [0, {_POISSON_MAX_RATE!r}]")},
         _same, _COUNTABLE, *_poisson()),
     "dirac_countable": Family(
         {"value": Param(0, _COUNTABLE, _integer("dirac_countable point"))},
@@ -445,34 +393,6 @@ BUILTIN_NAMES = tuple(FAMILIES)
 
 def _listed(*entries) -> list:
     return list(entries)
-
-
-def _draw_columns(p: PrimitiveKernel, params: dict):
-    """The column form of the draws of p (PrimitiveKernel.columns), where p
-    is instantiate(p.name, ...) and params holds the same parameters, each
-    expression given by its column form (expr._compile_columns) in place of
-    its function; None when the family has no column laws, or a parameter
-    reads the input and the family's point has no column form."""
-    fam = FAMILIES[p.name]
-    push = fam.push_columns
-    if push is None:
-        return None
-    values = [params.get(name, param.default) for name, param in fam.params.items()]
-    if not any(callable(v) or type(v) is list and any(map(callable, v)) for v in values):
-        pt = p.point(None)  # a constant point reads no input
-        return lambda x, u, m: push(u, pt)
-    make = fam.point_columns
-    if make is None:
-        return None
-    # (rule, column form) per wired value, (None, checked value) per constant
-    parts = [(param.rule, v) if callable(v) else (None, param.rule(v))
-             for param, v in zip(fam.params.values(), values)]
-
-    def columns(x, u, m):
-        return push(u, make(*[v if rule is None else rule.columns(v(x, m), m)
-                              for rule, v in parts]))
-
-    return columns
 
 
 def _point(make, pairs):
@@ -581,4 +501,5 @@ def instantiate(name: str, params: dict, dom: Space = UNIT) -> PrimitiveKernel:
     point = _point(fam.point, pairs)
     if not callable(point):
         point = lambda z, _pt=point: _pt
-    return PrimitiveKernel(name, dom, cod, fam.density, fam.push, fam.abduct, fam.pmf, point)
+    return PrimitiveKernel(name, dom, cod, fam.density, fam.push, fam.abduct, fam.pmf, point,
+                           tuple(values))

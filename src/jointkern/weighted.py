@@ -13,19 +13,21 @@ integral within three standard errors.
 Factors are kept in linear space but always accumulated as logs, so long
 products cannot underflow.
 
-spw_check draws its samples in blocks, each one column pass of the base
-(kernels.sample_columns) with the weights and test functions run once
-over the block's columns. The weights keep log_weight's rule: each factor
-runs on the rows that no earlier factor zeroed, over their columns
+spw_check draws its samples in blocks, which the columns module runs; it
+imports that module when it runs, so no other query loads it. Each block
+is one column pass of the base with the weights and test functions run
+once over the block's columns. The weights keep log_weight's rule: each
+factor runs on the rows that no earlier factor zeroed, over their columns
 through its column form, fn.columns(value columns, m), if it has one, and
 row by row on their traces otherwise. Each sample's w * h has the bits of
 drawing it alone with kernels.sample_records and weighing it with
-log_weight, the row path, which stays the path that raises: a block whose
-column pass raises anything, because it met a sample the row path would
-refuse or one it cannot vouch for, reruns its own seeds through the row
-path, and the next block goes back to columns. A block refuses every
-sample the row path refuses, so the first refused sample, if any, lies in
-the first block that raises, and the row path raises its error.
+log_weight, the row path (_sample_rows), which stays the path that
+raises: a block whose column pass raises anything, because it met a
+sample the row path would refuse or one it cannot vouch for, reruns its
+own seeds through the row path, and the next block goes back to columns.
+A block refuses every sample the row path refuses, so the first refused
+sample, if any, lies in the first block that raises, and the row path
+raises its error.
 """
 
 from __future__ import annotations
@@ -36,14 +38,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
-from . import rng
 from .errors import ParameterError, ShapeError
 from .kernels import (
-    NEG_INF, DetMap, JointKernel, Trace, _Anomaly, _columns_of, _compose, _floats, _rows,
-    _take, _tensor, enumerate_traces, joint_log_density, run_trace, sample_columns,
-    sample_records,
+    NEG_INF, DetMap, JointKernel, Trace, _check_finite, _compose, _tensor, enumerate_traces,
+    joint_log_density, run_trace, sample_records,
 )
 from .spaces import (
     UNIT_VALUE, Product, Real, Value, check_member, nest_values, unnest_values,
@@ -177,17 +175,22 @@ def unnormalized_log_density(wk: WeightedJointKernel, z: Value, t: Trace) -> flo
 # it the enumeration stops, and spw needs its reference values given
 ENUMERATION_LIMIT = 2 ** 18
 
+_GIVE_REF = "give the reference values instead (--ref)"
+
 
 def _expected_values(wk: WeightedJointKernel, z: Value, hs: Sequence[DetMap]) -> list[float]:
     """Exact E[w * h(output)] for each h, over one enumeration of the traces;
-    each sum runs in trace order in exact Fraction arithmetic."""
+    each sum runs in trace order in exact Fraction arithmetic. The input is
+    checked first, then that every box is finite, as enumerate_traces
+    checks them, with a message that names --ref."""
     base, log_weight = wk.base, wk.log_weight
+    check_member(base.dom, z, "kernel input")
+    _check_finite(base, "; " + _GIVE_REF)
     accs = [Fraction(0)] * len(hs)
     for count, (t, prob) in enumerate(enumerate_traces(base, z), 1):
         if count > ENUMERATION_LIMIT:
             raise ShapeError(
-                f"exact reference needs more than {ENUMERATION_LIMIT} traces; "
-                f"give the reference values instead (--ref)")
+                f"exact reference needs more than {ENUMERATION_LIMIT} traces; {_GIVE_REF}")
         slots = run_trace(base, z, t)
         lw = log_weight(t, z, slots)
         if lw == NEG_INF:
@@ -222,9 +225,9 @@ def spw_check(
     Everything that can be rejected without sampling is checked before the
     first draw: n, that z is a point of the kernel's domain, and the
     references, which must be finite. The enumeration stops with a
-    ShapeError past ENUMERATION_LIMIT traces. The samples run in blocks
-    (see the module docstring), with the floats and errors of one sample
-    at a time.
+    ShapeError past ENUMERATION_LIMIT traces, and so does a box that is
+    not finite. The samples run in blocks (see the module docstring), with
+    the floats and errors of one sample at a time.
     """
     if n < 1000:
         raise ParameterError(f"spw_check needs n >= 1000, got {n}")
@@ -239,12 +242,13 @@ def spw_check(
         if bad:
             raise ParameterError(f"reference values must be finite, got {bad[0]!r}")
 
-    cols = _sample_blocks(wk, [h.fn for h in test_functions], z, seed, n)
+    from . import columns
+
+    cols = columns._sample_blocks(wk, [h.fn for h in test_functions], z, seed, n)
     report = []
     for col, ref in zip(cols, refs):
-        col = np.frombuffer(col)
-        est = float(np.mean(col))
-        se = float(np.std(col, ddof=1) / math.sqrt(n))
+        est, sd = columns._mean_std(col)
+        se = sd / math.sqrt(n)
         report.append({
             "estimate": est,
             "stderr": se,
@@ -252,41 +256,6 @@ def spw_check(
             "pass": bool(abs(est - ref) <= 3.0 * se),
         })
     return report
-
-
-# cells of one block: its rows times the kernel's slots, so a block's
-# columns stay small beside the n samples' floats
-_BLOCK_CELLS = 1024
-
-
-def _sample_blocks(wk: WeightedJointKernel, fns: list, z: Value, seed: int,
-                   n: int) -> list[array]:
-    """w * float(h(x)) of each of the n seeded samples at z, one float array
-    per test function h, so a sample costs 8 bytes per test function; block
-    by block, each a column pass or, where that raises, _sample_rows over
-    the block's seeds (see the module docstring)."""
-    base = wk.base
-    rows = max(64, _BLOCK_CELLS // base.n_slots)
-    cols = [array("d") for _ in fns]
-    # numpy's float warnings stay silent: Python's scalar floats give
-    # inf and nan without a word, and every error is the row path's to raise
-    with np.errstate(all="ignore"):
-        for start in range(0, n, rows):
-            seeds = rng.derived_seed_keys(seed, start, min(start + rows, n))
-            m = len(seeds)
-            try:
-                t, slots = sample_columns(base, z, seeds)
-                w = _weight_column(wk, t, slots, m)
-                x = slots[base.out]
-                # every test function's floats before any is kept, so a
-                # block that raises adds nothing
-                block = [w * _floats(_columns_of(fn, x, m), m) for fn in fns]
-            except Exception:
-                _sample_rows(wk, fns, z, seeds, start, cols)
-                continue
-            for c, col in zip(block, cols):
-                col.frombytes(c.tobytes())
-    return cols
 
 
 def _sample_rows(wk: WeightedJointKernel, fns: list, z: Value, seeds: list, start: int,
@@ -302,37 +271,3 @@ def _sample_rows(wk: WeightedJointKernel, fns: list, z: Value, seeds: list, star
         w = _weight(log_weight(t, z), f" at sample {i}")
         for fn, col in zip(fns, cols):
             col.append(w * float(fn(x)))
-
-
-def _weight_column(wk: WeightedJointKernel, t: dict, slots: list, m: int) -> np.ndarray:
-    """exp(log_weight) of each row of a block: the column of its weights.
-
-    log_weight's loop over the factors, run on a block: each factor runs on
-    the rows that no earlier factor zeroed, through its column form if it
-    has one, else row by row on those rows' traces. A non-finite or
-    negative value there raises, so the block falls back to the row path,
-    which raises its error. The logs of the live rows add up in factor
-    order from 0.0, and the loop stops once no row is live."""
-    ids = list(t)
-    live, total = np.arange(m), np.zeros(m)
-    for f in wk.weight_factors:
-        k = len(live)
-        if not k:
-            break
-        cols = tuple(_take(slots[i], live) for i in f.slots)
-        form = getattr(f.fn, "columns", None)
-        if form is None:
-            traces = _rows(tuple(_take(t[b], live) for b in ids), k)
-            w = np.fromiter((float(f.fn(dict(zip(ids, r)), *v))
-                             for r, v in zip(traces, _rows(cols, k))), float, k)
-        else:
-            w = _floats(form(cols, k), k)
-        if (~np.isfinite(w) | (w < 0.0)).any():
-            raise _Anomaly("negative or non-finite weight factor")
-        keep = w != 0.0
-        live, total, w = live[keep], total[keep], w[keep]
-        # math.log row by row: numpy's differs in the last bit
-        total += np.fromiter(map(math.log, w.tolist()), float, len(live))
-    weights = np.zeros(m)
-    weights[live] = np.fromiter(map(math.exp, total.tolist()), float, len(live))
-    return weights

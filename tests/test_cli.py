@@ -682,6 +682,15 @@ def test_spw_continuous_reference(capsys):
     assert code == 0 and json.loads(out)[0]["pass"] is True
 
 
+def test_spw_without_ref_on_a_real_box_names_ref(capsys, monkeypatch):
+    draws = count_draws(monkeypatch)
+    code, out, err = run(capsys, "spw", str(MODELS / "uniform2x.json"), "--n", "1000")
+    assert (code, out) == (4, "")
+    assert err == ("error: box g has non-finite codomain Real(dim=1); "
+                   "give the reference values instead (--ref)\n")
+    assert draws[0] == 0
+
+
 def test_cover_finite(capsys):
     code, out, _ = run(capsys, "cover", CHAIN, "--count", "2")
     assert code == 0

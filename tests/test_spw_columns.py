@@ -13,7 +13,8 @@ back without an error gives the row path's bits and the next block is
 columns again; an if whose branch fails only on rows the condition sends
 elsewhere stays in the blocks, and so does a weight factor that fails only
 on rows an earlier factor zeroed, which runs on no such row; and the model
-fixtures never fall back.
+fixtures never fall back. A box that do sets draws no column form of the
+primitive it replaced, and spw leaves every primitive kernel as it was.
 """
 
 import importlib
@@ -29,12 +30,15 @@ from jointkern import (
     DetMap, Finite, Real, WeightedJointKernel, WeightFactor, compile_det_map, from_primitive,
     model_from_dict, ShapeError, normal, parse_model, spw_check, weighted,
 )
+from jointkern.causal import intervene
 from jointkern.cli import main
-from jointkern.kernels import _Anomaly
+from jointkern.columns import _Anomaly
+from jointkern.kernels import TracedBox
 
 from support import count_calls
 
 weighted_module = importlib.import_module("jointkern.weighted")
+columns_module = importlib.import_module("jointkern.columns")
 
 
 def by_rows(wk, fns, z, seed, n):
@@ -161,7 +165,7 @@ def test_blocks_match_the_loop_bit_for_bit(seed, count):
     for n in (1000, 1003, 5000):
         with pytest.MonkeyPatch.context() as mp:
             rows = count_calls(mp, weighted_module, "_sample_rows")
-            got = weighted_module._sample_blocks(wk, fns, z, seed, n)
+            got = columns_module._sample_blocks(wk, fns, z, seed, n)
         assert rows[0] == 0, (raw, n)
         want = by_rows(wk, fns, z, seed, n)
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want], (raw, n)
@@ -233,14 +237,14 @@ def test_a_late_refused_sample_falls_back_in_its_own_block(name, monkeypatch):
     wk = model_from_dict(raw).weighted_kernel()
     h = compile_det_map(["$0"], [Real(1)], [Real(1)])
     blocks, fell_back, drawn = [], [], set()
-    columns, rows, draw = (weighted_module.sample_columns, weighted_module._sample_rows,
+    columns, rows, draw = (columns_module._sample_columns, weighted_module._sample_rows,
                            rng.unit_uniforms)
 
     def sample_rows(wk, fns, z, seeds, start, cols):
         fell_back.append((start, seeds))
         return rows(wk, fns, z, seeds, start, cols)
 
-    monkeypatch.setattr(weighted_module, "sample_columns",
+    monkeypatch.setattr(columns_module, "_sample_columns",
                         lambda k, z, seeds: columns(k, z, blocks.append(seeds) or seeds))
     monkeypatch.setattr(weighted_module, "_sample_rows", sample_rows)
     monkeypatch.setattr(rng, "unit_uniforms",
@@ -281,7 +285,7 @@ def test_an_untaken_failing_branch_keeps_the_blocks(name, monkeypatch):
     h = compile_det_map(["$0"], [Real(1)], [Real(1)])
     want = by_rows(wk, [h.fn], 0, 3, 1000)
     rows = count_calls(monkeypatch, weighted_module, "_sample_rows")
-    got = weighted_module._sample_blocks(wk, [h.fn], 0, 3, 1000)
+    got = columns_module._sample_blocks(wk, [h.fn], 0, 3, 1000)
     assert got[0].tobytes() == want[0].tobytes()
     spw_check(wk, [h], [1.0], n=1000, seed=3)
     assert rows[0] == 0
@@ -302,7 +306,7 @@ def test_a_factor_after_one_that_zeroes_every_row_never_runs(monkeypatch):
     h = compile_det_map(["$0"], [Real(1)], [Real(1)])
     want = by_rows(wk, [h.fn], 0, 3, 1003)
     rows = count_calls(monkeypatch, weighted_module, "_sample_rows")
-    got = weighted_module._sample_blocks(wk, [h.fn], 0, 3, 1003)
+    got = columns_module._sample_blocks(wk, [h.fn], 0, 3, 1003)
     assert rows[0] == 0 and calls == []
     assert got[0].tobytes() == want[0].tobytes() == bytes(8 * 1003)
 
@@ -314,7 +318,7 @@ def test_a_plain_factor_after_a_column_form_runs_on_the_live_rows(monkeypatch):
     h = compile_det_map(["$0"], [Real(1)], [Real(1)])
     want = by_rows(wk, [h.fn], 0, 8, 1003)
     rows = count_calls(monkeypatch, weighted_module, "_sample_rows")
-    got = weighted_module._sample_blocks(wk, [h.fn], 0, 8, 1003)
+    got = columns_module._sample_blocks(wk, [h.fn], 0, 8, 1003)
     assert rows[0] == 0
     assert got[0].tobytes() == want[0].tobytes()
 
@@ -338,7 +342,7 @@ def test_library_kernels_run_row_by_row_in_blocks(monkeypatch):
     h = DetMap(Real(1), Real(1), lambda x: x * x, "sq")
     want = by_rows(wk, [h.fn], 1, 9, 1003)
     rows = count_calls(monkeypatch, weighted_module, "_sample_rows")
-    got = weighted_module._sample_blocks(wk, [h.fn], 1, 9, 1003)
+    got = columns_module._sample_blocks(wk, [h.fn], 1, 9, 1003)
     assert rows[0] == 0
     assert got[0].tobytes() == want[0].tobytes()
 
@@ -359,9 +363,51 @@ def test_a_block_that_falls_back_without_an_error_gives_the_row_bits(monkeypatch
 
     sq.columns = sq_columns
     want = by_rows(wk, [sq], 0, 6, 1000)
-    blocks = count_calls(monkeypatch, weighted_module, "sample_columns")
+    blocks = count_calls(monkeypatch, columns_module, "_sample_columns")
     rows = count_calls(monkeypatch, weighted_module, "_sample_rows")
-    got = weighted_module._sample_blocks(wk, [sq], 0, 6, 1000)
+    got = columns_module._sample_blocks(wk, [sq], 0, 6, 1000)
     assert got[0].tobytes() == want[0].tobytes()
     # every block ran as columns, the one after the refused one too
     assert rows[0] == 1 and blocks[0] == len(seen) > 2
+
+
+# a point of each wire type that a box's output may be set to
+DO_VALUES = {"B": 1, "K": 2, "N": 3, "R": 0.5}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 10])
+def test_a_box_set_by_do_draws_no_form_of_the_box_it_replaced(seed, monkeypatch):
+    raw, z, _ = generated_model(seed)
+    z = 0 if z is None else z
+    m = model_from_dict(raw)
+    # the first primitive box whose parameters read its input
+    b = next(b for b, e in raw["interpretation"].items()
+             if "primitive" in e and "$" in str(e.get("params")))
+    original = m.interpretation.box_kernels[b].steps[0].primitive
+    value = DO_VALUES[raw["signature"]["boxes"][b]["cod"][0]]
+    wk = m.weighted_kernel(intervene(m.diagram, m.interpretation, {b: value}))
+    spaces = [m.interpretation.wire_spaces[m.diagram.wire_label[w]] for w in m.diagram.outputs]
+    fns = [compile_det_map(["$0"], spaces, [Real(1)]).fn]
+    built, draws = [], columns_module._draws
+    monkeypatch.setattr(columns_module, "_draws", lambda p: built.append(p) or draws(p))
+    rows = count_calls(monkeypatch, weighted_module, "_sample_rows")
+    got = columns_module._sample_blocks(wk, fns, z, seed, 1003)
+    assert rows[0] == 0
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in by_rows(wk, fns, z, seed, 1003)]
+    # the forms are built from the intervened kernel's own boxes, once each
+    assert b not in wk.base.box_ids
+    assert [id(p) for p in built] == [id(s.primitive) for s in wk.base.boxes]
+    assert all(p is not original for p in built)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 10])
+def test_spw_leaves_every_primitive_kernel_as_it_was(seed):
+    raw, z, n_out = generated_model(seed)
+    m = model_from_dict(raw)
+    kernels = [k.steps[0].primitive for k in m.interpretation.box_kernels.values()
+               if type(k.steps[0]) is TracedBox]
+    assert kernels
+    before = [dict(vars(p)) for p in kernels]
+    _, hs, z = audit_parts(raw, z, n_out, 2)
+    spw_check(m.weighted_kernel(), hs, [1.0] * len(hs), n=1000, seed=seed, z=z)
+    assert [dict(vars(p)) for p in kernels] == before

@@ -30,7 +30,9 @@ three-output det box, weights that are mostly zero, several --h, and a
 model with global inputs, with and without --input), spw audits whose
 blocks fall back to one sample at a time (a weight refused past the first
 block) and audits of weight factors that fail only where the factor
-before them is zero (on some samples or on all), trace and u
+before them is zero (on some samples or on all), do ... spw on two
+weighted models (a box set by do, read by a wired parameter or holding
+one), trace and u
 files holding values that are no point of their box's space, and
 malformed or misplaced --input, --set and --point values (sample --n 0
 among them).
@@ -393,6 +395,13 @@ def run_corpus(main, genmodels, tmp: str) -> list:
     weighted_path, inputs = str(MODELS / "weighted.json"), str(MODELS / "inputs.json")
     c.run("weighted", ["spw", weighted_path, "--n", "1003", "--h", "$0", "--h", "1.0 - $0",
                        "--h", "$0 * 3.0"])
+    # spw on a surgered model: a box that reads a box set by do, and a box
+    # whose parameters read its input, itself set by do
+    for name, path, settings, ref in (
+            ("weighted", weighted_path, ("b1=1", "b2=1"), []),
+            ("spw_exp_ln", c.path("spw_exp_ln.json"), ("g=0.5", "u=1.5"), ["--ref", "1.0"])):
+        for setting in settings:
+            c.run(name, ["do", path, "--set", setting, "spw", "--n", "1000", "--seed", "1", *ref])
     for extra in ([], ["--input", "1"], ["--input", "0"], ["--input", "5"],
                   ["--input", "1", "--ref", "0.7"], ["--input", "0", "--h", "1.0 - $0"]):
         c.run("inputs", ["spw", inputs, "--n", "1000", "--seed", "4", *extra])
