@@ -14,7 +14,7 @@ standard errors.
 import math
 
 from jointkern import (
-    DetMap, Finite, Real, UNIT_VALUE, constant_weight, enumerate_traces,
+    DetMap, Finite, Real, UNIT_VALUE, constant_weight,
     expected_value_by_enumeration, from_primitive, bernoulli,
     joint_log_density, kleisli_compose, spw_check, uniform01,
     unnormalized_log_density, weighted,

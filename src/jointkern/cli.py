@@ -16,11 +16,12 @@ supplies the default seed. Trace records are JSON lines with reals printed
 at 17 significant digits, so reruns with a fixed seed are byte-identical
 and logpdf round-trips exactly.
 
-sample writes its records a block of _KEY_BLOCK at a time, as each block is
-made, to stdout or to --out, which it opens only once the first block is
-made: an error in the first block leaves stdout empty and the file as it
-was, and an error in a later block leaves the blocks before it written, as
-an error in a logpdf or cf record leaves the records before it.
+sample and abduct write their records a block of _KEY_BLOCK at a time, as
+each block is made, to stdout or to --out, which they open only once the
+first block is made (sample appends to it, abduct overwrites it): an error
+in the first block leaves stdout empty and the file as it was, and an error
+in a later block leaves the blocks before it written, as an error in a
+logpdf or cf record leaves the records before it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
@@ -195,7 +197,7 @@ def _run_validate(model: Model, interp: Interpretation, ns) -> int:
     return 0
 
 
-# the most record seed keys that sample derives at once
+# the most records that sample draws, or abduct reads, at once
 _KEY_BLOCK = 1024
 
 
@@ -245,8 +247,11 @@ def _run_abduct(model: Model, interp: Interpretation, ns) -> int:
     decode = _trace_decoder(k)
     encode = _uniforms_encoder(k.box_ids)
     z = _decode_input(model, ns.input)
-    lines = [encode(abduct_uniforms(k, z, decode(rec))) for rec in _read_jsonl(ns.trace)]
-    _emit(["".join(line + "\n" for line in lines)], ns.out, "w")
+    records = _read_jsonl(ns.trace)
+    # written a block of records at a time, as sample writes its blocks
+    blocks = ("".join([encode(abduct_uniforms(k, z, decode(rec))) + "\n" for rec in block])
+              for block in iter(lambda: list(islice(records, _KEY_BLOCK)), []))
+    _emit(blocks, ns.out, "w")
     return 0
 
 
@@ -336,7 +341,7 @@ _COMMANDS = {
         ("--h", dict(action="append", default=[],
                      help="test function over the output wires (default $0)")),
         ("--ref", dict(type=float, action="append", default=[],
-                       help="reference value per --h (default: exact enumeration)")),
+                       help="reference value per --h (default: exact, by elimination)")),
         ("--input", dict(default=None)),
     ]),
     "cover": (_run_cover, [

@@ -17,9 +17,9 @@ counterfactual replay possible downstream.
 
 compose and tensor concatenate programs, moving the second program's slots
 past the first's; no step wraps another, so every query (sampling, replay,
-log-density, abduction, enumeration) is one linear pass over the steps and
-costs O(steps). Steps are immutable tuples, so moving a step is one tuple
-build and a kernel, once built, never changes.
+log-density, abduction, elimination) is one linear pass over the steps and
+costs O(steps) per record or table row. Steps are immutable tuples, so
+moving a step is one tuple build and a kernel, once built, never changes.
 
 Each query is one pass. A pass reads each box's parameter point once, with
 PrimitiveKernel.point, and calls the primitive's laws at that point. The
@@ -31,7 +31,7 @@ its key as rng.derived_seed_keys builds it), and draws every uniform with
 rng.unit_uniforms, a block of seeds by some of the kernel's box keys at a
 time, as the table below says.
 
-Every pass but enumerate_traces and run_trace loops over the kernel's pass
+Every pass but the elimination and run_trace loops over the kernel's pass
 plan (JointKernel.pass_plan), built by the first pass that runs the kernel
 and kept on it: one plain tuple per step, holding a box's id, slots, its
 primitive's point, push, density and abduct_law, and its value check, or
@@ -59,8 +59,10 @@ this order, the checks that can fail on what it is given or draws:
                           the input, the trace's box set, then, box by box,
                           that the primitive has an abduct law, the value's
                           membership, then its support
-    enumerate_traces      every trace of a finite kernel with its exact
-                          probability: the input and the box codomains
+    _eliminate            the exact table of a finite kernel's live slots
+                          (marginal_pmf_finite and spw's exact reference):
+                          the input, that every box is finite, then the
+                          rows each box makes, at most _ROW_LIMIT
     run_trace             every slot at a given trace, unchecked
 
 spw also runs sample_records' draws over a block of seeds as columns; that
@@ -116,7 +118,7 @@ __all__ = [
     "lift_det", "identity_kernel", "structure_kernel", "from_primitive",
     "compose", "tensor", "rename_boxes", "expose_residuals", "run_trace",
     "joint_log_density", "replay_with_uniforms", "sample_records", "sample_scored",
-    "sample_with_trace", "abduct_uniforms", "enumerate_traces", "marginal_pmf_finite",
+    "sample_with_trace", "abduct_uniforms", "marginal_pmf_finite",
 ]
 
 Trace = Mapping[str, Value]
@@ -148,13 +150,14 @@ class PrimitiveKernel:
     density(pt, m), the log density of m against cod's base measure;
     push(u, pt), the point of cod that a block of one uniform pushes
     forward to; and, where defined, abduct_law(pt, m), a right-inverse of
-    push, and pmf_law(pt, m), an exact rational pmf used by finite
-    enumeration. The methods are the laws as functions of z; those given an
-    observed m first check that it is a point of cod. params holds the
-    parameter values primitives.instantiate built the kernel from, in its
-    family's order, each a constant or a callable of z; None for a kernel
-    built otherwise. Equality, hashing and repr do not read it. A kernel
-    never changes once built.
+    push, and pmf_law(pt, m), an exact rational pmf used by the exact
+    elimination. The methods are the laws as functions of z; abduct and pmf
+    first check that the law is defined, and those given an observed m that
+    it is a point of cod. params holds the parameter values
+    primitives.instantiate built the kernel from, in its family's order,
+    each a constant or a callable of z; None for a kernel built otherwise.
+    Equality, hashing and repr do not read it. A kernel never changes once
+    built.
     """
 
     name: str
@@ -189,10 +192,14 @@ class PrimitiveKernel:
         return self.push(u, self.point(z))
 
     def abduct(self, z: Value, m: Value) -> tuple:
+        if self.abduct_law is None:
+            raise ShapeError(f"primitive {self.name!r} has no abduct")
         self.check_value(m)
         return self.abduct_law(self.point(z), m)
 
     def pmf(self, z: Value, m: Value) -> Fraction:
+        if self.pmf_law is None:
+            raise ShapeError(f"primitive {self.name!r} has no pmf")
         self.check_value(m)
         return self.pmf_law(self.point(z), m)
 
@@ -743,68 +750,65 @@ def _exact_factor(p: PrimitiveKernel, pt, m: Value) -> Fraction:
     return Fraction(0) if ld == NEG_INF else Fraction(math.exp(ld))
 
 
-def _check_finite(k: JointKernel, hint: str = ""):
-    """Raise at the first box whose codomain is not finite; hint ends the
-    message."""
+# the most rows that one box of an elimination makes; past it, it stops
+_ROW_LIMIT = 2 ** 18
+
+
+def _eliminate(k: JointKernel, z: Value, keep: set, hint: str = "") -> dict:
+    """The exact table of a finite kernel at input z: each row, the slots'
+    values with every dead slot None, -> its probability, a Fraction.
+
+    Forward elimination along the program (variable elimination with the
+    step order as the elimination order). A slot lives from its write to
+    its last read, and the slots in keep to the end. A box extends each row
+    by each positive point of its codomain, times _exact_factor; an Apply
+    or Unpack runs on the row. Once a slot dies it is set to None, and rows
+    that now agree merge by addition, so a row's probability is the exact
+    sum over the traces that reach it, and the rows come in the order of
+    the first such trace, depth-first over the boxes, each box's points in
+    order. Checks the input, then that every box is finite; a box that
+    makes more than _ROW_LIMIT rows, counted before they merge, raises.
+    hint ends both messages."""
+    check_member(k.dom, z, "kernel input")
     for b in k.boxes:
         if not is_finite_space(b.primitive.cod):
             raise ShapeError(f"box {b.box_id} has non-finite codomain {b.primitive.cod!r}{hint}")
-
-
-def enumerate_traces(k: JointKernel, z: Value) -> Iterator[tuple[dict, Fraction]]:
-    """All positive-probability traces with exact rational probabilities.
-
-    Requires every box codomain to be finite. Probabilities are exact when
-    the primitives expose exact pmfs (all finite built-ins do). Traces come
-    in depth-first order over the boxes, each box's points in order; the
-    search keeps an explicit stack, so depth is not bounded by recursion.
-    """
-    check_member(k.dom, z, "kernel input")
-    _check_finite(k)
-    steps = k.steps
-    slots = [None] * k.n_slots
-    slots[0] = z
-    t: dict = {}
-
-    def branches(j: int, before: Fraction):
-        """Set box j to each of its positive points in turn; yield the
-        path probability so far."""
-        box_id, p, src, dst, read = steps[j]
-        pt = p.point(slots[src] if read is None else read(slots))
-        for m in finite_points(p.cod):
-            f = _exact_factor(p, pt, m)
-            if f != 0:
-                t[box_id] = slots[dst] = m
-                yield before * f
-
-    # (next step index, branches of the box before it) per box on the path.
-    # Every slot is written by one step, so rerunning the steps after a box
-    # refreshes everything downstream of it; a full path sets every box, so
-    # stale trace entries from other paths are always overwritten.
-    stack = []
-    i, prob = 0, Fraction(1)
-    while True:
-        while i < len(steps) and type(steps[i]) is not TracedBox:
-            steps[i].run(slots)
-            i += 1
-        if i == len(steps):
-            yield dict(t), prob
-        else:
-            stack.append((i + 1, branches(i, prob)))
-        while stack:
-            i, frame = stack[-1]
-            prob = next(frame, None)
-            if prob is not None:
-                break
-            stack.pop()
-        else:
-            return
+    # the slots that die at each step, found backwards: those it reads or
+    # writes that no later step reads, the kept ones aside
+    live, dying = set(keep), []
+    for s in reversed(k.steps):
+        touched = {*(s.src if type(s.src) is tuple else (s.src,)),
+                   *(s.dsts if type(s) is Unpack else (s.dst,))}
+        dying.append(touched - live)
+        live |= touched
+    table = {(z, *[None] * (k.n_slots - 1)): Fraction(1)}
+    for s, dead in zip(k.steps, reversed(dying)):
+        made = []
+        for row, prob in table.items():
+            slots = list(row)
+            if type(s) is not TracedBox:
+                s.run(slots)
+                made.append((slots, prob))
+                continue
+            _, p, src, dst, read = s
+            pt = p.point(row[src] if read is None else read(row))
+            for m in finite_points(p.cod):
+                f = _exact_factor(p, pt, m)
+                if f:
+                    slots[dst] = m
+                    made.append((slots.copy(), prob * f))
+            if len(made) > _ROW_LIMIT:
+                raise ShapeError(f"exact elimination needs more than {_ROW_LIMIT} rows{hint}")
+        table = {}
+        for slots, prob in made:
+            for j in dead:
+                slots[j] = None
+            key = tuple(slots)
+            table[key] = table.get(key, 0) + prob
+    return table
 
 
 def marginal_pmf_finite(k: JointKernel, z: Value) -> dict:
-    """Exact output pmf by enumerating every residual combination."""
-    acc: dict = {}
-    for t, prob in enumerate_traces(k, z):
-        x = k.mech(t, z)
-        acc[x] = acc.get(x, Fraction(0)) + prob
-    return {x: float(p) for x, p in acc.items()}
+    """Exact output pmf of a finite kernel at input z, by _eliminate keeping
+    the output alone; keyed in the order of each output's first trace."""
+    return {row[k.out]: float(prob) for row, prob in _eliminate(k, z, {k.out}).items()}

@@ -7,7 +7,7 @@ its laws at that point. The laws are a density against the right base
 measure (counting or Lebesgue), a monotone inverse-CDF pushforward from one
 uniform, an exact right-inverse (abduct) and, for discrete families, an
 exact rational pmf, in which float parameters are read as their shortest
-decimal literal so finite enumeration is exact (see marginal_pmf_finite).
+decimal literal so exact elimination is exact (see marginal_pmf_finite).
 Discrete abduction returns the midpoint of the CDF interval of the observed
 point, so round-trips do not sit on floating-point boundaries.
 

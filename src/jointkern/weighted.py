@@ -8,7 +8,10 @@ multiplies the weights, moving each factor's slots along with its kernel's
 steps; the unnormalized density multiplies the weight into the base
 density. spw_check audits strict proper weighting: for test
 functions h, the seeded Monte Carlo mean of w*h must match a reference
-integral within three standard errors.
+integral within three standard errors. Unless the caller gives them, the
+references are exact: one forward elimination of a finite base
+(kernels._eliminate) that keeps the slots the weights and the test
+functions read.
 
 Factors are kept in linear space but always accumulated as logs, so long
 products cannot underflow.
@@ -40,8 +43,8 @@ from typing import Callable, Sequence
 
 from .errors import ParameterError, ShapeError
 from .kernels import (
-    NEG_INF, DetMap, JointKernel, Trace, _check_finite, _compose, _tensor, enumerate_traces,
-    joint_log_density, run_trace, sample_records,
+    NEG_INF, DetMap, JointKernel, Trace, _compose, _eliminate, _tensor, joint_log_density,
+    run_trace, sample_records,
 )
 from .spaces import (
     UNIT_VALUE, Product, Real, Value, check_member, nest_values, unnest_values,
@@ -171,39 +174,37 @@ def unnormalized_log_density(wk: WeightedJointKernel, z: Value, t: Trace) -> flo
     return NEG_INF if lw == NEG_INF else lw + ld
 
 
-# the most positive-probability traces an exact reference sums over; past
-# it the enumeration stops, and spw needs its reference values given
-ENUMERATION_LIMIT = 2 ** 18
-
-_GIVE_REF = "give the reference values instead (--ref)"
+_GIVE_REF = "; give the reference values instead (--ref)"
 
 
 def _expected_values(wk: WeightedJointKernel, z: Value, hs: Sequence[DetMap]) -> list[float]:
-    """Exact E[w * h(output)] for each h, over one enumeration of the traces;
-    each sum runs in trace order in exact Fraction arithmetic. The input is
-    checked first, then that every box is finite, as enumerate_traces
-    checks them, with a message that names --ref."""
-    base, log_weight = wk.base, wk.log_weight
-    check_member(base.dom, z, "kernel input")
-    _check_finite(base, "; " + _GIVE_REF)
+    """Exact E[w * h(output)] for each h, over one elimination of the base
+    (kernels._eliminate) that keeps the output and every factor's slots,
+    and every box's too when a factor has no column form, as such a factor
+    may read the trace. Each final row is weighed with log_weight, its
+    trace the kept boxes' values, and each sum runs in exact Fraction
+    arithmetic. Merged traces share every slot that the weight and h read,
+    so the sums equal those over every trace. The elimination's errors end
+    in a message that names --ref."""
+    base, factors = wk.base, wk.weight_factors
+    keep = {base.out, *(i for f in factors for i in f.slots)}
+    if any(getattr(f.fn, "columns", None) is None for f in factors):
+        keep.update(b.dst for b in base.boxes)
+    boxes = [(b.box_id, b.dst) for b in base.boxes if b.dst in keep]
     accs = [Fraction(0)] * len(hs)
-    for count, (t, prob) in enumerate(enumerate_traces(base, z), 1):
-        if count > ENUMERATION_LIMIT:
-            raise ShapeError(
-                f"exact reference needs more than {ENUMERATION_LIMIT} traces; {_GIVE_REF}")
-        slots = run_trace(base, z, t)
-        lw = log_weight(t, z, slots)
+    for row, prob in _eliminate(base, z, keep, _GIVE_REF).items():
+        lw = wk.log_weight({b: row[dst] for b, dst in boxes}, z, row)
         if lw == NEG_INF:
             continue
         w = _weight(lw, " in the exact reference")
-        x = slots[base.out]
+        x = row[base.out]
         accs = [acc + prob * Fraction(w * float(h(x))) for acc, h in zip(accs, hs)]
     return [float(acc) for acc in accs]
 
 
 def expected_value_by_enumeration(wk: WeightedJointKernel, z: Value, h: DetMap) -> float:
-    """Exact E[w * h(output)] over all traces; finite residuals only, and at
-    most ENUMERATION_LIMIT positive-probability traces."""
+    """Exact E[w * h(output)] by elimination (_expected_values); finite
+    boxes only, and at most kernels._ROW_LIMIT rows made by any box."""
     return _expected_values(wk, z, [h])[0]
 
 
@@ -218,15 +219,15 @@ def spw_check(
     """Strict-proper-weighting audit at the kernel input z.
 
     Estimates E[w * h(x)] from n seeded samples at z for each test function
-    and compares against the reference value (or an exact enumeration at z
-    when reference is None). Passes when the estimate sits within three
+    and compares against the reference value (or the exact elimination at
+    z when reference is None). Passes when the estimate sits within three
     standard errors. Returns one report dict per test function.
 
     Everything that can be rejected without sampling is checked before the
     first draw: n, that z is a point of the kernel's domain, and the
-    references, which must be finite. The enumeration stops with a
-    ShapeError past ENUMERATION_LIMIT traces, and so does a box that is
-    not finite. The samples run in blocks (see the module docstring), with
+    references, which must be finite. The elimination stops with a
+    ShapeError past kernels._ROW_LIMIT rows, and so does a box that is not
+    finite. The samples run in blocks (see the module docstring), with
     the floats and errors of one sample at a time.
     """
     if n < 1000:

@@ -40,7 +40,6 @@ from jointkern import (
     descriptor_contains,
     diagram_structure,
     dirac_countable,
-    enumerate_traces,
     evaluate,
     exponential,
     finite_points,
@@ -71,6 +70,7 @@ from support import (
     chain_parts,
     ck_composite,
     dag_signature,
+    enumerate_traces,
     fourbox_parts,
     kernel_matrix,
     random_dag_diagram,

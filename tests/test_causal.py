@@ -13,7 +13,6 @@ from jointkern import (
     compose,
     counterfactual,
     derive_seed,
-    enumerate_traces,
     evaluate,
     from_primitive,
     intervene,
@@ -24,7 +23,7 @@ from jointkern import (
 )
 from jointkern import Diagram, Hypergraph, HypMorphism, Interpretation
 
-from support import chain_parts, fourbox_parts
+from support import chain_parts, enumerate_traces, fourbox_parts
 
 TWO = Finite(2)
 

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import json
 import math
 import os
@@ -11,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import jointkern.kernels as kernels_module
 import jointkern.model as model_module
 import jointkern.primitives as primitives
 import jointkern.spaces as spaces
@@ -589,6 +589,50 @@ def test_abduct_cf_roundtrip(capsys, tmp_path):
         assert rep["output"] == rec["output"]
 
 
+def test_abduct_writes_its_records_a_block_at_a_time(capsys, tmp_path):
+    traces, out = tmp_path / "records.jsonl", tmp_path / "u.jsonl"
+    assert main(["sample", NORMAL, "--n", "20000", "--seed", "1", "--out", str(traces)]) == 0
+    lines = traces.read_text().splitlines(keepends=True)
+    assert main(["abduct", NORMAL, "--trace", str(traces), "--out", str(out)]) == 0  # warm
+    peaks = {}
+    for n in (5000, 20000):
+        traces.write_text("".join(lines[:n]))
+        tracemalloc.start()
+        try:
+            assert main(["abduct", NORMAL, "--trace", str(traces), "--out", str(out)]) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_text().count("\n") == n
+    # one block's text at a time, not every record's
+    assert peaks[20000] < 1.5 * peaks[5000]
+
+
+def test_abduct_keeps_the_blocks_before_a_failing_one(capsys, tmp_path):
+    traces = tmp_path / "records.jsonl"
+    run(capsys, "sample", CHAIN, "--n", "2000", "--seed", "3", "--out", str(traces))
+    lines = traces.read_text().splitlines(keepends=True)
+    bad = '{"trace": {"b1": 2, "b2": 0}}\n'
+    traces.write_text("".join(lines[:1024]))
+    _, first, _ = run(capsys, "abduct", CHAIN, "--trace", str(traces))
+    assert first.count("\n") == 1024
+    out = tmp_path / "u.jsonl"
+    out.write_text("kept\n")
+    # an error in the first block leaves stdout empty and the file as it was
+    traces.write_text("".join(lines[:5] + [bad] + lines[6:]))
+    for argv in (("--out", str(out)), ()):
+        code, piped, err = run(capsys, "abduct", CHAIN, "--trace", str(traces), *argv)
+        assert (code, piped) == (4, "") and err.startswith("error: ")
+        assert out.read_text() == "kept\n"
+    # an error in the second block leaves the first written
+    traces.write_text("".join(lines[:1500] + [bad] + lines[1501:]))
+    code, piped, _ = run(capsys, "abduct", CHAIN, "--trace", str(traces), "--out", str(out))
+    assert (code, piped) == (4, "")
+    assert out.read_text() == first
+    code, piped, _ = run(capsys, "abduct", CHAIN, "--trace", str(traces))
+    assert (code, piped) == (4, first)
+
+
 def test_abduct_offsupport(capsys, tmp_path):
     t = tmp_path / "t.jsonl"
     t.write_text('{"trace": {"g": 0}}\n')
@@ -634,11 +678,10 @@ def test_spw_ref_must_be_a_finite_number(capsys, monkeypatch):
 
 
 def test_spw_exact_reference_is_bounded(capsys, monkeypatch):
-    weighted_module = importlib.import_module("jointkern.weighted")
-    monkeypatch.setattr(weighted_module, "ENUMERATION_LIMIT", 3)
+    monkeypatch.setattr(kernels_module, "_ROW_LIMIT", 3)
     code, out, err = run(capsys, "spw", CHAIN, "--n", "1000")
     assert (code, out) == (4, "")
-    assert err.startswith("error: exact reference needs more than 3 traces") and "--ref" in err
+    assert err.startswith("error: exact elimination needs more than 3 rows") and "--ref" in err
     code, out, _ = run(capsys, "spw", CHAIN, "--n", "1000", "--ref", "0.45")
     assert code == 0 and json.loads(out)[0]["reference"] == 0.45
 

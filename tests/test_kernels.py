@@ -19,7 +19,6 @@ from jointkern import (
     abduct_uniforms,
     bernoulli,
     compose,
-    enumerate_traces,
     evaluate,
     exponential,
     expose_residuals,
@@ -43,7 +42,9 @@ from jointkern import (
 import jointkern.rng as rng
 from jointkern.model import parse_model
 
-from support import ck_composite, count_calls, count_draws, kernel_matrix, random_finite_kernel
+from support import (
+    ck_composite, count_calls, count_draws, enumerate_traces, kernel_matrix, random_finite_kernel,
+)
 
 TWO = Finite(2)
 
@@ -267,6 +268,18 @@ def test_abduct_uniforms_checks_box_by_box():
     for value in (2, -1, 1.0, "x", math.inf):
         with pytest.raises(ShapeError, match=rf"^bernoulli: value {value!r} is not a point"):
             abduct_uniforms(n, UNIT_VALUE, {"a": 0, "b": value})
+
+
+def test_pmf_of_a_family_without_one_names_the_primitive():
+    for p, m in ((poisson(3.0), 2), (normal(), 0.5)):
+        with pytest.raises(ShapeError, match=rf"^primitive {p.name!r} has no pmf$"):
+            p.pmf(UNIT_VALUE, m)
+
+
+def test_abduct_of_a_primitive_without_the_law_names_it():
+    coin = _hand_built("coin", lambda z, m: 0.0)
+    with pytest.raises(ShapeError, match=r"^primitive 'coin' has no abduct$"):
+        coin.abduct(UNIT_VALUE, 1)
 
 
 def test_sampling_determinism_and_mean():

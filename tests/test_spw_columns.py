@@ -18,7 +18,6 @@ primitive it replaced, and spw leaves every primitive kernel as it was.
 """
 
 import importlib
-import random
 from array import array
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from jointkern.cli import main
 from jointkern.columns import _Anomaly
 from jointkern.kernels import TracedBox
 
-from support import count_calls
+from support import audit_parts, count_calls, generated_model, outcome
 
 weighted_module = importlib.import_module("jointkern.weighted")
 columns_module = importlib.import_module("jointkern.columns")
@@ -48,113 +47,6 @@ def by_rows(wk, fns, z, seed, n):
     return cols
 
 MODELS = Path(__file__).parent / "models"
-
-SPACES = {"B": {"finite": 2}, "K": {"finite": 3}, "N": "countable", "R": {"real": 1},
-          "C": {"coproduct": [{"finite": 2}, {"real": 1}]}}
-INPUT_VALUES = {"B": 1, "R": 0.5}
-
-# per output type: primitive entries whose expressions read $0, any numeric
-# input; each parameter stays in its family's range for every input value
-PRIMITIVES = {
-    "B": [{"primitive": "bernoulli", "params": {"p": 0.3}},
-          {"primitive": "bernoulli", "params": {"p": "if $0 < 1 then 0.2 else 0.7"}},
-          {"primitive": "bernoulli", "params": {"p": "min(max($0 * 0.25, 0.0), 1.0)"}}],
-    "K": [{"primitive": "categorical", "params": {"probs": [0.2, 0.3, 0.5]}},
-          {"primitive": "categorical",
-           "params": {"probs": ["if $0 < 1 then 0.1 else 0.6", 0.3,
-                                "if $0 < 1 then 0.6 else 0.1"]}}],
-    "N": [{"primitive": "poisson", "params": {"rate": "1.0 + min(max($0, 0.0), 4.0)"}},
-          {"primitive": "poisson", "params": {"rate": 2.5}},
-          {"primitive": "dirac_countable", "params": {"value": 3}}],
-    "R": [{"primitive": "normal", "params": {"mu": "$0 * 0.5 - 1.0", "sigma": 2.0}},
-          {"primitive": "normal", "params": {"mu": 0.25, "sigma": "1.0 + $0 * $0"}},
-          {"primitive": "uniform", "params": {"a": "neg(1.0) + $0", "b": "$0 + 3.0"}},
-          {"primitive": "uniform", "params": {"a": -1.0, "b": 2.0}},
-          {"primitive": "uniform01"},
-          {"primitive": "exponential", "params": {"rate": "exp(neg(min(max($0, 0.0), 3.0)))"}},
-          {"primitive": "exponential", "params": {"rate": 1.5}}],
-}
-
-# det outputs over $0 and $1 (both numeric): (output type, expression)
-DET = [("R", "$0 * 2.0 - $1"), ("R", "if $0 < $1 then $0 else $1 / 2.0"),
-       ("R", "ln(1.0 + $0 * $0)"), ("R", "exp(min($0, 3.0)) + max($0, $1)"),
-       ("B", "if $0 < $1 then 1 else 0"), ("R", "($0, $1 * 1.0).1 + ($1, $0).0")]
-INT_DET = [("N", "$0 * $1 + 2"), ("N", "max($0, $1) - min($0, $1)"),
-           ("K", "if $0 < 1 then 2 else 0")]
-# a coproduct wire, made by one det box and read by the next alone
-TAGGED = ("if $0 < $1 then inl(1) else inr($1 * 1.0)", "case $0 of inl x => x * 2.0 | inr y => y")
-
-# weights over $0..$k-1 (numeric): each is finite and nonnegative
-WEIGHTS = ["$0 * $0 + 0.5", "if $0 < {last} then 0.0 else 2.0", "exp(neg(min($0 * $0, 4.0)))",
-           "max({last}, 0.0) + 0.25", "1.0 / (1.0 + $0 * $0)", "2"]
-TESTS = ["$0", "$0 * 2.0 + 1.0", "if $0 < 1 then 1.0 else 0.0", "{last} - $0", "min($0, {last})"]
-
-
-def generated_model(seed: int):
-    """(raw model, its input value or None, its number of outputs) drawn
-    from seed."""
-    rnd = random.Random(seed)
-    wires, boxes, sig, interp, dom, cod, weights = {}, {}, {}, {}, {}, {}, {}
-    inputs = [f"i{j}" for j in range(rnd.choice([0, 0, 1, 2]))]
-    for w in inputs:
-        wires[w] = rnd.choice(["B", "R"])
-    for b in range(rnd.randint(3, 6)):
-        name, known = f"b{b}", [w for w in wires if wires[w] != "C"]
-        ins = rnd.sample(known, min(len(known), rnd.choice([0, 1, 2, 2])))
-        if len(ins) == 2 and rnd.random() < 0.25:
-            made, read = f"t{b}", f"w{b}_0"
-            wires[made], wires[read] = "C", "R"
-            sig[name] = {"dom": [wires[w] for w in ins], "cod": ["C"]}
-            sig[name + "r"] = {"dom": ["C"], "cod": ["R"]}
-            interp[name], interp[name + "r"] = {"det": TAGGED[0]}, {"det": TAGGED[1]}
-            boxes[name], dom[name], cod[name] = name, ins, [made]
-            boxes[name + "r"], dom[name + "r"], cod[name + "r"] = name + "r", [made], [read]
-            continue
-        if len(ins) == 2 and rnd.random() < 0.6:
-            ints = all(wires[w] != "R" for w in ins)
-            outs = [rnd.choice(DET + INT_DET if ints else DET) for _ in range(rnd.randint(1, 3))]
-            entry = {"det": [e for _, e in outs]}
-            out_types = [t for t, _ in outs]
-        else:
-            t = rnd.choice(["B", "K", "N", "R", "R"])
-            entry = rnd.choice([e for e in PRIMITIVES[t] if ins or "$" not in str(e)])
-            out_types = [t]
-        outs = [f"w{b}_{j}" for j in range(len(out_types))]
-        wires.update(zip(outs, out_types))
-        sig[name] = {"dom": [wires[w] for w in ins], "cod": out_types}
-        interp[name], boxes[name], dom[name], cod[name] = entry, name, ins, outs
-        if rnd.random() < 0.6:
-            last = f"${len(ins) + len(outs) - 1}"
-            weights[name] = rnd.choice(WEIGHTS).format(last=last)
-    # every box output is read onward: the output leg takes those no box
-    # reads, and maybe one that some box does
-    read = {w for ws in dom.values() for w in ws}
-    produced = [w for w in wires if w not in inputs and wires[w] != "C"]
-    outputs = [w for w in produced if w not in read]
-    outputs += [w for w in rnd.sample(produced, 1) if w not in outputs]
-    raw = {
-        "version": 1,
-        "signature": {"wires": {t: {"space": sp} for t, sp in SPACES.items()},
-                      "boxes": sig},
-        "diagram": {"wires": wires, "boxes": boxes, "dom": dom, "cod": cod,
-                    "inputs": inputs, "outputs": outputs},
-        "interpretation": interp,
-        "weights": weights,
-    }
-    z = None
-    if inputs:
-        values = [INPUT_VALUES[wires[w]] for w in inputs]
-        z = values[0] if len(values) == 1 else tuple(values)
-    return raw, z, len(outputs)
-
-
-def audit_parts(raw, z, n_out, count: int):
-    m = model_from_dict(raw)
-    spaces = [m.interpretation.wire_spaces[m.diagram.wire_label[w]] for w in m.diagram.outputs]
-    texts = [t.format(last=f"${n_out - 1}") for t in TESTS[:count]]
-    hs = [compile_det_map([t], spaces, [Real(1)]) for t in texts]
-    return m.weighted_kernel(), hs, 0 if z is None else z
-
 
 @settings(derandomize=True, max_examples=14, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(1, 3))
@@ -169,13 +61,6 @@ def test_blocks_match_the_loop_bit_for_bit(seed, count):
         assert rows[0] == 0, (raw, n)
         want = by_rows(wk, fns, z, seed, n)
         assert [c.tobytes() for c in got] == [c.tobytes() for c in want], (raw, n)
-
-
-def outcome(run):
-    try:
-        return run()
-    except Exception as e:  # noqa: BLE001 - the class and message are compared
-        return type(e), str(e)
 
 
 def _uniform_model(weights: dict, box: dict = None, p: float = 0.5) -> dict:

@@ -1,4 +1,3 @@
-import importlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -38,10 +37,9 @@ from jointkern import (
     with_weight_map,
 )
 
-from support import chain_parts, count_draws
+import jointkern.kernels as kernels_module
 
-# the module, which the package attribute `weighted` (a function) shadows
-weighted_module = importlib.import_module("jointkern.weighted")
+from support import chain_parts, count_draws
 
 TWO = Finite(2)
 
@@ -375,7 +373,7 @@ def test_spw_check_stores_one_float_per_sample_and_test_function():
 
 
 # ---------------------------------------------------------------------------
-# exact references: one enumeration for every test function, bounded
+# exact references: one elimination for every test function, bounded
 
 def test_exact_references_enumerate_once_for_every_test_function():
     wk = weighted(chain_kernel(), [indicator_y1])
@@ -392,13 +390,13 @@ def test_exact_references_enumerate_once_for_every_test_function():
 def test_exact_reference_stops_past_the_enumeration_limit(monkeypatch):
     wk = weighted(chain_kernel(), [indicator_y1])
     h = DetMap(TWO, Real(1), float, "id")
-    monkeypatch.setattr(weighted_module, "ENUMERATION_LIMIT", 4)
+    monkeypatch.setattr(kernels_module, "_ROW_LIMIT", 4)
     assert expected_value_by_enumeration(wk, UNIT_VALUE, h) == pytest.approx(0.9, abs=1e-12)
-    monkeypatch.setattr(weighted_module, "ENUMERATION_LIMIT", 3)
-    with pytest.raises(ShapeError, match=r"more than 3 traces.*--ref"):
+    monkeypatch.setattr(kernels_module, "_ROW_LIMIT", 3)
+    with pytest.raises(ShapeError, match=r"more than 3 rows.*--ref"):
         expected_value_by_enumeration(wk, UNIT_VALUE, h)
     with pytest.raises(ShapeError, match=r"--ref"):
         spw_check(wk, [h], None, n=1000, seed=0)
-    # given references need no enumeration
+    # given references need no elimination
     (rep,) = spw_check(wk, [h], [0.9], n=1000, seed=0)
     assert rep["reference"] == 0.9

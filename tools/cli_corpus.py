@@ -32,8 +32,9 @@ blocks fall back to one sample at a time (a weight refused past the first
 block) and audits of weight factors that fail only where the factor
 before them is zero (on some samples or on all), do ... spw on two
 weighted models (a box set by do, read by a wired parameter or holding
-one), trace and u
-files holding values that are no point of their box's space, and
+one), spw's exact reference of a 40-box finite chain and of a
+finite layered DAG of 2^20 traces, trace and u files holding values that
+are no point of their box's space, and
 malformed or misplaced --input, --set and --point values (sample --n 0
 among them).
 """
@@ -171,6 +172,21 @@ def _weighted_variants() -> dict:
             [["--n", "1000"], ["--n", "5000"],
              ["--n", "1000", "--h", "$0", "--h", "1.0 - $0", "--h", "$0 * 3.0"]]),
     }
+
+
+def _finite_raw(layers: int, width: int) -> dict:
+    """layers of width bernoulli boxes, each past the first layer reading
+    wires j and j + 1 (mod width) of the layer before, with the last layer
+    on the output leg and the first box weighted; width 1 is a chain."""
+    boxes = {}
+    for i in range(layers):
+        for j in range(width):
+            ins = sorted({f"w{i - 1}_{j}", f"w{i - 1}_{(j + 1) % width}"}) if i else []
+            p = [0.5, "if $0 < 1 then 0.2 else 0.7", "if $0 < $1 then 0.2 else 0.6"][len(ins)]
+            boxes[f"b{i}_{j}"] = (ins, [(f"w{i}_{j}", "B")],
+                                  {"primitive": "bernoulli", "params": {"p": p}})
+    return _weighted_raw(boxes, [f"w{layers - 1}_{j}" for j in range(width)],
+                         {"b0_0": "$0 + 0.5"})
 
 
 def _fallback_variants() -> dict:
@@ -392,6 +408,11 @@ def run_corpus(main, genmodels, tmp: str) -> list:
                 c.run(name, ["spw", path, "--seed", seed, *extra])
     for name, (raw, flags) in _fallback_variants().items():
         c.run(name, ["spw", c.model(name, raw), *flags])
+    # exact references of finite models with more traces than anyone walks:
+    # a chain of 40 boxes and 4 layers of 5
+    for name, layers, width in (("finite_chain40", 40, 1), ("finite_dag4x5", 4, 5)):
+        c.run(name, ["spw", c.model(name, _finite_raw(layers, width)), "--n", "1000",
+                     "--seed", "1"])
     weighted_path, inputs = str(MODELS / "weighted.json"), str(MODELS / "inputs.json")
     c.run("weighted", ["spw", weighted_path, "--n", "1003", "--h", "$0", "--h", "1.0 - $0",
                        "--h", "$0 * 3.0"])
