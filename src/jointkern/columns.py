@@ -16,19 +16,20 @@ fn.columns(c, m) is the column of fn over the rows of c. expr gives one to
 each function it compiles from a checked AST (compile_det_map's maps, so
 det boxes, weights and test functions, and a model's parameter
 expressions), built by _det_columns when first called; a weight factor
-may carry one too (see weighted.WeightFactor). A primitive box's draws
-take theirs from its family's column laws (_LAWS, keyed by family name) at
-its parameters (_draws), when each parameter is a constant or carries a
-column form. Each kernel's table of them, one per box in box order, is
-built from the kernel's own boxes by its first block (_draw_table), so a
-box that do replaced is drawn as what replaced it, and nothing is set on
-a kernel. Anything without a column form runs row by row. What runs on
-some rows of a block only (an if's branch, a weight factor past an
-earlier zero factor) reads those rows' values, _take of the block's
-columns. A column step that meets a value its scalar twin would refuse,
-or cannot promise the scalar bits for, raises; the caller then reruns the
-block's seeds through the scalar pass, which raises what it always
-raised, or finishes.
+may carry one too, over the columns of the slots it reads (see
+weighted.WeightFactor). A primitive box's draws take theirs from its
+family's column laws (_LAWS, keyed by family name) at its parameters
+(_draws), when each parameter is a constant or carries a column form.
+Each kernel's table of them, one per box in box order, is built from the
+kernel's own boxes by its first block (_draw_table), so a box that do
+replaced is drawn as what replaced it, and nothing is set on a kernel.
+Anything without a column form runs row by row. What runs on some rows
+of a block only (an if's branch, a weight factor past an earlier zero
+factor) reads those rows' values, _take of the block's columns. A column
+step that meets a value its scalar twin would refuse, or cannot promise
+the scalar bits for, raises; the caller then reruns the block's seeds
+through the scalar pass, which raises what it always raised, or
+finishes.
 
 This is the only module that imports numpy. weighted.spw_check imports it
 when it runs, so no other command loads it, and its names are private
@@ -440,10 +441,9 @@ def _draw_table(k: JointKernel) -> tuple:
     return tuple(_draws(b.primitive) for b in k.boxes)
 
 
-def _sample_columns(k: JointKernel, z: Value,
-                    seeds: Iterable[int | bytes]) -> tuple[dict, list]:
+def _sample_columns(k: JointKernel, z: Value, seeds: Iterable[int | bytes]) -> list:
     """kernels.sample_records' draws over one block of seeds, unscored, as
-    columns: (box id -> the column of its draws, every slot's column).
+    columns: every slot's column, each box's draws in its slot.
 
     Each box's uniforms are drawn as a column with rng.unit_uniforms, so
     each row is the draw sample_records makes at its seed, and every step
@@ -462,7 +462,6 @@ def _sample_columns(k: JointKernel, z: Value,
     slots = [None] * k.n_slots
     slots[0] = _constant(z, m)
     unit = _constant(UNIT_VALUE, m)
-    t: dict = {}
     for s in k.steps:
         cls = type(s)
         if cls is Unpack:
@@ -477,7 +476,7 @@ def _sample_columns(k: JointKernel, z: Value,
             fn = s.fn
             slots[s.dst] = x if fn is _identity else _columns_of(fn, x, m)
             continue
-        box_id, p, _, dst, _ = s
+        _, p, _, dst, _ = s
         u = np.array(draw(seeds, (next(keys),)), float)
         form = next(forms)
         if form is not None:
@@ -485,13 +484,13 @@ def _sample_columns(k: JointKernel, z: Value,
         else:
             push, point = p.push, p.point
             c = _column([push((v,), point(y)) for v, y in zip(u.tolist(), _rows(x, m))])
-        t[box_id] = slots[dst] = c
+        slots[dst] = c
     if not _all_members(k.cod, cod_ok, slots[k.out], m):
         raise _Anomaly("kernel output")
-    for run, box_id, _, _, _, _, _, _, _, ok, p in entries:
-        if run is None and not _all_members(p.cod, ok, t[box_id], m):
+    for run, box_id, _, dst, _, _, _, _, _, ok, p in entries:
+        if run is None and not _all_members(p.cod, ok, slots[dst], m):
             raise _Anomaly(f"trace value for {box_id}")
-    return t, slots
+    return slots
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +517,8 @@ def _sample_blocks(wk: _weighted.WeightedJointKernel, fns: list, z: Value, seed:
             seeds = rng.derived_seed_keys(seed, start, min(start + rows, n))
             m = len(seeds)
             try:
-                t, slots = _sample_columns(base, z, seeds)
-                w = _weight_column(wk, t, slots, m)
+                slots = _sample_columns(base, z, seeds)
+                w = _weight_column(wk, slots, m)
                 x = slots[base.out]
                 # every test function's floats before any is kept, so a
                 # block that raises adds nothing
@@ -532,17 +531,16 @@ def _sample_blocks(wk: _weighted.WeightedJointKernel, fns: list, z: Value, seed:
     return cols
 
 
-def _weight_column(wk: _weighted.WeightedJointKernel, t: dict, slots: list,
-                   m: int) -> np.ndarray:
+def _weight_column(wk: _weighted.WeightedJointKernel, slots: list, m: int) -> np.ndarray:
     """exp(log_weight) of each row of a block: the column of its weights.
 
-    log_weight's loop over the factors, run on a block: each factor runs on
-    the rows that no earlier factor zeroed, through its column form if it
-    has one, else row by row on those rows' traces. A non-finite or
-    negative value there raises, so the block falls back to the row path,
-    which raises its error. The logs of the live rows add up in factor
-    order from 0.0, and the loop stops once no row is live."""
-    ids = list(t)
+    log_weight's loop over the factors, run on a block of slot columns:
+    each factor runs on the columns of its slots at the rows that no
+    earlier factor zeroed, through its column form if it has one, else row
+    by row. A non-finite or negative value there raises, so the block falls
+    back to the row path, which raises its error. The logs of the live rows
+    add up in factor order from 0.0, and the loop stops once no row is
+    live."""
     live, total = np.arange(m), np.zeros(m)
     for f in wk.weight_factors:
         k = len(live)
@@ -551,9 +549,7 @@ def _weight_column(wk: _weighted.WeightedJointKernel, t: dict, slots: list,
         cols = tuple(_take(slots[i], live) for i in f.slots)
         form = getattr(f.fn, "columns", None)
         if form is None:
-            traces = _rows(tuple(_take(t[b], live) for b in ids), k)
-            w = np.fromiter((float(f.fn(dict(zip(ids, r)), *v))
-                             for r, v in zip(traces, _rows(cols, k))), float, k)
+            w = np.fromiter((float(f.fn(*r)) for r in _rows(cols, k)), float, k)
         else:
             w = _floats(form(cols, k), k)
         if (~np.isfinite(w) | (w < 0.0)).any():

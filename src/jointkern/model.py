@@ -356,7 +356,7 @@ class Model:
             wires = g.dom[b] + g.cod[b]
             # the values nested as a box reading these wires reads them
             pack = _reader(range(len(wires)))
-            factor = lambda t, *values, weight=weight, pack=pack: weight(pack(values))
+            factor = lambda *values, weight=weight, pack=pack: weight(pack(values))
             factor.columns = lambda cols, m, form=weight.columns, pack=pack: form(pack(cols), m)
             factors.append(WeightFactor(factor, tuple(slot[w] for w in wires)))
         return tuple(factors)

@@ -1,9 +1,11 @@
 """Weighted kernels: a writer monad over joint kernels.
 
 A WeightedJointKernel pairs a base kernel with a bag of nonnegative weight
-factors. A factor reads the full trace and the values of some slots of the
-base program (by default slot 0, the kernel input), so one replay of the
-base feeds every factor. Kleisli composition composes the bases and
+factors. A factor is a function of the values of the base program's slots
+it names (by default slot 0, the kernel input), and those slots are all it
+reads, so one replay of the base feeds every factor. A plain callable
+f(t, z) names every box's slot of the base it is given with, and slot 0:
+it reads that kernel's trace t. Kleisli composition composes the bases and
 multiplies the weights, moving each factor's slots along with its kernel's
 steps; the unnormalized density multiplies the weight into the base
 density. spw_check audits strict proper weighting: for test
@@ -20,9 +22,9 @@ spw_check draws its samples in blocks, which the columns module runs; it
 imports that module when it runs, so no other query loads it. Each block
 is one column pass of the base with the weights and test functions run
 once over the block's columns. The weights keep log_weight's rule: each
-factor runs on the rows that no earlier factor zeroed, over their columns
-through its column form, fn.columns(value columns, m), if it has one, and
-row by row on their traces otherwise. Each sample's w * h has the bits of
+factor runs on the rows that no earlier factor zeroed, over the columns of
+its slots, through its column form, fn.columns(value columns, m), if it
+has one, and row by row otherwise. Each sample's w * h has the bits of
 drawing it alone with kernels.sample_records and weighing it with
 log_weight, the row path (_sample_rows), which stays the path that
 raises: a block whose column pass raises anything, because it met a
@@ -36,6 +38,7 @@ raises its error.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,10 +62,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightFactor:
-    """One nonnegative factor fn(t, *values), values read from the base
-    kernel's slots (slot 0 is the kernel input, so fn(t, z) by default).
-    fn may carry a column form that reads no trace: fn.columns(cols, m),
-    the column of the factor over a block, cols the slots' columns."""
+    """One nonnegative factor fn(*values) of the values of the base kernel's
+    slots, which are all it reads (slot 0 is the kernel input, so fn(z) by
+    default). fn may carry a column form, fn.columns(cols, m): the column
+    of the factor over a block, cols the slots' columns."""
 
     fn: Callable[..., float]
     slots: tuple = (0,)
@@ -72,29 +75,32 @@ class WeightFactor:
 class WeightedJointKernel:
     """A joint kernel carrying multiplicative nonnegative weight factors.
 
-    Plain callables f(t, z) among the factors become WeightFactor(f).
+    A plain callable f(t, z) among the factors becomes a WeightFactor over
+    every box's slot of base and slot 0, so t holds this base's boxes.
     """
 
     base: JointKernel
     weight_factors: tuple = ()
 
     def __post_init__(self):
+        ids, every = self.base.box_ids, (*(b.dst for b in self.base.boxes), 0)
         object.__setattr__(self, "weight_factors", tuple(
-            f if isinstance(f, WeightFactor) else WeightFactor(f)
+            f if isinstance(f, WeightFactor)
+            else WeightFactor(lambda *v, f=f: f(dict(zip(ids, v)), v[-1]), every)
             for f in self.weight_factors))
 
     def log_weight(self, t: Trace, z: Value, slots: list | None = None) -> float:
         """Sum of log factors; -inf when any factor is zero.
 
         slots, when given, are the base program's slot values at t and z,
-        as a replay that drew t returns them, indexed by slot number;
-        otherwise they are recomputed.
+        as a replay that drew t returns them, indexed by slot number, and t
+        is not read; otherwise they are replayed from t.
         """
         if slots is None:
             slots = run_trace(self.base, z, t)
         total = 0.0
         for f in self.weight_factors:
-            w = float(f.fn(t, *[slots[i] for i in f.slots]))
+            w = float(f.fn(*[slots[i] for i in f.slots]))
             if not math.isfinite(w):
                 raise ShapeError(f"non-finite weight factor {w!r}")
             if w < 0.0:
@@ -132,7 +138,7 @@ def weighted(base: JointKernel, factors: Sequence = ()) -> WeightedJointKernel:
 def constant_weight(base: JointKernel, c: float) -> WeightedJointKernel:
     if c == 1.0:
         return WeightedJointKernel(base, ())
-    return WeightedJointKernel(base, (lambda t, z, _c=float(c): _c,))
+    return WeightedJointKernel(base, (WeightFactor(lambda _c=float(c): _c, ()),))
 
 
 def with_weight_map(base: JointKernel, det: DetMap) -> WeightedJointKernel:
@@ -146,6 +152,7 @@ def with_weight_map(base: JointKernel, det: DetMap) -> WeightedJointKernel:
     def factor(t, z):
         return det((nest_values([t[b] for b in ids]), z))
 
+    # a plain factor: it reads every box's slot and the input
     return WeightedJointKernel(base, (factor,))
 
 
@@ -179,25 +186,19 @@ _GIVE_REF = "; give the reference values instead (--ref)"
 
 def _expected_values(wk: WeightedJointKernel, z: Value, hs: Sequence[DetMap]) -> list[float]:
     """Exact E[w * h(output)] for each h, over one elimination of the base
-    (kernels._eliminate) that keeps the output and every factor's slots,
-    and every box's too when a factor has no column form, as such a factor
-    may read the trace. Each final row is weighed with log_weight, its
-    trace the kept boxes' values, and each sum runs in exact Fraction
-    arithmetic. Merged traces share every slot that the weight and h read,
-    so the sums equal those over every trace. The elimination's errors end
-    in a message that names --ref."""
-    base, factors = wk.base, wk.weight_factors
-    keep = {base.out, *(i for f in factors for i in f.slots)}
-    if any(getattr(f.fn, "columns", None) is None for f in factors):
-        keep.update(b.dst for b in base.boxes)
-    boxes = [(b.box_id, b.dst) for b in base.boxes if b.dst in keep]
+    (kernels._eliminate) that keeps the output and every factor's slots.
+    Each final row is weighed with log_weight over its slots, and each sum
+    runs in exact Fraction arithmetic. Merged traces share every slot that
+    the weight and h read, so the sums equal those over every trace. The
+    elimination's errors end in a message that names --ref."""
+    keep = {wk.base.out, *(i for f in wk.weight_factors for i in f.slots)}
     accs = [Fraction(0)] * len(hs)
-    for row, prob in _eliminate(base, z, keep, _GIVE_REF).items():
-        lw = wk.log_weight({b: row[dst] for b, dst in boxes}, z, row)
+    for row, prob in _eliminate(wk.base, z, keep, _GIVE_REF).items():
+        lw = wk.log_weight(None, z, row)
         if lw == NEG_INF:
             continue
         w = _weight(lw, " in the exact reference")
-        x = row[base.out]
+        x = row[wk.base.out]
         accs = [acc + prob * Fraction(w * float(h(x))) for acc, h in zip(accs, hs)]
     return [float(acc) for acc in accs]
 
@@ -224,19 +225,20 @@ def spw_check(
     standard errors. Returns one report dict per test function.
 
     Everything that can be rejected without sampling is checked before the
-    first draw: n, that z is a point of the kernel's domain, and the
-    references, which must be finite. The elimination stops with a
-    ShapeError past kernels._ROW_LIMIT rows, and so does a box that is not
-    finite. The samples run in blocks (see the module docstring), with
-    the floats and errors of one sample at a time.
+    first draw: n, an integer; that z is a point of the kernel's domain;
+    and the references, which must be finite numbers. The elimination
+    stops with a ShapeError past kernels._ROW_LIMIT rows, and so does a box
+    that is not finite. The samples run in blocks (see the module
+    docstring), with the floats and errors of one sample at a time.
     """
+    n = _read(operator.index, n, "spw_check needs an integer n")
     if n < 1000:
         raise ParameterError(f"spw_check needs n >= 1000, got {n}")
     check_member(wk.base.dom, z, "kernel input")
     if reference is None:
         refs = _expected_values(wk, z, test_functions)
     else:
-        refs = [float(r) for r in reference]
+        refs = [_read(float, r, "reference values must be finite numbers") for r in reference]
         if len(refs) != len(test_functions):
             raise ShapeError("one reference value per test function is required")
         bad = [r for r in refs if not math.isfinite(r)]
@@ -257,6 +259,14 @@ def spw_check(
             "pass": bool(abs(est - ref) <= 3.0 * se),
         })
     return report
+
+
+def _read(convert: Callable, v, what: str):
+    """convert(v); where it refuses v, a ParameterError: what, then v."""
+    try:
+        return convert(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{what}, got {v!r}") from None
 
 
 def _sample_rows(wk: WeightedJointKernel, fns: list, z: Value, seeds: list, start: int,

@@ -1,13 +1,22 @@
 """The exact path against its oracle: forward elimination over the slot
 program (kernels._eliminate) must give what walking every trace gives
 (support.enumerate_traces), bit for bit and in the same key order, and
-must stay cheap where enumeration is exponential."""
+must stay cheap where enumeration is exponential. A weighted reference
+keeps only the slots its factors name: a constant factor keeps none, and
+a plain f(t, z) keeps every box's."""
 
+import importlib.util
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
-from jointkern import NEG_INF, UNIT_VALUE, evaluate, marginal_pmf_finite, run_trace
+import pytest
+
+from jointkern import (
+    NEG_INF, UNIT_VALUE, DetMap, Finite, Real, WeightFactor, constant_weight, evaluate,
+    expected_value_by_enumeration, marginal_pmf_finite, model_from_dict, run_trace, weighted,
+)
 from jointkern.cli import main
 from jointkern.weighted import _expected_values, _weight
 
@@ -49,12 +58,23 @@ def test_marginals_match_the_oracle_on_random_dags():
         assert got == want and list(got) == list(want), i
 
 
+def trace_factor(t, z):
+    """A plain factor of the whole trace: 1 plus the ranks of the boxes at 1, over 8."""
+    return 1.0 + sum(i for i, v in enumerate(t.values(), 1) if v == 1) / 8
+
+
+# appended to each model's own factors: none, one of no slots, one of the trace
+EXTRA_FACTORS = ((), (WeightFactor(lambda: 2.5, ()),), (trace_factor,))
+
+
 def test_exact_references_match_the_oracle_on_generated_models():
     for seed in range(40):
         raw, z, n_out = generated_model(seed, finite=True)
         wk, hs, z = audit_parts(raw, z, n_out, 3)
-        got = outcome(lambda: _expected_values(wk, z, hs))
-        assert got == outcome(lambda: oracle_expected_values(wk, z, hs)), raw
+        for extra in EXTRA_FACTORS:
+            wx = weighted(wk.base, [*wk.weight_factors, *extra])
+            got = outcome(lambda: _expected_values(wx, z, hs))
+            assert got == outcome(lambda: oracle_expected_values(wx, z, hs)), (raw, extra)
 
 
 def _bernoulli_chain(n: int) -> dict:
@@ -88,3 +108,29 @@ def test_spw_takes_the_exact_reference_of_a_long_chain(capsys, tmp_path):
     for _ in range(39):
         p = Fraction("0.2") + Fraction("0.5") * p
     assert row["reference"] == float(p)
+
+
+def _finite_raw(layers: int, width: int) -> dict:
+    spec = importlib.util.spec_from_file_location(
+        "cli_corpus", Path(__file__).resolve().parent.parent / "tools" / "cli_corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus._finite_raw(layers, width)
+
+
+@pytest.mark.parametrize("n", [16, 40])
+def test_a_constant_weight_keeps_two_rows_of_a_long_chain(n, monkeypatch):
+    # the factor names no slot, so the table keeps the output alone
+    k = model_from_dict(_finite_raw(n, 1)).kernel
+    weighted_module = importlib.import_module("jointkern.weighted")
+    tables, eliminate = [], weighted_module._eliminate
+    monkeypatch.setattr(weighted_module, "_eliminate",
+                        lambda *args: tables.append(eliminate(*args)) or tables[-1])
+    h = DetMap(Finite(2), Real(1), float, "x")
+    got = expected_value_by_enumeration(constant_weight(k, 2.0), UNIT_VALUE, h)
+    # P(x_i = 1) = 0.2 + 0.5 P(x_i-1 = 1), from a fair coin
+    p = Fraction(1, 2)
+    for _ in range(n - 1):
+        p = Fraction("0.2") + Fraction("0.5") * p
+    assert got == float(2 * p)
+    assert [len(t) for t in tables] == [2]

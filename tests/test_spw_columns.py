@@ -12,7 +12,8 @@ after the one that holds the first refused sample; a block that falls
 back without an error gives the row path's bits and the next block is
 columns again; an if whose branch fails only on rows the condition sends
 elsewhere stays in the blocks, and so does a weight factor that fails only
-on rows an earlier factor zeroed, which runs on no such row; and the model
+on rows an earlier factor zeroed, which runs on no such row, and so do a
+factor of no slots and a plain factor of the trace; and the model
 fixtures never fall back. A box that do sets draws no column form of the
 primitive it replaced, and spw leaves every primitive kernel as it was.
 """
@@ -200,6 +201,20 @@ def test_a_plain_factor_after_a_column_form_runs_on_the_live_rows(monkeypatch):
     # the plain factor divides by the coin, which the first factor zeroes
     wk = model_from_dict(_uniform_model({"b1": "$0 * 1.0"})).weighted_kernel()
     wk = weighted(wk.base, [*wk.weight_factors, lambda t, z: 1.0 / t["b1"] + t["b2"]])
+    h = compile_det_map(["$0"], [Real(1)], [Real(1)])
+    want = by_rows(wk, [h.fn], 0, 8, 1003)
+    rows = count_calls(monkeypatch, weighted_module, "_sample_rows")
+    got = columns_module._sample_blocks(wk, [h.fn], 0, 8, 1003)
+    assert rows[0] == 0
+    assert got[0].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("factor", [WeightFactor(lambda: 2.5, ()),
+                                    lambda t, z: 1.0 + t["b1"] * t["b2"]],
+                         ids=["no_slots", "plain"])
+def test_a_factor_of_no_slots_or_of_the_trace_stays_in_the_blocks(factor, monkeypatch):
+    wk = model_from_dict(_uniform_model({"b2": "$1 + 0.5"})).weighted_kernel()
+    wk = weighted(wk.base, [*wk.weight_factors, factor])
     h = compile_det_map(["$0"], [Real(1)], [Real(1)])
     want = by_rows(wk, [h.fn], 0, 8, 1003)
     rows = count_calls(monkeypatch, weighted_module, "_sample_rows")

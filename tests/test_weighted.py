@@ -141,6 +141,18 @@ def test_kleisli_compose_shifts_factors():
             plain, UNIT_VALUE, t)
 
 
+def test_a_plain_factor_reads_its_own_stage_trace():
+    seen = []
+    left = weighted(from_primitive(bernoulli(0.5), "a"),
+                    [lambda t, z: seen.append(("left", t, z)) or 3.0])
+    step = from_primitive(bernoulli(lambda x: 0.2 if x < 1 else 0.7, dom=TWO), "b")
+    right = weighted(step, [lambda t, z: seen.append(("right", t, z)) or 5.0])
+    wk = kleisli_compose(left, right)
+    assert wk.log_weight({"a": 1, "b": 0}, UNIT_VALUE) == pytest.approx(math.log(15.0))
+    # after composition each factor sees its own stage's boxes and input
+    assert seen == [("left", {"a": 1}, UNIT_VALUE), ("right", {"b": 0}, 1)]
+
+
 def test_kleisli_compose_associative():
     def mk(box, c):
         return weighted(from_primitive(bernoulli(0.5, dom=TWO), box),
@@ -215,7 +227,7 @@ def test_spw_check_runs_the_program_once_per_sample():
 
     base = compose(from_primitive(bernoulli(0.5), "b"), lift_det(DetMap(TWO, Real(1), shift)))
     # the factor reads the det step's slot, so scoring it needs that slot's value
-    wk = weighted(base, [WeightFactor(lambda t, x: x, (base.out,))])
+    wk = weighted(base, [WeightFactor(lambda x: x, (base.out,))])
     h = DetMap(Real(1), Real(1), float, "id")
     (rep,) = spw_check(wk, [h], [2.5], n=1000, seed=4)
     assert calls[0] == 1000
@@ -337,6 +349,29 @@ def test_spw_check_rejects_bad_references_before_any_draw(monkeypatch):
         with pytest.raises(ParameterError, match="reference values must be finite"):
             spw_check(wk, [h, h], [0.5, bad], n=1000, seed=0)
     assert draws[0] == 0
+
+
+def test_spw_check_names_a_reference_that_is_no_number(monkeypatch):
+    draws = count_draws(monkeypatch)
+    wk = weighted(chain_kernel(), [indicator_y1])
+    h = DetMap(TWO, Real(1), float, "id")
+    for bad, shown in (("x", "'x'"), (None, "None"), (10 ** 400, str(10 ** 400))):
+        with pytest.raises(ParameterError,
+                           match=rf"^reference values must be finite numbers, got {shown}$"):
+            spw_check(wk, [h], [bad], 1000, 1)
+    assert draws[0] == 0
+
+
+def test_spw_check_names_an_n_that_is_no_integer(monkeypatch):
+    draws = count_draws(monkeypatch)
+    wk = weighted(chain_kernel(), [indicator_y1])
+    h = DetMap(TWO, Real(1), float, "id")
+    for bad in (1000.5, 2000.0, "2000"):
+        with pytest.raises(ParameterError, match=rf"^spw_check needs an integer n, got {bad!r}$"):
+            spw_check(wk, [h], None, bad, 1)
+    assert draws[0] == 0
+    # an integer of another type is read as one
+    assert spw_check(wk, [h], [0.9], np.int64(1000), 1)[0]["reference"] == 0.9
 
 
 def test_spw_check_rejects_a_weight_past_the_float_range():
