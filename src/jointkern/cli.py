@@ -10,8 +10,9 @@
     jointkern cover MODEL [--count N] [--point J]
     jointkern export-dot MODEL [--out FILE]
 
-Exit codes: 0 success, 1 audit failure, 2 I/O or usage, 3 syntax,
-4 shape/type, 5 diagram validation. The JOINTKERN_SEED environment variable
+Exit codes: 0 success, 1 audit failure, 2 I/O or usage, 3 syntax (a model,
+trace or u file that is not UTF-8 included), 4 shape/type, 5 diagram
+validation. The JOINTKERN_SEED environment variable
 supplies the default seed. Trace records are JSON lines with reals printed
 at 17 significant digits, so reruns with a fixed seed are byte-identical
 and logpdf round-trips exactly.
@@ -20,8 +21,9 @@ sample and abduct write their records a block of _KEY_BLOCK at a time, as
 each block is made, to stdout or to --out, which they open only once the
 first block is made (sample appends to it, abduct overwrites it): an error
 in the first block leaves stdout empty and the file as it was, and an error
-in a later block leaves the blocks before it written, as an error in a
-logpdf or cf record leaves the records before it.
+in a later block leaves the blocks before it written. logpdf and cf write
+their records to stdout a block of _KEY_BLOCK at a time too, but an error in
+a record writes the records before it first, so it leaves them all written.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .expr import compile_det_map
 from .interpret import Interpretation, evaluate
 from .kernels import abduct_uniforms, joint_log_density, sample_records
 from .model import (
-    Model, _float_text, _floats_text, _is_number, _loads, descriptor_to_json, parse_model,
+    Model, _float_text, _floats_text, _loads, descriptor_to_json, parse_model,
     render_json, value_decoder, value_encoder, value_from_jsonable, value_to_jsonable,
 )
 from .spaces import (
@@ -116,18 +118,35 @@ def _parse_do(model: Model, interp: Interpretation, settings) -> dict:
     return do
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _read_jsonl(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    """The JSON value of each line of the file path that is not blank.
+
+    Each line is decoded by the JSON scanner alone, and a line it refuses,
+    or one with text after its value, goes to json.loads, only to raise
+    json.loads' error as "path:line: not valid JSON: ...". A line that is
+    not UTF-8 is read with its bad bytes escaped, and refused as
+    "path:line: not valid UTF-8: ..." before it is decoded.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise ModelSyntaxError(f"{path}:{line_no}: not valid UTF-8: {e}") from None
             line = line.strip()
             if not line:
                 continue
-            # ValueError includes an integer of more digits than int() reads,
-            # RecursionError nesting deeper than the decoder goes
             try:
-                yield json.loads(line)
-            except (ValueError, RecursionError) as e:
-                raise ModelSyntaxError(f"{path}:{line_no}: not valid JSON: {e}") from None
+                j, end = _raw_decode(line)
+            except (ValueError, RecursionError):
+                end = -1
+            if end != len(line):
+                j = _loads(line, ModelSyntaxError, f"{path}:{line_no}: not valid JSON")
+            yield j
 
 
 def _trace_spaces(kernel) -> dict:
@@ -136,8 +155,10 @@ def _trace_spaces(kernel) -> dict:
 
 def _trace_decoder(kernel):
     """A trace record -> its trace, each value decoded in its box's space;
-    each box's value decoder is chosen once, here."""
-    decoders = {b: value_decoder(sp) for b, sp in _trace_spaces(kernel).items()}
+    one value decoder is built per distinct space, here."""
+    decoder = functools.cache(value_decoder)
+    decoders = {b: decoder(sp) for b, sp in _trace_spaces(kernel).items()}
+    known = decoders.keys()
 
     def decode(j) -> dict:
         if not isinstance(j, dict) or "trace" not in j:
@@ -145,10 +166,9 @@ def _trace_decoder(kernel):
         raw = j["trace"]
         if not isinstance(raw, dict):
             raise ModelSyntaxError("trace must be an object")
-        unknown = [b for b in raw if b not in decoders]
-        if unknown:
-            raise ShapeError(f"trace has unknown boxes {unknown}")
-        return {b: decoders[b](raw[b]) for b in raw}
+        if not raw.keys() <= known:
+            raise ShapeError(f"trace has unknown boxes {[b for b in raw if b not in known]}")
+        return {b: decoders[b](v) for b, v in raw.items()}
 
     return decode
 
@@ -215,13 +235,31 @@ def _run_sample(model: Model, interp: Interpretation, ns) -> int:
     return 0
 
 
+def _out_blocks(lines: Iterable[str]):
+    """Each of lines to stdout, joined a block of _KEY_BLOCK at a time; an
+    error in making a line writes the lines before it first."""
+    block = []
+    try:
+        for line in lines:
+            block.append(line)
+            if len(block) == _KEY_BLOCK:
+                text, block = "".join(block), []
+                _out(text)
+    finally:
+        _out("".join(block))
+
+
 def _run_logpdf(model: Model, interp: Interpretation, ns) -> int:
     k = evaluate(model.diagram, interp)
     decode = _trace_decoder(k)
     z = _decode_input(model, ns.input)
-    for rec in _read_jsonl(ns.trace):
-        _out("%.17g\n" % joint_log_density(k, z, decode(rec)))
+    _out_blocks("%.17g\n" % joint_log_density(k, z, decode(rec))
+                for rec in _read_jsonl(ns.trace))
     return 0
+
+
+# the types of the JSON numbers: a bool is an int to isinstance, not to type
+_NUMBER_TYPES = frozenset({int, float})
 
 
 def _run_cf(model: Model, interp: Interpretation, ns) -> int:
@@ -231,14 +269,17 @@ def _run_cf(model: Model, interp: Interpretation, ns) -> int:
     replay = _replayer(model.diagram, k)
     encode = _record_encoder(_trace_spaces(k), k.cod, scored=False)
     z = _decode_input(model, ns.input)
-    for u in _read_jsonl(ns.u):
+
+    def record(u) -> str:
         if not isinstance(u, dict):
             raise ModelSyntaxError("u records must be objects box -> [floats]")
         for b, block in u.items():
-            if not isinstance(block, list) or not all(map(_is_number, block)):
+            if not isinstance(block, list) or not _NUMBER_TYPES.issuperset(map(type, block)):
                 raise ModelSyntaxError(f"u for {b!r} must be a list of floats")
         # replay converts each uniform to float as it checks it
-        _out(encode(*replay(u, z)) + "\n")
+        return encode(*replay(u, z)) + "\n"
+
+    _out_blocks(map(record, _read_jsonl(ns.u)))
     return 0
 
 

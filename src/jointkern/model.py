@@ -43,7 +43,6 @@ and offset, and its message starts with the field that holds the text:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -138,7 +137,8 @@ def value_from_jsonable(space: Space, j) -> Value:
 
 def value_decoder(space: Space):
     """j -> value_from_jsonable(space, j) for every JSON value j, with the
-    space's shape read once, here, rather than per value."""
+    space's shape read once, here, rather than per value. Real(1)'s decoder
+    returns a JSON float as it is, since float() would return that float."""
     if isinstance(space, (Finite, Countable)):
         def decode(j):
             if isinstance(j, int) and not isinstance(j, bool):
@@ -146,6 +146,8 @@ def value_decoder(space: Space):
             raise ShapeError(f"expected an integer for {space!r}, got {j!r}")
     elif isinstance(space, Real) and space.dim == 1:
         def decode(j):
+            if j.__class__ is float:
+                return j
             if _is_number(j):
                 return _real_from_json(space, j)
             raise ShapeError(f"expected a number for {space!r}, got {j!r}")
@@ -212,15 +214,16 @@ def descriptor_to_json(desc):
 
 
 def _float_text(x: float) -> str:
-    """17 significant digits; always distinguishable from an integer."""
-    if math.isinf(x):
-        return "-1e9999" if x < 0 else "1e9999"
-    if math.isnan(x):
-        raise ShapeError("cannot serialize NaN")
+    """17 significant digits; always distinguishable from an integer. An
+    infinity prints as the JSON number past the float range of its sign,
+    and NaN is refused. %.17g ends a finite float in a digit and an
+    infinity or NaN in a letter, so its last character tells them apart."""
     s = "%.17g" % x
-    if s.lstrip("-").isdigit():
-        s += ".0"
-    return s
+    if s[-1] <= "9":
+        return s if "." in s or "e" in s else s + ".0"
+    if x != x:
+        raise ShapeError("cannot serialize NaN")
+    return "-1e9999" if x < 0 else "1e9999"
 
 
 def render_json(obj) -> str:
@@ -245,6 +248,8 @@ def render_json(obj) -> str:
 
 def _floats_text(v) -> str:
     """A sequence of floats as render_json renders the list of them."""
+    if len(v) == 1:  # a box's uniform block: no join to build
+        return "[" + _float_text(v[0]) + "]"
     return "[" + ", ".join(map(_float_text, v)) + "]"
 
 
@@ -373,9 +378,13 @@ class Model:
 
 
 def parse_model(path: str) -> Model:
-    """Read and validate a model file. OSError propagates for the CLI."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read and validate a model file. OSError propagates for the CLI; a
+    file that is not UTF-8 is a ModelSyntaxError naming the byte."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ModelSyntaxError(f"{path}: not valid UTF-8: {e}") from None
     return model_from_dict(_loads(text, ModelSyntaxError, "not valid JSON"), path)
 
 

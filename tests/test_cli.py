@@ -14,7 +14,8 @@ import jointkern.kernels as kernels_module
 import jointkern.model as model_module
 import jointkern.primitives as primitives
 import jointkern.spaces as spaces
-from jointkern.cli import _decode_input, _trace_decoder, main
+from jointkern.cli import _decode_input, _read_jsonl, _trace_decoder, main
+from jointkern.errors import ModelSyntaxError
 from jointkern.kernels import joint_log_density, sample_with_trace
 from jointkern.model import model_from_dict, parse_model
 from jointkern.spaces import UNIT_VALUE
@@ -442,6 +443,170 @@ def test_logpdf_trace_errors(capsys, tmp_path):
     offspace = tmp_path / "offspace.jsonl"
     offspace.write_text('{"trace": {"b1": 1, "b2": 5}}\n')
     assert main(["logpdf", CHAIN, "--trace", str(offspace)]) == 4
+
+
+# each record command's flag, its record of normal.json's box g with the
+# value %s, and that record's value
+_RECORDS = {"logpdf": ("--trace", '{"trace": {"g": %s}}', "0.5"),
+            "abduct": ("--trace", '{"trace": {"g": %s}}', "0.5"),
+            "cf": ("--u", '{"g": [%s]}', "0.25")}
+_NOT_JSON = "{path}:1: not valid JSON: "
+
+
+def _per_command(logpdf, abduct, cf):
+    return {"logpdf": logpdf, "abduct": abduct, "cf": cf}
+
+
+# a record line's edge case: the file's text around the record r, the
+# value r holds (its command's own if None), and per command the exit code
+# and stderr after "error: ", or the count of records r it reads as
+_EDGE_LINES = {
+    "trailing text": ("{r} x\n", None, _per_command(
+        (3, _NOT_JSON + "Extra data: line 1 column 23 (char 22)"),
+        (3, _NOT_JSON + "Extra data: line 1 column 23 (char 22)"),
+        (3, _NOT_JSON + "Extra data: line 1 column 15 (char 14)"))),
+    "byte order mark": ("\ufeff{r}\n", None, (
+        3, _NOT_JSON + "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)")),
+    "NaN": ("{r}\n", "NaN", _per_command(
+        (4, "trace value for g nan is not a point of Real(dim=1)"),
+        (4, "normal: value nan is not a point of Real(dim=1)"),
+        (4, "uniform nan outside [0, 1] for box g"))),
+    "Infinity": ("{r}\n", "Infinity", _per_command(
+        (4, "trace value for g inf is not a point of Real(dim=1)"),
+        (4, "normal: value inf is not a point of Real(dim=1)"),
+        (4, "uniform inf outside [0, 1] for box g"))),
+    "5000 digits": ("{r}\n", "1" * 5000, (
+        3, _NOT_JSON + "Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit")),
+    "5000 levels": ("{r}\n", "[" * 5000 + "]" * 5000, (
+        3, _NOT_JSON + "maximum recursion depth exceeded while decoding a JSON array "
+        "from a unicode string")),
+    "vertical tabs": ("\x0b{r}\x0b\n", None, 1),
+    "no-break spaces": ("\xa0{r}\xa0\n", None, 1),
+    "CRLF": ("{r}\r\n{r}\r\n", None, 2),
+    "blank lines": ("\n{r}\n\n", None, 1),
+    "whitespace lines": (" \t \n{r}\n  \x0c\n", None, 1),
+}
+
+
+@pytest.mark.parametrize("command", list(_RECORDS))
+@pytest.mark.parametrize("case", list(_EDGE_LINES))
+def test_record_line_edge_cases(capsys, tmp_path, command, case):
+    flag, record, value = _RECORDS[command]
+    text, edge_value, want = _EDGE_LINES[case]
+    want = want[command] if isinstance(want, dict) else want
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(text.format(r=record % (edge_value or value)).encode("utf-8"))
+    got = run(capsys, command, NORMAL, flag, str(path))
+    if isinstance(want, int):
+        path.write_text(record % value + "\n")
+        _, one, _ = run(capsys, command, NORMAL, flag, str(path))
+        assert got == (0, one * want, "")
+    else:
+        code, err = want
+        assert got == (code, "", f"error: {err.format(path=path)}\n")
+
+
+def test_reader_calls_json_loads_on_the_bad_line_alone(tmp_path, monkeypatch):
+    lines = ['{"trace": {"g": %r}}\n' % (i / 7) for i in range(2000)]
+    want = [json.loads(line) for line in lines]
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(lines))
+    calls, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+    assert list(_read_jsonl(str(path))) == want
+    assert calls == []
+    lines[1499] = '{"trace": {"g": }}\n'
+    path.write_text("".join(lines))
+    with pytest.raises(ModelSyntaxError, match="records.jsonl:1500: not valid JSON"):
+        list(_read_jsonl(str(path)))
+    assert calls == ['{"trace": {"g": }}']
+
+
+# record 1500 of a trace file and of a u file of the chain fixture: a value
+# outside its box's space, a malformed line, and a line that is not UTF-8
+_BAD_RECORDS = [
+    (b'{"trace": {"b1": 2, "b2": 0}}', b'{"b1": [1.5], "b2": [0.5]}', 4, (
+        "trace value for b1 2 is not a point of Finite(size=2)",
+        "bernoulli: value 2 is not a point of Finite(size=2)",
+        "uniform 1.5 outside [0, 1] for box b1")),
+    (b'{"trace": {"b1": 1, "b2"', b'{"b1": [0.5], "b2": ', 3, (
+        "{trace}:1500: not valid JSON: Expecting ':' delimiter: line 1 column 25 (char 24)",
+        "{trace}:1500: not valid JSON: Expecting ':' delimiter: line 1 column 25 (char 24)",
+        "{u}:1500: not valid JSON: Expecting value: line 1 column 20 (char 19)")),
+    (b'{"trace": {"b1": 1, "b2": "\xe9"}}', b'{"b1": [0.5], "b2": [\xff]}', 3, (
+        "{trace}:1500: not valid UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 27: "
+        "invalid continuation byte",
+        "{trace}:1500: not valid UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 27: "
+        "invalid continuation byte",
+        "{u}:1500: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 21: "
+        "invalid start byte")),
+]
+
+
+@pytest.mark.parametrize("bad_trace, bad_u, code, errors", _BAD_RECORDS)
+def test_record_commands_stop_at_a_bad_record_past_the_first_block(
+        capsys, tmp_path, bad_trace, bad_u, code, errors):
+    trace, u = tmp_path / "records.jsonl", tmp_path / "u.jsonl"
+    run(capsys, "sample", CHAIN, "--n", "2000", "--seed", "3", "--out", str(trace))
+    run(capsys, "abduct", CHAIN, "--trace", str(trace), "--out", str(u))
+    _, scores, _ = run(capsys, "logpdf", CHAIN, "--trace", str(trace))
+    _, replays, _ = run(capsys, "cf", CHAIN, "--u", str(u))
+    abducted = u.read_text()
+    for path, bad in ((trace, bad_trace), (u, bad_u)):
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:1499] + [bad + b"\n"] + lines[1500:]))
+
+    def first(text, n):
+        return "".join(text.splitlines(keepends=True)[:n])
+
+    # logpdf and cf write every record before the bad one; abduct, the
+    # whole blocks of 1024 before it
+    for argv, out, err in (
+            (("logpdf", CHAIN, "--trace", str(trace)), first(scores, 1499), errors[0]),
+            (("abduct", CHAIN, "--trace", str(trace)), first(abducted, 1024), errors[1]),
+            (("cf", CHAIN, "--u", str(u)), first(replays, 1499), errors[2])):
+        assert run(capsys, *argv) == (
+            code, out, f"error: {err.format(trace=trace, u=u)}\n"), argv[0]
+
+
+def test_files_that_are_not_utf8_are_syntax_errors(capsys, tmp_path):
+    trace, u, model = tmp_path / "t.jsonl", tmp_path / "u.jsonl", tmp_path / "m.json"
+    trace.write_text('{"trace": {"g": 0.5}}\n')
+    u.write_text('{"g": [0.25]}\n')
+    model.write_bytes(b"\xff")
+    commands = (["validate"], ["logpdf", "--trace", str(trace)],
+                ["abduct", "--trace", str(trace)], ["cf", "--u", str(u)])
+    bad_model = (f"error: {model}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                 "in position 0: invalid start byte\n")
+    for cmd, *flags in commands:
+        assert run(capsys, cmd, str(model), *flags) == (3, "", bad_model), cmd
+    assert run(capsys, "do", str(model), "--set", "g=0.5", "logpdf", "--trace",
+               str(trace)) == (3, "", bad_model)
+    # the byte is named by its place in the file, past the reader's first chunk
+    model.write_bytes(Path(NORMAL).read_bytes() + b" " * 10000 + b"\xc3(")
+    assert run(capsys, "validate", str(model)) == (3, "", (
+        f"error: {model}: not valid UTF-8: 'utf-8' codec can't decode byte 0xc3 in position "
+        f"{Path(NORMAL).stat().st_size + 10000}: invalid continuation byte\n"))
+
+    # a trace or u line is named, and the records before it are read
+    _, score, _ = run(capsys, "logpdf", NORMAL, "--trace", str(trace))
+    _, replay, _ = run(capsys, "cf", NORMAL, "--u", str(u))
+    trace.write_bytes(b'{"trace": {"g": 0.5}}\n\n{"trace": {"g": "\xe9"}}\n')
+    surgered = tmp_path / "surgered.jsonl"  # do g=... leaves no box in the trace
+    surgered.write_bytes(b'{"trace": {}}\n{"trace": {"g": "\xe9"}}\n')
+    u.write_bytes(b'{"g": [0.25]}\r\n{"g": [0.25], "note": "\xff"}\n')
+    bad_line = ("error: {}:{}: not valid UTF-8: 'utf-8' codec can't decode byte {} in "
+                "position {}: {}\n")
+    bad_trace = bad_line.format(trace, 3, "0xe9", 17, "invalid continuation byte")
+    for argv, want in (
+            (["logpdf", NORMAL, "--trace", str(trace)], (3, score, bad_trace)),
+            (["do", NORMAL, "--set", "g=0.5", "logpdf", "--trace", str(surgered)], (
+                3, "0\n", bad_line.format(surgered, 2, "0xe9", 17, "invalid continuation byte"))),
+            (["abduct", NORMAL, "--trace", str(trace)], (3, "", bad_trace)),
+            (["cf", NORMAL, "--u", str(u)],
+             (3, replay, bad_line.format(u, 2, "0xff", 23, "invalid start byte")))):
+        assert run(capsys, *argv) == want, argv
 
 
 def test_do_validate_and_set_forms(capsys):

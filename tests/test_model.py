@@ -1,10 +1,11 @@
 import copy
 import json
 import math
+import struct
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jointkern import (
     Coproduct,
@@ -44,7 +45,7 @@ from jointkern import (
     descriptor_to_json,
 )
 from jointkern.cli import _record_encoder, _uniforms_encoder, main
-from jointkern.model import value_encoder
+from jointkern.model import _float_text, value_encoder
 
 from support import count_calls
 
@@ -154,6 +155,47 @@ def test_render_json():
     # 17 significant digits reproduce the double exactly
     for x in (1 / 3, 2.0 ** -40, 1e300, -0.0007):
         assert json.loads(render_json(x)) == x
+
+
+def _reference_float_text(x: float) -> str:
+    """_float_text as math's tests for an infinity and NaN, run before
+    formatting, define it."""
+    if math.isinf(x):
+        return "-1e9999" if x < 0 else "1e9999"
+    if math.isnan(x):
+        raise ShapeError("cannot serialize NaN")
+    s = "%.17g" % x
+    if s.lstrip("-").isdigit():
+        s += ".0"
+    return s
+
+
+def _text_or_error(float_text, x: float):
+    try:
+        return float_text(x)
+    except ShapeError as e:
+        return str(e)
+
+
+# the float of every 64-bit pattern
+_FLOAT_BITS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+@settings(derandomize=True, max_examples=1000)
+@given(_FLOAT_BITS)
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(1e16)
+@example(-1e16)
+@example(1e17)
+@example(5e-324)
+def test_float_text_reads_the_formatted_text(x):
+    # every 64-bit pattern, NaNs among them, renders as the tests render it
+    assert _text_or_error(_float_text, x) == _text_or_error(_reference_float_text, x)
 
 
 _REALS = st.floats(allow_nan=False, allow_infinity=False)

@@ -8,8 +8,11 @@ command, tab-separated:
 
     model  command  exit-code  sha256-of-stdout  stderr-as-a-JSON-string
 
-A command given --out hashes its stdout followed by the file it wrote, and
-an argument longer than 80 characters shows as its length and digest.
+A command that raises an exception main does not catch shows the
+exception's class name as its exit code, and the corpus goes on, so a
+crash is one line of the diff. A command given --out hashes its stdout
+followed by the file it wrote, and an argument longer than 80 characters
+shows as its length and digest.
 Paths print as {tmp}/... under the corpus's temporary directory and as
 {models}/... under tests/models, so two trees' outputs diff line for line:
 
@@ -36,7 +39,14 @@ one), spw's exact reference of a 40-box finite chain and of a
 finite layered DAG of 2^20 traces, trace and u files holding values that
 are no point of their box's space, and
 malformed or misplaced --input, --set and --point values (sample --n 0
-among them).
+among them). Last come the record files of logpdf, abduct and cf at the
+edges of the line reader: a record followed by text, after a byte order
+mark, holding NaN, Infinity, a 5000-digit integer or 5000 levels of
+nesting, padded with \x0b or \xa0, ended by CRLF or CR, or among blank
+and whitespace lines; files that are not UTF-8 (a model, and a trace and
+a u file past their first line); and 2000-record trace and u files, two
+blocks of 1024, whole or with record 1500 a value outside its box's
+space, malformed or not UTF-8.
 """
 
 from __future__ import annotations
@@ -302,6 +312,8 @@ class Corpus:
                 code = self.main(argv)
             except SystemExit as e:  # argparse refuses an unknown flag by exiting
                 code = e.code
+            except Exception as e:  # noqa: BLE001 - a crash is one line, not the end
+                code = type(e).__name__
             finally:
                 os.environ.pop("JOINTKERN_SEED", None)
         data = out.getvalue()
@@ -476,6 +488,67 @@ def run_corpus(main, genmodels, tmp: str) -> list:
     c.run("chain", ["cover", chain_path, "--point", "2"])
     for name, text in (("not_json", "{"), ("deep_json", deep), ("not_object", "[1]")):
         c.run(name, ["validate", c.model(name, text)])
+
+    # record lines at the edges of what the reader takes, each read by
+    # logpdf, abduct and cf from one record of the normal fixture
+    edges = {"trailing": "{r} x\n", "bom": "\ufeff{r}\n", "vt": "\x0b{r}\x0b\n",
+             "nbsp": "\xa0{r}\xa0\n", "crlf": "{r}\r\n{r}\r\n", "cr": "{r}\r{r}\r",
+             "blank": "\n{r}\n\n", "spaces": " \t \n{r}\n  \x0c\n"}
+    values = {"nan": "NaN", "inf": "Infinity", "digits": "1" * 5000, "deep": deep + "]" * 5000}
+    records = (("logpdf", "--trace", '{{"trace": {{"g": {}}}}}', "0.5"),
+               ("abduct", "--trace", '{{"trace": {{"g": {}}}}}', "0.5"),
+               ("cf", "--u", '{{"g": [{}]}}', "0.25"))
+    cases = [(name, text, None) for name, text in edges.items()]
+    cases += [(name, "{r}\n", value) for name, value in values.items()]
+    for name, text, value in cases:
+        for cmd, flag, record, plain in records:
+            path = c.path(f"normal.edge_{name}.{cmd}")
+            with open(path, "wb") as fh:
+                fh.write(text.format(r=record.format(value or plain)).encode("utf-8"))
+            c.run("normal", [cmd, normal, flag, path])
+
+    # files that are not UTF-8: a model, and a trace and a u file whose
+    # second line is not
+    not_utf8 = c.path("not_utf8.json")
+    with open(not_utf8, "wb") as fh:
+        fh.write(b"\xff")
+    for cmd in (["validate"], ["logpdf", "--trace", c.path("normal.trace")],
+                ["abduct", "--trace", c.path("normal.trace")], ["cf", "--u", c.path("normal.u")]):
+        c.run("not_utf8", [cmd[0], not_utf8, *cmd[1:]])
+    c.run("not_utf8", ["do", not_utf8, "--set", "g=0.5", "logpdf", "--trace",
+                       c.path("normal.trace")])
+    for cmd, flag, line in (("logpdf", "--trace", b'{"trace": {"g": "\xe9"}}'),
+                            ("abduct", "--trace", b'{"trace": {"g": "\xe9"}}'),
+                            ("cf", "--u", b'{"g": [\xff]}')):
+        path = c.path(f"normal.not_utf8.{cmd}")
+        with open(path, "wb") as fh:
+            fh.write(b'{"trace": {"g": 0.5}}\n' if flag == "--trace" else b'{"g": [0.25]}\n')
+            fh.write(line + b"\n")
+        c.run("normal", [cmd, normal, flag, path])
+
+    # trace and u files of 2000 records, past the first block of 1024, whole
+    # and with record 1500 a value outside its box's space, malformed or not
+    # UTF-8
+    c.run("chain", ["sample", chain_path, "--n", "2000", "--seed", "5"], save="chain.long.trace")
+    c.run("chain", ["abduct", chain_path, "--trace", c.path("chain.long.trace")],
+          save="chain.long.u")
+    with open(c.path("chain.long.trace"), "rb") as fh:
+        traces = fh.read().splitlines(keepends=True)
+    with open(c.path("chain.long.u"), "rb") as fh:
+        us = fh.read().splitlines(keepends=True)
+    for name, bad_trace, bad_u in (
+            ("whole", traces[1499], us[1499]),
+            ("offspace", b'{"trace": {"b1": 2, "b2": 0}}\n', b'{"b1": [1.5], "b2": [0.5]}\n'),
+            ("malformed", b'{"trace": {"b1": 1, "b2"\n', b'{"b1": [0.5], "b2": \n'),
+            ("not_utf8", b'{"trace": {"b1": 1, "b2": "\xe9"}}\n',
+             b'{"b1": [0.5], "b2": [\xff]}\n')):
+        for cmd, flag, lines, bad in (("logpdf", "--trace", traces, bad_trace),
+                                      ("abduct", "--trace", traces, bad_trace),
+                                      ("cf", "--u", us, bad_u)):
+            path = c.path(f"chain.long_{name}.{cmd}")
+            with open(path, "wb") as fh:
+                fh.write(b"".join(lines[:1499] + [bad] + lines[1500:]))
+            c.run("chain", [cmd, chain_path, flag, path])
     return c.lines
 
 
