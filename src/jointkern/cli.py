@@ -21,9 +21,13 @@ sample and abduct write their records a block of _KEY_BLOCK at a time, as
 each block is made, to stdout or to --out, which they open only once the
 first block is made (sample appends to it, abduct overwrites it): an error
 in the first block leaves stdout empty and the file as it was, and an error
-in a later block leaves the blocks before it written. logpdf and cf write
-their records to stdout a block of _KEY_BLOCK at a time too, but an error in
-a record writes the records before it first, so it leaves them all written.
+in a later block leaves the blocks before it written. sample draws a block
+of enough records as columns (kernels.sample_block) and writes it with one
+% (_block_encoder), with the bits and errors of a block drawn record by
+record. abduct refuses an --out that is its --trace file. logpdf and cf
+write their records to stdout a block of _KEY_BLOCK at a time too, but an
+error in a record writes the records before it first, so it leaves them
+all written.
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
@@ -46,7 +51,7 @@ from .errors import (
 )
 from .expr import compile_det_map
 from .interpret import Interpretation, evaluate
-from .kernels import abduct_uniforms, joint_log_density, sample_records
+from .kernels import abduct_uniforms, joint_log_density, sample_block, sample_records
 from .model import (
     Model, _float_text, _floats_text, _loads, descriptor_to_json, parse_model,
     render_json, value_decoder, value_encoder, value_from_jsonable, value_to_jsonable,
@@ -180,26 +185,64 @@ def _fields(encoders: dict) -> list:
     return [(b, encode_basestring_ascii(b) + ": ", enc) for b, enc in sorted(encoders.items())]
 
 
+def _record_template(keys: list, formats: list, scored: bool = True) -> str:
+    """A record's render_json text with a % conversion of formats in place
+    of each value: the logpdf's, when scored, then the output's, then each
+    box's after its '"key": ' prefix in keys (see _fields), a % in which is
+    doubled. Both of sample's record writers fill it in, and cf's too."""
+    formats = iter(formats)
+    head = '{"logpdf": ' + next(formats) + ", " if scored else "{"
+    return (head + '"output": ' + next(formats) + ', "trace": {'
+            + ", ".join([key.replace("%", "%%") + f for key, f in zip(keys, formats)]) + "}}")
+
+
 def _record_encoder(trace_spaces: dict, cod, scored: bool = True):
     """(trace, output, logpdf) -> a sampled record's render_json text; not
     scored, (trace, output) -> a cf record's, which has no logpdf. Every
     value encoder is chosen once, from its space."""
     boxes = _fields({b: value_encoder(sp) for b, sp in trace_spaces.items()})
     output = value_encoder(cod)
+    template = _record_template([key for _, key, _ in boxes], ["%s"] * (len(boxes) + 2), scored)
 
     def scored_record(t, x, logpdf) -> str:
-        return "".join([
-            '{"logpdf": ', _float_text(logpdf), ', "output": ', output(x), ', "trace": {',
-            ", ".join([key + enc(t[b]) for b, key, enc in boxes]), "}}",
-        ])
+        return template % (_float_text(logpdf), output(x), *[enc(t[b]) for b, _, enc in boxes])
 
     def record(t, x) -> str:
-        return "".join([
-            '{"output": ', output(x), ', "trace": {',
-            ", ".join([key + enc(t[b]) for b, key, enc in boxes]), "}}",
-        ])
+        return template % (output(x), *[enc(t[b]) for b, _, enc in boxes])
 
     return scored_record if scored else record
+
+
+def _plain_floats(column) -> bool:
+    """Every value of the float column is finite and not integral, so %.17g
+    prints each as _float_text does."""
+    return not any(map(float.is_integer, column)) and math.isfinite(sum(column))
+
+
+def _block_encoder(trace_spaces: dict, cod):
+    """(traces, outputs, logpdfs), columns as kernels.sample_block makes
+    them -> the records' text, one line each: _record_encoder's text of each
+    record, made by one % over the block. A column whose encoder is str
+    goes in as it is, under %s; a float column under %.17g when
+    _plain_floats holds, and any other column as its values' texts."""
+    boxes = _fields({b: value_encoder(sp) for b, sp in trace_spaces.items()})
+    keys = [key for _, key, _ in boxes]
+    encoders = [_float_text, value_encoder(cod), *[enc for _, _, enc in boxes]]
+
+    def encode(traces, outputs, logpdfs) -> str:
+        columns = [logpdfs, outputs, *[traces[b] for b, _, _ in boxes]]
+        formats = []
+        for i, enc in enumerate(encoders):
+            if enc is _float_text and _plain_floats(columns[i]):
+                formats.append("%.17g")
+                continue
+            if enc is not str:
+                columns[i] = list(map(enc, columns[i]))
+            formats.append("%s")
+        line = _record_template(keys, formats) + "\n"
+        return (line * len(outputs)) % tuple(chain.from_iterable(zip(*columns)))
+
+    return encode
 
 
 def _uniforms_encoder(box_ids):
@@ -220,18 +263,33 @@ def _run_validate(model: Model, interp: Interpretation, ns) -> int:
 # the most records that sample draws, or abduct reads, at once
 _KEY_BLOCK = 1024
 
+# sample's blocks of at least _COLUMN_MIN_RECORDS records and at most
+# _COLUMN_MAX_CELLS cells, records times boxes, run as columns
+# (kernels.sample_block); fewer records pay more for a column than they
+# save, and more cells hold more memory
+_COLUMN_MIN_RECORDS = 8
+_COLUMN_MAX_CELLS = 2 ** 16
+
 
 def _run_sample(model: Model, interp: Interpretation, ns) -> int:
     k = evaluate(model.diagram, interp)
     z = _decode_input(model, ns.input)
     seed = ns.seed if ns.seed is not None else _default_seed()
-    encode = _record_encoder(_trace_spaces(k), k.cod)
+    spaces = _trace_spaces(k)
+    encode = _record_encoder(spaces, k.cod)
+    # built by the first block that runs as columns, so a call of fewer
+    # records never pays for it
+    encode_block = functools.cache(lambda: _block_encoder(spaces, k.cod))
+
     # one pass per block of records' seed keys, written as soon as it is
     # made; each pass checks z before its first draw, so --n 0 checks it too
-    blocks = ("".join([encode(*record) + "\n" for record in sample_records(
-        k, z, rng.derived_seed_keys(seed, i, min(i + _KEY_BLOCK, ns.n)))])
-        for i in range(0, max(ns.n, 1), _KEY_BLOCK))
-    _emit(blocks, ns.out, "a")
+    def block(start: int) -> str:
+        keys = rng.derived_seed_keys(seed, start, min(start + _KEY_BLOCK, ns.n))
+        if _COLUMN_MIN_RECORDS <= len(keys) <= _COLUMN_MAX_CELLS // max(1, len(spaces)):
+            return encode_block()(*sample_block(k, z, keys))
+        return "".join([encode(*record) + "\n" for record in sample_records(k, z, keys)])
+
+    _emit(map(block, range(0, max(ns.n, 1), _KEY_BLOCK)), ns.out, "a")
     return 0
 
 
@@ -288,6 +346,9 @@ def _run_abduct(model: Model, interp: Interpretation, ns) -> int:
     decode = _trace_decoder(k)
     encode = _uniforms_encoder(k.box_ids)
     z = _decode_input(model, ns.input)
+    # --out is overwritten while --trace is read: one file cannot be both
+    if ns.out and os.path.exists(ns.out) and os.path.samefile(ns.out, ns.trace):
+        raise _UsageError("--out names the --trace file")
     records = _read_jsonl(ns.trace)
     # written a block of records at a time, as sample writes its blocks
     blocks = ("".join([encode(abduct_uniforms(k, z, decode(rec))) + "\n" for rec in block])

@@ -49,6 +49,12 @@ this order, the checks that can fail on what it is given or draws:
                           its one-seed calls), drawn per block of seeds:
                           the input, once per pass, then per record the
                           output and each trace value
+    sample_block          sample_records over one block of seeds as columns
+                          (sample's blocks of many records): the input,
+                          then each box's column of values, then the output
+                          column; a law that raises or a check that fails
+                          reruns the block through sample_records, whose
+                          bits and errors it then has
     replay_with_uniforms  uniforms a caller supplies (cf): the input, every
                           box has a block and every block a box, then each
                           block's floats, length and range, then the
@@ -65,19 +71,21 @@ this order, the checks that can fail on what it is given or draws:
                           rows each box makes, at most _ROW_LIMIT
     run_trace             every slot at a given trace, unchecked
 
-spw also runs sample_records' draws over a block of seeds as columns; that
-pass, and everything else that runs on columns, lives in the columns
+sample_block runs on Python lists, a column of each slot, so sample
+loads no numpy. spw also runs sample_records' draws over a block of seeds
+as columns, in numpy where numpy gives Python's bits; that pass, and
+everything else of spw's that runs on columns, lives in the columns
 module, which only spw loads.
 
 The seeded passes make their own uniforms, in [0, 1) and of the right
 length, and do not check them. A seed is an int or the key that
-rng.seed_key makes of it. Each seeded pass runs over many records:
-it checks the input and builds the slot template once, then copies the
-template per seed, so an input that is no point fails before the first
-draw, even in a pass over no seeds. Every pass reads a step's input
-the same way, slots[src] or read(slots), so a box with no input wires
-reads UNIT_VALUE, never the kernel input, even in run_trace, which does
-not check that input.
+rng.seed_key makes of it. Each seeded pass runs over many records and
+checks the input once, so an input that is no point fails before the
+first draw, even in a pass over no seeds; sample_records builds the slot
+template once, then copies it per seed. Every pass reads a step's input
+the same way, slots[src] or read(slots) (sample_block its column), so a
+box with no input wires reads UNIT_VALUE, never the kernel input, even in
+run_trace, which does not check that input.
 
 Traces are keyed by box id instead of nested positional tuples, so category
 laws hold literally (associativity does not need re-tupling). The residual
@@ -91,7 +99,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from operator import itemgetter
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -117,8 +125,8 @@ __all__ = [
     "NEG_INF", "DetMap", "PrimitiveKernel", "TracedBox", "JointKernel",
     "lift_det", "identity_kernel", "structure_kernel", "from_primitive",
     "compose", "tensor", "rename_boxes", "expose_residuals", "run_trace",
-    "joint_log_density", "replay_with_uniforms", "sample_records", "sample_scored",
-    "sample_with_trace", "abduct_uniforms", "marginal_pmf_finite",
+    "joint_log_density", "replay_with_uniforms", "sample_records", "sample_block",
+    "sample_scored", "sample_with_trace", "abduct_uniforms", "marginal_pmf_finite",
 ]
 
 Trace = Mapping[str, Value]
@@ -696,6 +704,95 @@ def sample_records(
             if bad is not None:
                 check_member(bad[1], t[bad[0]], f"trace value for {bad[0]}")
             yield t, x, NEG_INF if vanished else total
+
+
+def sample_block(
+    k: JointKernel, z: Value, seed_keys: Iterable[int | bytes]
+) -> tuple[dict, list, list]:
+    """sample_records over a block of seeds as columns: (traces, outputs,
+    logpdfs), traces each box id's column of trace values, in step order.
+
+    Every column has sample_records' bits at each seed, -inf included. The
+    input is checked first. One rng.unit_uniforms call draws the whole
+    block, so its caller bounds the block; then each step runs once over
+    the block's columns, a box mapping its point, push and density over
+    them and checking its values with one all(map(ok, ...)). The output is
+    checked last, and the logpdfs are added column by column in box order
+    from 0.0. When a law raises or a check fails, the block reruns through
+    sample_records, so its bits and its errors are the row pass's.
+    """
+    _, dom_ok, _ = k.pass_plan
+    if not dom_ok(z):
+        check_member(k.dom, z, "kernel input")
+    seeds = list(map(rng.seed_key, seed_keys))
+    try:
+        block = _block_columns(k, z, seeds)
+    except Exception:  # noqa: BLE001 - a law raised at some seed: the rows raise it
+        block = None
+    if block is not None:
+        return block
+    records = list(sample_records(k, z, seeds))
+    return ({b: [t[b] for t, _, _ in records] for b in k.box_ids},
+            [x for _, x, _ in records], [ld for _, _, ld in records])
+
+
+def _read_column(cols: list, src, read, n: int):
+    """The column of what a step reads, as _reader reads it from a row."""
+    if read is None:
+        return cols[src]
+    if len(src) == 2:
+        return list(zip(cols[src[0]], cols[src[1]]))
+    if len(src) == 1:
+        return cols[src[0]]
+    if not src:
+        return [UNIT_VALUE] * n
+    return list(map(nest_values, zip(*[cols[i] for i in src])))
+
+
+def _block_columns(k: JointKernel, z: Value, seeds: list) -> tuple | None:
+    """sample_block's column pass; None where a check fails."""
+    steps, _, cod_ok = k.pass_plan
+    n, keys = len(seeds), k.box_keys
+    if not n:
+        return {b: [] for b in k.box_ids}, [], []
+    width = len(keys)
+    # the block's cells, seed by seed and box by box in step order, so box
+    # j's column is u[j::width]
+    u = rng.unit_uniforms(seeds, keys)
+    cols = [None] * k.n_slots
+    cols[0] = [z] * n
+    traces: dict = {}
+    totals, vanished, j = [0.0] * n, [], 0
+    for step, (run, box_id, src, dst, read, point, push, density, _, ok, _) in zip(
+            k.steps, steps):
+        if run is not None:
+            if type(step) is Unpack:
+                src, dsts = step
+                parts = zip(*[unnest_values(v, len(dsts)) for v in cols[src]])
+                for i, c in zip(dsts, parts):
+                    cols[i] = list(c)
+            else:
+                fn, src, dst, read = step
+                x = _read_column(cols, src, read, n)
+                cols[dst] = x if fn is _identity else list(map(fn, x))
+            continue
+        pts = list(map(point, _read_column(cols, src, read, n)))
+        ms = list(map(push, zip(u[j::width]), pts))
+        j += 1
+        if not all(map(ok, ms)):
+            return None
+        lds = list(map(density, pts, ms))
+        # joint_log_density stops at the first -inf factor
+        if NEG_INF in lds:
+            vanished += [i for i, ld in enumerate(lds) if ld == NEG_INF]
+        totals = list(map(add, totals, lds))
+        traces[box_id] = cols[dst] = ms
+    outputs = cols[k.out]
+    if not all(map(cod_ok, outputs)):
+        return None
+    for i in vanished:
+        totals[i] = NEG_INF
+    return traces, outputs, totals
 
 
 def sample_scored(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value, float]:

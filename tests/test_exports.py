@@ -42,3 +42,10 @@ def test_every_public_function_is_declared():
                if inspect.isfunction(obj) and obj.__module__ == mod.__name__
                and not name.startswith("_") and name not in getattr(mod, "__all__", ())]
     assert not missing
+
+
+def test_declared_additions_are_in_the_namespace():
+    # sample_block, kernels' column pass of sample, is a declared API addition
+    kernels = sys.modules["jointkern.kernels"]
+    assert "sample_block" in kernels.__all__
+    assert jointkern.sample_block is kernels.sample_block

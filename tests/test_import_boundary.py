@@ -1,6 +1,8 @@
 """The column engine's import boundary: jointkern.columns is the one module
-that imports numpy, and only spw loads it; every other command, and the
-package namespace, leaves it out."""
+that imports numpy, and only spw loads it; every other command, sample's
+column blocks among them, and the package namespace, leaves it out.
+sample's column blocks import no module at all, so no part of numpy
+either."""
 
 import ast
 import inspect
@@ -64,6 +66,11 @@ for argv in (["validate", model],
              ["do", model, "--set", "b1=1", "sample", "--n", "2"]):
     assert main(argv) == 0, argv
     assert not loaded(), argv
+# blocks of 1024 records run as columns, on lists: they import no module,
+# numpy's (which scipy has loaded by now) among them
+before = set(sys.modules)
+assert main(["sample", model, "--n", "2000", "--out", tmp + "/many.jsonl"]) == 0
+assert set(sys.modules) == before, sorted(set(sys.modules) - before)
 assert main(["spw", model, "--n", "1000"]) in (0, 1)
 assert loaded(), "spw"
 print("boundary held")

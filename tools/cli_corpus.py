@@ -46,7 +46,11 @@ nesting, padded with \x0b or \xa0, ended by CRLF or CR, or among blank
 and whitespace lines; files that are not UTF-8 (a model, and a trace and
 a u file past their first line); and 2000-record trace and u files, two
 blocks of 1024, whole or with record 1500 a value outside its box's
-space, malformed or not UTF-8.
+space, malformed or not UTF-8. Then sample at record counts on either
+side of the blocks that run as columns (7, 8, 1024, 1025 and 3000), with
+and without --out, on chain, normal, uniform2x, inputs, chain160_1 and a
+model whose first refused record (ln of a draw below 0) is in its second
+block; and abduct given its --trace file as --out, which it refuses.
 """
 
 from __future__ import annotations
@@ -132,6 +136,22 @@ def _overflow_raw(hidden: bool, output: bool) -> dict:
         "diagram": {"wires": wires, "boxes": boxes, "dom": dom, "cod": cod,
                     "inputs": [], "outputs": outputs},
         "interpretation": interp,
+    }
+
+
+def _late_ln_raw() -> dict:
+    """u ~ uniform(-0.001, 1) on wire x and y = ln(x): at seed 2 sample's
+    first refused record is 1763, in its second block of 1024."""
+    return {
+        "version": 1,
+        "signature": {"wires": {"R": {"space": {"real": 1}}},
+                      "boxes": {"draw": {"dom": [], "cod": ["R"]},
+                                "log": {"dom": ["R"], "cod": ["R"]}}},
+        "diagram": {"wires": {"x": "R", "y": "R"}, "boxes": {"u": "draw", "l": "log"},
+                    "dom": {"u": [], "l": ["x"]}, "cod": {"u": ["x"], "l": ["y"]},
+                    "inputs": [], "outputs": ["y"]},
+        "interpretation": {"draw": {"primitive": "uniform", "params": {"a": -0.001, "b": 1.0}},
+                           "log": {"det": "ln($0)"}},
     }
 
 
@@ -549,6 +569,20 @@ def run_corpus(main, genmodels, tmp: str) -> list:
             with open(path, "wb") as fh:
                 fh.write(b"".join(lines[:1499] + [bad] + lines[1500:]))
             c.run("chain", [cmd, chain_path, flag, path])
+
+    # record counts on either side of sample's column blocks, to stdout and
+    # to a new --out file each
+    late_ln = c.model("late_ln", _late_ln_raw())
+    for name, path, extra in (
+            ("chain", chain_path, []), ("normal", normal, []),
+            ("uniform2x", str(MODELS / "uniform2x.json"), []), ("inputs", inputs, ["--input", "1"]),
+            ("chain160_1", c.path("chain160_1.json"), []), ("late_ln", late_ln, [])):
+        for n in ("7", "8", "1024", "1025", "3000"):
+            argv = ["sample", path, "--n", n, "--seed", "2", *extra]
+            c.run(name, argv)
+            c.run(name, [*argv, "--out", c.path(f"{name}.{n}.jsonl")])
+    trace = c.path("chain.long.trace")
+    c.run("chain", ["abduct", chain_path, "--trace", trace, "--out", trace])
     return c.lines
 
 
