@@ -21,13 +21,15 @@ sample and abduct write their records a block of _KEY_BLOCK at a time, as
 each block is made, to stdout or to --out, which they open only once the
 first block is made (sample appends to it, abduct overwrites it): an error
 in the first block leaves stdout empty and the file as it was, and an error
-in a later block leaves the blocks before it written. sample draws a block
-of enough records as columns (kernels.sample_block) and writes it with one
-% (_block_encoder), with the bits and errors of a block drawn record by
-record. abduct refuses an --out that is its --trace file. logpdf and cf
-write their records to stdout a block of _KEY_BLOCK at a time too, but an
-error in a record writes the records before it first, so it leaves them
-all written.
+in a later block leaves the blocks before it written. sample's blocks are
+smaller on a model of more than 64 boxes: at most _COLUMN_MAX_CELLS cells,
+records times boxes, and at least one record. It draws a block of
+_COLUMN_MIN_RECORDS or more records as columns (kernels.sample_block) and
+writes it with one % (_block_encoder), with the bits and errors of a block
+drawn record by record. abduct refuses an --out that is its --trace file.
+logpdf and cf write their records to stdout a block of _KEY_BLOCK at a
+time too, but an error in a record writes the records before it first, so
+it leaves them all written.
 """
 
 from __future__ import annotations
@@ -263,8 +265,8 @@ def _run_validate(model: Model, interp: Interpretation, ns) -> int:
 # the most records that sample draws, or abduct reads, at once
 _KEY_BLOCK = 1024
 
-# sample's blocks of at least _COLUMN_MIN_RECORDS records and at most
-# _COLUMN_MAX_CELLS cells, records times boxes, run as columns
+# sample's blocks hold at most _COLUMN_MAX_CELLS cells, records times
+# boxes, and those of at least _COLUMN_MIN_RECORDS records run as columns
 # (kernels.sample_block); fewer records pay more for a column than they
 # save, and more cells hold more memory
 _COLUMN_MIN_RECORDS = 8
@@ -281,15 +283,16 @@ def _run_sample(model: Model, interp: Interpretation, ns) -> int:
     # records never pays for it
     encode_block = functools.cache(lambda: _block_encoder(spaces, k.cod))
 
+    size = min(_KEY_BLOCK, max(1, _COLUMN_MAX_CELLS // max(1, len(spaces))))
     # one pass per block of records' seed keys, written as soon as it is
     # made; each pass checks z before its first draw, so --n 0 checks it too
     def block(start: int) -> str:
-        keys = rng.derived_seed_keys(seed, start, min(start + _KEY_BLOCK, ns.n))
-        if _COLUMN_MIN_RECORDS <= len(keys) <= _COLUMN_MAX_CELLS // max(1, len(spaces)):
+        keys = rng.derived_seed_keys(seed, start, min(start + size, ns.n))
+        if len(keys) >= _COLUMN_MIN_RECORDS:
             return encode_block()(*sample_block(k, z, keys))
         return "".join([encode(*record) + "\n" for record in sample_records(k, z, keys)])
 
-    _emit(map(block, range(0, max(ns.n, 1), _KEY_BLOCK)), ns.out, "a")
+    _emit(map(block, range(0, max(ns.n, 1), size)), ns.out, "a")
     return 0
 
 

@@ -358,7 +358,7 @@ def _det_columns(asts, n: int, cod_spaces):
 def _categorical(u, pt):
     # the first index whose cumulative sum exceeds u, as push finds it
     i = np.searchsorted(pt.cum, u, side="right")
-    if (i == len(pt.qs)).any():
+    if (i == len(pt.cum)).any():
         raise _Anomaly("categorical draw past its last cumulative sum")
     return i.astype(np.int64)
 

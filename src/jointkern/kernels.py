@@ -852,20 +852,20 @@ _ROW_LIMIT = 2 ** 18
 
 
 def _eliminate(k: JointKernel, z: Value, keep: set, hint: str = "") -> dict:
-    """The exact table of a finite kernel at input z: each row, the slots'
-    values with every dead slot None, -> its probability, a Fraction.
+    """The exact table of a finite kernel at input z: each row, the items
+    (slot, value) of its live slots, -> its probability, a Fraction.
 
     Forward elimination along the program (variable elimination with the
     step order as the elimination order). A slot lives from its write to
     its last read, and the slots in keep to the end. A box extends each row
     by each positive point of its codomain, times _exact_factor; an Apply
-    or Unpack runs on the row. Once a slot dies it is set to None, and rows
-    that now agree merge by addition, so a row's probability is the exact
-    sum over the traces that reach it, and the rows come in the order of
-    the first such trace, depth-first over the boxes, each box's points in
-    order. Checks the input, then that every box is finite; a box that
-    makes more than _ROW_LIMIT rows, counted before they merge, raises.
-    hint ends both messages."""
+    or Unpack runs on the row, a slot -> value dict. Once a slot dies it
+    leaves the row, and rows that now agree merge by addition, so a row's
+    probability is the exact sum over the traces that reach it, and the
+    rows come in the order of the first such trace, depth-first over the
+    boxes, each box's points in order. Checks the input, then that every
+    box is finite; a box that makes more than _ROW_LIMIT rows, counted
+    before they merge, raises. hint ends both messages."""
     check_member(k.dom, z, "kernel input")
     for b in k.boxes:
         if not is_finite_space(b.primitive.cod):
@@ -878,17 +878,19 @@ def _eliminate(k: JointKernel, z: Value, keep: set, hint: str = "") -> dict:
                    *(s.dsts if type(s) is Unpack else (s.dst,))}
         dying.append(touched - live)
         live |= touched
-    table = {(z, *[None] * (k.n_slots - 1)): Fraction(1)}
+    # every row writes its slots in program order, so rows holding the same
+    # values hold the same items
+    table = {((0, z),) if 0 in live else (): Fraction(1)}
     for s, dead in zip(k.steps, reversed(dying)):
         made = []
         for row, prob in table.items():
-            slots = list(row)
+            slots = dict(row)
             if type(s) is not TracedBox:
                 s.run(slots)
                 made.append((slots, prob))
                 continue
             _, p, src, dst, read = s
-            pt = p.point(row[src] if read is None else read(row))
+            pt = p.point(slots[src] if read is None else read(slots))
             for m in finite_points(p.cod):
                 f = _exact_factor(p, pt, m)
                 if f:
@@ -899,8 +901,8 @@ def _eliminate(k: JointKernel, z: Value, keep: set, hint: str = "") -> dict:
         table = {}
         for slots, prob in made:
             for j in dead:
-                slots[j] = None
-            key = tuple(slots)
+                del slots[j]
+            key = tuple(slots.items())
             table[key] = table.get(key, 0) + prob
     return table
 
@@ -908,4 +910,4 @@ def _eliminate(k: JointKernel, z: Value, keep: set, hint: str = "") -> dict:
 def marginal_pmf_finite(k: JointKernel, z: Value) -> dict:
     """Exact output pmf of a finite kernel at input z, by _eliminate keeping
     the output alone; keyed in the order of each output's first trace."""
-    return {row[k.out]: float(prob) for row, prob in _eliminate(k, z, {k.out}).items()}
+    return {dict(row)[k.out]: float(prob) for row, prob in _eliminate(k, z, {k.out}).items()}

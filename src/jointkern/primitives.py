@@ -166,8 +166,9 @@ class _Probs:
     Each entry is read once as the integer ratio of its shortest decimal
     literal (as _decimal_fraction reads it), and the entries are put over
     one common denominator, so the exact sum is an integer: qs are each
-    entry over that sum, and cum each running sum over it, an int true
-    division, which rounds as float() of the Fraction does."""
+    entry over that sum, for pmf and the elimination, and the density reads
+    each entry over it, and cum each running sum, by int true division,
+    which rounds as float() of the Fraction does."""
 
     def __init__(self, probs):
         # normalized by the exact rational sum, so enumeration masses add to
@@ -178,7 +179,10 @@ class _Probs:
         self._total = total = sum(ns)
         if abs(total / den - 1.0) > 1e-9:
             raise ParameterError(f"categorical probabilities sum to {total / den}, not 1")
-        self.qs = [Fraction(n, total) for n in ns]
+
+    @cached_property
+    def qs(self) -> list[Fraction]:
+        return [Fraction(n, self._total) for n in self._ns]
 
     @cached_property
     def cum(self) -> list[float]:
@@ -193,17 +197,17 @@ def _categorical_cod(probs) -> Finite:
 
 def _categorical():
     def density(pt, m):
-        q = pt.qs[m]
-        return math.log(float(q)) if q > 0 else NEG_INF
+        n = pt._ns[m]
+        return math.log(n / pt._total) if n > 0 else NEG_INF
 
     def push(u, pt):
         for i, c in enumerate(pt.cum):
             if u[0] < c:
                 return i
         # u == 1.0 (or float slack): last index with positive mass
-        qs = pt.qs
-        for i in range(len(qs) - 1, -1, -1):
-            if qs[i] > 0:
+        ns = pt._ns
+        for i in range(len(ns) - 1, -1, -1):
+            if ns[i] > 0:
                 return i
         raise ShapeError("categorical has no positive-probability index")
 

@@ -194,6 +194,7 @@ def _expected_values(wk: WeightedJointKernel, z: Value, hs: Sequence[DetMap]) ->
     keep = {wk.base.out, *(i for f in wk.weight_factors for i in f.slots)}
     accs = [Fraction(0)] * len(hs)
     for row, prob in _eliminate(wk.base, z, keep, _GIVE_REF).items():
+        row = dict(row)
         lw = wk.log_weight(None, z, row)
         if lw == NEG_INF:
             continue

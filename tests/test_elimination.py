@@ -123,9 +123,9 @@ def test_a_constant_weight_keeps_two_rows_of_a_long_chain(n, monkeypatch):
     # the factor names no slot, so the table keeps the output alone
     k = model_from_dict(_finite_raw(n, 1)).kernel
     weighted_module = importlib.import_module("jointkern.weighted")
-    tables, eliminate = [], weighted_module._eliminate
+    calls, eliminate = [], weighted_module._eliminate
     monkeypatch.setattr(weighted_module, "_eliminate",
-                        lambda *args: tables.append(eliminate(*args)) or tables[-1])
+                        lambda *args: calls.append((args[2], eliminate(*args))) or calls[-1][1])
     h = DetMap(Finite(2), Real(1), float, "x")
     got = expected_value_by_enumeration(constant_weight(k, 2.0), UNIT_VALUE, h)
     # P(x_i = 1) = 0.2 + 0.5 P(x_i-1 = 1), from a fair coin
@@ -133,4 +133,6 @@ def test_a_constant_weight_keeps_two_rows_of_a_long_chain(n, monkeypatch):
     for _ in range(n - 1):
         p = Fraction("0.2") + Fraction("0.5") * p
     assert got == float(2 * p)
-    assert [len(t) for t in tables] == [2]
+    assert [len(t) for _, t in calls] == [2]
+    # each row holds the kept slots alone: every dead slot has left it
+    assert all({s for s, _ in row} == keep == {k.out} for keep, t in calls for row in t)

@@ -9,7 +9,8 @@ back; and a block that fails somewhere must raise the row pass's error,
 class and message. cli._block_encoder must write each record as
 _record_encoder writes it, for every float pattern and for box ids that
 JSON or % formatting treat specially. sample --n 3000 whose first failure
-is in its second block writes exactly the first block, and abduct refuses
+is in its second block writes exactly the first block, a 160-box chain is
+sampled as columns in blocks of at most 65536 cells, and abduct refuses
 an --out that is its --trace file.
 """
 
@@ -186,6 +187,21 @@ def test_sample_writes_the_blocks_before_the_first_failure(tmp_path, capsys):
     assert main(["sample", str(model), "--n", "3000", "--seed", "2",
                  "--out", str(out_file)]) == 4
     assert out_file.read_text() == out
+
+
+def test_a_wide_model_samples_blocks_of_the_cell_cap_as_columns(tmp_path, capsys, monkeypatch):
+    # 160 boxes: 65536 cells are 409 records, and each block runs as columns
+    path = tmp_path / "chain160.json"
+    path.write_text(json.dumps(genmodels().chain_model(160, 1)[0]))
+    sizes, block = [], cli.sample_block
+    monkeypatch.setattr(cli, "sample_block",
+                        lambda k, z, keys: sizes.append(len(keys)) or block(k, z, keys))
+    assert main(["sample", str(path), "--n", "1024", "--seed", "5"]) == 0
+    assert sizes == [409, 409, 206]
+    k, z = FIXTURES["chain160_1"]
+    encode = _record_encoder(cli._trace_spaces(k), k.cod)
+    assert capsys.readouterr().out == "".join(
+        encode(*r) + "\n" for r in sample_records(k, z, rng.derived_seed_keys(5, 0, 1024)))
 
 
 # ---------------------------------------------------------------------------
