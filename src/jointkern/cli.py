@@ -517,8 +517,6 @@ def _parser(cmd: str, nested: bool) -> argparse.ArgumentParser:
 
 
 def _run_tokens(tokens: list, model: Model | None, interp: Interpretation | None) -> int:
-    if not tokens:
-        raise _UsageError("a command is required")
     cmd, rest = tokens[0], tokens[1:]
     if cmd == "do":
         path, sets, sub = _split_do(rest, need_model=model is None)

@@ -5,8 +5,8 @@ into a signature, together with input and output wire lists (the legs of a
 cospan). Well-formedness is checked by validate_cd (acyclic, at most one
 starting place per wire, labeling a genuine hypergraph morphism) and
 validate_markov (every box output consumed onward). Composition glues
-outputs to inputs by union-find and, in Markov mode, garbage-collects boxes
-whose outputs are all discarded until a fixed point.
+outputs to inputs by union-find and, in Markov mode, deletes every box
+whose outputs end up all discarded, in one reference-counting pass.
 
 Diagrams are immutable values: the dataclasses are frozen and their wire
 and box tables are read-only maps, and all operations return fresh
@@ -15,7 +15,9 @@ orders its boxes on first use and keeps the result, and the kernels that
 evaluate compiles from it are cached on it too. The plan walks the boxes
 a fixed few times: one Kahn pass, whose order topological_order reuses,
 the morphism check, and one index of the wires that the starting-place,
-Markov and produced checks read.
+Markov and produced checks read; a cycle's report reads the boxes Kahn
+left unordered twice. So validation and composition are linear in the
+diagram's size.
 """
 
 from __future__ import annotations
@@ -227,11 +229,8 @@ def _cd_violations(d: Diagram, index: _WireIndex, cyclic: list) -> list:
                    for w in g.wires if count[w] > 1)
 
     if cyclic:
-        members = set(cyclic)
-        wires = sorted({
-            w for b in cyclic for w in g.dom[b]
-            for c in members if w in g.cod[c]
-        })
+        produced = set(chain.from_iterable(g.cod[b] for b in cyclic))
+        wires = sorted(produced.intersection(chain.from_iterable(g.dom[b] for b in cyclic)))
         out.append(f"cycle among boxes {sorted(cyclic)} through wires {wires}")
     return out
 
@@ -349,8 +348,8 @@ def compose_diagrams(d1: Diagram, d2: Diagram, mode: str = "markov") -> Diagram:
 
     mode is "cd" or "markov". Requires equal signatures, matching arity and
     boundary types, and both diagrams valid in the given mode. In Markov
-    mode, boxes all of whose outputs end up discarded are deleted repeatedly
-    until none remain, then unreferenced wires are dropped.
+    mode, boxes all of whose outputs end up discarded are deleted (see
+    gc_fixpoint), then unreferenced wires are dropped.
     """
     if mode not in ("cd", "markov"):
         raise DiagramError(f"unknown composition mode {mode!r}", [])
@@ -413,28 +412,34 @@ def compose_diagrams(d1: Diagram, d2: Diagram, mode: str = "markov") -> Diagram:
 
 
 def gc_fixpoint(d: Diagram) -> Diagram:
-    """Delete boxes whose outputs are all discarded, to a fixed point.
+    """Delete, in one pass, every box whose outputs end up all discarded.
 
-    Deleting a box can orphan its parents, so deletion iterates. Wires no
+    Each wire counts its reads: one by the output leg and one by each box
+    that reads it, however often. A box none of whose outputs is read is
+    deleted and its reads are taken back; a wire left with no reads puts
+    its producers up for deletion again. So each box is deleted at most
+    once, and boxes that read each other in a cycle survive. Wires no
     longer referenced by a leg or a surviving box are dropped afterwards.
     """
     g = d.graph
-    alive = set(g.boxes)
-    while True:
-        consumed = set(d.outputs)
-        for b in alive:
-            consumed.update(g.dom[b])
-        # a box with no outputs at all is vacuously discarded: the unit
-        # object is terminal, so effect boxes normalize away
-        doomed = {
-            b for b in alive
-            if not any(w in consumed for w in g.cod[b])
-        }
-        if not doomed:
-            break
-        alive -= doomed
+    reads = Counter(chain.from_iterable(map(set, (d.outputs, *g.dom.values()))))
+    producers = {}
+    for b in g.boxes:
+        for w in g.cod[b]:
+            producers.setdefault(w, []).append(b)
+    # a box with no outputs at all is vacuously discarded: the unit
+    # object is terminal, so effect boxes normalize away
+    dead, queue = set(), list(g.boxes)
+    while queue:
+        b = queue.pop()
+        if b not in dead and not any(reads[w] for w in g.cod[b]):
+            dead.add(b)
+            for w in set(g.dom[b]):
+                reads[w] -= 1
+                if not reads[w]:
+                    queue.extend(producers.get(w, ()))
 
-    boxes = tuple(b for b in g.boxes if b in alive)
+    boxes = tuple(b for b in g.boxes if b not in dead)
     referenced = set(d.inputs) | set(d.outputs)
     for b in boxes:
         referenced.update(g.dom[b])

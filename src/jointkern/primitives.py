@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable
 
@@ -55,8 +55,9 @@ _TWO = Finite(2)
 @dataclass(frozen=True)
 class Param:
     """One family parameter; see the module docstring. default None marks
-    a required parameter; many=True takes a list, rule checking each entry.
-    ok, for a real parameter, is the range test its rule makes of a finite
+    a required parameter; many=True takes a list, rule checking each entry,
+    and the family's point reads the checked entries as one tuple. ok, for
+    a real parameter, is the range test its rule makes of a finite
     value; it takes a float or a float array."""
 
     default: object
@@ -370,7 +371,8 @@ FAMILIES = {
         _same, _TWO, *_bernoulli()),
     "categorical": Family(
         {"probs": _real(None, "categorical probability", *_NONNEGATIVE, many=True)},
-        _Probs, _categorical_cod, *_categorical()),
+        # one point per distinct probability tuple, as wired values repeat
+        lru_cache(maxsize=256)(_Probs), _categorical_cod, *_categorical()),
     "uniform01": replace(_UNIFORM, params={}, point=lambda: (0.0, 1.0)),
     "uniform": _UNIFORM,
     "normal": Family(
@@ -395,8 +397,8 @@ BUILTIN_NAMES = tuple(FAMILIES)
 # the builder
 
 
-def _listed(*entries) -> list:
-    return list(entries)
+def _listed(*entries) -> tuple:
+    return entries
 
 
 def _point(make, pairs):

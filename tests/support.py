@@ -1,7 +1,8 @@
 """Shared builders for the test suite: reference models, random kernels,
-random diagrams, generated weighted model files, and two independent
-oracles: a brute-force Chapman-Kolmogorov compositor and enumerate_traces,
-which walks every trace of a finite kernel."""
+random diagrams, generated weighted model files, and three independent
+oracles: a brute-force Chapman-Kolmogorov compositor, enumerate_traces,
+which walks every trace of a finite kernel, and gc_by_rescans, which
+garbage-collects a diagram by rescanning its boxes to a fixed point."""
 
 import importlib.util
 import random
@@ -210,6 +211,35 @@ def enumerate_traces(k, z):
             stack.pop()
         else:
             return
+
+
+def gc_by_rescans(d: Diagram) -> Diagram:
+    """The oracle of gc_fixpoint: rescan the live boxes, deleting every box
+    none of whose outputs the output leg or a live box reads, until a scan
+    deletes nothing; then drop the wires no leg or live box references."""
+    g = d.graph
+    alive = set(g.boxes)
+    while True:
+        consumed = set(d.outputs)
+        for b in alive:
+            consumed.update(g.dom[b])
+        doomed = {b for b in alive if not any(w in consumed for w in g.cod[b])}
+        if not doomed:
+            break
+        alive -= doomed
+
+    boxes = tuple(b for b in g.boxes if b in alive)
+    referenced = set(d.inputs) | set(d.outputs)
+    for b in boxes:
+        referenced.update(g.dom[b])
+        referenced.update(g.cod[b])
+    wires = tuple(w for w in g.wires if w in referenced)
+    graph = Hypergraph(wires, boxes,
+                       {b: g.dom[b] for b in boxes},
+                       {b: g.cod[b] for b in boxes})
+    labeling = HypMorphism({w: d.wire_label[w] for w in wires},
+                           {b: d.box_label[b] for b in boxes})
+    return Diagram(graph, d.signature, labeling, d.inputs, d.outputs)
 
 
 # ---------------------------------------------------------------------------

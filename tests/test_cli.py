@@ -161,6 +161,43 @@ def test_cycle_violations_are_listed(capsys):
     assert "error:" in err and "cycle" in err
 
 
+def _one_poisson(tmp_path) -> str:
+    """A model file of one box c ~ poisson(3.0) whose wire is the output."""
+    raw = {
+        "version": 1,
+        "signature": {"wires": {"N": {"space": "countable"}},
+                      "boxes": {"count": {"dom": [], "cod": ["N"]}}},
+        "diagram": {"wires": {"w": "N"}, "boxes": {"c": "count"}, "dom": {"c": []},
+                    "cod": {"c": ["w"]}, "inputs": [], "outputs": ["w"]},
+        "interpretation": {"count": {"primitive": "poisson", "params": {"rate": 3.0}}},
+    }
+    path = tmp_path / "poisson.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_refused_records_and_flags(capsys, tmp_path):
+    def lines(name: str, text: str) -> str:
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(text + "\n")
+        return str(path)
+
+    huge = "1" * 400  # past the float range: replay's OverflowError branch
+    for args, want, first in [
+        (("logpdf", CHAIN, "--trace", lines("t", '{"trace": 5}')), 3,
+         "error: trace must be an object"),
+        (("cf", CHAIN, "--u", lines("u", "[1]")), 3,
+         "error: u records must be objects box -> [floats]"),
+        (("do", CHAIN, "--set"), 2, "error: --set needs box=value"),
+        (("cf", CHAIN, "--u", lines("big", '{"b1": [%s], "b2": [0.5]}' % huge)), 4,
+         "error: uniform outside [0, 1] for box b1"),
+        (("abduct", _one_poisson(tmp_path), "--trace", lines("c", '{"trace": {"c": -1}}')), 4,
+         "error: -1 outside the support of poisson"),
+    ]:
+        code, out, err = run(capsys, *args)
+        assert (code, out, err.splitlines()[0]) == (want, "", first), args
+
+
 def test_sample_deterministic(capsys):
     code, out1, _ = run(capsys, "sample", CHAIN, "--n", "5", "--seed", "7")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +17,7 @@ from jointkern import (
     export_dot,
     gc_fixpoint,
     is_causal_model,
+    parse_model,
     tensor_diagrams,
     topological_order,
     validate_cd,
@@ -24,7 +26,7 @@ from jointkern import (
 from jointkern.diagrams import _kahn
 
 from support import (
-    chain_diagram, dag_signature, random_dag_diagram, random_dag_with_inputs,
+    chain_diagram, dag_signature, gc_by_rescans, random_dag_diagram, random_dag_with_inputs,
 )
 
 SIG = dag_signature()
@@ -117,6 +119,26 @@ def test_validate_cd_unknown_leg_and_cycle():
     assert "cycle among boxes" in joined
     assert "'p'" in joined and "'q'" in joined
     assert "'u'" in joined and "'v'" in joined
+
+
+def test_a_cycle_report_names_its_boxes_and_the_wires_they_make_for_each_other():
+    with pytest.raises(DiagramError, match="not a valid copy/delete diagram") as e:
+        parse_model(Path(__file__).parent / "models" / "cyclic_bad.json")
+    assert e.value.violations == ["cycle among boxes ['b1', 'b2'] through wires ['x', 'y']"]
+
+    # two cycles, p <-> q and r <-> s, r also fed by the root k0; t reads
+    # both cycles, so Kahn leaves it unordered too, but the wires made
+    # outside the cycles (z) or read by none of its boxes (o) are not listed
+    d = make(("z", "u", "v", "a", "b", "o"), ("t", "s", "r", "q", "p", "k0"),
+             {"k0": (), "p": ("v",), "q": ("u",), "r": ("z", "b"), "s": ("a",), "t": ("v", "b")},
+             {"k0": ("z",), "p": ("u",), "q": ("v",), "r": ("a",), "s": ("b",), "t": ("o",)},
+             {"k0": "src", "p": "f1", "q": "f1", "r": "f2", "s": "f1", "t": "f2"},
+             outputs=("o",))
+    want = ["cycle among boxes ['p', 'q', 'r', 's', 't'] through wires ['a', 'b', 'u', 'v']"]
+    assert validate_cd(d) == want
+    with pytest.raises(DiagramError, match="not a valid copy/delete diagram") as e:
+        d.plan
+    assert e.value.violations == want
 
 
 def test_validate_markov_dangling():
@@ -360,3 +382,32 @@ def _graphs(draw) -> Hypergraph:
                     {"a": ["w", "y"], "b": [], "c": ["w"]}))
 def test_kahn_matches_reference(g):
     assert _kahn(g) == _reference_kahn(g)
+
+
+@st.composite
+def _diagrams(draw) -> Diagram:
+    """Random diagrams over _graphs whose legs name any wire of the graph,
+    or one outside it."""
+    g = draw(_graphs())
+    legs = st.lists(st.sampled_from([*g.wires, "ghost"]), max_size=4)
+    return make(g.wires, g.boxes, g.dom, g.cod, dict.fromkeys(g.boxes, "f1"),
+                draw(legs), draw(legs))
+
+
+@settings(derandomize=True, max_examples=500)
+@given(_diagrams())
+# a cycle read by the output leg, fed by a root and feeding a dead tail;
+# a cycle nobody reads; a box that reads its own output; an effect box
+@example(make(["u", "v", "r", "t"], ["a", "b", "c", "d"],
+              {"a": ["r"], "b": ["u", "u"], "c": [], "d": ["v"]},
+              {"a": ["u"], "b": ["v"], "c": ["r"], "d": ["t"]},
+              dict.fromkeys("abcd", "f1"), outputs=("v",)))
+@example(make(["u", "v"], ["p", "q"], {"p": ["v"], "q": ["u"]}, {"p": ["u"], "q": ["v"]},
+              dict.fromkeys("pq", "f1")))
+@example(make(["w"], ["a", "e"], {"a": ["w"], "e": []}, {"a": ["w"], "e": []},
+              dict.fromkeys("ae", "f1")))
+def test_gc_matches_the_rescanning_reference(d):
+    got, want = gc_fixpoint(d), gc_by_rescans(d)
+    assert (got.graph.boxes, got.graph.wires) == (want.graph.boxes, want.graph.wires)
+    assert diagram_structure(got) == diagram_structure(want)
+

@@ -50,6 +50,17 @@ def test_categorical_density_matches_reference():
     assert categorical([0.5, 0.0, 0.5]).log_density(Z, 1) == NEG_INF
 
 
+def test_a_wired_categorical_builds_one_point_per_probability_vector():
+    # inputs 0 and 1 give equal probabilities, so their records read one point
+    p = categorical([lambda x: 0.5 if x < 2 else 0.25, lambda x: 0.5 if x < 2 else 0.75],
+                    dom=Finite(3))
+    assert p.point(0) is p.point(1)
+    assert p.point(2) is not p.point(0)
+    assert p.point(0).qs == [Fraction(1, 2)] * 2
+    assert p.point(2).qs == [Fraction(1, 4), Fraction(3, 4)]
+    assert [p.pushforward((0.3,), x) for x in range(3)] == [0, 0, 1]
+
+
 def test_normal_density_matches_reference():
     p = normal(0.0, 1.0)
     assert p.log_density(Z, 0.0) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)

@@ -89,6 +89,11 @@ ANOMALIES = {
     "overflowing_normal": _uniform_model({"b2": "1.0"}, HUGE),
     "overflowing_exp": _uniform_model({"b2": "exp($1 * 800.0)"}),
     "overflowing_product": _uniform_model({"b1": "1e300", "b2": "1e300"}),
+    # a wired parameter out of its range: a = b at x = 1, sigma 0 at x = 0
+    "empty_uniform": _uniform_model(
+        {"b2": "1.0"}, {"primitive": "uniform", "params": {"a": "$0 * 1.0", "b": 1.0}}),
+    "zero_sigma": _uniform_model(
+        {"b2": "1.0"}, {"primitive": "normal", "params": {"sigma": "$0 * 1.0"}}),
 }
 
 
@@ -162,6 +167,9 @@ UNTAKEN = {
     "zeroed_ln": _uniform_model({"b1": "$0 * 1.0", "b2": "ln($0)"}),
     # x = 1 weighs ln 3, where ln($0) zeroes it too
     "zeroed_ln_scaled": _uniform_model({"b1": "$0 * 1.0", "b2": "ln($0 * 3.0)"}),
+    # a wired uniform bound that stays below b on every row
+    "wired_uniform": _uniform_model(
+        {"b2": "1.0"}, {"primitive": "uniform", "params": {"a": "$0 * 0.5", "b": 1.0}}),
 }
 
 
