@@ -59,16 +59,18 @@ def counterfactual(
     under any do, and an entry naming no box of d is an error. Returns the
     counterfactual trace and output.
     """
-    return _replayer(d, evaluate(d, intervene(d, interp, do)))(u, inputs)
+    k = evaluate(d, intervene(d, interp, do))
+    return replay_with_uniforms(k, inputs, _uniforms_of(d, k)(u))
 
 
-def _replayer(d: Diagram, k: JointKernel):
-    """(u, inputs) -> replay_with_uniforms(k, inputs, u), for k evaluated
-    from d under some intervention, built once per kernel.
+def _uniforms_of(d: Diagram, k: JointKernel):
+    """u -> the uniforms of u that replay_with_uniforms(k, inputs, ...)
+    reads, for k evaluated from d under some intervention, built once per
+    kernel.
 
-    Entries of u for boxes of d that k no longer runs are dropped first;
-    an entry naming no box of d (nor one inside a composite box,
-    "graph_id.inner") stays, for replay_with_uniforms to reject.
+    Entries of u for boxes of d that k no longer runs are dropped; an entry
+    naming no box of d (nor one inside a composite box, "graph_id.inner")
+    stays, for replay_with_uniforms to reject.
     """
     ids = k.box_id_set
     boxes = d.box_label
@@ -76,12 +78,12 @@ def _replayer(d: Diagram, k: JointKernel):
     def of_d(b) -> bool:
         return b in boxes or any(b[:i] in boxes for i, c in enumerate(b) if c == ".")
 
-    def replay(u, inputs):
-        if not ids.issuperset(u):
-            u = {b: v for b, v in u.items() if b in ids or not of_d(b)}
-        return replay_with_uniforms(k, inputs, u)
+    def uniforms(u):
+        if ids.issuperset(u):
+            return u
+        return {b: v for b, v in u.items() if b in ids or not of_d(b)}
 
-    return replay
+    return uniforms
 
 
 def abduct_trace(d: Diagram, interp: Interpretation, inputs: Value, t) -> dict:

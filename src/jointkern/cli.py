@@ -30,6 +30,17 @@ drawn record by record. abduct refuses an --out that is its --trace file.
 logpdf and cf write their records to stdout a block of _KEY_BLOCK at a
 time too, but an error in a record writes the records before it first, so
 it leaves them all written.
+
+logpdf, abduct and cf run a block of at least _COLUMN_MIN_RECORDS records
+and at most _COLUMN_MAX_CELLS cells as columns (kernels.logpdf_block,
+abduct_block and replay_block) and write it with one %: logpdf's scores
+under %.17g, abduct's u records by _uniforms_block_encoder, and cf's
+records by _block_encoder, unscored; a smaller or larger block, or one
+whose column pass raises, runs record by record. A block is read and
+decoded up to its first record that fails to be; the records before that
+one run, and logpdf and cf write them, before its error is raised, so the
+error that wins, and the records written before it, are those of a pass
+that reads and runs each record in turn.
 """
 
 from __future__ import annotations
@@ -40,20 +51,21 @@ import json
 import math
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import rng
-from .causal import _replayer, intervene
+from .causal import _uniforms_of, intervene
 from .diagrams import export_dot
 from .errors import (
     DiagramError, ExprSyntaxError, ModelSyntaxError, ShapeError,
 )
 from .expr import compile_det_map
 from .interpret import Interpretation, evaluate
-from .kernels import abduct_uniforms, joint_log_density, sample_block, sample_records
+from .kernels import (abduct_block, abduct_uniforms, joint_log_density, logpdf_block,
+                      replay_block, replay_with_uniforms, sample_block, sample_records)
 from .model import (
     Model, _float_text, _floats_text, _loads, descriptor_to_json, parse_model,
     render_json, value_decoder, value_encoder, value_from_jsonable, value_to_jsonable,
@@ -162,7 +174,11 @@ def _trace_spaces(kernel) -> dict:
 
 def _trace_decoder(kernel):
     """A trace record -> its trace, each value decoded in its box's space;
-    one value decoder is built per distinct space, here."""
+    one value decoder is built per distinct space, here. Its one comparison
+    of key views refuses a box the kernel lacks, so a trace it returns is
+    complete exactly when it has one key per box: the block passes test that
+    by one sum of lengths per block, and send a block with a missing box to
+    the row pass, which raises each command's own message."""
     decoder = functools.cache(value_decoder)
     decoders = {b: decoder(sp) for b, sp in _trace_spaces(kernel).items()}
     known = decoders.keys()
@@ -221,18 +237,19 @@ def _plain_floats(column) -> bool:
     return not any(map(float.is_integer, column)) and math.isfinite(sum(column))
 
 
-def _block_encoder(trace_spaces: dict, cod):
+def _block_encoder(trace_spaces: dict, cod, scored: bool = True):
     """(traces, outputs, logpdfs), columns as kernels.sample_block makes
     them -> the records' text, one line each: _record_encoder's text of each
-    record, made by one % over the block. A column whose encoder is str
-    goes in as it is, under %s; a float column under %.17g when
-    _plain_floats holds, and any other column as its values' texts."""
+    record, made by one % over the block; not scored, (traces, outputs), as
+    kernels.replay_block makes them -> cf's records' text. A column whose
+    encoder is str goes in as it is, under %s; a float column under %.17g
+    when _plain_floats holds, and any other column as its values' texts."""
     boxes = _fields({b: value_encoder(sp) for b, sp in trace_spaces.items()})
     keys = [key for _, key, _ in boxes]
-    encoders = [_float_text, value_encoder(cod), *[enc for _, _, enc in boxes]]
+    encoders = ([_float_text] if scored else []) + [value_encoder(cod), *[e for _, _, e in boxes]]
 
-    def encode(traces, outputs, logpdfs) -> str:
-        columns = [logpdfs, outputs, *[traces[b] for b, _, _ in boxes]]
+    def encode(traces, outputs, *logpdfs) -> str:
+        columns = [*logpdfs, outputs, *[traces[b] for b, _, _ in boxes]]
         formats = []
         for i, enc in enumerate(encoders):
             if enc is _float_text and _plain_floats(columns[i]):
@@ -241,7 +258,7 @@ def _block_encoder(trace_spaces: dict, cod):
             if enc is not str:
                 columns[i] = list(map(enc, columns[i]))
             formats.append("%s")
-        line = _record_template(keys, formats) + "\n"
+        line = _record_template(keys, formats, scored) + "\n"
         return (line * len(outputs)) % tuple(chain.from_iterable(zip(*columns)))
 
     return encode
@@ -251,6 +268,26 @@ def _uniforms_encoder(box_ids):
     """An abducted u record (box id -> block of floats) -> its render_json text."""
     boxes = _fields({b: _floats_text for b in box_ids})
     return lambda u: "{" + ", ".join([key + enc(u[b]) for b, key, enc in boxes]) + "}"
+
+
+def _uniforms_block_encoder(box_ids):
+    """(us, n), the n records' columns as kernels.abduct_block makes them ->
+    their text, one line each: _uniforms_encoder's text of each record, made
+    by one % over the block. A column of blocks of one float each goes in
+    under [%.17g] when _plain_floats holds for those floats, and any other
+    as its blocks' texts."""
+    boxes = [(b, key.replace("%", "%%")) for b, key, _ in _fields(dict.fromkeys(box_ids))]
+
+    def encode(us, n: int) -> str:
+        columns, formats = [], []
+        for b, key in boxes:
+            floats = list(chain.from_iterable(us[b]))
+            plain = set(map(len, us[b])) == {1} and _plain_floats(floats)
+            columns.append(floats if plain else list(map(_floats_text, us[b])))
+            formats.append(key + ("[%.17g]" if plain else "%s"))
+        return ("{" + ", ".join(formats) + "}\n") * n % tuple(chain.from_iterable(zip(*columns)))
+
+    return encode
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +303,40 @@ def _run_validate(model: Model, interp: Interpretation, ns) -> int:
 _KEY_BLOCK = 1024
 
 # sample's blocks hold at most _COLUMN_MAX_CELLS cells, records times
-# boxes, and those of at least _COLUMN_MIN_RECORDS records run as columns
-# (kernels.sample_block); fewer records pay more for a column than they
-# save, and more cells hold more memory
+# boxes, and a block of every record command runs as columns (the block
+# passes of kernels) when it has at least _COLUMN_MIN_RECORDS records and at
+# most _COLUMN_MAX_CELLS cells; fewer records pay more for a column than
+# they save, and more cells hold more memory
 _COLUMN_MIN_RECORDS = 8
 _COLUMN_MAX_CELLS = 2 ** 16
+
+
+def _block_lines(records: list, width: int, line, block) -> Iterable[str]:
+    """The text of a block of records of width boxes each: [block(records)],
+    its column pass's text, where the block has at least _COLUMN_MIN_RECORDS
+    records and at most _COLUMN_MAX_CELLS cells and block raises nothing;
+    else line(r) for each record r, in turn, so an error in a record comes
+    after the lines before it, with the row pass's text."""
+    if _COLUMN_MIN_RECORDS <= len(records) and len(records) * width <= _COLUMN_MAX_CELLS:
+        # a law that raises, or a text that cannot be written: the row pass
+        # raises it at its record, after the lines before it
+        with suppress(Exception):
+            return [block(records)]
+    return map(line, records)
+
+
+def _decoded(items: Iterable, decode) -> tuple[list, Exception | None]:
+    """decode(item) of each of items in turn, up to the first that fails to
+    be read or decoded, and that failure, or None. Its caller runs the
+    records before the failure first, so their errors win, as they do when
+    each record is read and run in turn."""
+    out = []
+    try:
+        for item in items:
+            out.append(decode(item))
+    except Exception as e:  # noqa: BLE001 - raised once the records before it run
+        return out, e
+    return out, None
 
 
 def _run_sample(model: Model, interp: Interpretation, ns) -> int:
@@ -296,26 +362,34 @@ def _run_sample(model: Model, interp: Interpretation, ns) -> int:
     return 0
 
 
-def _out_blocks(lines: Iterable[str]):
-    """Each of lines to stdout, joined a block of _KEY_BLOCK at a time; an
-    error in making a line writes the lines before it first."""
-    block = []
-    try:
-        for line in lines:
-            block.append(line)
-            if len(block) == _KEY_BLOCK:
-                text, block = "".join(block), []
-                _out(text)
-    finally:
-        _out("".join(block))
+def _out_records(records: Iterator, decode, width: int, line, block):
+    """Each of records, decoded by decode, run and written to stdout a block
+    of up to _KEY_BLOCK at a time, by _block_lines: a block is read and
+    decoded up to its first record that fails to be, the records before
+    that one run and are written, and then the failure is raised. An error
+    in running a record writes the records before it first, so each error
+    leaves every record before it written."""
+    while True:
+        decoded, error = _decoded(islice(records, _KEY_BLOCK), decode)
+        done = []
+        try:
+            for text in _block_lines(decoded, width, line, block):
+                done.append(text)
+        finally:
+            _out("".join(done))
+        if error is not None:
+            raise error
+        if len(decoded) < _KEY_BLOCK:
+            return
 
 
 def _run_logpdf(model: Model, interp: Interpretation, ns) -> int:
     k = evaluate(model.diagram, interp)
     decode = _trace_decoder(k)
     z = _decode_input(model, ns.input)
-    _out_blocks("%.17g\n" % joint_log_density(k, z, decode(rec))
-                for rec in _read_jsonl(ns.trace))
+    _out_records(_read_jsonl(ns.trace), decode, len(k.boxes),
+                 lambda t: "%.17g\n" % joint_log_density(k, z, t),
+                 lambda traces: "%.17g\n" * len(traces) % tuple(logpdf_block(k, z, traces)))
     return 0
 
 
@@ -327,20 +401,24 @@ def _run_cf(model: Model, interp: Interpretation, ns) -> int:
     # intervene and compile once, so every record replays the same kernel
     interp = intervene(model.diagram, interp, _parse_do(model, interp, ns.set))
     k = evaluate(model.diagram, interp)
-    replay = _replayer(model.diagram, k)
+    uniforms_of = _uniforms_of(model.diagram, k)
     encode = _record_encoder(_trace_spaces(k), k.cod, scored=False)
+    # built by the first block that runs as columns, as sample's is
+    encode_block = functools.cache(lambda: _block_encoder(_trace_spaces(k), k.cod, scored=False))
     z = _decode_input(model, ns.input)
 
-    def record(u) -> str:
+    def decode(u) -> dict:
         if not isinstance(u, dict):
             raise ModelSyntaxError("u records must be objects box -> [floats]")
         for b, block in u.items():
             if not isinstance(block, list) or not _NUMBER_TYPES.issuperset(map(type, block)):
                 raise ModelSyntaxError(f"u for {b!r} must be a list of floats")
         # replay converts each uniform to float as it checks it
-        return encode(*replay(u, z)) + "\n"
+        return uniforms_of(u)
 
-    _out_blocks(map(record, _read_jsonl(ns.u)))
+    _out_records(_read_jsonl(ns.u), decode, len(k.boxes),
+                 lambda u: encode(*replay_with_uniforms(k, z, u)) + "\n",
+                 lambda us: encode_block()(*replay_block(k, z, us)))
     return 0
 
 
@@ -353,10 +431,21 @@ def _run_abduct(model: Model, interp: Interpretation, ns) -> int:
     if ns.out and os.path.exists(ns.out) and os.path.samefile(ns.out, ns.trace):
         raise _UsageError("--out names the --trace file")
     records = _read_jsonl(ns.trace)
-    # written a block of records at a time, as sample writes its blocks
-    blocks = ("".join([encode(abduct_uniforms(k, z, decode(rec))) + "\n" for rec in block])
-              for block in iter(lambda: list(islice(records, _KEY_BLOCK)), []))
-    _emit(blocks, ns.out, "w")
+
+    # written a block of records at a time, as sample writes its blocks: a
+    # block is read whole, then decoded up to its first bad record, and the
+    # records before that one run, so that their errors come first
+    def blocks():
+        while raw := list(islice(records, _KEY_BLOCK)):
+            traces, error = _decoded(raw, decode)
+            text = "".join(_block_lines(
+                traces, len(k.boxes), lambda t: encode(abduct_uniforms(k, z, t)) + "\n",
+                lambda ts: _uniforms_block_encoder(k.box_ids)(abduct_block(k, z, ts), len(ts))))
+            if error is not None:
+                raise error
+            yield text
+
+    _emit(blocks(), ns.out, "w")
     return 0
 
 

@@ -59,11 +59,22 @@ this order, the checks that can fail on what it is given or draws:
                           box has a block and every block a box, then each
                           block's floats, length and range, then the
                           output, then each trace value
+    replay_block          replay_with_uniforms over a block of u records as
+                          columns (cf's blocks of many records): the input,
+                          the records' keys, then each box's column of
+                          blocks and of values, then the output column
     joint_log_density     a given trace (logpdf): the input, the trace's box
                           set, then each trace value
+    logpdf_block          joint_log_density over a block of traces as
+                          columns (logpdf's blocks): the input, the traces'
+                          keys, then each box's column of trace values
     abduct_uniforms       the uniforms that replay a given trace (abduct):
                           the input, the trace's box set, then, box by box,
                           that the primitive has an abduct law, the value's
+                          membership, then its support
+    abduct_block          abduct_uniforms over a block of traces as columns
+                          (abduct's blocks): the input, the traces' keys,
+                          then, box by box, the abduct law, the column's
                           membership, then its support
     _eliminate            the exact table of a finite kernel's live slots
                           (marginal_pmf_finite and spw's exact reference):
@@ -71,8 +82,12 @@ this order, the checks that can fail on what it is given or draws:
                           rows each box makes, at most _ROW_LIMIT
     run_trace             every slot at a given trace, unchecked
 
-sample_block runs on Python lists, a column of each slot, so sample
-loads no numpy. spw also runs sample_records' draws over a block of seeds
+The four block passes, sample_block and the three beside it, are one
+block interpreter, _columns, and differ only in what a box does; a law
+that raises or a check that fails reruns the block through the row pass
+named beside each, so a block has its row pass's bits and errors.
+_columns runs on Python lists, a column of each slot, so the block passes
+load no numpy. spw also runs sample_records' draws over a block of seeds
 as columns, in numpy where numpy gives Python's bits; that pass, and
 everything else of spw's that runs on columns, lives in the columns
 module, which only spw loads.
@@ -83,7 +98,7 @@ rng.seed_key makes of it. Each seeded pass runs over many records and
 checks the input once, so an input that is no point fails before the
 first draw, even in a pass over no seeds; sample_records builds the slot
 template once, then copies it per seed. Every pass reads a step's input
-the same way, slots[src] or read(slots) (sample_block its column), so a
+the same way, slots[src] or read(slots) (a block pass its column), so a
 box with no input wires reads UNIT_VALUE, never the kernel input, even in
 run_trace, which does not check that input.
 
@@ -126,7 +141,8 @@ __all__ = [
     "lift_det", "identity_kernel", "structure_kernel", "from_primitive",
     "compose", "tensor", "rename_boxes", "expose_residuals", "run_trace",
     "joint_log_density", "replay_with_uniforms", "sample_records", "sample_block",
-    "sample_scored", "sample_with_trace", "abduct_uniforms", "marginal_pmf_finite",
+    "logpdf_block", "abduct_block", "replay_block", "sample_scored", "sample_with_trace",
+    "abduct_uniforms", "marginal_pmf_finite",
 ]
 
 Trace = Mapping[str, Value]
@@ -714,26 +730,129 @@ def sample_block(
 
     Every column has sample_records' bits at each seed, -inf included. The
     input is checked first. One rng.unit_uniforms call draws the whole
-    block, so its caller bounds the block; then each step runs once over
-    the block's columns, a box mapping its point, push and density over
-    them and checking its values with one all(map(ok, ...)). The output is
-    checked last, and the logpdfs are added column by column in box order
-    from 0.0. When a law raises or a check fails, the block reruns through
-    sample_records, so its bits and its errors are the row pass's.
+    block, so its caller bounds the block; then _columns runs the block, a
+    box mapping its point, push and density over its columns and checking
+    its values with one all(map(ok, ...)). The output is checked last, and
+    the logpdfs are added by _totals. When a law raises or a check fails,
+    the block reruns through sample_records, so its bits and its errors are
+    the row pass's.
     """
-    _, dom_ok, _ = k.pass_plan
+    _, dom_ok, cod_ok = k.pass_plan
     if not dom_ok(z):
         check_member(k.dom, z, "kernel input")
-    seeds = list(map(rng.seed_key, seed_keys))
-    try:
-        block = _block_columns(k, z, seeds)
-    except Exception:  # noqa: BLE001 - a law raised at some seed: the rows raise it
-        block = None
-    if block is not None:
-        return block
-    records = list(sample_records(k, z, seeds))
-    return ({b: [t[b] for t, _, _ in records] for b in k.box_ids},
-            [x for _, x, _ in records], [ld for _, _, ld in records])
+    seeds, keys = list(map(rng.seed_key, seed_keys)), k.box_keys
+    # the block's cells, seed by seed and box by box in step order, so box
+    # j's column is u[j::width]
+    u, width = rng.unit_uniforms(seeds, keys), len(keys)
+    draws = (zip(u[j::width]) for j in range(width))
+    traces, lds = {}, []
+
+    def box(entry, x):
+        _, box_id, _, _, _, point, push, density, _, ok, _ = entry
+        pts = list(map(point, x))
+        traces[box_id] = ms = list(map(push, next(draws), pts))
+        lds.append(list(map(density, pts, ms)))
+        return ms if all(map(ok, ms)) else None
+
+    cols = _columns(k, z, len(seeds), box)
+    if cols is None or not all(map(cod_ok, cols[k.out])):
+        records = list(sample_records(k, z, seeds))
+        return (_by_box(k, [t for t, _, _ in records]),
+                [x for _, x, _ in records], [ld for _, _, ld in records])
+    return traces, cols[k.out], _totals(len(seeds), lds)
+
+
+def logpdf_block(k: JointKernel, z: Value, traces: Sequence[Trace]) -> list:
+    """joint_log_density(k, z, t) for each trace t of a block, as columns:
+    _columns runs the block, each box checking its column of trace values
+    with one all(map(ok, ...)) and mapping its point and density over them,
+    and the logpdfs are added by _totals. Where _columns refuses the block
+    (see there) or a value is no point of its box's space, the block reruns
+    through joint_log_density, so its bits and errors are the row pass's."""
+    lds = []
+
+    def box(entry, x):
+        _, box_id, _, _, _, point, _, density, _, ok, _ = entry
+        ms = list(map(itemgetter(box_id), traces))
+        lds.append(list(map(density, map(point, x), ms)))
+        return ms if all(map(ok, ms)) else None
+
+    if _columns(k, z, len(traces), box, traces) is None:
+        return [joint_log_density(k, z, t) for t in traces]
+    return _totals(len(traces), lds)
+
+
+def abduct_block(k: JointKernel, z: Value, traces: Sequence[Trace]) -> dict:
+    """abduct_uniforms(k, z, t) for each trace t of a block, as columns: box
+    id -> the column of its uniform blocks, in step order. _columns runs the
+    block, each box checking its column of trace values with one
+    all(map(ok, ...)) and mapping its point and abduct law over them. Where
+    _columns refuses the block (see there), a box has no abduct law or a
+    value is no point of its box's space, the block reruns through
+    abduct_uniforms, so its bits and errors are the row pass's."""
+    us = {}
+
+    def box(entry, x):
+        _, box_id, _, _, _, point, _, _, law, ok, _ = entry
+        ms = list(map(itemgetter(box_id), traces))
+        if law is None or not all(map(ok, ms)):
+            return None
+        us[box_id] = list(map(tuple, map(law, map(point, x), ms)))
+        return ms
+
+    if _columns(k, z, len(traces), box, traces) is None:
+        return _by_box(k, [abduct_uniforms(k, z, t) for t in traces])
+    return us
+
+
+def replay_block(
+    k: JointKernel, z: Value, us: Sequence[Mapping[str, Sequence[float]]]
+) -> tuple[dict, list]:
+    """replay_with_uniforms(k, z, u) for each u of a block, as columns:
+    (traces, outputs), traces each box id's column of trace values, in step
+    order. _columns runs the block, each box converting its column of
+    blocks' one number each with one map of float, checking them against
+    [0, 1] and mapping its point and push over them; its values, and last
+    the outputs, are checked with one all(map(ok, ...)) each. Where _columns
+    refuses the block (see there), a block is not one number in [0, 1] or a
+    value or output is no point of its space, the block reruns through
+    replay_with_uniforms, so its bits and errors are the row pass's."""
+    n, traces = len(us), {}
+
+    def box(entry, x):
+        _, box_id, _, _, _, point, push, _, _, ok, _ = entry
+        blocks = list(map(itemgetter(box_id), us))
+        # an empty block raises in itemgetter(0), so the lengths' sum says
+        # that each block is one number
+        xs = list(map(float, map(itemgetter(0), blocks)))
+        if sum(map(len, blocks)) != n or not all([0.0 <= x <= 1.0 for x in xs]):
+            return None
+        traces[box_id] = ms = list(map(push, zip(xs), map(point, x)))
+        return ms if all(map(ok, ms)) else None
+
+    cols = _columns(k, z, n, box, us)
+    if cols is None or not all(map(k.pass_plan[2], cols[k.out])):
+        records = [replay_with_uniforms(k, z, u) for u in us]
+        return _by_box(k, [t for t, _ in records]), [x for _, x in records]
+    return traces, cols[k.out]
+
+
+def _by_box(k: JointKernel, records: list) -> dict:
+    """Records keyed by box id, as columns: box id -> each record's entry."""
+    return {b: list(map(itemgetter(b), records)) for b in k.box_ids}
+
+
+def _totals(n: int, lds: list) -> list:
+    """The n records' logpdfs from the boxes' columns of log-densities,
+    added column by column in box order from 0.0; -inf where any factor is,
+    as joint_log_density stops at the first -inf factor."""
+    totals = [0.0] * n
+    for column in lds:
+        totals = list(map(add, totals, column))
+    for column in lds:
+        if NEG_INF in column:
+            totals = [NEG_INF if ld == NEG_INF else t for t, ld in zip(totals, column)]
+    return totals
 
 
 def _read_column(cols: list, src, read, n: int):
@@ -749,50 +868,42 @@ def _read_column(cols: list, src, read, n: int):
     return list(map(nest_values, zip(*[cols[i] for i in src])))
 
 
-def _block_columns(k: JointKernel, z: Value, seeds: list) -> tuple | None:
-    """sample_block's column pass; None where a check fails."""
-    steps, _, cod_ok = k.pass_plan
-    n, keys = len(seeds), k.box_keys
-    if not n:
-        return {b: [] for b in k.box_ids}, [], []
-    width = len(keys)
-    # the block's cells, seed by seed and box by box in step order, so box
-    # j's column is u[j::width]
-    u = rng.unit_uniforms(seeds, keys)
+def _columns(k: JointKernel, z: Value, n: int, box: Callable, given: Sequence = ()):
+    """The block interpreter: each slot's column of values when k's program
+    runs on n records at input z, or None, for the row pass to rerun the
+    block, where z is no point of k's domain, a record of given has keys
+    other than the box ids, a box refuses its block or a law raises.
+
+    Each Apply and Unpack runs once over its columns. A box's part is
+    box(entry, x), its pass plan entry and the column of what it reads; it
+    returns the box's column of values, or None where a check fails. So
+    every block pass is this one walk over the steps, and only what a box
+    does changes. A box reads each record of given by its id, so a missing
+    id raises, and one sum of the records' lengths finds any other key."""
+    steps, dom_ok, _ = k.pass_plan
+    if not dom_ok(z) or sum(map(len, given)) != len(given) * len(k.boxes):
+        return None
     cols = [None] * k.n_slots
     cols[0] = [z] * n
-    traces: dict = {}
-    totals, vanished, j = [0.0] * n, [], 0
-    for step, (run, box_id, src, dst, read, point, push, density, _, ok, _) in zip(
-            k.steps, steps):
-        if run is not None:
-            if type(step) is Unpack:
+    try:
+        for step, entry in zip(k.steps, steps):
+            if entry[0] is None:
+                cols[step.dst] = box(entry, _read_column(cols, step.src, step.read, n))
+                if cols[step.dst] is None:
+                    return None
+            elif type(step) is Unpack:
                 src, dsts = step
-                parts = zip(*[unnest_values(v, len(dsts)) for v in cols[src]])
-                for i, c in zip(dsts, parts):
+                parts = list(zip(*[unnest_values(v, len(dsts)) for v in cols[src]]))
+                # a block of no records gives each dst an empty column
+                for i, c in zip(dsts, parts or [()] * len(dsts)):
                     cols[i] = list(c)
             else:
                 fn, src, dst, read = step
                 x = _read_column(cols, src, read, n)
                 cols[dst] = x if fn is _identity else list(map(fn, x))
-            continue
-        pts = list(map(point, _read_column(cols, src, read, n)))
-        ms = list(map(push, zip(u[j::width]), pts))
-        j += 1
-        if not all(map(ok, ms)):
-            return None
-        lds = list(map(density, pts, ms))
-        # joint_log_density stops at the first -inf factor
-        if NEG_INF in lds:
-            vanished += [i for i, ld in enumerate(lds) if ld == NEG_INF]
-        totals = list(map(add, totals, lds))
-        traces[box_id] = cols[dst] = ms
-    outputs = cols[k.out]
-    if not all(map(cod_ok, outputs)):
+    except Exception:  # noqa: BLE001 - a law raised at some record: the rows raise it
         return None
-    for i in vanished:
-        totals[i] = NEG_INF
-    return traces, outputs, totals
+    return cols
 
 
 def sample_scored(k: JointKernel, z: Value, seed: int) -> tuple[dict, Value, float]:

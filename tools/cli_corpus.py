@@ -50,7 +50,10 @@ space, malformed or not UTF-8. Then sample at record counts on either
 side of the blocks that run as columns (7, 8, 1024, 1025 and 3000), with
 and without --out, on chain, normal, uniform2x, inputs, chain160_1 and a
 model whose first refused record (ln of a draw below 0) is in its second
-block; and abduct given its --trace file as --out, which it refuses.
+block; and abduct given its --trace file as --out, which it refuses. Last,
+logpdf, abduct and cf (with and without --set) at 7, 8, 1024 and 1025
+records, either side of the blocks that run as columns, on chain, normal,
+inputs and chain160_1.
 """
 
 from __future__ import annotations
@@ -583,6 +586,20 @@ def run_corpus(main, genmodels, tmp: str) -> list:
             c.run(name, [*argv, "--out", c.path(f"{name}.{n}.jsonl")])
     trace = c.path("chain.long.trace")
     c.run("chain", ["abduct", chain_path, "--trace", trace, "--out", trace])
+
+    # logpdf, abduct and cf at record counts on either side of the blocks
+    # that run as columns, each reading the records the command before wrote
+    for name, path, extra, setting in (
+            ("chain", chain_path, [], "b1=1"), ("normal", normal, [], "g=0.5"),
+            ("inputs", inputs, ["--input", "1"], "g=0"),
+            ("chain160_1", c.path("chain160_1.json"), [], "root=0.25")):
+        for n in ("7", "8", "1024", "1025"):
+            trace, u = f"{name}.records{n}.trace", f"{name}.records{n}.u"
+            c.run(name, ["sample", path, "--n", n, "--seed", "4", *extra], save=trace)
+            c.run(name, ["logpdf", path, "--trace", c.path(trace), *extra])
+            c.run(name, ["abduct", path, "--trace", c.path(trace), *extra], save=u)
+            c.run(name, ["cf", path, "--u", c.path(u), *extra])
+            c.run(name, ["cf", path, "--u", c.path(u), "--set", setting, *extra])
     return c.lines
 
 
